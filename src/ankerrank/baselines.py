@@ -107,7 +107,7 @@ def ranksvm_fit(train: RankedDataset, C: float | None = None, grid=DEFAULT_C_GRI
     gram = diffs @ diffs.T
     if C is None:
         C = select_c(gram, labels, grid=grid, seed=seed, tol=smo_tol)
-    model = smo_train(gram, labels, C, tol=smo_tol, seed=seed)
+    model = smo_train(gram, labels, C, tol=smo_tol)
     weights = (model.alpha * model.labels) @ diffs
     return LinearModel(weights=weights, intercept=0.0)
 

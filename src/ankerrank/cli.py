@@ -26,7 +26,7 @@ def _apply_thread_cap(threads: int | None) -> None:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(threads))
+        os.environ[var] = str(threads)
 
 
 def _write_payload(text: str, out: str | None) -> None:

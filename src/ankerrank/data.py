@@ -122,6 +122,8 @@ class RankedQuery:
         n = items.shape[0]
         if n < 1:
             raise DataFormatError("a query needs at least one item")
+        if not np.isfinite(items).all():
+            raise DataFormatError(f"query {self.query_id!r} has non-finite feature values")
         if ranking.shape != (n,) or sorted(ranking.tolist()) != list(range(n)):
             raise DataFormatError(f"ranking of query {self.query_id!r} is not a permutation of 0..{n - 1}")
 
@@ -333,7 +335,10 @@ def load_dataset(path: str | Path, schema: FeatureSchema | None = None) -> Ranke
             ranking[i] = rank - 1
             for k, cell in enumerate(cells):
                 items[i, k] = resolved.encode(k, cell)
-        queries.append(RankedQuery(qid, items, ranking))
+        try:
+            queries.append(RankedQuery(qid, items, ranking))
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
     return RankedDataset(resolved, tuple(queries))
 
 

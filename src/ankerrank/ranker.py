@@ -3,7 +3,9 @@
 Training rankings are decomposed into labeled ordered item pairs, an SVM with
 the analogy kernel learns the pairwise preference direction, calibrated
 outputs are combined into a reciprocal preference matrix, and a
-Bradley-Terry-Luce fit turns that matrix into a total order.
+Bradley-Terry-Luce fit turns that matrix into a total order.  The BTL fit is
+Newton's method on log-utilities, stopped on the gradient norm; its result
+says whether it converged, and a fit that did not converge logs a warning.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ from .svm import (
 logger = logging.getLogger(__name__)
 
 PREFERENCE_CLIP = 1e-6
+# Newton line search: sufficient-increase constant and smallest step fraction.
+_ARMIJO = 1e-4
+_MIN_STEP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -182,12 +187,27 @@ def btl_log_likelihood(pref: np.ndarray, theta: np.ndarray) -> float:
     return float(np.sum(pref[off] * pairwise[off]))
 
 
-def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlParams:
-    """Maximum-likelihood Bradley-Terry-Luce utilities via minorization-maximization.
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-x)) without overflow for large |x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
-    Entries are clipped away from {0, 1} so the maximizer stays finite.  Each
-    sweep applies theta_i <- sum_j p_ij / sum_j (p_ij + p_ji) / (theta_i + theta_j)
-    and renormalizes to the simplex; the likelihood never decreases.
+
+def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlParams:
+    """Maximum-likelihood Bradley-Terry-Luce utilities by Newton's method on log-utilities.
+
+    Entries are clipped away from {0, 1} so the maximizer stays finite.  The
+    log-likelihood sum_ij p_ij log sigma(beta_i - beta_j) is concave in
+    beta = log theta.  Each step solves (L + 11'/n) delta = g, where g is its
+    gradient and L, the negative Hessian, is the Laplacian of the weights
+    (p_ij + p_ji) sigma_ij sigma_ji; the 11'/n term removes the shift null
+    space.  The step is halved until the Armijo condition holds, so the
+    recorded likelihood path never decreases, and beta is re-centred to mean 0.
+
+    ``tol`` bounds the max-norm of the gradient with respect to beta:
+    ``converged`` is True when that bound is met.  The fit stops unconverged,
+    with a warning, after ``max_iter`` Newton steps or when no step along the
+    Newton direction raises the likelihood.  Returns theta = softmax(beta).
     """
     pref = np.asarray(pref, dtype=float)
     n = pref.shape[0]
@@ -202,25 +222,50 @@ def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlPa
     if n == 1:
         return BtlParams(np.ones(1), 0, True, np.zeros(1))
 
-    theta = np.full(n, 1.0 / n)
-    path = [btl_log_likelihood(p, theta)]
+    wins_matrix = np.where(off, p, 0.0)
+    wins = wins_matrix.sum(axis=1)
+    pair_weight = wins_matrix + wins_matrix.T
+    beta = np.zeros(n)
+    path = [btl_log_likelihood(p, np.full(n, 1.0 / n))]
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        wins = np.where(off, p, 0.0).sum(axis=1)
-        pair_weight = np.where(off, p + p.T, 0.0)
-        denom = (pair_weight / (theta[:, None] + theta[None, :])).sum(axis=1)
-        new_theta = wins / denom
-        new_theta = new_theta / new_theta.sum()
-        path.append(btl_log_likelihood(p, new_theta))
-        if path[-1] < path[-2] - 1e-9:
-            raise RuntimeError("likelihood decreased during a minorization-maximization sweep")
-        delta = float(np.max(np.abs(new_theta - theta)))
-        theta = new_theta
-        if delta < tol:
+    while True:
+        sigma = _sigmoid(beta[:, None] - beta[None, :])
+        grad = wins - (pair_weight * sigma).sum(axis=1)
+        grad_norm = float(np.max(np.abs(grad)))
+        if grad_norm < tol:
             converged = True
             break
-    return BtlParams(theta, iterations, converged, np.asarray(path))
+        if iterations == max_iter:
+            break
+        h = pair_weight * sigma * sigma.T
+        laplacian = np.diag(h.sum(axis=1)) - h
+        # Adding 1/n to every entry is the 11'/n term; grad sums to 0, so step does too.
+        step = np.linalg.solve(laplacian + 1.0 / n, grad)
+        slope = float(grad @ step)
+        t = 1.0
+        accepted = False
+        with np.errstate(over="ignore", invalid="ignore"):
+            while t >= _MIN_STEP:
+                # log sigma(x + d) - log sigma(x) = -log1p(sigma(-x) expm1(-d)),
+                # exact to rounding even when the step is tiny.
+                d = t * (step[:, None] - step[None, :])
+                gain = -float(np.sum(wins_matrix * np.log1p(sigma.T * np.expm1(-d))))
+                if gain >= _ARMIJO * t * slope:
+                    accepted = True
+                    break
+                t /= 2.0
+        if not accepted:
+            break
+        beta = beta + t * step
+        beta -= beta.mean()
+        path.append(path[-1] + gain)
+        iterations += 1
+    if not converged:
+        logger.warning("BTL fit stopped unconverged after %d Newton steps "
+                       "(gradient max-norm %.3e, tolerance %.1e)", iterations, grad_norm, tol)
+    theta = np.exp(beta - beta.max())
+    return BtlParams(theta / theta.sum(), iterations, converged, np.asarray(path))
 
 
 def rank_from_theta(theta) -> np.ndarray:
@@ -255,7 +300,7 @@ def anker_fit(train: RankedDataset, stats: NormalizationStats | None = None, *,
     if C is None:
         C = select_c(gram, labels, grid=grid, seed=seed, tol=smo_tol)
         logger.debug("selected C=%g by cross-validation", C)
-    model = smo_train(gram, labels, C, tol=smo_tol, seed=seed)
+    model = smo_train(gram, labels, C, tol=smo_tol)
     train_decisions = decision_values(model, gram[:, model.support])
     model = model.with_variant(variant).with_platt(platt_fit(train_decisions, labels))
     return AnkerModel(svm=model, pair_first=first, pair_second=second, stats=stats)
@@ -266,6 +311,8 @@ def anker_predict(model: AnkerModel, query: np.ndarray) -> RankPrediction:
     query = np.asarray(query, dtype=float)
     if query.ndim != 2 or query.shape[0] < 2:
         raise ValueError("a query needs at least two items")
+    if not np.isfinite(query).all():
+        raise ValueError("query features must be finite")
     pref = preference_matrix(model.svm, (model.pair_first, model.pair_second), query)
     params = btl_fit(pref)
     ranking = rank_from_theta(params)
@@ -294,6 +341,8 @@ def anker_rank(train: RankedDataset, query: np.ndarray, *,
         raise ValueError(
             f"query items must be (n, {train.n_features}), got {query.shape}"
         )
+    if not np.isfinite(query).all():
+        raise ValueError("query features must be finite")
     if scope is None:
         scope = choose_normalization_scope(train.all_items(), query, alpha=alpha)
     train_norm, query_norm, stats = normalize_train_test(

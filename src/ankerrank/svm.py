@@ -1,10 +1,9 @@
 """Binary kernel SVM trained by sequential minimal optimization.
 
-Works on precomputed kernel values (or a kernel callable that is materialized
-once), so the same solver serves the analogy kernel on item pairs and the
-linear kernel on difference vectors.  Includes sigmoid (Platt) calibration of
-decision values into probabilities and cost selection by repeated internal
-cross-validation.
+Works on precomputed kernel values, so the same solver serves the analogy
+kernel on item pairs and the linear kernel on difference vectors.  Includes
+sigmoid (Platt) calibration of decision values into probabilities and cost
+selection by repeated internal cross-validation.
 """
 
 from __future__ import annotations
@@ -60,30 +59,15 @@ class SvmModel:
         return replace(self, platt=platt)
 
 
-def _materialize_kernel(kernel, n: int) -> np.ndarray:
-    if callable(kernel):
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                out[i, j] = out[j, i] = kernel(i, j)
-        return out
-    out = np.asarray(kernel, dtype=float)
-    if out.shape != (n, n):
-        raise ValueError(f"kernel matrix shape {out.shape} does not match {n} labels")
-    return out
-
-
-def smo_train(kernel, labels, C: float, tol: float = 1e-3, seed: int = 0,
+def smo_train(kernel, labels, C: float, tol: float = 1e-3,
               max_iter: int = 10_000) -> SvmModel:
     """Solve the soft-margin SVM dual by SMO with maximal-violating-pair selection.
 
     Args:
-        kernel: (n, n) kernel matrix, or a callable (i, j) -> value that is
-            materialized once.
+        kernel: (n, n) kernel matrix.
         labels: Sequence of n labels in {-1, +1}; both classes required.
         C: Box constraint on the dual variables, > 0.
         tol: KKT violation tolerance used as the stopping criterion.
-        seed: Accepted for interface uniformity; the solver is deterministic.
         max_iter: Cap on working-pair updates.
 
     Returns:
@@ -91,7 +75,6 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3, seed: int = 0,
         averaged over unbounded support vectors (midpoint of the feasible
         interval when there are none).
     """
-    del seed  # deterministic solver; kept so callers can thread one seed everywhere
     y = np.asarray(labels, dtype=float)
     n = y.size
     if n < 2:
@@ -104,7 +87,9 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3, seed: int = 0,
         raise ValueError("C must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    K = _materialize_kernel(kernel, n)
+    K = np.asarray(kernel, dtype=float)
+    if K.shape != (n, n):
+        raise ValueError(f"kernel matrix shape {K.shape} does not match {n} labels")
     if not np.all(np.isfinite(K)):
         raise ValueError("kernel values must be finite")
 

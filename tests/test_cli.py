@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ankerrank.cli import main
+import ankerrank
+from ankerrank.cli import _apply_thread_cap, main
 from ankerrank.data import save_dataset
 from synthetic import make_linear_dataset
 
@@ -61,6 +66,41 @@ def test_rank_multi_query_file_exits_2(csv_files, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "exactly one query_id" in captured.err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_rank_non_finite_feature_exits_2(csv_files, tmp_path, capsys, cell):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"query_id,rank,f0,f1,f2\nq,1,0.1,0.2,0.3\nq,2,0.4,{cell},0.6\n")
+    code = main(["rank", "--train", str(csv_files["train"]), "--query", str(bad), "--C", "1.0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "non-finite" in captured.err
+    assert captured.out == ""
+
+
+def test_thread_flag_overrides_the_environment(monkeypatch):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        monkeypatch.setenv(var, "4")
+    _apply_thread_cap(1)
+    assert os.environ["OMP_NUM_THREADS"] == "1"
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def _run_cli(argv):
+    """Run the CLI in a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ankerrank.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "ankerrank.cli", *argv],
+                          capture_output=True, env=env)
+
+
+def test_rank_output_does_not_depend_on_the_thread_count(csv_files):
+    argv = ["rank", "--train", str(csv_files["train"]), "--query", str(csv_files["query"]),
+            "--seed", "11", "--include-matrix"]
+    one = _run_cli(["--threads", "1", *argv])
+    two = _run_cli(["--threads", "2", *argv])
+    assert one.returncode == 0 and two.returncode == 0
+    assert one.stdout == two.stdout
 
 
 def test_rank_is_byte_identical_for_a_fixed_seed(csv_files, tmp_path):
@@ -155,12 +195,6 @@ def test_kernel_check_zero_tolerance_may_fail(capsys):
 
 def test_cli_entry_point_runs_as_subprocess(csv_files, tmp_path):
     # the installed console script path: run via python -m equivalent
-    import subprocess
-    import sys
-
-    result = subprocess.run(
-        [sys.executable, "-m", "ankerrank.cli", "kernel-check", "--samples", "3", "--dim", "3"],
-        capture_output=True, text=True,
-    )
+    result = _run_cli(["kernel-check", "--samples", "3", "--dim", "3"])
     assert result.returncode == 0
     assert json.loads(result.stdout)["ok"] is True

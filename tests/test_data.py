@@ -138,6 +138,21 @@ def test_query_requires_permutation():
         RankedQuery("q", np.zeros((2, 1)), np.array([0, 0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_query_rejects_non_finite_features(bad):
+    items = np.zeros((2, 2))
+    items[1, 0] = bad
+    with pytest.raises(DataFormatError, match="non-finite"):
+        RankedQuery("q", items, np.array([0, 1]))
+
+
+def test_load_non_finite_cell_names_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("query_id,rank,a,b\nq,1,0.1,nan\nq,2,0.3,0.4\n")
+    with pytest.raises(DataFormatError, match="bad.csv: query 'q' has non-finite"):
+        load_dataset(path)
+
+
 def test_dataset_requires_consistent_width():
     schema = FeatureSchema(("a",), (FeatureKind.NUMERIC,), (None,))
     query = RankedQuery("q", np.zeros((2, 2)), np.array([0, 1]))

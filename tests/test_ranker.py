@@ -10,6 +10,7 @@ from ankerrank.ranker import (
     anker_rank,
     btl_fit,
     btl_log_likelihood,
+    PREFERENCE_CLIP,
     build_pair_instances,
     load_model,
     ordering_from_ranking,
@@ -177,6 +178,44 @@ def test_btl_likelihood_is_monotone():
     assert params.log_likelihood_path[-1] == pytest.approx(btl_log_likelihood(pref, params.theta))
 
 
+def _random_reciprocal(rng, n):
+    """Reciprocal matrix whose upper entries include values the clip moves."""
+    upper = rng.random((n, n))
+    extreme = rng.random((n, n)) < 0.2
+    upper[extreme] = rng.choice([0.0, 1e-9, 1e-7, 1.0 - 1e-7, 1.0 - 1e-9, 1.0], size=int(extreme.sum()))
+    pref = np.full((n, n), 0.5)
+    rows, cols = np.triu_indices(n, k=1)
+    pref[rows, cols] = upper[rows, cols]
+    pref[cols, rows] = 1.0 - upper[rows, cols]
+    return pref
+
+
+@pytest.mark.parametrize("n", [10, 50, 100])
+def test_btl_converges_on_random_reciprocal_matrices(n):
+    rng = np.random.default_rng(40 + n)
+    pref = _random_reciprocal(rng, n)
+    params = btl_fit(pref)
+    assert params.converged
+    # gradient of the log-likelihood in beta = log(theta) at the clipped input
+    off = ~np.eye(n, dtype=bool)
+    p = np.where(off, np.clip(pref, PREFERENCE_CLIP, 1.0 - PREFERENCE_CLIP), 0.0)
+    theta = params.theta
+    share = theta[:, None] / (theta[:, None] + theta[None, :])
+    grad = p.sum(axis=1) - ((p + p.T) * share).sum(axis=1)
+    assert np.max(np.abs(grad)) <= 1e-8
+    assert np.all(np.diff(params.log_likelihood_path) >= 0.0)
+    assert params.log_likelihood_path.size == params.iterations + 1
+    assert params.log_likelihood_path[-1] == pytest.approx(btl_log_likelihood(p, theta))
+
+
+def test_btl_warns_when_it_stops_unconverged(caplog):
+    pref = _random_reciprocal(np.random.default_rng(41), 10)
+    with caplog.at_level("WARNING", logger="ankerrank.ranker"):
+        params = btl_fit(pref, max_iter=1)
+    assert not params.converged and params.iterations == 1
+    assert "after 1 Newton steps" in caplog.text and "gradient max-norm" in caplog.text
+
+
 def test_btl_rejects_non_reciprocal_input():
     with pytest.raises(ValueError, match="reciprocal"):
         btl_fit(np.array([[0.5, 0.9], [0.4, 0.5]]))
@@ -274,6 +313,18 @@ def test_anker_rank_scope_override_and_validation():
     assert sorted(prediction.ranking.tolist()) == [0, 1, 2, 3]
     with pytest.raises(ValueError, match="query items"):
         anker_rank(train, np.zeros((4, 2)), C=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_queries_are_rejected(bad):
+    train = make_linear_dataset(2, 6, 3, seed=34)
+    query = np.random.default_rng(35).random((4, 3))
+    query[2, 1] = bad
+    model, _ = _trained_toy_model(seed=36)
+    with pytest.raises(ValueError, match="finite"):
+        anker_predict(model, query)
+    with pytest.raises(ValueError, match="finite"):
+        anker_rank(train, query, C=1.0)
 
 
 def test_model_round_trip(tmp_path):
