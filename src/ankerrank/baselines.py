@@ -5,6 +5,11 @@ The analogy-transfer baseline is deliberately "-lite": it scores each query
 pair by the top-k graded proportions against observed training preferences
 and converts the two evidence sums into odds, which approximates (but does
 not reproduce exactly) the original evidence-accumulation scheme.
+
+RankSVM and able2rank take their training preferences from the same pair
+enumerator as the analogy-kernel ranker (``build_pair_instances``).  The
+linear models rank a query with ``ranking_from_scores``: RankSVM on the
+utility ``items @ weights``, expected rank regression on ``-err_predict``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,13 @@ import numpy as np
 
 from .data import RankedDataset
 from .kernel import KernelVariant, kernel_matrix
-from .ranker import RankPrediction, btl_fit, ordering_from_ranking, rank_from_theta
+from .ranker import (
+    RankPrediction,
+    btl_fit,
+    build_pair_instances,
+    ordering_from_ranking,
+    ranking_from_scores,
+)
 from .svm import DEFAULT_C_GRID, select_c, smo_train
 
 
@@ -40,16 +51,10 @@ def err_fit(train: RankedDataset) -> LinearModel:
     the expected normalized rank under a uniform distribution over completions.
     Rank-deficient designs fall back to the minimum-norm solution.
     """
-    rows = []
-    targets = []
-    for query in train.queries:
-        n = query.n_items
-        for k in range(n):
-            rows.append(query.items[k])
-            targets.append((query.ranking[k] + 1) / (n + 1))
-    design = np.asarray(rows, dtype=float)
-    design = np.hstack([design, np.ones((design.shape[0], 1))])
-    solution, *_ = np.linalg.lstsq(design, np.asarray(targets), rcond=None)
+    items = train.all_items()
+    design = np.hstack([items, np.ones((items.shape[0], 1))])
+    targets = np.concatenate([(q.ranking + 1) / (q.n_items + 1) for q in train.queries])
+    solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
     return LinearModel(weights=solution[:-1], intercept=float(solution[-1]))
 
 
@@ -58,40 +63,22 @@ def err_predict(model: LinearModel, items: np.ndarray) -> np.ndarray:
     return np.asarray(items, dtype=float) @ model.weights + model.intercept
 
 
-def err_rank(model: LinearModel, items: np.ndarray) -> np.ndarray:
-    """Positions by ascending predicted target, ties keeping index order."""
-    predicted = err_predict(model, items)
-    ordering = np.lexsort((np.arange(predicted.size), predicted))
-    ranking = np.empty(predicted.size, dtype=int)
-    ranking[ordering] = np.arange(predicted.size)
-    return ranking
-
-
 def _difference_vectors(train: RankedDataset, rng: np.random.Generator
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Per-preference difference vectors with coin-flipped sign balancing.
 
-    Pairs with identical feature vectors are dropped: a zero difference
-    carries no direction and would only force margin violations.
+    Pairs with identical feature vectors are dropped before the coins are
+    drawn: a zero difference carries no direction and would only force
+    margin violations.
     """
-    diffs = []
-    labels = []
-    for query in train.queries:
-        ordering = query.ordering
-        for a in range(query.n_items - 1):
-            for b in range(a + 1, query.n_items):
-                z = query.items[ordering[a]] - query.items[ordering[b]]
-                if not np.any(z != 0.0):
-                    continue
-                if rng.random() < 0.5:
-                    diffs.append(z)
-                    labels.append(1.0)
-                else:
-                    diffs.append(-z)
-                    labels.append(-1.0)
-    if not diffs:
+    pairs = build_pair_instances(train)
+    items = train.all_items()
+    diffs = items[pairs[:, 0]] - items[pairs[:, 1]]
+    diffs = diffs[np.any(diffs != 0.0, axis=1)]
+    if not len(diffs):
         raise ValueError("no usable preference pairs in the training data")
-    return np.asarray(diffs), np.asarray(labels)
+    labels = np.where(rng.random(len(diffs)) < 0.5, 1.0, -1.0)
+    return diffs * labels[:, None], labels
 
 
 def ranksvm_fit(train: RankedDataset, C: float | None = None, grid=DEFAULT_C_GRID,
@@ -112,28 +99,6 @@ def ranksvm_fit(train: RankedDataset, C: float | None = None, grid=DEFAULT_C_GRI
     return LinearModel(weights=weights, intercept=0.0)
 
 
-def ranksvm_rank(model: LinearModel, items: np.ndarray) -> np.ndarray:
-    """Positions by descending utility w . x, ties keeping index order."""
-    utility = np.asarray(items, dtype=float) @ model.weights
-    ordering = np.lexsort((np.arange(utility.size), -utility))
-    ranking = np.empty(utility.size, dtype=int)
-    ranking[ordering] = np.arange(utility.size)
-    return ranking
-
-
-def _training_preferences(train: RankedDataset) -> tuple[np.ndarray, np.ndarray]:
-    """All (preferred, other) pairs of the training rankings, preferred first."""
-    firsts = []
-    seconds = []
-    for query in train.queries:
-        ordering = query.ordering
-        for a in range(query.n_items - 1):
-            for b in range(a + 1, query.n_items):
-                firsts.append(query.items[ordering[a]])
-                seconds.append(query.items[ordering[b]])
-    return np.asarray(firsts), np.asarray(seconds)
-
-
 def able2rank_lite(train: RankedDataset, query: np.ndarray, k: int = 20) -> RankPrediction:
     """Rank by transferring training preferences through graded proportions.
 
@@ -148,8 +113,12 @@ def able2rank_lite(train: RankedDataset, query: np.ndarray, k: int = 20) -> Rank
         raise ValueError("k must be at least 1")
     query = np.asarray(query, dtype=float)
     n = query.shape[0]
-    pref_first, pref_second = _training_preferences(train)
-    n_prefs = pref_first.shape[0]
+    pairs = build_pair_instances(train)
+    n_prefs = len(pairs)
+    if n_prefs == 0:
+        raise ValueError("no training preferences: every training query has a single item")
+    items = train.all_items()
+    pref_first, pref_second = items[pairs[:, 0]], items[pairs[:, 1]]
     top = min(k, n_prefs)
     rows, cols = np.triu_indices(n, k=1)
     evidence_fwd = kernel_matrix((pref_first, pref_second), (query[rows], query[cols]),
@@ -171,7 +140,7 @@ def able2rank_lite(train: RankedDataset, query: np.ndarray, k: int = 20) -> Rank
     pref[rows, cols] = upper
     pref[cols, rows] = 1.0 - upper
     params = btl_fit(pref)
-    ranking = rank_from_theta(params)
+    ranking = ranking_from_scores(params.theta)
     return RankPrediction(
         ranking=ranking,
         ordering=ordering_from_ranking(ranking),

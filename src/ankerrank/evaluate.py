@@ -16,6 +16,7 @@ import numpy as np
 
 from . import baselines as bl
 from .data import (
+    DataFormatError,
     NormalizationMode,
     NormalizationScope,
     RankedDataset,
@@ -23,7 +24,7 @@ from .data import (
     normalize_train_test,
 )
 from .kernel import KernelVariant
-from .ranker import anker_fit, anker_predict
+from .ranker import anker_fit, anker_predict, ranking_from_scores
 from .svm import DEFAULT_C_GRID
 
 METHOD_NAMES = ("anker", "err", "ranksvm", "able2rank")
@@ -108,14 +109,16 @@ def _run_err(train, test, seed, config):
     del seed  # fully deterministic
     train_ds, queries, truths = _normalized_views(train, test, NormalizationMode.ZSCORE, config)
     model = bl.err_fit(train_ds)
-    return [ranking_loss(bl.err_rank(model, q), t) for q, t in zip(queries, truths)]
+    return [ranking_loss(ranking_from_scores(-bl.err_predict(model, q)), t)
+            for q, t in zip(queries, truths)]
 
 
 def _run_ranksvm(train, test, seed, config):
     train_ds, queries, truths = _normalized_views(train, test, NormalizationMode.ZSCORE, config)
     model = bl.ranksvm_fit(train_ds, C=config.C, grid=config.c_grid, seed=seed,
                            smo_tol=config.smo_tol)
-    return [ranking_loss(bl.ranksvm_rank(model, q), t) for q, t in zip(queries, truths)]
+    return [ranking_loss(ranking_from_scores(q @ model.weights), t)
+            for q, t in zip(queries, truths)]
 
 
 def _run_able2rank(train, test, seed, config):
@@ -186,6 +189,12 @@ def run_experiment(train: RankedDataset, test: RankedDataset, methods,
             raise ValueError(f"unsupported method {name!r} (known: {', '.join(METHOD_NAMES)})")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    for query in test.queries:
+        if query.n_items < 2:
+            raise DataFormatError(
+                f"test query {query.query_id!r} has fewer than two items; "
+                "the ranking loss needs at least two"
+            )
 
     master = np.random.SeedSequence(seed)
     method_streams = master.spawn(len(methods))

@@ -82,8 +82,8 @@ def scalar_kernel(u: float, v: float) -> float:
 def _as_pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
     """Normalize a pair collection to two (m, d) arrays of firsts and seconds.
 
-    Accepts a sequence of (first, second) tuples, objects with .first/.second
-    attributes, or an already-split (firsts, seconds) tuple of 2-D arrays.
+    Accepts a sequence of (first, second) tuples or an already-split
+    (firsts, seconds) tuple of 2-D arrays.
     """
     if isinstance(pairs, tuple) and len(pairs) == 2:
         first = np.asarray(pairs[0], dtype=float)
@@ -92,13 +92,8 @@ def _as_pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
             return first, second
     if len(pairs) == 0:
         raise ValueError("empty pair collection")
-    head = pairs[0]
-    if hasattr(head, "first"):
-        first = np.asarray([p.first for p in pairs], dtype=float)
-        second = np.asarray([p.second for p in pairs], dtype=float)
-    else:
-        first = np.asarray([p[0] for p in pairs], dtype=float)
-        second = np.asarray([p[1] for p in pairs], dtype=float)
+    first = np.asarray([p[0] for p in pairs], dtype=float)
+    second = np.asarray([p[1] for p in pairs], dtype=float)
     return first, second
 
 

@@ -6,18 +6,23 @@ outputs are combined into a reciprocal preference matrix, and a
 Bradley-Terry-Luce fit turns that matrix into a total order.  The BTL fit is
 Newton's method on log-utilities, stopped on the gradient norm; its result
 says whether it converged, and a fit that did not converge logs a warning.
+
+``build_pair_instances`` is the one enumerator of training preferences (the
+baselines use it too), and ``ranking_from_scores`` the one conversion from
+scores to positions.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
+    DataFormatError,
     NormalizationMode,
     NormalizationScope,
     NormalizationStats,
@@ -44,15 +49,6 @@ PREFERENCE_CLIP = 1e-6
 # Newton line search: sufficient-increase constant and smallest step fraction.
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-10
-
-
-@dataclass(frozen=True)
-class PairInstance:
-    """An ordered item pair; label +1 means the first item is preferred."""
-
-    first: np.ndarray
-    second: np.ndarray
-    label: int
 
 
 @dataclass(frozen=True)
@@ -95,40 +91,22 @@ class AnkerModel:
     stats: NormalizationStats | None = None
 
 
-def build_pair_instances(data: RankedDataset, seed: int = 0,
-                         cap: int | None = None) -> list[PairInstance]:
-    """Extract one labeled instance per ordered preference in the training rankings.
+def build_pair_instances(data: RankedDataset) -> np.ndarray:
+    """Every ordered preference of the training rankings, as item row indices.
 
-    Each preference contributes either (preferred, other, +1) or
-    (other, preferred, -1), chosen by a seeded fair coin so labels stay
-    balanced.  An optional cap subsamples the result uniformly.
+    Returns an (m, 2) int array of indices into ``data.all_items()`` with the
+    preferred item first.  Pairs follow the queries in order and, within a
+    query, the positions a < b of its ordering in row-major order.  A one-item
+    query contributes no pairs.
     """
-    rng = np.random.default_rng(seed)
-    instances: list[PairInstance] = []
+    blocks = [np.empty((0, 2), dtype=int)]
+    offset = 0
     for query in data.queries:
-        if query.n_items < 2:
-            raise ValueError(f"query {query.query_id!r} has fewer than two items")
-        ordering = query.ordering
-        for a in range(query.n_items - 1):
-            preferred = query.items[ordering[a]]
-            for b in range(a + 1, query.n_items):
-                other = query.items[ordering[b]]
-                if rng.random() < 0.5:
-                    instances.append(PairInstance(preferred, other, 1))
-                else:
-                    instances.append(PairInstance(other, preferred, -1))
-    if cap is not None and cap < len(instances):
-        keep = np.sort(rng.choice(len(instances), size=cap, replace=False))
-        instances = [instances[i] for i in keep]
-    return instances
-
-
-def pairs_to_arrays(instances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split pair instances into (firsts, seconds, labels) arrays."""
-    first = np.asarray([p.first for p in instances], dtype=float)
-    second = np.asarray([p.second for p in instances], dtype=float)
-    labels = np.asarray([p.label for p in instances], dtype=float)
-    return first, second, labels
+        a, b = np.triu_indices(query.n_items, k=1)
+        rows = query.ordering + offset
+        blocks.append(np.column_stack((rows[a], rows[b])))
+        offset += query.n_items
+    return np.concatenate(blocks)
 
 
 def reciprocal_preferences(support_forward: np.ndarray, support_backward: np.ndarray,
@@ -268,14 +246,12 @@ def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlPa
     return BtlParams(theta / theta.sum(), iterations, converged, np.asarray(path))
 
 
-def rank_from_theta(theta) -> np.ndarray:
-    """Positions from utilities: higher theta ranks earlier, ties keep index order."""
-    if isinstance(theta, BtlParams):
-        theta = theta.theta
-    theta = np.asarray(theta, dtype=float)
-    ordering = np.lexsort((np.arange(theta.size), -theta))
-    ranking = np.empty(theta.size, dtype=int)
-    ranking[ordering] = np.arange(theta.size)
+def ranking_from_scores(scores) -> np.ndarray:
+    """Positions by descending score (0 = best); ties keep index order."""
+    scores = np.asarray(scores, dtype=float)
+    ordering = np.lexsort((np.arange(scores.size), -scores))
+    ranking = np.empty(scores.size, dtype=int)
+    ranking[ordering] = np.arange(scores.size)
     return ranking
 
 
@@ -290,12 +266,27 @@ def anker_fit(train: RankedDataset, stats: NormalizationStats | None = None, *,
               smo_tol: float = 1e-3) -> AnkerModel:
     """Train the preference SVM on an already-normalized dataset.
 
-    Builds the labeled pair instances, picks the cost by repeated internal
-    cross-validation when ``C`` is None, trains by SMO, and calibrates the
-    decision values on the training pairs.
+    Each training preference becomes one labeled pair: a seeded fair coin
+    per pair, drawn in pair order, keeps (preferred, other) with label +1 or
+    swaps it to (other, preferred) with label -1, so labels stay balanced.
+    An optional ``cap`` then subsamples the pairs uniformly.  The cost is
+    picked by repeated internal cross-validation when ``C`` is None; the SVM
+    is trained by SMO and its decision values are calibrated on the
+    training pairs.
     """
-    instances = build_pair_instances(train, seed=seed, cap=cap)
-    first, second, labels = pairs_to_arrays(instances)
+    for query in train.queries:
+        if query.n_items < 2:
+            raise DataFormatError(f"training query {query.query_id!r} has fewer than two items")
+    rng = np.random.default_rng(seed)
+    pairs = build_pair_instances(train)
+    keep = rng.random(len(pairs)) < 0.5
+    pairs = np.where(keep[:, None], pairs, pairs[:, ::-1])
+    labels = np.where(keep, 1.0, -1.0)
+    if cap is not None and cap < len(pairs):
+        chosen = np.sort(rng.choice(len(pairs), size=cap, replace=False))
+        pairs, labels = pairs[chosen], labels[chosen]
+    items = train.all_items()
+    first, second = items[pairs[:, 0]], items[pairs[:, 1]]
     gram = gram_matrix((first, second), variant)
     if C is None:
         C = select_c(gram, labels, grid=grid, seed=seed, tol=smo_tol)
@@ -310,12 +301,12 @@ def anker_predict(model: AnkerModel, query: np.ndarray) -> RankPrediction:
     """Rank an already-normalized query item set with a trained model."""
     query = np.asarray(query, dtype=float)
     if query.ndim != 2 or query.shape[0] < 2:
-        raise ValueError("a query needs at least two items")
+        raise DataFormatError("a query needs at least two items")
     if not np.isfinite(query).all():
         raise ValueError("query features must be finite")
     pref = preference_matrix(model.svm, (model.pair_first, model.pair_second), query)
     params = btl_fit(pref)
-    ranking = rank_from_theta(params)
+    ranking = ranking_from_scores(params.theta)
     return RankPrediction(
         ranking=ranking,
         ordering=ordering_from_ranking(ranking),

@@ -93,9 +93,11 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
     if not np.all(np.isfinite(K)):
         raise ValueError("kernel values must be finite")
 
-    Q = K * np.outer(y, y)
     alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of 1/2 a'Qa - sum(a)
+    # v = -y * grad, where grad is the gradient of 1/2 a'(yy' * K)a - sum(a).
+    # It is updated from columns of K directly, so no second n x n matrix is
+    # needed; at alpha = 0 the gradient is -1, so v starts at y.
+    v = y.copy()
     snap = _ALPHA_SNAP * max(1.0, C)
 
     # Feasible-direction masks, maintained incrementally (only the selected
@@ -107,7 +109,6 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
     m_bound = np.inf
     big_m_bound = -np.inf
     for iteration in range(max_iter):
-        v = -y * grad
         i = int(np.argmax(np.where(up, v, -np.inf)))
         j = int(np.argmin(np.where(low, v, np.inf)))
         m_bound = v[i]
@@ -134,8 +135,8 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         # element of the pair was selected first.
         first, second = (i, j) if i < j else (j, i)
         deltas = {i: delta_i, j: delta_j}
-        grad += Q[:, first] * deltas[first]
-        grad += Q[:, second] * deltas[second]
+        v -= K[:, first] * (y[first] * deltas[first])
+        v -= K[:, second] * (y[second] * deltas[second])
         for t in (i, j):
             if alpha[t] < snap:
                 alpha[t] = 0.0
@@ -147,7 +148,6 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         logger.debug("SMO hit the iteration cap (%d) with violation %.3e", max_iter, m_bound - big_m_bound)
 
     free = (alpha > 0.0) & (alpha < C)
-    v = -y * grad
     if np.any(free):
         bias = float(v[free].mean())
     else:
@@ -163,18 +163,6 @@ def dual_objective(kernel: np.ndarray, labels, alpha) -> float:
     a = np.asarray(alpha, dtype=float)
     Q = np.asarray(kernel, dtype=float) * np.outer(y, y)
     return float(a.sum() - 0.5 * a @ Q @ a)
-
-
-def decision_value(model: SvmModel, kernel_row) -> float:
-    """Decision value from kernel evaluations against the support set.
-
-    ``kernel_row`` holds k(x, x_s) for the support indices, in order.
-    """
-    row = np.asarray(kernel_row, dtype=float)
-    if row.shape != (model.support.size,):
-        raise ValueError(f"kernel row has {row.shape} values, expected {model.support.size}")
-    coeffs = model.alpha[model.support] * model.labels[model.support]
-    return float(coeffs @ row + model.bias)
 
 
 def decision_values(model: SvmModel, kernel_rows) -> np.ndarray:

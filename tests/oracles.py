@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: the QP oracle
 is an accelerated projected-gradient method, the KS oracle enumerates
-permutations, the inversion counter is a double loop, and the BTL oracle is a
-grid search on the simplex.
+permutations, the inversion counter is a double loop, the BTL oracle is a
+grid search on the simplex, and the training-pair oracle draws one coin per
+preference in a nested loop.
 """
 
 from __future__ import annotations
@@ -119,3 +120,35 @@ def btl_grid_argmax(pref: np.ndarray, resolution: float = 1e-3) -> np.ndarray:
                 continue
             loglik += pref[i, j] * (np.log(theta[:, i]) - np.log(theta[:, i] + theta[:, j]))
     return theta[int(np.argmax(loglik))]
+
+
+def coin_flip_pairs(data, seed: int, cap: int | None = None):
+    """Labeled training pairs of the analogy-kernel ranker, one coin per pair.
+
+    Walks each query's preferences (positions a < b of its ordering) and
+    draws one fair coin per pair: heads stores (preferred, other) with label
+    +1, tails (other, preferred) with label -1.  An optional cap keeps a
+    sorted uniform subsample drawn from the same generator.  Returns the
+    (firsts, seconds, labels) arrays.
+    """
+    rng = np.random.default_rng(seed)
+    firsts, seconds, labels = [], [], []
+    for query in data.queries:
+        ordering = query.ordering
+        for a in range(query.n_items - 1):
+            for b in range(a + 1, query.n_items):
+                preferred = query.items[ordering[a]]
+                other = query.items[ordering[b]]
+                if rng.random() < 0.5:
+                    firsts.append(preferred)
+                    seconds.append(other)
+                    labels.append(1.0)
+                else:
+                    firsts.append(other)
+                    seconds.append(preferred)
+                    labels.append(-1.0)
+    first, second, label = np.asarray(firsts), np.asarray(seconds), np.asarray(labels)
+    if cap is not None and cap < label.size:
+        keep = np.sort(rng.choice(label.size, size=cap, replace=False))
+        first, second, label = first[keep], second[keep], label[keep]
+    return first, second, label

@@ -5,14 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ankerrank.data import FeatureKind, FeatureSchema, RankedDataset, RankedQuery
-
-
-def ranking_from_utility(utility: np.ndarray) -> np.ndarray:
-    """Positions by descending utility, ties broken by index."""
-    ordering = np.lexsort((np.arange(utility.size), -utility))
-    ranking = np.empty(utility.size, dtype=int)
-    ranking[ordering] = np.arange(utility.size)
-    return ranking
+from ankerrank.ranker import ranking_from_scores
 
 
 def numeric_schema(d: int) -> FeatureSchema:
@@ -33,5 +26,5 @@ def make_linear_dataset(n_queries: int, n_items: int, d: int, seed: int,
     queries = []
     for qi in range(n_queries):
         items = rng.random((n_items, d))
-        queries.append(RankedQuery(f"{prefix}{qi}", items, ranking_from_utility(items @ weights)))
+        queries.append(RankedQuery(f"{prefix}{qi}", items, ranking_from_scores(items @ weights)))
     return RankedDataset(numeric_schema(d), tuple(queries))

@@ -7,15 +7,14 @@ from ankerrank.baselines import (
     able2rank_lite,
     err_fit,
     err_predict,
-    err_rank,
     ranksvm_fit,
-    ranksvm_rank,
 )
 from ankerrank.data import RankedDataset, RankedQuery, minmax_fit_apply, normalize_train_test
 from ankerrank.data import NormalizationMode, NormalizationScope
 from ankerrank.evaluate import ranking_loss
 from ankerrank.kernel import pair_kernel
-from synthetic import make_linear_dataset, numeric_schema, ranking_from_utility
+from ankerrank.ranker import ranking_from_scores
+from synthetic import make_linear_dataset, numeric_schema
 
 
 def single_query_dataset(items, ranking, d=None):
@@ -52,7 +51,7 @@ def test_err_recovers_training_order_when_features_equal_the_rank():
     data = RankedDataset(numeric_schema(1), tuple(queries))
     model = err_fit(data)
     for query in data.queries:
-        assert np.array_equal(err_rank(model, query.items), query.ranking)
+        assert np.array_equal(ranking_from_scores(-err_predict(model, query.items)), query.ranking)
 
 
 def test_err_targets_lie_strictly_inside_unit_interval():
@@ -79,7 +78,7 @@ def test_linear_model_requires_finite_coefficients():
 
 def test_ranksvm_recovers_sign_in_one_dimension():
     items = np.array([[0.9], [0.7], [0.4], [0.1]])
-    data = single_query_dataset(items, ranking_from_utility(items[:, 0]))
+    data = single_query_dataset(items, ranking_from_scores(items[:, 0]))
     model = ranksvm_fit(data, C=1.0, seed=0)
     assert model.weights[0] > 0.0
     assert model.intercept == 0.0
@@ -107,7 +106,7 @@ def test_ranksvm_low_loss_on_held_out_linear_data():
     for query in test.queries:
         items = test_n[offset : offset + query.n_items]
         offset += query.n_items
-        losses.append(ranking_loss(ranksvm_rank(model, items), query.ranking))
+        losses.append(ranking_loss(ranking_from_scores(items @ model.weights), query.ranking))
     assert float(np.mean(losses)) <= 0.05
 
 
@@ -123,9 +122,10 @@ def test_ranksvm_invariant_to_constant_shift_within_a_query():
     base_model = ranksvm_fit(train, C=1.0, seed=7)
     shifted_model = ranksvm_fit(shifted, C=1.0, seed=7)
     query = rng.random((6, 3))
-    assert np.array_equal(ranksvm_rank(shifted_model, query), ranksvm_rank(base_model, query))
-    assert np.array_equal(ranksvm_rank(base_model, query + 11.0),
-                          ranksvm_rank(base_model, query))
+    assert np.array_equal(ranking_from_scores(query @ shifted_model.weights),
+                          ranking_from_scores(query @ base_model.weights))
+    assert np.array_equal(ranking_from_scores((query + 11.0) @ base_model.weights),
+                          ranking_from_scores(query @ base_model.weights))
 
 
 def test_ranksvm_is_deterministic_given_seed():
@@ -208,3 +208,9 @@ def test_able2rank_rejects_bad_k():
     train = make_linear_dataset(1, 3, 2, seed=16)
     with pytest.raises(ValueError, match="k must be"):
         able2rank_lite(train, np.zeros((2, 2)), k=0)
+
+
+def test_able2rank_rejects_training_without_preferences():
+    train = single_query_dataset(np.array([[0.3, 0.6]]), [0])
+    with pytest.raises(ValueError, match="no training preferences"):
+        able2rank_lite(train, np.array([[0.1, 0.2], [0.4, 0.3]]))

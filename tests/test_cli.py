@@ -4,11 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ankerrank
 from ankerrank.cli import _apply_thread_cap, main
-from ankerrank.data import save_dataset
+from ankerrank.data import RankedDataset, RankedQuery, save_dataset
 from synthetic import make_linear_dataset
 
 
@@ -76,6 +77,43 @@ def test_rank_non_finite_feature_exits_2(csv_files, tmp_path, capsys, cell):
     captured = capsys.readouterr()
     assert code == 2
     assert "non-finite" in captured.err
+    assert captured.out == ""
+
+
+def _with_one_item_query(path, source):
+    """Save ``source`` plus one extra query that holds a single item."""
+    single = RankedQuery("single", source.queries[0].items[:1], np.array([0]))
+    save_dataset(RankedDataset(source.schema, source.queries + (single,)), path)
+
+
+def test_rank_one_item_query_exits_2(csv_files, tmp_path, capsys):
+    bad = tmp_path / "one.csv"
+    bad.write_text("query_id,rank,f0,f1,f2\nq,1,0.1,0.2,0.3\n")
+    code = main(["rank", "--train", str(csv_files["train"]), "--query", str(bad), "--C", "1.0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "at least two items" in captured.err and "internal error" not in captured.err
+    assert captured.out == ""
+
+
+def test_rank_one_item_training_query_exits_2(csv_files, tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    _with_one_item_query(train, make_linear_dataset(2, 6, 3, seed=3))
+    code = main(["rank", "--train", str(train), "--query", str(csv_files["query"]), "--C", "1.0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "'single' has fewer than two items" in captured.err
+    assert captured.out == ""
+
+
+def test_benchmark_one_item_test_query_exits_2(csv_files, tmp_path, capsys):
+    test = tmp_path / "test.csv"
+    _with_one_item_query(test, make_linear_dataset(1, 6, 3, seed=4))
+    code = main(["benchmark", "--train", str(csv_files["train"]), "--test", str(test),
+                 "--methods", "err", "--repeats", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "'single' has fewer than two items" in captured.err
     assert captured.out == ""
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ankerrank.data import NormalizationScope
+from ankerrank.data import DataFormatError, NormalizationScope, RankedDataset, RankedQuery
 from ankerrank.kernel import KernelVariant
 from ankerrank.ranker import (
     AnkerModel,
@@ -14,15 +14,14 @@ from ankerrank.ranker import (
     build_pair_instances,
     load_model,
     ordering_from_ranking,
-    pairs_to_arrays,
     preference_matrix,
-    rank_from_theta,
+    ranking_from_scores,
     reciprocal_preferences,
     save_model,
 )
 from ankerrank.svm import PlattParams, SvmModel
-from oracles import btl_grid_argmax
-from synthetic import make_linear_dataset
+from oracles import btl_grid_argmax, coin_flip_pairs
+from synthetic import make_linear_dataset, numeric_schema
 
 
 # ---------------------------------------------------------------------------
@@ -30,54 +29,78 @@ from synthetic import make_linear_dataset
 
 def test_pair_count_for_three_items():
     data = make_linear_dataset(1, 3, 2, seed=0)
-    assert len(build_pair_instances(data, seed=1)) == 3
+    assert build_pair_instances(data).shape == (3, 2)
 
 
 def test_pair_count_sums_over_queries():
     data = make_linear_dataset(3, 5, 2, seed=0)
-    assert len(build_pair_instances(data, seed=1)) == 3 * 10
+    assert len(build_pair_instances(data)) == 3 * 10
 
 
 def test_pair_labels_are_roughly_balanced():
     data = make_linear_dataset(4, 25, 3, seed=2)
-    _, _, labels = pairs_to_arrays(build_pair_instances(data, seed=3))
+    labels = anker_fit(data, C=1.0, seed=3).svm.labels
+    assert labels.size == 4 * 300
     assert abs(float(np.mean(labels == 1.0)) - 0.5) < 0.05
 
 
 def test_pair_label_orientation_matches_the_ranking():
-    data = make_linear_dataset(1, 6, 2, seed=4)
-    query = data.queries[0]
-    for inst in build_pair_instances(data, seed=5):
-        first_idx = next(i for i in range(6) if np.array_equal(query.items[i], inst.first))
-        second_idx = next(i for i in range(6) if np.array_equal(query.items[i], inst.second))
-        if inst.label == 1:
-            assert query.ranking[first_idx] < query.ranking[second_idx]
-        else:
-            assert query.ranking[first_idx] > query.ranking[second_idx]
+    # queries of different sizes; the one-item query contributes no pairs
+    rng = np.random.default_rng(4)
+    sizes = (6, 1, 3, 5)
+    queries = tuple(RankedQuery(f"q{k}", rng.random((n, 2)), rng.permutation(n))
+                    for k, n in enumerate(sizes))
+    pairs = build_pair_instances(RankedDataset(numeric_schema(2), queries))
+    assert pairs.shape == (15 + 0 + 3 + 10, 2)
+    query_of = np.repeat(np.arange(len(sizes)), sizes)
+    position = np.concatenate([q.ranking for q in queries])
+    assert np.all(query_of[pairs[:, 0]] == query_of[pairs[:, 1]])
+    assert np.all(position[pairs[:, 0]] < position[pairs[:, 1]])
+    assert len({frozenset(p) for p in pairs.tolist()}) == len(pairs)
+    assert not np.any(pairs == 6)  # the row of the one-item query
+
+    # anker_fit's label +1 means the first item of the pair is preferred
+    data = make_linear_dataset(2, 6, 2, seed=4)
+    rows = {tuple(x): k for k, x in enumerate(data.all_items())}
+    position = np.concatenate([q.ranking for q in data.queries])
+    model = anker_fit(data, C=1.0, seed=5)
+    for first, second, label in zip(model.pair_first, model.pair_second, model.svm.labels):
+        first_pos, second_pos = position[rows[tuple(first)]], position[rows[tuple(second)]]
+        assert (first_pos < second_pos) == (label == 1.0)
+
+
+@pytest.mark.parametrize("cap", [None, 25])
+def test_anker_fit_pairs_match_the_coin_loop_oracle(cap):
+    data = make_linear_dataset(3, 7, 3, seed=37)
+    first, second, labels = coin_flip_pairs(data, seed=38, cap=cap)
+    model = anker_fit(data, C=1.0, seed=38, cap=cap)
+    assert np.array_equal(model.pair_first, first)
+    assert np.array_equal(model.pair_second, second)
+    assert np.array_equal(model.svm.labels, labels)
 
 
 def test_pair_extraction_is_deterministic():
     data = make_linear_dataset(2, 8, 3, seed=6)
-    a = build_pair_instances(data, seed=7)
-    b = build_pair_instances(data, seed=7)
-    assert all(np.array_equal(x.first, y.first) and x.label == y.label for x, y in zip(a, b))
+    assert np.array_equal(build_pair_instances(data), build_pair_instances(data))
+    a = anker_fit(data, C=1.0, seed=7)
+    b = anker_fit(data, C=1.0, seed=7)
+    assert np.array_equal(a.pair_first, b.pair_first)
+    assert np.array_equal(a.svm.labels, b.svm.labels)
 
 
 def test_pair_cap_subsamples():
     data = make_linear_dataset(2, 10, 2, seed=8)
-    capped = build_pair_instances(data, seed=9, cap=30)
-    assert len(capped) == 30
-    again = build_pair_instances(data, seed=9, cap=30)
-    assert all(np.array_equal(x.first, y.first) for x, y in zip(capped, again))
+    capped = anker_fit(data, C=1.0, seed=9, cap=30)
+    assert capped.pair_first.shape == (30, 2) and capped.svm.labels.size == 30
+    again = anker_fit(data, C=1.0, seed=9, cap=30)
+    assert np.array_equal(capped.pair_first, again.pair_first)
 
 
 def test_pair_extraction_rejects_singleton_queries():
-    from ankerrank.data import RankedDataset, RankedQuery
-    from synthetic import numeric_schema
-
     ds = RankedDataset(numeric_schema(2), (RankedQuery("q", np.zeros((1, 2)), np.array([0])),))
-    with pytest.raises(ValueError, match="fewer than two"):
-        build_pair_instances(ds)
+    assert build_pair_instances(ds).shape == (0, 2)
+    with pytest.raises(DataFormatError, match="fewer than two"):
+        anker_fit(ds, C=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +247,7 @@ def test_btl_rejects_non_reciprocal_input():
 def test_btl_scale_invariance_at_the_ranking_level():
     rng = np.random.default_rng(14)
     theta = rng.random(6) + 0.1
-    assert np.array_equal(rank_from_theta(theta), rank_from_theta(13.7 * theta))
+    assert np.array_equal(ranking_from_scores(theta), ranking_from_scores(13.7 * theta))
 
 
 def test_btl_elementwise_dominance_orders_theta():
@@ -249,20 +272,21 @@ def test_btl_elementwise_dominance_orders_theta():
 
 
 # ---------------------------------------------------------------------------
-# Ranking from utilities
+# Ranking from scores
 
-def test_rank_from_theta_example():
-    ranking = rank_from_theta(np.array([0.2, 0.5, 0.3]))
+def test_ranking_from_scores_example():
+    ranking = ranking_from_scores(np.array([0.2, 0.5, 0.3]))
     assert np.array_equal(ranking, [2, 0, 1])
     assert np.array_equal(ordering_from_ranking(ranking), [1, 2, 0])
 
 
-def test_rank_from_theta_ties_are_stable():
-    assert np.array_equal(rank_from_theta(np.array([0.25, 0.25, 0.25])), [0, 1, 2])
+def test_ranking_from_scores_ties_are_stable():
+    assert np.array_equal(ranking_from_scores(np.array([0.25, 0.25, 0.25])), [0, 1, 2])
+    assert np.array_equal(ranking_from_scores(np.array([1.0, 3.0, 1.0, 3.0])), [2, 0, 3, 1])
 
 
-def test_rank_from_theta_sorted_input_is_identity():
-    assert np.array_equal(rank_from_theta(np.array([0.5, 0.3, 0.2])), [0, 1, 2])
+def test_ranking_from_scores_sorted_input_is_identity():
+    assert np.array_equal(ranking_from_scores(np.array([0.5, 0.3, 0.2])), [0, 1, 2])
 
 
 # ---------------------------------------------------------------------------

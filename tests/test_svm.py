@@ -7,7 +7,6 @@ from ankerrank.svm import (
     DEFAULT_C_GRID,
     PlattParams,
     SvmModel,
-    decision_value,
     decision_values,
     dual_objective,
     platt_fit,
@@ -34,7 +33,7 @@ def test_two_example_analytic_solution():
     assert np.allclose(model.alpha, [1.0, 1.0])
     assert model.bias == pytest.approx(0.0, abs=1e-12)
     assert np.array_equal(model.support, [0, 1])
-    assert decision_value(model, [1.0, 0.0]) == pytest.approx(1.0)
+    assert decision_values(model, [[1.0, 0.0]])[0] == pytest.approx(1.0)
 
 
 def test_duplicated_example_with_opposite_labels_hits_the_box():
@@ -113,14 +112,14 @@ def test_model_decision_on_own_free_support_vector():
     model = smo_train(gram, labels, cost, tol=1e-8)
     free = np.flatnonzero((model.alpha > 0.0) & (model.alpha < cost))
     for i in free:
-        margin = model.labels[i] * decision_value(model, gram[i, model.support])
+        margin = model.labels[i] * decision_values(model, gram[[i]][:, model.support])[0]
         assert margin == pytest.approx(1.0, abs=1e-8)
 
 
 def test_empty_support_returns_bias():
     model = SvmModel(alpha=np.zeros(0), labels=np.zeros(0), support=np.zeros(0, dtype=int),
                      bias=0.3, C=1.0, tol=1e-3)
-    assert decision_value(model, []) == pytest.approx(0.3)
+    assert decision_values(model, np.zeros((1, 0)))[0] == pytest.approx(0.3)
 
 
 def test_single_class_and_bad_kernel_are_rejected():
