@@ -332,6 +332,8 @@ def anker_rank(train: RankedDataset, query: np.ndarray, *,
         raise ValueError(
             f"query items must be (n, {train.n_features}), got {query.shape}"
         )
+    if query.shape[0] < 2:
+        raise DataFormatError("a query needs at least two items")
     if not np.isfinite(query).all():
         raise ValueError("query features must be finite")
     if scope is None:

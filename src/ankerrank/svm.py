@@ -38,8 +38,8 @@ class SvmModel:
     ``alpha`` and ``labels`` cover the full training set; ``support`` indexes
     the entries with alpha > 0.  Decision values are
     sum_i alpha_i y_i k(x, x_i) + bias over the support set.  ``converged``
-    is False when training stopped at the iteration cap instead of meeting
-    the KKT tolerance.
+    is False when training stopped at the iteration cap, or on a step that
+    could not move, instead of meeting the KKT tolerance.
     """
 
     alpha: np.ndarray
@@ -73,7 +73,9 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
     Returns:
         SvmModel with 0 <= alpha <= C, sum(alpha * labels) = 0, and the bias
         averaged over unbounded support vectors (midpoint of the feasible
-        interval when there are none).
+        interval when there are none).  A solve that stops before meeting
+        ``tol`` returns ``converged=False`` and logs a warning with the
+        iteration count and the KKT violation.
     """
     y = np.asarray(labels, dtype=float)
     n = y.size
@@ -125,7 +127,8 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         limit_j = alpha[j] if y[j] > 0 else (C - alpha[j])
         step = min(step, limit_i, limit_j)
         if step <= 0.0:
-            logger.debug("SMO stalled at iteration %d (violation %.3e)", iteration, m_bound - big_m_bound)
+            logger.warning("SMO stalled at iteration %d (KKT violation %.3e, tolerance %.1e)",
+                           iteration, m_bound - big_m_bound, tol)
             break
         delta_i = y[i] * step
         delta_j = -y[j] * step
@@ -145,7 +148,8 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
             up[t] = (y[t] > 0 and alpha[t] < C) or (y[t] < 0 and alpha[t] > 0)
             low[t] = (y[t] > 0 and alpha[t] > 0) or (y[t] < 0 and alpha[t] < C)
     else:
-        logger.debug("SMO hit the iteration cap (%d) with violation %.3e", max_iter, m_bound - big_m_bound)
+        logger.warning("SMO stopped unconverged at the iteration cap (%d) "
+                       "(KKT violation %.3e, tolerance %.1e)", max_iter, m_bound - big_m_bound, tol)
 
     free = (alpha > 0.0) & (alpha < C)
     if np.any(free):

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: the QP oracle
 is an accelerated projected-gradient method, the KS oracle enumerates
 permutations, the inversion counter is a double loop, the BTL oracle is a
-grid search on the simplex, and the training-pair oracle draws one coin per
-preference in a nested loop.
+grid search on the simplex, the training-pair oracle draws one coin per
+preference in a nested loop, and the analogy-kernel oracle fills the whole
+matrix one feature at a time.
 """
 
 from __future__ import annotations
@@ -152,3 +153,26 @@ def coin_flip_pairs(data, seed: int, cap: int | None = None):
         keep = np.sort(rng.choice(label.size, size=cap, replace=False))
         first, second, label = first[keep], second[keep], label[keep]
     return first, second, label
+
+
+def full_slab_kernel_matrix(pairs_a, pairs_b, poly2: bool = False) -> np.ndarray:
+    """Analogy kernel between two (firsts, seconds) pair collections.
+
+    Makes one pass over the whole (na, nb) matrix per feature: the sign-gated
+    term np.where(sign(u) == sign(v), 1 - |u - v|, 0) is added to the
+    accumulator in feature order, then the sum is divided by the number of
+    features and squared for the degree-2 variant.
+    """
+    diffs_a = np.asarray(pairs_a[0], dtype=float) - np.asarray(pairs_a[1], dtype=float)
+    diffs_b = np.asarray(pairs_b[0], dtype=float) - np.asarray(pairs_b[1], dtype=float)
+    n_dim = diffs_a.shape[1]
+    acc = np.zeros((diffs_a.shape[0], diffs_b.shape[0]))
+    for k in range(n_dim):
+        u = diffs_a[:, k][:, None]
+        v = diffs_b[:, k][None, :]
+        agree = np.sign(u) == np.sign(v)
+        acc += np.where(agree, 1.0 - np.abs(u - v), 0.0)
+    out = acc / n_dim
+    if poly2:
+        out = out * out
+    return out

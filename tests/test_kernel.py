@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ankerrank.kernel import (
+    _BLOCK_ROWS,
     KernelVariant,
     boolean_proportion,
     gram_matrix,
@@ -12,6 +15,7 @@ from ankerrank.kernel import (
     proportion_degree,
     scalar_kernel,
 )
+from oracles import full_slab_kernel_matrix
 
 ALL_QUADRUPLES = [tuple((code >> s) & 1 for s in (3, 2, 1, 0)) for code in range(16)]
 VALID_QUADRUPLES = {
@@ -209,3 +213,57 @@ def test_variant_parsing():
     assert KernelVariant.from_string("poly2") is KernelVariant.POLY2
     with pytest.raises(ValueError):
         KernelVariant.from_string("rbf")
+
+
+def _edge_value_pairs(rng, n, d):
+    """Random pairs whose differences include exact zeros and the +-1 extremes."""
+    first = rng.random((n, d))
+    second = rng.random((n, d))
+    kind = rng.integers(0, 5, size=(n, d))
+    second[kind == 0] = first[kind == 0]  # difference exactly 0
+    first[kind == 1], second[kind == 1] = 1.0, 0.0  # difference +1
+    first[kind == 2], second[kind == 2] = 0.0, 1.0  # difference -1
+    return first, second
+
+
+@pytest.mark.parametrize("n_cols", [1, 7])
+@pytest.mark.parametrize("n_rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
+def test_kernel_matrix_equals_the_full_slab_oracle_bit_for_bit(n_rows, n_cols):
+    rng = np.random.default_rng(1000 * n_rows + n_cols)
+    a = _edge_value_pairs(rng, n_rows, 5)
+    b = _edge_value_pairs(rng, n_cols, 5)
+    for variant in KernelVariant:
+        expected = full_slab_kernel_matrix(a, b, poly2=variant is KernelVariant.POLY2)
+        assert np.array_equal(kernel_matrix(a, b, variant), expected)
+
+
+def test_kernel_matrix_zero_differences_and_extremes():
+    # Feature 0: both differences 0 (agree, term 1) / one of them 0 (disagree, term 0).
+    # Feature 1: +1 against +1 and -1 against -1 (term 1), +1 against -1 (term 0).
+    a = (np.array([[0.5, 1.0], [0.5, 0.0]]), np.array([[0.5, 0.0], [0.5, 1.0]]))
+    b = (np.array([[0.3, 1.0], [0.9, 0.0]]), np.array([[0.3, 0.0], [0.2, 1.0]]))
+    expected = np.array([[1.0, 0.0], [0.5, 0.5]])
+    assert np.array_equal(kernel_matrix(a, b, KernelVariant.MEAN), expected)
+    assert np.array_equal(kernel_matrix(a, b, KernelVariant.POLY2), expected * expected)
+
+
+def test_kernel_matrix_traced_peak_stays_near_the_output_size():
+    rng = np.random.default_rng(31)
+    a = (rng.random((2000, 10)), rng.random((2000, 10)))
+    b = (rng.random((500, 10)), rng.random((500, 10)))
+    tracemalloc.start()
+    try:
+        out = kernel_matrix(a, b, KernelVariant.POLY2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2000, 500)
+    assert peak <= 1.25 * out.nbytes
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_kernel_matrix_rejects_nan(position):
+    arrays = [np.full((2, 3), 0.5), np.full((2, 3), 0.25), np.full((3, 3), 0.75), np.full((3, 3), 0.5)]
+    arrays[position][1, 2] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        kernel_matrix((arrays[0], arrays[1]), (arrays[2], arrays[3]))

@@ -351,6 +351,16 @@ def test_non_finite_queries_are_rejected(bad):
         anker_rank(train, query, C=1.0)
 
 
+def test_anker_rank_rejects_a_one_item_query_before_fitting(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("anker_fit must not run for a one-item query")
+
+    monkeypatch.setattr("ankerrank.ranker.anker_fit", no_fit)
+    train = make_linear_dataset(2, 6, 3, seed=37)
+    with pytest.raises(DataFormatError, match="at least two items"):
+        anker_rank(train, np.full((1, 3), 0.5), C=1.0)
+
+
 def test_model_round_trip(tmp_path):
     model, _ = _trained_toy_model(seed=30, variant=KernelVariant.POLY2)
     path = tmp_path / "model.json"

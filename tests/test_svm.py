@@ -122,6 +122,16 @@ def test_empty_support_returns_bias():
     assert decision_values(model, np.zeros((1, 0)))[0] == pytest.approx(0.3)
 
 
+def test_smo_warns_when_it_stops_unconverged(caplog):
+    rng = np.random.default_rng(6)
+    gram = gram_matrix((rng.random((12, 3)), rng.random((12, 3))), KernelVariant.MEAN)
+    labels = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+    with caplog.at_level("WARNING", logger="ankerrank.svm"):
+        model = smo_train(gram, labels, C=1.0, tol=1e-8, max_iter=1)
+    assert not model.converged
+    assert "iteration cap (1)" in caplog.text and "KKT violation" in caplog.text
+
+
 def test_single_class_and_bad_kernel_are_rejected():
     with pytest.raises(ValueError, match="single class"):
         smo_train(np.eye(2), [1, 1], C=1.0)
