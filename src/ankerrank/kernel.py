@@ -120,7 +120,10 @@ def kernel_matrix(pairs_a, pairs_b, variant: KernelVariant = KernelVariant.MEAN)
 
     Returns:
         Array of shape (len(pairs_a), len(pairs_b)) with values in [0, 1].
+        When ``pairs_a is pairs_b`` only the upper triangle is computed and
+        mirrored, which gives the same bytes.
     """
+    symmetric = pairs_a is pairs_b
     first_a, second_a = _as_pair_arrays(pairs_a)
     first_b, second_b = _as_pair_arrays(pairs_b)
     for arr, what in ((first_a, "pairs_a firsts"), (second_a, "pairs_a seconds"),
@@ -134,12 +137,12 @@ def kernel_matrix(pairs_a, pairs_b, variant: KernelVariant = KernelVariant.MEAN)
         )
     # Features along rows, so each feature's differences are contiguous.
     col_a = np.ascontiguousarray((first_a - second_a).T)
-    col_b = np.ascontiguousarray((first_b - second_b).T)
+    col_b = col_a if symmetric else np.ascontiguousarray((first_b - second_b).T)
     n_dim = col_a.shape[0]
     if n_dim == 0:
         raise ValueError("pairs must have at least one feature")
     sign_a = np.sign(col_a)
-    sign_b = np.sign(col_b)
+    sign_b = sign_a if symmetric else np.sign(col_b)
 
     n_a, n_b = col_a.shape[1], col_b.shape[1]
     out = np.zeros((n_a, n_b))
@@ -147,21 +150,27 @@ def kernel_matrix(pairs_a, pairs_b, variant: KernelVariant = KernelVariant.MEAN)
     # slab stay in cache while every feature is added in.  Each entry still
     # sums 1 - |u - v| over the features in order; a sign disagreement
     # multiplies the term by 0 and adds a signed zero, which leaves the sum
-    # as it was (inputs are finite, see _check_unit_box).
-    slab_buf = np.empty((_BLOCK_ROWS, n_b))
-    agree_buf = np.empty((_BLOCK_ROWS, n_b), dtype=bool)
+    # as it was (inputs are finite, see _check_unit_box).  The slab stays
+    # contiguous where a symmetric block is narrower.  Entry (j, i) sums the
+    # same terms as entry (i, j), as |v - u| = |u - v| exactly, so mirroring
+    # the upper triangle is bit-identical.
+    slab_buf = np.empty(_BLOCK_ROWS * n_b)
+    agree_buf = np.empty(_BLOCK_ROWS * n_b, dtype=bool)
     for start in range(0, n_a, _BLOCK_ROWS):
-        rows = slice(start, min(start + _BLOCK_ROWS, n_a))
-        block = out[rows]
-        slab = slab_buf[: block.shape[0]]
-        agree = agree_buf[: block.shape[0]]
+        stop = min(start + _BLOCK_ROWS, n_a)
+        rows, cols = slice(start, stop), slice(start if symmetric else 0, n_b)
+        block = out[rows, cols]
+        slab = slab_buf[: block.size].reshape(block.shape)
+        agree = agree_buf[: block.size].reshape(block.shape)
         for k in range(n_dim):
-            np.subtract(col_a[k, rows, None], col_b[k], out=slab)
+            np.subtract(col_a[k, rows, None], col_b[k, cols], out=slab)
             np.abs(slab, out=slab)
             np.subtract(1.0, slab, out=slab)
-            np.equal(sign_a[k, rows, None], sign_b[k], out=agree)
+            np.equal(sign_a[k, rows, None], sign_b[k, cols], out=agree)
             np.multiply(slab, agree, out=slab)
             block += slab
+        if symmetric:
+            out[stop:, rows] = out[rows, stop:].T
     out /= n_dim
     if variant is KernelVariant.POLY2:
         np.multiply(out, out, out=out)
@@ -178,11 +187,14 @@ def pair_kernel(pair_a, pair_b, variant: KernelVariant = KernelVariant.MEAN) -> 
 
 
 def gram_matrix(pairs, variant: KernelVariant = KernelVariant.MEAN) -> np.ndarray:
-    """Square kernel matrix of a pair collection: symmetric, unit diagonal, PSD."""
-    first, second = _as_pair_arrays(pairs)
-    if first.shape[0] == 0:
+    """Square kernel matrix of a pair collection: symmetric, unit diagonal, PSD.
+
+    Computes the upper triangle only (see kernel_matrix).
+    """
+    pairs = _as_pair_arrays(pairs)
+    if pairs[0].shape[0] == 0:
         raise ValueError("gram_matrix requires at least one pair")
-    return kernel_matrix((first, second), (first, second), variant)
+    return kernel_matrix(pairs, pairs, variant)
 
 
 def is_psd(matrix: np.ndarray, tol: float = 1e-8) -> bool:

@@ -46,7 +46,8 @@ from .svm import (
 logger = logging.getLogger(__name__)
 
 PREFERENCE_CLIP = 1e-6
-# Newton line search: sufficient-increase constant and smallest step fraction.
+# Newton line searches (btl_fit, and RankSVM in baselines): Armijo constant
+# and smallest step fraction.
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-10
 

@@ -1,9 +1,9 @@
 """Binary kernel SVM trained by sequential minimal optimization.
 
-Works on precomputed kernel values, so the same solver serves the analogy
-kernel on item pairs and the linear kernel on difference vectors.  Includes
-sigmoid (Platt) calibration of decision values into probabilities and cost
-selection by repeated internal cross-validation.
+Works on precomputed kernel values; the pipeline feeds it the analogy
+kernel on item pairs.  Includes sigmoid (Platt) calibration of decision
+values into probabilities and cost selection by repeated internal
+cross-validation, whose fold scheme the linear RankSVM baseline shares.
 """
 
 from __future__ import annotations
@@ -256,14 +256,26 @@ def platt_prob(params: PlattParams, decision):
     return p
 
 
-def _stratified_folds(labels: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:
-    """Fold id per example; each class is shuffled and dealt round-robin."""
-    assignment = np.empty(labels.size, dtype=int)
-    for cls in (-1.0, 1.0):
-        members = np.flatnonzero(labels == cls)
-        members = rng.permutation(members)
-        assignment[members] = np.arange(members.size) % folds
-    return assignment
+def _cv_splits(labels, folds: int = 2, repeats: int = 3,
+               seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(fit, validation) index arrays of repeated stratified cross-validation.
+
+    In each repeat every class is shuffled and dealt round-robin to the
+    folds.  Splits with an empty side are left out.
+    """
+    y = np.asarray(labels, dtype=float)
+    rng = np.random.default_rng(seed)
+    splits = []
+    for _ in range(repeats):
+        assignment = np.empty(y.size, dtype=int)
+        for cls in (-1.0, 1.0):
+            members = rng.permutation(np.flatnonzero(y == cls))
+            assignment[members] = np.arange(members.size) % folds
+        for fold in range(folds):
+            val, fit = np.flatnonzero(assignment == fold), np.flatnonzero(assignment != fold)
+            if val.size and fit.size:
+                splits.append((fit, val))
+    return splits
 
 
 def select_c(kernel: np.ndarray, labels, grid=DEFAULT_C_GRID, folds: int = 2,
@@ -280,17 +292,8 @@ def select_c(kernel: np.ndarray, labels, grid=DEFAULT_C_GRID, folds: int = 2,
         return grid[0]
     y = np.asarray(labels, dtype=float)
     K = np.asarray(kernel, dtype=float)
-    rng = np.random.default_rng(seed)
-
-    splits: list[tuple[np.ndarray, np.ndarray]] = []
-    for _ in range(repeats):
-        assignment = _stratified_folds(y, folds, rng)
-        for fold in range(folds):
-            val = np.flatnonzero(assignment == fold)
-            fit = np.flatnonzero(assignment != fold)
-            if val.size == 0 or not (np.any(y[fit] > 0) and np.any(y[fit] < 0)):
-                continue
-            splits.append((fit, val))
+    splits = [(fit, val) for fit, val in _cv_splits(y, folds, repeats, seed)
+              if np.any(y[fit] > 0) and np.any(y[fit] < 0)]
     if not splits:
         logger.debug("too few examples per class for cross-validation; using the smallest cost")
         return grid[0]

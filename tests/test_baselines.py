@@ -1,9 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 
 from ankerrank.baselines import (
     LinearModel,
     _difference_vectors,
+    _squared_hinge_newton,
     able2rank_lite,
     err_fit,
     err_predict,
@@ -14,6 +17,8 @@ from ankerrank.data import NormalizationMode, NormalizationScope
 from ankerrank.evaluate import ranking_loss
 from ankerrank.kernel import pair_kernel
 from ankerrank.ranker import ranking_from_scores
+from ankerrank.svm import DEFAULT_C_GRID
+from oracles import squared_hinge_lbfgs, squared_hinge_objective
 from synthetic import make_linear_dataset, numeric_schema
 
 
@@ -87,9 +92,44 @@ def test_ranksvm_recovers_sign_in_one_dimension():
 def test_ranksvm_skips_zero_difference_pairs():
     items = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 1.0]])
     data = single_query_dataset(items, [0, 1, 2])
-    diffs, labels = _difference_vectors(data, np.random.default_rng(0))
-    assert diffs.shape[0] == 2  # the duplicate pair is dropped
-    assert np.all(np.any(diffs != 0.0, axis=1))
+    diffs = _difference_vectors(data)
+    # the duplicate pair is dropped; the rest are preferred minus other
+    assert np.array_equal(diffs, [[-2.0, 1.0], [-2.0, 1.0]])
+
+
+def conflicting_dataset():
+    """Two queries ranked by one utility and one by another: not separable."""
+    agree = make_linear_dataset(2, 8, 4, seed=17)
+    disagree = make_linear_dataset(1, 8, 4, seed=18, weights=np.array([2.0, -1.0, 0.5, 1.0]),
+                                   prefix="r")
+    return RankedDataset(agree.schema, agree.queries + disagree.queries)
+
+
+@pytest.mark.parametrize("C", [2.0**-6, 1.0, 2.0**6])
+def test_ranksvm_matches_the_lbfgs_oracle_on_the_squared_hinge(C):
+    train = conflicting_dataset()
+    model = ranksvm_fit(train, C=C)
+    diffs = _difference_vectors(train)
+    _, grad = squared_hinge_objective(diffs, C, model.weights)
+    assert np.max(np.abs(grad)) <= 1e-8
+    assert np.max(np.abs(model.weights - squared_hinge_lbfgs(diffs, C))) <= 1e-6
+
+
+def test_ranksvm_cost_ties_go_to_the_smallest():
+    # every difference is positive in one dimension, so every cost
+    # validates without error
+    items = np.linspace(1.0, 0.0, 12)[:, None]
+    data = single_query_dataset(items, np.arange(12))
+    chosen = ranksvm_fit(data, C=None, seed=1)
+    assert np.array_equal(chosen.weights, ranksvm_fit(data, C=min(DEFAULT_C_GRID)).weights)
+
+
+def test_ranksvm_newton_warns_when_it_stops_unconverged(caplog):
+    diffs = _difference_vectors(conflicting_dataset())
+    with caplog.at_level(logging.WARNING, logger="ankerrank.baselines"):
+        _squared_hinge_newton(diffs, 1.0, max_steps=1)
+    assert "unconverged after 1 steps" in caplog.text
+    assert "gradient max-norm" in caplog.text
 
 
 def test_ranksvm_low_loss_on_held_out_linear_data():
@@ -132,6 +172,10 @@ def test_ranksvm_is_deterministic_given_seed():
     train = make_linear_dataset(2, 10, 4, seed=8)
     a = ranksvm_fit(train, C=2.0, seed=9)
     b = ranksvm_fit(train, C=2.0, seed=9)
+    assert np.array_equal(a.weights, b.weights)
+    # cost selection shuffles its folds by the seed
+    a = ranksvm_fit(conflicting_dataset(), C=None, seed=9)
+    b = ranksvm_fit(conflicting_dataset(), C=None, seed=9)
     assert np.array_equal(a.weights, b.weights)
 
 

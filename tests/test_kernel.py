@@ -237,6 +237,31 @@ def test_kernel_matrix_equals_the_full_slab_oracle_bit_for_bit(n_rows, n_cols):
         assert np.array_equal(kernel_matrix(a, b, variant), expected)
 
 
+@pytest.mark.parametrize("m", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
+def test_gram_matrix_equals_kernel_matrix_bit_for_bit(m):
+    # gram_matrix computes the upper triangle and mirrors it; kernel_matrix
+    # fills both triangles when its arguments are distinct objects
+    pairs = _edge_value_pairs(np.random.default_rng(2000 + m), m, 5)
+    for variant in KernelVariant:
+        gram = gram_matrix(pairs, variant)
+        assert np.array_equal(gram, kernel_matrix(pairs, (pairs[0], pairs[1]), variant))
+        assert np.array_equal(gram, kernel_matrix(pairs, pairs, variant))
+        assert np.array_equal(gram, full_slab_kernel_matrix(pairs, pairs, variant is KernelVariant.POLY2))
+
+
+def test_gram_matrix_traced_peak_stays_near_the_output_size():
+    rng = np.random.default_rng(32)
+    pairs = (rng.random((1500, 10)), rng.random((1500, 10)))
+    tracemalloc.start()
+    try:
+        out = gram_matrix(pairs, KernelVariant.POLY2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1500, 1500)
+    assert peak <= 1.25 * out.nbytes
+
+
 def test_kernel_matrix_zero_differences_and_extremes():
     # Feature 0: both differences 0 (agree, term 1) / one of them 0 (disagree, term 0).
     # Feature 1: +1 against +1 and -1 against -1 (term 1), +1 against -1 (term 0).
