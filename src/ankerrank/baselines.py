@@ -132,28 +132,25 @@ def _squared_hinge_newton(diffs: np.ndarray, C: float,
     return w
 
 
-def ranksvm_fit(train: RankedDataset, C: float | None = None, grid=DEFAULT_C_GRID,
-                seed: int = 0) -> LinearModel:
+def ranksvm_fit(train: RankedDataset, C: float | None = None, seed: int = 0) -> LinearModel:
     """Linear ranking SVM on preference difference vectors, without a bias.
 
     Minimizes 1/2 |w|^2 + C sum_i max(0, 1 - w . d_i)^2, the squared hinge
     over the non-zero differences d = x - x' of the preferences x > x', by
     Newton's method in the primal (Chapelle & Keerthi, Inf. Retr. 2010).
     The weight vector scores items directly.  With ``C=None`` the cost is
-    chosen from ``grid`` on the fold scheme of ``select_c`` (2-fold x 3,
-    shuffled by ``seed``): the validation error is the share of held-out
-    differences with w . d <= 0, and ties go to the smallest cost.
+    chosen from ``DEFAULT_C_GRID`` (ascending) on the fold scheme of
+    ``select_c`` (2-fold x 3, shuffled by ``seed``): the validation error is
+    the share of held-out differences with w . d <= 0, and ties go to the
+    smallest cost.
     """
     diffs = _difference_vectors(train)
     if C is None:
-        grid = sorted(float(c) for c in grid)
-        if not grid:
-            raise ValueError("the cost grid must not be empty")
-        errors = np.zeros(len(grid))
+        errors = np.zeros(len(DEFAULT_C_GRID))
         for fit, val in _cv_splits(np.ones(len(diffs)), seed=seed):
-            for g, cost in enumerate(grid):
+            for g, cost in enumerate(DEFAULT_C_GRID):
                 errors[g] += np.mean(diffs[val] @ _squared_hinge_newton(diffs[fit], cost) <= 0.0)
-        C = grid[int(np.argmin(errors))]
+        C = DEFAULT_C_GRID[int(np.argmin(errors))]
     return LinearModel(weights=_squared_hinge_newton(diffs, C), intercept=0.0)
 
 

@@ -18,11 +18,19 @@ import sys
 from pathlib import Path
 
 
+def _positive_int(value: str) -> int:
+    """argparse type of the count options: an integer of at least 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
+    return number
+
+
 def _apply_thread_cap(threads: int | None) -> None:
     if threads is None:
-        env = os.environ.get("ANKERRANK_THREADS")
-        threads = int(env) if env else None
-    if threads is None or threads < 1:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
@@ -198,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ankerrank",
         description="Object ranking with an analogy kernel over preference pairs.",
     )
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_positive_int, default=None,
                         help="cap numerical-backend threads (default: ANKERRANK_THREADS or library default)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -211,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="SVM cost, or 'auto' for internal cross-validation (default: auto)")
     rank.add_argument("--seed", type=int, default=42)
     rank.add_argument("--normalize", choices=("auto", "train+test", "test-only"), default="auto")
-    rank.add_argument("--pair-cap", type=int, default=None,
+    rank.add_argument("--pair-cap", type=_positive_int, default=None,
                       help="subsample the training pairs to at most this many")
     rank.add_argument("--include-matrix", action="store_true",
                       help="include the pairwise preference matrix in the JSON output")
@@ -222,14 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--test", required=True)
     bench.add_argument("--methods", required=True,
                        help="comma-separated subset of: anker,err,ranksvm,able2rank")
-    bench.add_argument("--repeats", type=int, default=20)
+    bench.add_argument("--repeats", type=_positive_int, default=20)
     bench.add_argument("--seed", type=int, default=42)
     bench.add_argument("--out", default=None, help="results CSV path (default: stdout)")
     bench.add_argument("--problem", default=None, help="problem label in the CSV (default: file stems)")
     bench.add_argument("--kernel", choices=("mean", "poly2"), default="poly2")
     bench.add_argument("--C", type=_parse_cost, default=None)
-    bench.add_argument("--able2rank-k", type=int, default=20)
-    bench.add_argument("--pair-cap", type=int, default=None)
+    bench.add_argument("--able2rank-k", type=_positive_int, default=20)
+    bench.add_argument("--pair-cap", type=_positive_int, default=None)
     bench.add_argument("--normalize", choices=("auto", "train+test", "test-only"), default="auto")
     bench.add_argument("--external", action="append", type=_load_external_orderings,
                        metavar="NAME=PATH",
@@ -238,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=cmd_benchmark)
 
     check = sub.add_parser("kernel-check", help="verify kernel positive semi-definiteness empirically")
-    check.add_argument("--samples", type=int, default=200)
-    check.add_argument("--dim", type=int, default=10)
+    check.add_argument("--samples", type=_positive_int, default=200)
+    check.add_argument("--dim", type=_positive_int, default=10)
     check.add_argument("--tol", type=float, default=1e-8)
     check.add_argument("--seed", type=int, default=42)
     check.set_defaults(func=cmd_kernel_check)
@@ -249,6 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    env_threads = os.environ.get("ANKERRANK_THREADS")
+    if args.threads is None and env_threads:
+        try:
+            args.threads = _positive_int(env_threads)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"ANKERRANK_THREADS: {exc}")
     _apply_thread_cap(args.threads)
     from .data import DataFormatError
 

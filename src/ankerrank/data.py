@@ -379,7 +379,6 @@ class NormalizationStats:
     maximum: np.ndarray | None = None
     mean: np.ndarray | None = None
     std: np.ndarray | None = None
-    scope: NormalizationScope | None = None
 
 
 def minmax_fit_apply(data: np.ndarray, stats: NormalizationStats | None = None
@@ -528,14 +527,12 @@ def choose_normalization_scope(train, test, alpha: float = 0.05) -> Normalizatio
 
 
 def normalize_train_test(train: np.ndarray, test: np.ndarray, mode: NormalizationMode,
-                         scope: NormalizationScope
-                         ) -> tuple[np.ndarray, np.ndarray, NormalizationStats]:
+                         scope: NormalizationScope) -> tuple[np.ndarray, np.ndarray]:
     """Normalize a train and a test matrix according to the scope rule.
 
     Under TRAIN_PLUS_TEST both sides share statistics fitted on the pooled
     rows; under TEST_ONLY each side is normalized with its own statistics.
-    Returns the normalized matrices and the statistics applied to the
-    training side (scope recorded), which is what a persisted model keeps.
+    Returns the normalized train and test matrices.
     """
     train = np.asarray(train, dtype=float)
     test = np.asarray(test, dtype=float)
@@ -545,6 +542,6 @@ def normalize_train_test(train: np.ndarray, test: np.ndarray, mode: Normalizatio
         train_out, _ = fit_apply(train, stats)
         test_out, _ = fit_apply(test, stats)
     else:
-        train_out, stats = fit_apply(train)
+        train_out, _ = fit_apply(train)
         test_out, _ = fit_apply(test)
-    return train_out, test_out, replace(stats, scope=scope)
+    return train_out, test_out

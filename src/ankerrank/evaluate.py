@@ -25,7 +25,6 @@ from .data import (
 )
 from .kernel import KernelVariant
 from .ranker import anker_fit, anker_predict, ranking_from_scores
-from .svm import DEFAULT_C_GRID
 
 METHOD_NAMES = ("anker", "err", "ranksvm", "able2rank")
 
@@ -53,18 +52,18 @@ def ranking_loss(pi: np.ndarray, pi_star: np.ndarray) -> float:
 class MethodConfig:
     """Shared knobs for the benchmark methods.
 
-    ``smo_tol`` is the SMO tolerance of the analogy-kernel SVM (``anker``);
-    RankSVM is fitted by Newton steps to a fixed gradient tolerance.
+    ``variant`` and ``pair_cap`` apply to ``anker``, ``able2rank_k`` to
+    ``able2rank``.  ``C`` is the cost of both SVMs (anker and RankSVM);
+    None picks it from ``DEFAULT_C_GRID`` by cross-validation.  ``scope``
+    fixes the normalization scope; None lets the KS gate (level 0.05)
+    choose it.
     """
 
     variant: KernelVariant = KernelVariant.POLY2
     C: float | None = None
-    c_grid: tuple[float, ...] = DEFAULT_C_GRID
     able2rank_k: int = 20
     pair_cap: int | None = None
-    alpha: float = 0.05
     scope: NormalizationScope | None = None
-    smo_tol: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,8 @@ def _normalized_views(train: RankedDataset, test: RankedDataset, mode: Normaliza
     """Normalize train and test item rows once per problem for one method family."""
     scope = config.scope
     if scope is None:
-        scope = choose_normalization_scope(train.all_items(), test.all_items(), alpha=config.alpha)
-    train_norm, test_norm, _ = normalize_train_test(
+        scope = choose_normalization_scope(train.all_items(), test.all_items())
+    train_norm, test_norm = normalize_train_test(
         train.all_items(), test.all_items(), mode, scope
     )
     train_ds = train.with_items(train_norm)
@@ -103,9 +102,7 @@ def _normalized_views(train: RankedDataset, test: RankedDataset, mode: Normaliza
 
 def _run_anker(train, test, seed, config):
     train_ds, queries, truths = _normalized_views(train, test, NormalizationMode.MINMAX, config)
-    model = anker_fit(train_ds, variant=config.variant, C=config.C,
-                      grid=config.c_grid, seed=seed, cap=config.pair_cap,
-                      smo_tol=config.smo_tol)
+    model = anker_fit(train_ds, variant=config.variant, C=config.C, seed=seed, cap=config.pair_cap)
     return [ranking_loss(anker_predict(model, q).ranking, t) for q, t in zip(queries, truths)]
 
 
@@ -119,7 +116,7 @@ def _run_err(train, test, seed, config):
 
 def _run_ranksvm(train, test, seed, config):
     train_ds, queries, truths = _normalized_views(train, test, NormalizationMode.ZSCORE, config)
-    model = bl.ranksvm_fit(train_ds, C=config.C, grid=config.c_grid, seed=seed)
+    model = bl.ranksvm_fit(train_ds, C=config.C, seed=seed)
     return [ranking_loss(ranking_from_scores(q @ model.weights), t)
             for q, t in zip(queries, truths)]
 
@@ -216,16 +213,6 @@ def run_experiment(train: RankedDataset, test: RankedDataset, methods,
         results.append(ExperimentResult(method=name, mean_loss=mean, std_loss=std, losses=losses))
     ranks = competition_ranks([r.mean_loss for r in results])
     return [replace(r, rank=int(k)) for r, k in zip(results, ranks)]
-
-
-def average_ranks(rank_matrix) -> np.ndarray:
-    """Mean rank per method over a problems-by-methods rank matrix."""
-    matrix = np.asarray(rank_matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError("expected a 2-D problems-by-methods rank matrix")
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("rank matrix has missing entries")
-    return matrix.mean(axis=0)
 
 
 def results_to_csv(results: list[ExperimentResult], problem: str) -> str:

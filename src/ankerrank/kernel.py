@@ -2,16 +2,26 @@
 
 A quadruple (a, b, c, d) of values in [0, 1] is in analogical proportion to
 the degree 1 - |(a - b) - (c - d)| when the two differences agree in sign,
-and to degree 0 otherwise.  Read as a similarity of signed differences, the
-same formula is a positive semi-definite kernel on [-1, 1]; averaging it per
-feature dimension extends it to pairs of feature vectors, and squaring the
-average gives a degree-2 polynomial variant.
+and to degree 0 otherwise.  Read as a similarity of the signed differences
+u = a - b and v = c - d in [-1, 1], the same formula is a kernel g(u, v);
+averaging it per feature dimension extends it to pairs of feature vectors,
+and squaring the average gives a degree-2 polynomial variant.
+
+Why g is positive semi-definite: when u and v share a sign,
+|u - v| = ||u| - |v||, so
+
+    g(u, v) = [sign u = sign v] * (min(|u|, |v|) + min(1 - |u|, 1 - |v|)).
+
+The indicator of equal sign classes is PSD (a sum of outer products of
+class indicators), and min(s, t) on s, t >= 0 is PSD (the histogram
+intersection kernel), so the sum of the two minima is PSD.  By the Schur
+product theorem the elementwise product is PSD too, and so are its average
+over features (MEAN) and that average squared (POLY2).
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 
@@ -71,34 +81,10 @@ def proportion_degree(a: float, b: float, c: float, d: float) -> float:
     return 1.0 - abs(left - right)
 
 
-def scalar_kernel(u: float, v: float) -> float:
-    """Similarity 1 - |u - v| of two signed differences in [-1, 1], gated on sign agreement.
-
-    Satisfies scalar_kernel(a - b, c - d) == proportion_degree(a, b, c, d).
-    """
-    if not -1.0 <= u <= 1.0 or not -1.0 <= v <= 1.0:
-        raise ValueError(f"scalar_kernel arguments ({u}, {v}) outside [-1, 1]")
-    if np.sign(u) != np.sign(v):
-        return 0.0
-    return 1.0 - abs(u - v)
-
-
 def _as_pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a pair collection to two (m, d) arrays of firsts and seconds.
-
-    Accepts a sequence of (first, second) tuples or an already-split
-    (firsts, seconds) tuple of 2-D arrays.
-    """
-    if isinstance(pairs, tuple) and len(pairs) == 2:
-        first = np.asarray(pairs[0], dtype=float)
-        if first.ndim == 2:
-            second = np.asarray(pairs[1], dtype=float)
-            return first, second
-    if len(pairs) == 0:
-        raise ValueError("empty pair collection")
-    first = np.asarray([p[0] for p in pairs], dtype=float)
-    second = np.asarray([p[1] for p in pairs], dtype=float)
-    return first, second
+    """The firsts and seconds of a (firsts, seconds) pair collection, as float arrays."""
+    first, second = pairs
+    return np.asarray(first, dtype=float), np.asarray(second, dtype=float)
 
 
 def _check_unit_box(arr: np.ndarray, what: str) -> None:
@@ -112,8 +98,8 @@ def kernel_matrix(pairs_a, pairs_b, variant: KernelVariant = KernelVariant.MEAN)
     """Kernel values between two collections of ordered item pairs.
 
     Args:
-        pairs_a: First collection, as (first, second) tuples of vectors in
-            [0, 1]^d or a pre-split (firsts, seconds) tuple of (m, d) arrays.
+        pairs_a: First collection, a (firsts, seconds) tuple of (m, d)
+            arrays with values in [0, 1].
         pairs_b: Second collection, same conventions.
         variant: MEAN averages per-dimension proportion degrees; POLY2
             squares the average.
@@ -177,15 +163,6 @@ def kernel_matrix(pairs_a, pairs_b, variant: KernelVariant = KernelVariant.MEAN)
     return out
 
 
-def pair_kernel(pair_a, pair_b, variant: KernelVariant = KernelVariant.MEAN) -> float:
-    """Kernel value between two ordered item pairs (see kernel_matrix)."""
-    first_a = np.asarray(pair_a[0], dtype=float)[None, :]
-    second_a = np.asarray(pair_a[1], dtype=float)[None, :]
-    first_b = np.asarray(pair_b[0], dtype=float)[None, :]
-    second_b = np.asarray(pair_b[1], dtype=float)[None, :]
-    return float(kernel_matrix((first_a, second_a), (first_b, second_b), variant)[0, 0])
-
-
 def gram_matrix(pairs, variant: KernelVariant = KernelVariant.MEAN) -> np.ndarray:
     """Square kernel matrix of a pair collection: symmetric, unit diagonal, PSD.
 
@@ -196,34 +173,3 @@ def gram_matrix(pairs, variant: KernelVariant = KernelVariant.MEAN) -> np.ndarra
         raise ValueError("gram_matrix requires at least one pair")
     return kernel_matrix(pairs, pairs, variant)
 
-
-def is_psd(matrix: np.ndarray, tol: float = 1e-8) -> bool:
-    """Whether a symmetric matrix has minimum eigenvalue >= -tol."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"is_psd expects a square matrix, got shape {m.shape}")
-    if m.size and np.max(np.abs(m - m.T)) > tol:
-        raise ValueError("is_psd expects a symmetric matrix")
-    if m.size == 0:
-        return True
-    return bool(np.linalg.eigvalsh(m).min() >= -tol)
-
-
-def principal_minors_nonneg(matrix: np.ndarray, tol: float = 1e-8, max_size: int = 8) -> bool:
-    """Determinant route to PSD: every principal minor non-negative (within -tol).
-
-    Enumerates all index subsets, so the matrix may be at most max_size wide.
-    Equivalent to is_psd for symmetric input; kept as an independent check.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"principal_minors_nonneg expects a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    if n > max_size:
-        raise ValueError(f"principal minor enumeration limited to n <= {max_size}, got n = {n}")
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            idx = np.array(subset)
-            if np.linalg.det(m[np.ix_(idx, idx)]) < -tol:
-                return False
-    return True

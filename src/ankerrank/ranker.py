@@ -14,10 +14,8 @@ scores to positions.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,23 +23,12 @@ from .data import (
     DataFormatError,
     NormalizationMode,
     NormalizationScope,
-    NormalizationStats,
     RankedDataset,
     choose_normalization_scope,
-    minmax_fit_apply,
     normalize_train_test,
 )
 from .kernel import KernelVariant, _as_pair_arrays, gram_matrix, kernel_matrix
-from .svm import (
-    DEFAULT_C_GRID,
-    PlattParams,
-    SvmModel,
-    decision_values,
-    platt_fit,
-    platt_prob,
-    select_c,
-    smo_train,
-)
+from .svm import SvmModel, decision_values, platt_fit, platt_prob, select_c, smo_train
 
 logger = logging.getLogger(__name__)
 
@@ -80,16 +67,15 @@ class RankPrediction:
 
 @dataclass(frozen=True)
 class AnkerModel:
-    """A trained preference model plus everything needed to rank new queries.
+    """A trained preference SVM and the training pairs its support indexes.
 
-    ``stats`` records how the training side was normalized; it is required
-    for persistence so that later queries can be rescaled consistently.
+    Queries passed to ``anker_predict`` must be normalized like the training
+    items; ``anker_rank`` does both in one call.
     """
 
     svm: SvmModel
     pair_first: np.ndarray
     pair_second: np.ndarray
-    stats: NormalizationStats | None = None
 
 
 def build_pair_instances(data: RankedDataset) -> np.ndarray:
@@ -261,19 +247,18 @@ def ordering_from_ranking(ranking: np.ndarray) -> np.ndarray:
     return np.argsort(np.asarray(ranking, dtype=int), kind="stable")
 
 
-def anker_fit(train: RankedDataset, stats: NormalizationStats | None = None, *,
-              variant: KernelVariant = KernelVariant.POLY2, C: float | None = None,
-              grid=DEFAULT_C_GRID, seed: int = 0, cap: int | None = None,
-              smo_tol: float = 1e-3) -> AnkerModel:
+def anker_fit(train: RankedDataset, *, variant: KernelVariant = KernelVariant.POLY2,
+              C: float | None = None, seed: int = 0, cap: int | None = None) -> AnkerModel:
     """Train the preference SVM on an already-normalized dataset.
 
     Each training preference becomes one labeled pair: a seeded fair coin
     per pair, drawn in pair order, keeps (preferred, other) with label +1 or
     swaps it to (other, preferred) with label -1, so labels stay balanced.
-    An optional ``cap`` then subsamples the pairs uniformly.  The cost is
-    picked by repeated internal cross-validation when ``C`` is None; the SVM
-    is trained by SMO and its decision values are calibrated on the
-    training pairs.
+    An optional ``cap`` then subsamples the pairs uniformly; pairs that do
+    not hold both labels raise ``DataFormatError``.  The cost
+    is picked from ``DEFAULT_C_GRID`` by repeated internal cross-validation
+    when ``C`` is None; the SVM is trained by SMO and its decision values
+    are calibrated on the training pairs.
     """
     for query in train.queries:
         if query.n_items < 2:
@@ -286,16 +271,18 @@ def anker_fit(train: RankedDataset, stats: NormalizationStats | None = None, *,
     if cap is not None and cap < len(pairs):
         chosen = np.sort(rng.choice(len(pairs), size=cap, replace=False))
         pairs, labels = pairs[chosen], labels[chosen]
+    if not (np.any(labels > 0) and np.any(labels < 0)):
+        raise DataFormatError(f"too few training pairs: {len(labels)} pair(s) do not hold both labels")
     items = train.all_items()
     first, second = items[pairs[:, 0]], items[pairs[:, 1]]
     gram = gram_matrix((first, second), variant)
     if C is None:
-        C = select_c(gram, labels, grid=grid, seed=seed, tol=smo_tol)
+        C = select_c(gram, labels, seed=seed)
         logger.debug("selected C=%g by cross-validation", C)
-    model = smo_train(gram, labels, C, tol=smo_tol)
+    model = smo_train(gram, labels, C)
     train_decisions = decision_values(model, gram[:, model.support])
-    model = model.with_variant(variant).with_platt(platt_fit(train_decisions, labels))
-    return AnkerModel(svm=model, pair_first=first, pair_second=second, stats=stats)
+    model = replace(model, variant=variant, platt=platt_fit(train_decisions, labels))
+    return AnkerModel(svm=model, pair_first=first, pair_second=second)
 
 
 def anker_predict(model: AnkerModel, query: np.ndarray) -> RankPrediction:
@@ -318,15 +305,15 @@ def anker_predict(model: AnkerModel, query: np.ndarray) -> RankPrediction:
 
 def anker_rank(train: RankedDataset, query: np.ndarray, *,
                variant: KernelVariant = KernelVariant.POLY2, C: float | None = None,
-               grid=DEFAULT_C_GRID, seed: int = 0, cap: int | None = None,
-               scope: NormalizationScope | None = None, alpha: float = 0.05,
-               smo_tol: float = 1e-3) -> RankPrediction:
+               seed: int = 0, cap: int | None = None,
+               scope: NormalizationScope | None = None) -> RankPrediction:
     """Rank a query item set given training rankings (the full pipeline).
 
-    Normalization to the unit cube follows the distribution gate: features are
-    min-max rescaled on the pooled train-plus-query rows unless a per-feature
-    KS test (level ``alpha``, Bonferroni corrected) rejects distributional
-    equality, in which case the query is rescaled on its own.
+    Normalization to the unit cube follows the distribution gate unless
+    ``scope`` fixes it: features are min-max rescaled on the pooled
+    train-plus-query rows unless a per-feature KS test (level 0.05,
+    Bonferroni corrected) rejects distributional equality, in which case the
+    query is rescaled on its own.
     """
     query = np.asarray(query, dtype=float)
     if query.ndim != 2 or query.shape[1] != train.n_features:
@@ -338,100 +325,9 @@ def anker_rank(train: RankedDataset, query: np.ndarray, *,
     if not np.isfinite(query).all():
         raise ValueError("query features must be finite")
     if scope is None:
-        scope = choose_normalization_scope(train.all_items(), query, alpha=alpha)
-    train_norm, query_norm, stats = normalize_train_test(
+        scope = choose_normalization_scope(train.all_items(), query)
+    train_norm, query_norm = normalize_train_test(
         train.all_items(), query, NormalizationMode.MINMAX, scope
     )
-    train_ds = train.with_items(train_norm)
-    model = anker_fit(train_ds, stats, variant=variant, C=C, grid=grid, seed=seed,
-                      cap=cap, smo_tol=smo_tol)
+    model = anker_fit(train.with_items(train_norm), variant=variant, C=C, seed=seed, cap=cap)
     return anker_predict(model, query_norm)
-
-
-# ---------------------------------------------------------------------------
-# Model persistence
-
-def _stats_to_dict(stats: NormalizationStats) -> dict:
-    def arr(x):
-        return None if x is None else np.asarray(x, dtype=float).tolist()
-
-    return {
-        "mode": stats.mode.value,
-        "scope": None if stats.scope is None else stats.scope.value,
-        "minimum": arr(stats.minimum),
-        "maximum": arr(stats.maximum),
-        "mean": arr(stats.mean),
-        "std": arr(stats.std),
-    }
-
-
-def _stats_from_dict(payload: dict) -> NormalizationStats:
-    def arr(x):
-        return None if x is None else np.asarray(x, dtype=float)
-
-    return NormalizationStats(
-        mode=NormalizationMode(payload["mode"]),
-        scope=None if payload["scope"] is None else NormalizationScope(payload["scope"]),
-        minimum=arr(payload["minimum"]),
-        maximum=arr(payload["maximum"]),
-        mean=arr(payload["mean"]),
-        std=arr(payload["std"]),
-    )
-
-
-def save_model(model: AnkerModel, path: str | Path) -> None:
-    """Persist a trained model as a self-describing JSON blob."""
-    svm = model.svm
-    if svm.variant is None:
-        raise ValueError("cannot persist a model without its kernel variant")
-    if model.stats is None:
-        raise ValueError("cannot persist a model without its normalization statistics")
-    payload = {
-        "format": "ankerrank-model",
-        "version": 1,
-        "alpha": svm.alpha[svm.support].tolist(),
-        "labels": svm.labels[svm.support].tolist(),
-        "bias": svm.bias,
-        "C": svm.C,
-        "tol": svm.tol,
-        "kernel": svm.variant.value,
-        "platt": None if svm.platt is None else {"a": svm.platt.a, "b": svm.platt.b},
-        "support_first": model.pair_first[svm.support].tolist(),
-        "support_second": model.pair_second[svm.support].tolist(),
-        "normalization": _stats_to_dict(model.stats),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def load_model(path: str | Path) -> AnkerModel:
-    """Load a model persisted by save_model."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != "ankerrank-model":
-        raise ValueError(f"{path} is not an ankerrank model file")
-    alpha = np.asarray(payload["alpha"], dtype=float)
-    labels = np.asarray(payload["labels"], dtype=float)
-    platt = payload["platt"]
-    svm = SvmModel(
-        alpha=alpha,
-        labels=labels,
-        support=np.arange(alpha.size),
-        bias=float(payload["bias"]),
-        C=float(payload["C"]),
-        tol=float(payload["tol"]),
-        variant=KernelVariant(payload["kernel"]),
-        platt=None if platt is None else PlattParams(float(platt["a"]), float(platt["b"])),
-    )
-    return AnkerModel(
-        svm=svm,
-        pair_first=np.asarray(payload["support_first"], dtype=float),
-        pair_second=np.asarray(payload["support_second"], dtype=float),
-        stats=_stats_from_dict(payload["normalization"]),
-    )
-
-
-def normalize_query_with_stats(query: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    """Apply persisted training-time statistics to a new query (clamped to [0, 1])."""
-    if stats.mode is not NormalizationMode.MINMAX:
-        raise ValueError("analogy-side models are normalized with min-max statistics")
-    out, _ = minmax_fit_apply(np.asarray(query, dtype=float), stats)
-    return out

@@ -9,7 +9,7 @@ cross-validation, whose fold scheme the linear RankSVM baseline shares.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,16 +47,9 @@ class SvmModel:
     support: np.ndarray
     bias: float
     C: float
-    tol: float
     converged: bool = True
     variant: KernelVariant | None = None
     platt: PlattParams | None = None
-
-    def with_variant(self, variant: KernelVariant) -> "SvmModel":
-        return replace(self, variant=variant)
-
-    def with_platt(self, platt: PlattParams) -> "SvmModel":
-        return replace(self, platt=platt)
 
 
 def smo_train(kernel, labels, C: float, tol: float = 1e-3,
@@ -158,15 +151,7 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         bias = float((m_bound + big_m_bound) / 2.0)
     support = np.flatnonzero(alpha > 0.0)
     return SvmModel(alpha=alpha, labels=y, support=support, bias=bias, C=float(C),
-                    tol=float(tol), converged=converged)
-
-
-def dual_objective(kernel: np.ndarray, labels, alpha) -> float:
-    """Value of the dual objective sum(alpha) - 1/2 alpha' (yy' * K) alpha."""
-    y = np.asarray(labels, dtype=float)
-    a = np.asarray(alpha, dtype=float)
-    Q = np.asarray(kernel, dtype=float) * np.outer(y, y)
-    return float(a.sum() - 0.5 * a @ Q @ a)
+                    converged=converged)
 
 
 def decision_values(model: SvmModel, kernel_rows) -> np.ndarray:

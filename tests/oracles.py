@@ -1,7 +1,8 @@
 """Independent reference implementations used to freeze expected test values.
 
 Everything here deliberately avoids the code paths under test: the QP oracle
-is an accelerated projected-gradient method, the KS oracle enumerates
+is an accelerated projected-gradient method, scored like SMO by a dense
+evaluation of the dual objective, the KS oracle enumerates
 permutations, the inversion counter is a double loop, the BTL oracle is a
 grid search on the simplex, the training-pair oracle draws one coin per
 preference in a nested loop, the analogy-kernel oracle fills the whole
@@ -63,6 +64,14 @@ def projected_gradient_qp(kernel: np.ndarray, labels: np.ndarray, box: float,
         if best - block_start < 1e-12:
             break
     return x
+
+
+def dual_objective(kernel: np.ndarray, labels, alpha) -> float:
+    """Value of the SVM dual objective sum(alpha) - 1/2 alpha' (yy' * K) alpha."""
+    y = np.asarray(labels, dtype=float)
+    a = np.asarray(alpha, dtype=float)
+    Q = np.asarray(kernel, dtype=float) * np.outer(y, y)
+    return float(a.sum() - 0.5 * a @ Q @ a)
 
 
 def ks_exact_permutation_p(a, b) -> float:

@@ -13,10 +13,10 @@ import pytest
 from ankerrank.cli import main as cli_main
 from ankerrank.data import NormalizationScope, choose_normalization_scope, save_dataset
 from ankerrank.evaluate import MethodConfig, competition_ranks, ranking_loss, run_experiment
-from ankerrank.kernel import KernelVariant, boolean_proportion, gram_matrix, proportion_degree, scalar_kernel
+from ankerrank.kernel import KernelVariant, boolean_proportion, gram_matrix, kernel_matrix, proportion_degree
 from ankerrank.ranker import btl_fit
-from ankerrank.svm import decision_values, dual_objective, smo_train
-from oracles import brute_force_ranking_loss, btl_grid_argmax, projected_gradient_qp
+from ankerrank.svm import decision_values, smo_train
+from oracles import brute_force_ranking_loss, btl_grid_argmax, dual_objective, projected_gradient_qp
 from synthetic import make_linear_dataset
 
 
@@ -64,8 +64,14 @@ def test_criterion_3_kernel_equals_proportion_degree():
     with criterion(3, "kernel/proportion equivalence on 1e5 quadruples"):
         rng = np.random.default_rng(20_240_003)
         quads = rng.random((100_000, 4))
-        for a, b, c, d in quads:
-            assert scalar_kernel(a - b, c - d) == proportion_degree(a, b, c, d)
+        # The pipeline's kernel on one feature, for the pairs (a, b) and
+        # (c, d) of each quadruple: the diagonal of 1 000 x 1 000 blocks.
+        for start in range(0, len(quads), 1000):
+            chunk = quads[start:start + 1000]
+            a, b, c, d = (chunk[:, i:i + 1] for i in range(4))
+            kernel = np.diag(kernel_matrix((a, b), (c, d), KernelVariant.MEAN))
+            expected = [proportion_degree(*quad) for quad in chunk]
+            assert np.array_equal(kernel, expected)
 
 
 def test_criterion_4_smo_against_projected_gradient_oracle():

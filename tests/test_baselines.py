@@ -15,7 +15,7 @@ from ankerrank.baselines import (
 from ankerrank.data import RankedDataset, RankedQuery, minmax_fit_apply, normalize_train_test
 from ankerrank.data import NormalizationMode, NormalizationScope
 from ankerrank.evaluate import ranking_loss
-from ankerrank.kernel import pair_kernel
+from ankerrank.kernel import kernel_matrix
 from ankerrank.ranker import ranking_from_scores
 from ankerrank.svm import DEFAULT_C_GRID
 from oracles import squared_hinge_lbfgs, squared_hinge_objective
@@ -136,7 +136,7 @@ def test_ranksvm_low_loss_on_held_out_linear_data():
     weights = np.linspace(1.0, 2.0, 6)
     train = make_linear_dataset(4, 15, 6, seed=2, weights=weights)
     test = make_linear_dataset(3, 15, 6, seed=3, weights=weights)
-    train_n, test_n, _ = normalize_train_test(
+    train_n, test_n = normalize_train_test(
         train.all_items(), test.all_items(), NormalizationMode.ZSCORE,
         NormalizationScope.TRAIN_PLUS_TEST,
     )
@@ -214,15 +214,15 @@ def test_able2rank_matches_exhaustive_hand_aggregation():
     prediction = able2rank_lite(train_n, query, k=3)
 
     # brute force: walk every training preference and accumulate both sides
-    query_pair = (query[0], query[1])
+    query_pair = (query[0:1], query[1:2])
     fwd, bwd = [], []
     q = train_n.queries[0]
     ordering = q.ordering
     for a in range(2):
         for b in range(a + 1, 3):
-            pref_pair = (q.items[ordering[a]], q.items[ordering[b]])
-            fwd.append(pair_kernel(pref_pair, query_pair))
-            bwd.append(pair_kernel(pref_pair, (query[1], query[0])))
+            pref_pair = (q.items[ordering[a:a + 1]], q.items[ordering[b:b + 1]])
+            fwd.append(kernel_matrix(pref_pair, query_pair)[0, 0])
+            bwd.append(kernel_matrix(pref_pair, (query[1:2], query[0:1]))[0, 0])
     s_fwd, s_bwd = sum(sorted(fwd)[-3:]), sum(sorted(bwd)[-3:])
     expected = s_fwd / (s_fwd + s_bwd) if s_fwd + s_bwd > 0 else 0.5
     assert prediction.preference[0, 1] == pytest.approx(expected, abs=1e-12)

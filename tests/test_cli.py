@@ -117,6 +117,60 @@ def test_benchmark_one_item_test_query_exits_2(csv_files, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("n_items", [2, 3])
+def test_rank_too_few_training_pairs_exits_2(tmp_path, capsys, n_items):
+    # One training query of n items gives n(n - 1)/2 pairs; with 1 pair, or
+    # 3 pairs whose coins all land alike, the pairs hold a single label.
+    train, query = tmp_path / "train.csv", tmp_path / "query.csv"
+    save_dataset(make_linear_dataset(1, n_items, 3, seed=6), train)
+    save_dataset(make_linear_dataset(1, 4, 3, seed=7), query)
+    codes = []
+    for seed in range(1, 9):
+        codes.append(main(["rank", "--train", str(train), "--query", str(query), "--C", "1",
+                           "--seed", str(seed)]))
+        captured = capsys.readouterr()
+        if codes[-1] == 2:
+            assert "too few training pairs" in captured.err and captured.out == ""
+    assert set(codes) == ({2} if n_items == 2 else {0, 2})
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("options,env", [
+    ("rank --pair-cap 0", None),
+    ("rank --pair-cap -3", None),
+    ("benchmark --pair-cap 0", None),
+    ("benchmark --able2rank-k 0", None),
+    ("benchmark --repeats 0", None),
+    ("benchmark --repeats 2.5", None),
+    ("kernel-check --samples 0", None),
+    ("kernel-check --dim 0", None),
+    ("--threads 0 kernel-check", None),
+    ("--threads two kernel-check", None),
+    ("kernel-check", "two"),
+    ("kernel-check", "0"),
+])
+def test_count_options_must_be_positive_integers(csv_files, capsys, monkeypatch, options, env):
+    if env is None:
+        monkeypatch.delenv("ANKERRANK_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ANKERRANK_THREADS", env)
+    inputs = {"rank": ["--train", str(csv_files["train"]), "--query", str(csv_files["query"])],
+              "benchmark": ["--train", str(csv_files["train"]), "--test", str(csv_files["test"]),
+                            "--methods", "anker,able2rank"]}
+    argv = options.split()
+    command = next(word for word in argv if word in ("rank", "benchmark", "kernel-check"))
+    assert _exit_code(argv + inputs.get(command, [])) == 2
+    captured = capsys.readouterr()
+    assert "positive integer" in captured.err
+    assert captured.out == ""
+
+
 def test_thread_flag_overrides_the_environment(monkeypatch):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         monkeypatch.setenv(var, "4")

@@ -312,20 +312,18 @@ def test_scope_schema_mismatch():
 def test_normalize_train_test_pooled_scope():
     train = np.array([[0.0], [4.0]])
     test = np.array([[8.0]])
-    train_n, test_n, stats = normalize_train_test(
+    train_n, test_n = normalize_train_test(
         train, test, NormalizationMode.MINMAX, NormalizationScope.TRAIN_PLUS_TEST
     )
     assert np.allclose(train_n.ravel(), [0.0, 0.5])
     assert np.allclose(test_n.ravel(), [1.0])
-    assert stats.scope is NormalizationScope.TRAIN_PLUS_TEST
 
 
 def test_normalize_train_test_separate_scope():
     train = np.array([[0.0], [4.0]])
     test = np.array([[8.0], [10.0]])
-    train_n, test_n, stats = normalize_train_test(
+    train_n, test_n = normalize_train_test(
         train, test, NormalizationMode.MINMAX, NormalizationScope.TEST_ONLY
     )
     assert np.allclose(train_n.ravel(), [0.0, 1.0])
     assert np.allclose(test_n.ravel(), [0.0, 1.0])
-    assert stats.scope is NormalizationScope.TEST_ONLY

@@ -3,7 +3,6 @@ import pytest
 
 from ankerrank.evaluate import (
     MethodConfig,
-    average_ranks,
     competition_ranks,
     format_results_table,
     ranking_loss,
@@ -80,14 +79,6 @@ def test_competition_ranks_share_lower_rank_on_ties():
     assert np.array_equal(competition_ranks([0.05, 0.02, 0.02]), [3, 1, 1])
     assert np.array_equal(competition_ranks([0.1, 0.2, 0.3]), [1, 2, 3])
     assert np.array_equal(competition_ranks([0.5]), [1])
-
-
-def test_average_ranks():
-    assert np.allclose(average_ranks(np.ones((6, 1))), [1.0])
-    assert np.allclose(average_ranks(np.array([[1.0, 2.0], [2.0, 1.0]])), [1.5, 1.5])
-    assert np.allclose(average_ranks(np.array([[1.0, 2.0]])), [1.0, 2.0])
-    with pytest.raises(ValueError, match="missing"):
-        average_ranks(np.array([[1.0, np.nan]]))
 
 
 # ---------------------------------------------------------------------------

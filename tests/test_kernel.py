@@ -8,12 +8,8 @@ from ankerrank.kernel import (
     KernelVariant,
     boolean_proportion,
     gram_matrix,
-    is_psd,
     kernel_matrix,
-    pair_kernel,
-    principal_minors_nonneg,
     proportion_degree,
-    scalar_kernel,
 )
 from oracles import full_slab_kernel_matrix
 
@@ -22,6 +18,24 @@ VALID_QUADRUPLES = {
     (0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1),
     (1, 0, 1, 0), (1, 1, 0, 0), (1, 1, 1, 1),
 }
+
+
+def _unit_pairs(diffs):
+    """One-feature pairs in [0, 1] whose differences are exactly ``diffs``."""
+    d = np.asarray(diffs, dtype=float).reshape(-1, 1)
+    return np.maximum(d, 0.0), np.maximum(-d, 0.0)
+
+
+def _diagonal_kernel(quads, chunk=1000):
+    """One-feature kernel of the pairs (a, b) and (c, d) of each quadruple.
+
+    Read off the diagonals of ``chunk`` x ``chunk`` kernel_matrix blocks.
+    """
+    out = []
+    for start in range(0, len(quads), chunk):
+        a, b, c, d = (quads[start:start + chunk, i:i + 1] for i in range(4))
+        out.append(np.diag(kernel_matrix((a, b), (c, d), KernelVariant.MEAN)))
+    return np.concatenate(out)
 
 
 def test_boolean_table_has_six_ones():
@@ -64,61 +78,79 @@ def test_proportion_degree_internal_symmetry():
         assert proportion_degree(a, b, a, b) == 1.0
 
 
+# The scalar kernel is kernel_matrix on one feature: a function of the two
+# pairs' differences u and v.
+
 def test_scalar_kernel_examples():
-    assert scalar_kernel(0.3, 0.3) == 1.0
-    assert scalar_kernel(0.2, 0.7) == pytest.approx(0.5)
-    assert scalar_kernel(0.3, -0.2) == 0.0
+    values = kernel_matrix(_unit_pairs([0.3, 0.2, 0.3]), _unit_pairs([0.3, 0.7, -0.2]))
+    assert values[0, 0] == 1.0
+    assert values[1, 1] == pytest.approx(0.5)
+    assert values[2, 2] == 0.0
     with pytest.raises(ValueError):
-        scalar_kernel(1.5, 0.0)
+        kernel_matrix((np.array([[1.5]]), np.array([[0.0]])), _unit_pairs([0.0]))
 
 
 def test_scalar_kernel_equals_proportion_degree_exactly():
-    rng = np.random.default_rng(42)
-    for _ in range(10_000):
-        a, b, c, d = rng.random(4)
-        assert scalar_kernel(a - b, c - d) == proportion_degree(a, b, c, d)
+    quads = np.random.default_rng(42).random((10_000, 4))
+    expected = [proportion_degree(a, b, c, d) for a, b, c, d in quads]
+    assert np.array_equal(_diagonal_kernel(quads), expected)
 
 
 def test_scalar_kernel_zero_is_its_own_sign_class():
-    assert scalar_kernel(0.0, 0.0) == 1.0
-    assert scalar_kernel(0.0, 0.4) == 0.0
-    assert scalar_kernel(-0.4, 0.0) == 0.0
+    values = kernel_matrix(_unit_pairs([0.0, 0.0, -0.4]), _unit_pairs([0.0, 0.4, 0.0]))
+    assert np.array_equal(np.diag(values), [1.0, 0.0, 0.0])
 
+
+def test_kernel_matrix_equals_the_sign_and_minimum_form():
+    # g(u, v) = [sign u = sign v] (min(|u|, |v|) + min(1 - |u|, 1 - |v|)),
+    # the form that shows the kernel is PSD (see the kernel module docstring).
+    rng = np.random.default_rng(41)
+    a, b = _edge_value_pairs(rng, 80, 1), _edge_value_pairs(rng, 60, 1)
+    u, v = (a[0] - a[1])[:, 0], (b[0] - b[1])[:, 0]
+    for diffs in (u, v):
+        assert np.any(diffs == 0.0) and np.any(diffs == 1.0) and np.any(diffs == -1.0)
+    au, av = np.abs(u)[:, None], np.abs(v)[None, :]
+    same_sign = np.sign(u)[:, None] == np.sign(v)[None, :]
+    expected = same_sign * (np.minimum(au, av) + np.minimum(1.0 - au, 1.0 - av))
+    assert np.max(np.abs(kernel_matrix(a, b, KernelVariant.MEAN) - expected)) <= 1e-15
+
+
+# The pair kernel is one entry of kernel_matrix.
 
 def test_pair_kernel_identical_pairs():
     rng = np.random.default_rng(0)
-    pair = (rng.random(6), rng.random(6))
-    assert pair_kernel(pair, pair, KernelVariant.MEAN) == 1.0
-    assert pair_kernel(pair, pair, KernelVariant.POLY2) == 1.0
+    pair = (rng.random((1, 6)), rng.random((1, 6)))
+    assert kernel_matrix(pair, pair, KernelVariant.MEAN)[0, 0] == 1.0
+    assert kernel_matrix(pair, pair, KernelVariant.POLY2)[0, 0] == 1.0
 
 
 def test_pair_kernel_mean_and_squared_aggregation():
     # Dimension 0 contributes 1 (equal differences), dimension 1 contributes 0
     # (opposite signs), so the mean is 0.5 and its square 0.25.
-    p = (np.array([0.5, 0.5]), np.array([0.3, 0.2]))
-    q = (np.array([0.7, 0.1]), np.array([0.5, 0.4]))
-    assert pair_kernel(p, q, KernelVariant.MEAN) == pytest.approx(0.5)
-    assert pair_kernel(p, q, KernelVariant.POLY2) == pytest.approx(0.25)
+    p = (np.array([[0.5, 0.5]]), np.array([[0.3, 0.2]]))
+    q = (np.array([[0.7, 0.1]]), np.array([[0.5, 0.4]]))
+    assert kernel_matrix(p, q, KernelVariant.MEAN)[0, 0] == pytest.approx(0.5)
+    assert kernel_matrix(p, q, KernelVariant.POLY2)[0, 0] == pytest.approx(0.25)
 
 
 def test_pair_kernel_symmetry_and_range():
     rng = np.random.default_rng(13)
     for _ in range(50):
         d = int(rng.integers(1, 8))
-        p = (rng.random(d), rng.random(d))
-        q = (rng.random(d), rng.random(d))
+        p = (rng.random((1, d)), rng.random((1, d)))
+        q = (rng.random((1, d)), rng.random((1, d)))
         for variant in KernelVariant:
-            value = pair_kernel(p, q, variant)
-            assert value == pair_kernel(q, p, variant)
+            value = kernel_matrix(p, q, variant)[0, 0]
+            assert value == kernel_matrix(q, p, variant)[0, 0]
             assert 0.0 <= value <= 1.0
 
 
 def test_pair_kernel_rejects_bad_input():
     with pytest.raises(ValueError):
-        pair_kernel((np.array([1.5]), np.array([0.0])), (np.array([0.1]), np.array([0.2])))
+        kernel_matrix((np.array([[1.5]]), np.array([[0.0]])), (np.array([[0.1]]), np.array([[0.2]])))
     with pytest.raises(ValueError):
-        pair_kernel((np.array([0.1, 0.2]), np.array([0.0, 0.0])),
-                    (np.array([0.1]), np.array([0.2])))
+        kernel_matrix((np.array([[0.1, 0.2]]), np.array([[0.0, 0.0]])),
+                      (np.array([[0.1]]), np.array([[0.2]])))
 
 
 def test_gram_matrix_trivial_cases():
@@ -145,19 +177,12 @@ def test_gram_matrix_is_psd_on_random_pairs():
         assert np.linalg.eigvalsh(gram).min() >= -1e-8
 
 
-def test_gram_accepts_pair_instance_sequences():
-    rng = np.random.default_rng(2)
-    tuples = [(rng.random(3), rng.random(3)) for _ in range(4)]
-    arrays = (np.array([t[0] for t in tuples]), np.array([t[1] for t in tuples]))
-    assert np.array_equal(gram_matrix(tuples), gram_matrix(arrays))
-
-
 def test_block_structure_by_sign_class():
     # For scalar differences sorted non-increasingly the kernel matrix is
     # block diagonal: positive, zero, and negative classes never mix.
     values = np.array([0.9, 0.5, 0.1, 0.0, 0.0, -0.2, -0.8])
     n = values.size
-    gram = np.array([[scalar_kernel(u, v) for v in values] for u in values])
+    gram = gram_matrix(_unit_pairs(values))
     signs = np.sign(values)
     for i in range(n):
         for j in range(n):
@@ -165,38 +190,6 @@ def test_block_structure_by_sign_class():
                 assert gram[i, j] == 0.0
             else:
                 assert gram[i, j] > 0.0
-
-
-@pytest.mark.parametrize("matrix,expected", [
-    (np.eye(3), True),
-    (np.array([[1.0, 0.9], [0.9, 1.0]]), True),   # eigenvalues 0.1, 1.9
-    (np.array([[1.0, 1.5], [1.5, 1.0]]), False),  # eigenvalue -0.5
-])
-def test_is_psd_examples(matrix, expected):
-    assert is_psd(matrix) is expected
-
-
-def test_is_psd_input_validation():
-    with pytest.raises(ValueError):
-        is_psd(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        is_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
-def test_principal_minors_agree_with_eigenvalue_route():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.integers(2, 7))
-        base = rng.normal(size=(n, n))
-        psd = base @ base.T
-        indefinite = psd - 1.5 * np.eye(n) * np.abs(np.linalg.eigvalsh(psd)).max()
-        assert principal_minors_nonneg(psd, tol=1e-8) == is_psd(psd, tol=1e-8)
-        assert principal_minors_nonneg(indefinite, tol=1e-8) == is_psd(indefinite, tol=1e-8)
-
-
-def test_principal_minors_size_cap():
-    with pytest.raises(ValueError):
-        principal_minors_nonneg(np.eye(9))
 
 
 def test_kernel_matrix_cross_shapes():

@@ -1,10 +1,37 @@
-import ankerrank
-from ankerrank import baselines, kernel, ranker, svm
+import ast
+from pathlib import Path
 
-# Public names removed together with the code they named, so that each
-# preference pair and each score-to-ranking step has one implementation.
+import ankerrank
+from ankerrank import baselines, data, evaluate, kernel, ranker, svm
+
+# Public names removed together with the code they named: the second
+# implementations of preference pairs and score-to-ranking steps, model
+# persistence, and the scalar and test-only kernel and SVM helpers.
 REMOVED = ("PairInstance", "pairs_to_arrays", "rank_from_theta", "err_rank", "ranksvm_rank",
-           "decision_value")
+           "decision_value", "save_model", "load_model", "normalize_query_with_stats",
+           "scalar_kernel", "pair_kernel", "is_psd", "principal_minors_nonneg", "average_ranks",
+           "dual_objective")
+
+PUBLIC = (
+    "AnkerModel", "BtlParams", "DataFormatError", "DEFAULT_C_GRID", "ExperimentResult",
+    "FeatureKind", "FeatureSchema", "KernelVariant", "KsDecision", "LinearModel", "METHOD_NAMES",
+    "MethodConfig", "NormalizationMode", "NormalizationScope", "NormalizationStats", "PlattParams",
+    "RankPrediction", "RankedDataset", "RankedQuery", "SvmModel", "able2rank_lite", "anker_fit",
+    "anker_predict", "anker_rank", "boolean_proportion", "btl_fit", "btl_log_likelihood",
+    "build_pair_instances", "choose_normalization_scope", "competition_ranks", "decision_values",
+    "err_fit", "err_predict", "format_results_table", "gram_matrix", "kernel_matrix",
+    "ks_two_sample", "load_dataset", "minmax_fit_apply", "normalize_train_test",
+    "ordering_from_ranking", "platt_fit", "platt_prob", "preference_matrix", "proportion_degree",
+    "ranking_from_scores", "ranking_loss", "ranksvm_fit", "reciprocal_preferences",
+    "results_to_csv", "run_experiment", "save_dataset", "score_external_orderings", "select_c",
+    "smo_train", "zscore_fit_apply",
+)
+
+# Imports a module keeps without using them, with the reason.
+UNUSED_IMPORTS_ALLOWED = {
+    ("baselines", "select_c"): "perfbench's tracer wraps this name at this module",
+    ("baselines", "smo_train"): "perfbench's tracer wraps this name at this module",
+}
 
 
 def test_every_exported_name_resolves():
@@ -12,9 +39,42 @@ def test_every_exported_name_resolves():
     assert len(set(ankerrank.__all__)) == len(ankerrank.__all__)
 
 
+def test_public_surface_is_pinned():
+    assert tuple(ankerrank.__all__) == PUBLIC
+
+
 def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in ankerrank.__all__
-        for module in (ankerrank, ranker, baselines, svm, kernel):
+        for module in (ankerrank, ranker, baselines, svm, kernel, evaluate):
             assert not hasattr(module, name), f"{module.__name__}.{name} still exists"
     assert not hasattr(baselines, "_training_preferences")
+    assert not hasattr(ranker, "_stats_to_dict") and not hasattr(ranker, "_stats_from_dict")
+    assert "stats" not in ranker.AnkerModel.__dataclass_fields__
+    assert "tol" not in svm.SvmModel.__dataclass_fields__
+    assert "scope" not in data.NormalizationStats.__dataclass_fields__
+    assert not hasattr(svm.SvmModel, "with_variant") and not hasattr(svm.SvmModel, "with_platt")
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):  # names re-exported through __all__ count as used
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(name for name in imported if name not in used)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = []
+    for path in sorted(Path(ankerrank.__file__).parent.glob("*.py")):
+        for name in _unused_imports(path):
+            if (path.stem, name) not in UNUSED_IMPORTS_ALLOWED:
+                unused.append(f"{path.stem}: {name}")
+    assert unused == []

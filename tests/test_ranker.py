@@ -4,7 +4,6 @@ import pytest
 from ankerrank.data import DataFormatError, NormalizationScope, RankedDataset, RankedQuery
 from ankerrank.kernel import KernelVariant
 from ankerrank.ranker import (
-    AnkerModel,
     anker_fit,
     anker_predict,
     anker_rank,
@@ -12,12 +11,10 @@ from ankerrank.ranker import (
     btl_log_likelihood,
     PREFERENCE_CLIP,
     build_pair_instances,
-    load_model,
     ordering_from_ranking,
     preference_matrix,
     ranking_from_scores,
     reciprocal_preferences,
-    save_model,
 )
 from ankerrank.svm import PlattParams, SvmModel
 from oracles import btl_grid_argmax, coin_flip_pairs
@@ -124,16 +121,16 @@ def test_reciprocal_preferences_sum_is_exactly_one():
     assert np.all(pref[off] + pref.T[off] == 1.0)
 
 
-def _trained_toy_model(seed=11, variant=KernelVariant.MEAN):
+def _trained_toy_model(seed=11):
     data = make_linear_dataset(2, 8, 3, seed=seed)
     from ankerrank.data import minmax_fit_apply
 
-    normalized, stats = minmax_fit_apply(data.all_items())
-    return anker_fit(data.with_items(normalized), stats, variant=variant, C=1.0, seed=seed), stats
+    normalized, _ = minmax_fit_apply(data.all_items())
+    return anker_fit(data.with_items(normalized), variant=KernelVariant.MEAN, C=1.0, seed=seed)
 
 
 def test_preference_matrix_is_reciprocal_end_to_end():
-    model, _ = _trained_toy_model()
+    model = _trained_toy_model()
     rng = np.random.default_rng(12)
     query = rng.random((6, 3))
     pref = preference_matrix(model.svm, (model.pair_first, model.pair_second), query)
@@ -145,7 +142,7 @@ def test_preference_matrix_is_reciprocal_end_to_end():
 
 def test_preference_matrix_with_empty_support_is_uninformative():
     model = SvmModel(alpha=np.zeros(1), labels=np.ones(1), support=np.zeros(0, dtype=int),
-                     bias=0.0, C=1.0, tol=1e-3, variant=KernelVariant.MEAN,
+                     bias=0.0, C=1.0, variant=KernelVariant.MEAN,
                      platt=PlattParams(-1.0, 0.0))
     pref = preference_matrix(model, (np.zeros((1, 2)), np.full((1, 2), 0.5)), np.random.default_rng(0).random((4, 2)))
     assert np.all(pref == 0.5)
@@ -344,7 +341,7 @@ def test_non_finite_queries_are_rejected(bad):
     train = make_linear_dataset(2, 6, 3, seed=34)
     query = np.random.default_rng(35).random((4, 3))
     query[2, 1] = bad
-    model, _ = _trained_toy_model(seed=36)
+    model = _trained_toy_model(seed=36)
     with pytest.raises(ValueError, match="finite"):
         anker_predict(model, query)
     with pytest.raises(ValueError, match="finite"):
@@ -359,42 +356,3 @@ def test_anker_rank_rejects_a_one_item_query_before_fitting(monkeypatch):
     train = make_linear_dataset(2, 6, 3, seed=37)
     with pytest.raises(DataFormatError, match="at least two items"):
         anker_rank(train, np.full((1, 3), 0.5), C=1.0)
-
-
-def test_model_round_trip(tmp_path):
-    model, _ = _trained_toy_model(seed=30, variant=KernelVariant.POLY2)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
-    rng = np.random.default_rng(31)
-    query = rng.random((5, 3))
-    original = anker_predict(model, query)
-    restored = anker_predict(loaded, query)
-    assert np.array_equal(original.ranking, restored.ranking)
-    assert np.allclose(original.theta, restored.theta)
-    assert loaded.svm.C == model.svm.C
-    assert loaded.stats.mode == model.stats.mode
-
-
-def test_save_model_requires_metadata(tmp_path):
-    model, stats = _trained_toy_model(seed=32)
-    bare = AnkerModel(svm=model.svm, pair_first=model.pair_first,
-                      pair_second=model.pair_second, stats=None)
-    with pytest.raises(ValueError, match="normalization"):
-        save_model(bare, tmp_path / "m.json")
-
-
-def test_persisted_model_ranks_a_raw_query(tmp_path):
-    from ankerrank.ranker import normalize_query_with_stats
-
-    model, stats = _trained_toy_model(seed=33)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
-    # a raw query outside the training range is rescaled with the stored
-    # statistics and clamped into the kernel domain
-    raw_query = np.array([[5.0, -1.0, 0.5], [0.2, 0.4, 2.0], [0.6, 0.1, 0.3]])
-    normalized = normalize_query_with_stats(raw_query, loaded.stats)
-    assert normalized.min() >= 0.0 and normalized.max() <= 1.0
-    prediction = anker_predict(loaded, normalized)
-    assert sorted(prediction.ranking.tolist()) == [0, 1, 2]

@@ -8,13 +8,12 @@ from ankerrank.svm import (
     PlattParams,
     SvmModel,
     decision_values,
-    dual_objective,
     platt_fit,
     platt_prob,
     select_c,
     smo_train,
 )
-from oracles import projected_gradient_qp
+from oracles import dual_objective, projected_gradient_qp
 
 
 def random_instance(rng, n_max=6):
@@ -118,7 +117,7 @@ def test_model_decision_on_own_free_support_vector():
 
 def test_empty_support_returns_bias():
     model = SvmModel(alpha=np.zeros(0), labels=np.zeros(0), support=np.zeros(0, dtype=int),
-                     bias=0.3, C=1.0, tol=1e-3)
+                     bias=0.3, C=1.0)
     assert decision_values(model, np.zeros((1, 0)))[0] == pytest.approx(0.3)
 
 
