@@ -24,15 +24,13 @@ import numpy as np
 from .data import RankedDataset
 from .kernel import KernelVariant, kernel_matrix
 from .ranker import (
-    _ARMIJO,
-    _MIN_STEP,
     RankPrediction,
     btl_fit,
     build_pair_instances,
     ordering_from_ranking,
     ranking_from_scores,
 )
-from .svm import DEFAULT_C_GRID, _cv_splits
+from .svm import _ARMIJO, _MIN_STEP, DEFAULT_C_GRID, _cv_splits
 # Not called here; perfbench's tracer wraps these names at this module.
 from .svm import select_c, smo_train  # noqa: F401
 

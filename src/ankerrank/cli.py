@@ -13,20 +13,29 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 
-def _positive_int(value: str) -> int:
-    """argparse type of the count options: an integer of at least 1."""
-    try:
-        number = int(value)
-    except ValueError:
-        number = 0
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
-    return number
+def _checked(parse, accept, what: str):
+    """argparse type: the value read by ``parse``, kept only if ``accept`` holds."""
+    def convert(value: str):
+        try:
+            number = parse(value)
+        except ValueError:
+            number = math.nan
+        if not accept(number):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {value!r}")
+        return number
+    return convert
+
+
+_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_seed = _checked(int, lambda n: n >= 0, "a non-negative integer")
+_tolerance = _checked(float, lambda x: 0 <= x < math.inf, "a finite non-negative number")
+_cost = _checked(float, lambda c: 0 < c < math.inf, "'auto' or a finite positive number")
 
 
 def _apply_thread_cap(threads: int | None) -> None:
@@ -45,15 +54,7 @@ def _write_payload(text: str, out: str | None) -> None:
 
 
 def _parse_cost(value: str) -> float | None:
-    if value == "auto":
-        return None
-    try:
-        cost = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--C must be 'auto' or a positive number, got {value!r}") from None
-    if cost <= 0:
-        raise argparse.ArgumentTypeError("--C must be positive")
-    return cost
+    return None if value == "auto" else _cost(value)
 
 
 def _scope_from_flag(value: str):
@@ -217,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--kernel", choices=("mean", "poly2"), default="poly2")
     rank.add_argument("--C", type=_parse_cost, default=None,
                       help="SVM cost, or 'auto' for internal cross-validation (default: auto)")
-    rank.add_argument("--seed", type=int, default=42)
+    rank.add_argument("--seed", type=_seed, default=42)
     rank.add_argument("--normalize", choices=("auto", "train+test", "test-only"), default="auto")
     rank.add_argument("--pair-cap", type=_positive_int, default=None,
                       help="subsample the training pairs to at most this many")
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--methods", required=True,
                        help="comma-separated subset of: anker,err,ranksvm,able2rank")
     bench.add_argument("--repeats", type=_positive_int, default=20)
-    bench.add_argument("--seed", type=int, default=42)
+    bench.add_argument("--seed", type=_seed, default=42)
     bench.add_argument("--out", default=None, help="results CSV path (default: stdout)")
     bench.add_argument("--problem", default=None, help="problem label in the CSV (default: file stems)")
     bench.add_argument("--kernel", choices=("mean", "poly2"), default="poly2")
@@ -248,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("kernel-check", help="verify kernel positive semi-definiteness empirically")
     check.add_argument("--samples", type=_positive_int, default=200)
     check.add_argument("--dim", type=_positive_int, default=10)
-    check.add_argument("--tol", type=float, default=1e-8)
-    check.add_argument("--seed", type=int, default=42)
+    check.add_argument("--tol", type=_tolerance, default=1e-8)
+    check.add_argument("--seed", type=_seed, default=42)
     check.set_defaults(func=cmd_kernel_check)
     return parser
 

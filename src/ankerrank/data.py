@@ -368,73 +368,6 @@ def save_dataset(dataset: RankedDataset, path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Normalization
-
-@dataclass(frozen=True)
-class NormalizationStats:
-    """Fitted per-feature statistics, reusable on other samples."""
-
-    mode: NormalizationMode
-    minimum: np.ndarray | None = None
-    maximum: np.ndarray | None = None
-    mean: np.ndarray | None = None
-    std: np.ndarray | None = None
-
-
-def minmax_fit_apply(data: np.ndarray, stats: NormalizationStats | None = None
-                     ) -> tuple[np.ndarray, NormalizationStats]:
-    """Rescale each feature to [0, 1] via (x - min) / (max - min).
-
-    Fits min/max from ``data`` unless ``stats`` is given.  Constant features
-    map to 0, and outputs are clamped to [0, 1] so that statistics fitted on
-    a different sample still produce values in the kernel domain.
-    """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise ValueError("minmax_fit_apply expects a non-empty (n, d) matrix")
-    if stats is None:
-        stats = NormalizationStats(
-            mode=NormalizationMode.MINMAX,
-            minimum=data.min(axis=0),
-            maximum=data.max(axis=0),
-        )
-    elif stats.mode is not NormalizationMode.MINMAX:
-        raise ValueError("stats were fitted for a different normalization mode")
-    assert stats.minimum is not None and stats.maximum is not None
-    span = stats.maximum - stats.minimum
-    safe = np.where(span > 0.0, span, 1.0)
-    out = (data - stats.minimum) / safe
-    out = np.where(span > 0.0, out, 0.0)
-    return np.clip(out, 0.0, 1.0), stats
-
-
-def zscore_fit_apply(data: np.ndarray, stats: NormalizationStats | None = None
-                     ) -> tuple[np.ndarray, NormalizationStats]:
-    """Standardize each feature via (x - mean) / std (sample std, ddof=1).
-
-    Constant features (std 0) map to 0.  When fitting, every column needs at
-    least two values.
-    """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise ValueError("zscore_fit_apply expects an (n, d) matrix")
-    if stats is None:
-        if data.shape[0] < 2:
-            raise ValueError("fitting a zscore normalization needs at least two rows")
-        stats = NormalizationStats(
-            mode=NormalizationMode.ZSCORE,
-            mean=data.mean(axis=0),
-            std=data.std(axis=0, ddof=1),
-        )
-    elif stats.mode is not NormalizationMode.ZSCORE:
-        raise ValueError("stats were fitted for a different normalization mode")
-    assert stats.mean is not None and stats.std is not None
-    safe = np.where(stats.std > 0.0, stats.std, 1.0)
-    out = (data - stats.mean) / safe
-    return np.where(stats.std > 0.0, out, 0.0), stats
-
-
-# ---------------------------------------------------------------------------
 # Kolmogorov-Smirnov gate
 
 @dataclass(frozen=True)
@@ -495,53 +428,65 @@ def ks_two_sample(a, b, alpha: float = 0.05) -> KsDecision:
     return KsDecision(statistic, p_value, alpha, p_value < alpha)
 
 
-def _as_matrix(data) -> np.ndarray:
-    if isinstance(data, RankedDataset):
-        return data.all_items()
-    return np.asarray(data, dtype=float)
+def choose_normalization_scope(train: np.ndarray, test: np.ndarray,
+                               alpha: float = 0.05) -> NormalizationScope:
+    """Decide whether the test matrix must be normalized on its own.
 
-
-def choose_normalization_scope(train, test, alpha: float = 0.05) -> NormalizationScope:
-    """Decide whether test data must be normalized on its own.
-
-    Runs a per-feature two-sample KS test at the Bonferroni-corrected level
+    Takes the train and test item matrices, (n, d) and (m, d).  Runs a
+    per-feature two-sample KS test at the Bonferroni-corrected level
     alpha/d; any rejection means the distributions differ, so normalization
     statistics for the test side come from the test data alone.  Otherwise
     the training data is pooled in.
     """
-    if isinstance(train, RankedDataset) and isinstance(test, RankedDataset):
-        if train.schema != test.schema:
-            raise DataFormatError("train and test datasets have different schemas")
-    train_m = _as_matrix(train)
-    test_m = _as_matrix(test)
-    if train_m.ndim != 2 or test_m.ndim != 2 or train_m.shape[1] != test_m.shape[1]:
+    train = np.asarray(train, dtype=float)
+    test = np.asarray(test, dtype=float)
+    if train.ndim != 2 or test.ndim != 2 or train.shape[1] != test.shape[1]:
         raise DataFormatError(
-            f"schema mismatch: train has {train_m.shape[1:]} features, test has {test_m.shape[1:]}"
+            f"schema mismatch: train has {train.shape[1:]} features, test has {test.shape[1:]}"
         )
-    d = train_m.shape[1]
+    d = train.shape[1]
     per_feature_alpha = alpha / d
     for k in range(d):
-        if ks_two_sample(train_m[:, k], test_m[:, k], per_feature_alpha).rejected:
+        if ks_two_sample(train[:, k], test[:, k], per_feature_alpha).rejected:
             return NormalizationScope.TEST_ONLY
     return NormalizationScope.TRAIN_PLUS_TEST
+
+
+# ---------------------------------------------------------------------------
+# Normalization
+
+def _rescale(rows: np.ndarray, fit: np.ndarray, mode: NormalizationMode) -> np.ndarray:
+    """``rows`` rescaled per feature with statistics fitted on ``fit``."""
+    if mode is NormalizationMode.MINMAX:
+        shift = fit.min(axis=0)
+        span = fit.max(axis=0) - shift
+    elif fit.shape[0] < 2:
+        raise ValueError("fitting a zscore normalization needs at least two rows")
+    else:
+        shift = fit.mean(axis=0)
+        span = fit.std(axis=0, ddof=1)
+    safe = np.where(span > 0.0, span, 1.0)
+    return np.where(span > 0.0, (rows - shift) / safe, 0.0)
 
 
 def normalize_train_test(train: np.ndarray, test: np.ndarray, mode: NormalizationMode,
                          scope: NormalizationScope) -> tuple[np.ndarray, np.ndarray]:
     """Normalize a train and a test matrix according to the scope rule.
 
-    Under TRAIN_PLUS_TEST both sides share statistics fitted on the pooled
-    rows; under TEST_ONLY each side is normalized with its own statistics.
-    Returns the normalized train and test matrices.
+    MINMAX maps each feature x to (x - min) / (max - min), which lies in
+    [0, 1] on the rows the statistics were fitted on; ZSCORE maps it to
+    (x - mean) / std with the sample standard deviation (ddof=1).  A feature
+    that is constant on the fitted rows maps to 0.  Under TRAIN_PLUS_TEST
+    both sides use statistics fitted on the pooled rows; under TEST_ONLY each
+    side is normalized with its own.  Both matrices need at least one row,
+    and a ZSCORE fit needs at least two.  Returns the normalized train and
+    test matrices.
     """
     train = np.asarray(train, dtype=float)
     test = np.asarray(test, dtype=float)
-    fit_apply = minmax_fit_apply if mode is NormalizationMode.MINMAX else zscore_fit_apply
+    if train.ndim != 2 or test.ndim != 2 or min(train.shape[0], test.shape[0]) < 1:
+        raise ValueError("normalize_train_test expects two non-empty (n, d) matrices")
     if scope is NormalizationScope.TRAIN_PLUS_TEST:
-        _, stats = fit_apply(np.vstack([train, test]))
-        train_out, _ = fit_apply(train, stats)
-        test_out, _ = fit_apply(test, stats)
-    else:
-        train_out, _ = fit_apply(train)
-        test_out, _ = fit_apply(test)
-    return train_out, test_out
+        pooled = np.vstack([train, test])
+        return _rescale(train, pooled, mode), _rescale(test, pooled, mode)
+    return _rescale(train, train, mode), _rescale(test, test, mode)

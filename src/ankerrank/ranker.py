@@ -28,15 +28,20 @@ from .data import (
     normalize_train_test,
 )
 from .kernel import KernelVariant, _as_pair_arrays, gram_matrix, kernel_matrix
-from .svm import SvmModel, decision_values, platt_fit, platt_prob, select_c, smo_train
+from .svm import (
+    _ARMIJO,
+    _MIN_STEP,
+    SvmModel,
+    decision_values,
+    platt_fit,
+    platt_prob,
+    select_c,
+    smo_train,
+)
 
 logger = logging.getLogger(__name__)
 
 PREFERENCE_CLIP = 1e-6
-# Newton line searches (btl_fit, and RankSVM in baselines): Armijo constant
-# and smallest step fraction.
-_ARMIJO = 1e-4
-_MIN_STEP = 1e-10
 
 
 @dataclass(frozen=True)

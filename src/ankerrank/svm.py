@@ -21,6 +21,10 @@ logger = logging.getLogger(__name__)
 DEFAULT_C_GRID: tuple[float, ...] = tuple(2.0**k for k in range(-6, 7, 2))
 
 _ALPHA_SNAP = 1e-12
+# Newton line searches (platt_fit here, btl_fit in ranker and RankSVM in
+# baselines): Armijo constant and smallest step fraction.
+_ARMIJO = 1e-4
+_MIN_STEP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,7 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
     Args:
         kernel: (n, n) kernel matrix.
         labels: Sequence of n labels in {-1, +1}; both classes required.
-        C: Box constraint on the dual variables, > 0.
+        C: Box constraint on the dual variables, finite and > 0.
         tol: KKT violation tolerance used as the stopping criterion.
         max_iter: Cap on working-pair updates.
 
@@ -78,8 +82,8 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         raise ValueError("labels must be -1 or +1")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("training set contains a single class")
-    if not C > 0:
-        raise ValueError("C must be positive")
+    if not 0 < C < np.inf:
+        raise ValueError("C must be a finite positive number")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     K = np.asarray(kernel, dtype=float)
@@ -192,7 +196,6 @@ def platt_fit(decisions, labels, max_iter: int = 100, tol: float = 1e-10) -> Pla
     b = float(np.log((n_neg + 1.0) / (n_pos + 1.0)))
     value = objective(a, b)
     sigma = 1e-12  # Hessian ridge
-    min_step = 1e-10
     for _ in range(max_iter):
         z = a * s + b
         p = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
@@ -212,11 +215,11 @@ def platt_fit(decisions, labels, max_iter: int = 100, tol: float = 1e-10) -> Pla
         gain = grad_a * step_a + grad_b * step_b
 
         stepsize = 1.0
-        while stepsize >= min_step:
+        while stepsize >= _MIN_STEP:
             new_a = a + stepsize * step_a
             new_b = b + stepsize * step_b
             new_value = objective(new_a, new_b)
-            if new_value < value + 1e-4 * stepsize * gain:
+            if new_value < value + _ARMIJO * stepsize * gain:
                 a, b, value = new_a, new_b, new_value
                 break
             stepsize /= 2.0

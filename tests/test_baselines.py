@@ -12,7 +12,7 @@ from ankerrank.baselines import (
     err_predict,
     ranksvm_fit,
 )
-from ankerrank.data import RankedDataset, RankedQuery, minmax_fit_apply, normalize_train_test
+from ankerrank.data import RankedDataset, RankedQuery, normalize_train_test
 from ankerrank.data import NormalizationMode, NormalizationScope
 from ankerrank.evaluate import ranking_loss
 from ankerrank.kernel import kernel_matrix
@@ -26,6 +26,13 @@ def single_query_dataset(items, ranking, d=None):
     items = np.asarray(items, dtype=float)
     return RankedDataset(numeric_schema(items.shape[1]),
                          (RankedQuery("q0", items, np.asarray(ranking)),))
+
+
+def _minmax(items):
+    """``items`` min-max normalized on their own rows."""
+    normalized, _ = normalize_train_test(items, items, NormalizationMode.MINMAX,
+                                         NormalizationScope.TEST_ONLY)
+    return normalized
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +194,7 @@ def test_able2rank_transfers_an_identical_pair():
     # is exactly 1 and the preference is transferred
     items = np.array([[0.9, 0.8], [0.2, 0.1], [0.5, 0.4]])
     train = single_query_dataset(items, [0, 2, 1])  # item0 > item2 > item1
-    normalized, _ = minmax_fit_apply(train.all_items())
+    normalized = _minmax(train.all_items())
     train_n = train.with_items(normalized)
     query = np.vstack([normalized[0], normalized[1]])
     prediction = able2rank_lite(train_n, query, k=3)
@@ -208,7 +215,7 @@ def test_able2rank_defaults_to_half_without_evidence():
 def test_able2rank_matches_exhaustive_hand_aggregation():
     rng = np.random.default_rng(10)
     train = make_linear_dataset(1, 3, 2, seed=11)  # 3 training preferences
-    normalized, _ = minmax_fit_apply(train.all_items())
+    normalized = _minmax(train.all_items())
     train_n = train.with_items(normalized)
     query = rng.random((2, 2))
     prediction = able2rank_lite(train_n, query, k=3)
@@ -230,7 +237,7 @@ def test_able2rank_matches_exhaustive_hand_aggregation():
 
 def test_able2rank_preference_matrix_is_reciprocal():
     train = make_linear_dataset(2, 6, 3, seed=12)
-    normalized, _ = minmax_fit_apply(train.all_items())
+    normalized = _minmax(train.all_items())
     train_n = train.with_items(normalized)
     query = np.random.default_rng(13).random((5, 3))
     pref = able2rank_lite(train_n, query, k=10).preference
@@ -240,7 +247,7 @@ def test_able2rank_preference_matrix_is_reciprocal():
 
 def test_able2rank_is_deterministic():
     train = make_linear_dataset(2, 6, 3, seed=14)
-    normalized, _ = minmax_fit_apply(train.all_items())
+    normalized = _minmax(train.all_items())
     train_n = train.with_items(normalized)
     query = np.random.default_rng(15).random((4, 3))
     a = able2rank_lite(train_n, query, k=4)

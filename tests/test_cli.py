@@ -171,6 +171,30 @@ def test_count_options_must_be_positive_integers(csv_files, capsys, monkeypatch,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("options,message", [
+    ("rank --C inf", "finite positive number"),
+    ("rank --C=-inf", "finite positive number"),
+    ("rank --C nan", "finite positive number"),
+    ("benchmark --C inf", "finite positive number"),
+    ("benchmark --C nan", "finite positive number"),
+    ("rank --seed -1", "non-negative integer"),
+    ("benchmark --seed -1", "non-negative integer"),
+    ("kernel-check --seed -1", "non-negative integer"),
+    ("kernel-check --tol nan", "finite non-negative number"),
+    ("kernel-check --tol inf", "finite non-negative number"),
+    ("kernel-check --tol=-1e-8", "finite non-negative number"),
+])
+def test_cost_seed_and_tolerance_options_are_checked(csv_files, capsys, options, message):
+    inputs = {"rank": ["--train", str(csv_files["train"]), "--query", str(csv_files["query"])],
+              "benchmark": ["--train", str(csv_files["train"]), "--test", str(csv_files["test"]),
+                            "--methods", "anker,able2rank"]}
+    argv = options.split()
+    assert _exit_code(argv + inputs.get(argv[0], [])) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_thread_flag_overrides_the_environment(monkeypatch):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         monkeypatch.setenv(var, "4")

@@ -15,10 +15,8 @@ from ankerrank.data import (
     choose_normalization_scope,
     ks_two_sample,
     load_dataset,
-    minmax_fit_apply,
     normalize_train_test,
     save_dataset,
-    zscore_fit_apply,
 )
 from oracles import ks_exact_permutation_p
 
@@ -163,56 +161,65 @@ def test_dataset_requires_consistent_width():
 # ---------------------------------------------------------------------------
 # Normalization
 
+MINMAX, ZSCORE = NormalizationMode.MINMAX, NormalizationMode.ZSCORE
+
+
+def _alone(data, mode):
+    """``data`` normalized with its own statistics."""
+    out, _ = normalize_train_test(data, data, mode, NormalizationScope.TEST_ONLY)
+    return out
+
+
 def test_minmax_basic_column():
-    out, stats = minmax_fit_apply(np.array([[2.0], [4.0], [6.0]]))
+    out = _alone(np.array([[2.0], [4.0], [6.0]]), MINMAX)
     assert np.allclose(out.ravel(), [0.0, 0.5, 1.0])
-    assert stats.minimum[0] == 2.0 and stats.maximum[0] == 6.0
 
 
 def test_minmax_constant_column_maps_to_zero():
-    out, _ = minmax_fit_apply(np.array([[5.0], [5.0]]))
+    out = _alone(np.array([[5.0], [5.0]]), MINMAX)
     assert np.array_equal(out.ravel(), [0.0, 0.0])
-
-
-def test_minmax_foreign_stats_clamp():
-    _, stats = minmax_fit_apply(np.array([[2.0], [6.0]]))
-    out, _ = minmax_fit_apply(np.array([[8.0], [0.0]]), stats)
-    assert np.array_equal(out.ravel(), [1.0, 0.0])
 
 
 def test_minmax_in_sample_range():
     rng = np.random.default_rng(1)
     data = rng.normal(size=(40, 5)) * 10
-    out, _ = minmax_fit_apply(data)
+    out = _alone(data, MINMAX)
     assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_minmax_pooled_rows_stay_in_unit_interval(scale):
+    # no clamp: rows inside the fitted range round into [0, 1] on their own
+    rng = np.random.default_rng(8)
+    train = rng.normal(size=(30, 4)) * scale + 3.0 * scale
+    test = rng.normal(size=(20, 4)) * scale + 3.0 * scale
+    train_n, test_n = normalize_train_test(train, test, MINMAX, NormalizationScope.TRAIN_PLUS_TEST)
+    both = np.vstack([train_n, test_n])
+    assert both.min() == 0.0 and both.max() == 1.0
+
+
 def test_zscore_basic_column():
-    out, stats = zscore_fit_apply(np.array([[2.0], [4.0], [6.0]]))
+    out = _alone(np.array([[2.0], [4.0], [6.0]]), ZSCORE)
     assert np.allclose(out.ravel(), [-1.0, 0.0, 1.0])  # sample std is 2
-    assert stats.std[0] == pytest.approx(2.0)
 
 
 def test_zscore_constant_column_maps_to_zero():
-    out, _ = zscore_fit_apply(np.array([[3.0], [3.0], [3.0]]))
+    out = _alone(np.array([[3.0], [3.0], [3.0]]), ZSCORE)
     assert np.array_equal(out.ravel(), [0.0, 0.0, 0.0])
-
-
-def test_zscore_identity_stats():
-    from ankerrank.data import NormalizationStats
-
-    stats = NormalizationStats(mode=NormalizationMode.ZSCORE,
-                               mean=np.zeros(1), std=np.ones(1))
-    out, _ = zscore_fit_apply(np.array([[3.0]]), stats)
-    assert np.array_equal(out.ravel(), [3.0])
 
 
 def test_zscore_fitted_sample_is_standardized():
     rng = np.random.default_rng(2)
     data = rng.normal(loc=3.0, scale=7.0, size=(100, 4))
-    out, _ = zscore_fit_apply(data)
+    out = _alone(data, ZSCORE)
     assert np.max(np.abs(out.mean(axis=0))) < 1e-9
     assert np.max(np.abs(out.std(axis=0, ddof=1) - 1.0)) < 1e-9
+
+
+def test_zscore_one_row_fit_is_rejected():
+    with pytest.raises(ValueError, match="at least two rows"):
+        normalize_train_test(np.array([[1.0], [2.0]]), np.array([[3.0]]), ZSCORE,
+                             NormalizationScope.TEST_ONLY)
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +316,27 @@ def test_scope_schema_mismatch():
         choose_normalization_scope(np.zeros((5, 2)), np.zeros((5, 3)))
 
 
-def test_normalize_train_test_pooled_scope():
+# Expected outputs of train [[0], [4]] and tests [[8]] / [[8], [10]] per mode.
+# Pooled z-score: mean 4, sample std 4; alone: train mean 2, std 2*sqrt(2),
+# test mean 9, std sqrt(2).
+_POOLED = {MINMAX: ([0.0, 0.5], [1.0]), ZSCORE: ([-1.0, 0.0], [1.0])}
+_SEPARATE = {MINMAX: ([0.0, 1.0], [0.0, 1.0]),
+             ZSCORE: ([-1 / np.sqrt(2), 1 / np.sqrt(2)], [-1 / np.sqrt(2), 1 / np.sqrt(2)])}
+
+
+@pytest.mark.parametrize("mode", [MINMAX, ZSCORE], ids=["minmax", "zscore"])
+def test_normalize_train_test_pooled_scope(mode):
     train = np.array([[0.0], [4.0]])
     test = np.array([[8.0]])
-    train_n, test_n = normalize_train_test(
-        train, test, NormalizationMode.MINMAX, NormalizationScope.TRAIN_PLUS_TEST
-    )
-    assert np.allclose(train_n.ravel(), [0.0, 0.5])
-    assert np.allclose(test_n.ravel(), [1.0])
+    train_n, test_n = normalize_train_test(train, test, mode, NormalizationScope.TRAIN_PLUS_TEST)
+    assert np.allclose(train_n.ravel(), _POOLED[mode][0])
+    assert np.allclose(test_n.ravel(), _POOLED[mode][1])
 
 
-def test_normalize_train_test_separate_scope():
+@pytest.mark.parametrize("mode", [MINMAX, ZSCORE], ids=["minmax", "zscore"])
+def test_normalize_train_test_separate_scope(mode):
     train = np.array([[0.0], [4.0]])
     test = np.array([[8.0], [10.0]])
-    train_n, test_n = normalize_train_test(
-        train, test, NormalizationMode.MINMAX, NormalizationScope.TEST_ONLY
-    )
-    assert np.allclose(train_n.ravel(), [0.0, 1.0])
-    assert np.allclose(test_n.ravel(), [0.0, 1.0])
+    train_n, test_n = normalize_train_test(train, test, mode, NormalizationScope.TEST_ONLY)
+    assert np.allclose(train_n.ravel(), _SEPARATE[mode][0])
+    assert np.allclose(test_n.ravel(), _SEPARATE[mode][1])

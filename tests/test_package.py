@@ -6,25 +6,26 @@ from ankerrank import baselines, data, evaluate, kernel, ranker, svm
 
 # Public names removed together with the code they named: the second
 # implementations of preference pairs and score-to-ranking steps, model
-# persistence, and the scalar and test-only kernel and SVM helpers.
+# persistence, the scalar and test-only kernel and SVM helpers, and the
+# reusable normalization statistics.
 REMOVED = ("PairInstance", "pairs_to_arrays", "rank_from_theta", "err_rank", "ranksvm_rank",
            "decision_value", "save_model", "load_model", "normalize_query_with_stats",
            "scalar_kernel", "pair_kernel", "is_psd", "principal_minors_nonneg", "average_ranks",
-           "dual_objective")
+           "dual_objective", "NormalizationStats", "minmax_fit_apply", "zscore_fit_apply")
 
 PUBLIC = (
     "AnkerModel", "BtlParams", "DataFormatError", "DEFAULT_C_GRID", "ExperimentResult",
     "FeatureKind", "FeatureSchema", "KernelVariant", "KsDecision", "LinearModel", "METHOD_NAMES",
-    "MethodConfig", "NormalizationMode", "NormalizationScope", "NormalizationStats", "PlattParams",
+    "MethodConfig", "NormalizationMode", "NormalizationScope", "PlattParams",
     "RankPrediction", "RankedDataset", "RankedQuery", "SvmModel", "able2rank_lite", "anker_fit",
     "anker_predict", "anker_rank", "boolean_proportion", "btl_fit", "btl_log_likelihood",
     "build_pair_instances", "choose_normalization_scope", "competition_ranks", "decision_values",
     "err_fit", "err_predict", "format_results_table", "gram_matrix", "kernel_matrix",
-    "ks_two_sample", "load_dataset", "minmax_fit_apply", "normalize_train_test",
+    "ks_two_sample", "load_dataset", "normalize_train_test",
     "ordering_from_ranking", "platt_fit", "platt_prob", "preference_matrix", "proportion_degree",
     "ranking_from_scores", "ranking_loss", "ranksvm_fit", "reciprocal_preferences",
     "results_to_csv", "run_experiment", "save_dataset", "score_external_orderings", "select_c",
-    "smo_train", "zscore_fit_apply",
+    "smo_train",
 )
 
 # Imports a module keeps without using them, with the reason.
@@ -46,13 +47,13 @@ def test_public_surface_is_pinned():
 def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in ankerrank.__all__
-        for module in (ankerrank, ranker, baselines, svm, kernel, evaluate):
+        for module in (ankerrank, data, ranker, baselines, svm, kernel, evaluate):
             assert not hasattr(module, name), f"{module.__name__}.{name} still exists"
     assert not hasattr(baselines, "_training_preferences")
     assert not hasattr(ranker, "_stats_to_dict") and not hasattr(ranker, "_stats_from_dict")
     assert "stats" not in ranker.AnkerModel.__dataclass_fields__
     assert "tol" not in svm.SvmModel.__dataclass_fields__
-    assert "scope" not in data.NormalizationStats.__dataclass_fields__
+    assert not hasattr(data, "_as_matrix")
     assert not hasattr(svm.SvmModel, "with_variant") and not hasattr(svm.SvmModel, "with_platt")
 
 

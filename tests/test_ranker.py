@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from ankerrank.data import DataFormatError, NormalizationScope, RankedDataset, RankedQuery
+from ankerrank.data import (
+    DataFormatError,
+    NormalizationMode,
+    NormalizationScope,
+    RankedDataset,
+    RankedQuery,
+    normalize_train_test,
+)
 from ankerrank.kernel import KernelVariant
 from ankerrank.ranker import (
     anker_fit,
@@ -123,9 +130,9 @@ def test_reciprocal_preferences_sum_is_exactly_one():
 
 def _trained_toy_model(seed=11):
     data = make_linear_dataset(2, 8, 3, seed=seed)
-    from ankerrank.data import minmax_fit_apply
-
-    normalized, _ = minmax_fit_apply(data.all_items())
+    items = data.all_items()
+    normalized, _ = normalize_train_test(items, items, NormalizationMode.MINMAX,
+                                         NormalizationScope.TEST_ONLY)
     return anker_fit(data.with_items(normalized), variant=KernelVariant.MEAN, C=1.0, seed=seed)
 
 

@@ -140,6 +140,12 @@ def test_single_class_and_bad_kernel_are_rejected():
         smo_train(kernel, [1, -1], C=1.0)
 
 
+@pytest.mark.parametrize("C", [0.0, -1.0, np.inf, np.nan])
+def test_cost_must_be_finite_and_positive(C):
+    with pytest.raises(ValueError, match="C must be a finite positive number"):
+        smo_train(np.eye(2), [1, -1], C=C)
+
+
 # ---------------------------------------------------------------------------
 # Platt calibration
 
