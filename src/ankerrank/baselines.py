@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RankedDataset
-from .kernel import KernelVariant, kernel_matrix
+from .kernel import KernelVariant, _check_within, kernel_matrix
 from .ranker import (
     RankPrediction,
     btl_fit,
@@ -171,13 +171,14 @@ def able2rank_lite(train: RankedDataset, query: np.ndarray, k: int = 20) -> Rank
     if n_prefs == 0:
         raise ValueError("no training preferences: every training query has a single item")
     items = train.all_items()
-    pref_first, pref_second = items[pairs[:, 0]], items[pairs[:, 1]]
+    _check_within(items, 0.0, 1.0, "training items")
+    _check_within(query, 0.0, 1.0, "query items")
+    pref_diffs = items[pairs[:, 0]] - items[pairs[:, 1]]
     top = min(k, n_prefs)
     rows, cols = np.triu_indices(n, k=1)
-    evidence_fwd = kernel_matrix((pref_first, pref_second), (query[rows], query[cols]),
-                                 KernelVariant.MEAN)
-    evidence_bwd = kernel_matrix((pref_first, pref_second), (query[cols], query[rows]),
-                                 KernelVariant.MEAN)
+    forward = query[rows] - query[cols]
+    evidence_fwd = kernel_matrix(pref_diffs, forward, KernelVariant.MEAN)
+    evidence_bwd = kernel_matrix(pref_diffs, -forward, KernelVariant.MEAN)
 
     def top_k_sums(evidence: np.ndarray) -> np.ndarray:
         if top >= evidence.shape[0]:

@@ -141,18 +141,21 @@ def score_external_orderings(test: RankedDataset, orderings) -> float:
 
     ``orderings`` holds one best-to-worst item index list per test query, in
     query order; this is how rankings from methods outside this package (for
-    example neural baselines) enter the benchmark.
+    example neural baselines) enter the benchmark.  Malformed orderings raise
+    ``DataFormatError``.
     """
     orderings = list(orderings)
     if len(orderings) != len(test.queries):
-        raise ValueError(
+        raise DataFormatError(
             f"got {len(orderings)} external orderings for {len(test.queries)} test queries"
         )
     losses = []
     for query, ordering in zip(test.queries, orderings):
-        ordering = np.asarray(ordering, dtype=int)
-        if sorted(ordering.tolist()) != list(range(query.n_items)):
-            raise ValueError(
+        # Integers only: floats would truncate, booleans read as 0 and 1.
+        if not (isinstance(ordering, (list, tuple, np.ndarray))
+                and all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in ordering)
+                and sorted(ordering) == list(range(query.n_items))):
+            raise DataFormatError(
                 f"external ordering for query {query.query_id!r} is not a permutation "
                 f"of 0..{query.n_items - 1}"
             )

@@ -5,7 +5,9 @@ the degree 1 - |(a - b) - (c - d)| when the two differences agree in sign,
 and to degree 0 otherwise.  Read as a similarity of the signed differences
 u = a - b and v = c - d in [-1, 1], the same formula is a kernel g(u, v);
 averaging it per feature dimension extends it to pairs of feature vectors,
-and squaring the average gives a degree-2 polynomial variant.
+and squaring the average gives a degree-2 polynomial variant.  So the kernel
+sees an ordered pair (x, x') only through its difference x - x', and
+``kernel_matrix`` and ``gram_matrix`` take (m, d) arrays of differences.
 
 Why g is positive semi-definite: when u and v share a sign,
 |u - v| = ||u| - |v||, so
@@ -81,52 +83,45 @@ def proportion_degree(a: float, b: float, c: float, d: float) -> float:
     return 1.0 - abs(left - right)
 
 
-def _as_pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The firsts and seconds of a (firsts, seconds) pair collection, as float arrays."""
-    first, second = pairs
-    return np.asarray(first, dtype=float), np.asarray(second, dtype=float)
-
-
-def _check_unit_box(arr: np.ndarray, what: str) -> None:
+def _check_within(arr: np.ndarray, low: float, high: float, what: str) -> None:
     # Written so that NaN fails the test: every comparison with NaN is False.
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
-        raise ValueError(f"{what} contains values outside [0, 1] or not finite; "
-                         "normalize before applying the kernel")
+    if arr.size and not (arr.min() >= low and arr.max() <= high):
+        raise ValueError(f"{what} has values outside [{low:g}, {high:g}] or not finite; "
+                         "normalize items to [0, 1] before applying the kernel")
 
 
-def kernel_matrix(pairs_a, pairs_b, variant: KernelVariant = KernelVariant.MEAN) -> np.ndarray:
+def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN) -> np.ndarray:
     """Kernel values between two collections of ordered item pairs.
 
     Args:
-        pairs_a: First collection, a (firsts, seconds) tuple of (m, d)
-            arrays with values in [0, 1].
-        pairs_b: Second collection, same conventions.
+        diffs_a: First collection, an (m, d) array of the pairs' differences
+            x - x' of items in [0, 1], so with values in [-1, 1].
+        diffs_b: Second collection, same conventions.
         variant: MEAN averages per-dimension proportion degrees; POLY2
             squares the average.
 
     Returns:
-        Array of shape (len(pairs_a), len(pairs_b)) with values in [0, 1].
-        When ``pairs_a is pairs_b`` only the upper triangle is computed and
+        Array of shape (len(diffs_a), len(diffs_b)) with values in [0, 1].
+        When ``diffs_a is diffs_b`` only the upper triangle is computed and
         mirrored, which gives the same bytes.
     """
-    symmetric = pairs_a is pairs_b
-    first_a, second_a = _as_pair_arrays(pairs_a)
-    first_b, second_b = _as_pair_arrays(pairs_b)
-    for arr, what in ((first_a, "pairs_a firsts"), (second_a, "pairs_a seconds"),
-                      (first_b, "pairs_b firsts"), (second_b, "pairs_b seconds")):
+    symmetric = diffs_a is diffs_b
+    diffs_a = np.asarray(diffs_a, dtype=float)
+    diffs_b = diffs_a if symmetric else np.asarray(diffs_b, dtype=float)
+    for arr, what in ((diffs_a, "diffs_a"), (diffs_b, "diffs_b")):
         if arr.ndim != 2:
-            raise ValueError(f"{what} must be a 2-D array of feature vectors")
-        _check_unit_box(arr, what)
-    if first_a.shape[1] != first_b.shape[1]:
+            raise ValueError(f"{what} must be a 2-D array of difference vectors")
+        _check_within(arr, -1.0, 1.0, what)
+    if diffs_a.shape[1] != diffs_b.shape[1]:
         raise ValueError(
-            f"dimension mismatch: pairs_a has {first_a.shape[1]} features, pairs_b has {first_b.shape[1]}"
+            f"dimension mismatch: diffs_a has {diffs_a.shape[1]} features, diffs_b has {diffs_b.shape[1]}"
         )
-    # Features along rows, so each feature's differences are contiguous.
-    col_a = np.ascontiguousarray((first_a - second_a).T)
-    col_b = col_a if symmetric else np.ascontiguousarray((first_b - second_b).T)
-    n_dim = col_a.shape[0]
+    n_dim = diffs_a.shape[1]
     if n_dim == 0:
         raise ValueError("pairs must have at least one feature")
+    # Features along rows, so each feature's differences are contiguous.
+    col_a = np.ascontiguousarray(diffs_a.T)
+    col_b = col_a if symmetric else np.ascontiguousarray(diffs_b.T)
     sign_a = np.sign(col_a)
     sign_b = sign_a if symmetric else np.sign(col_b)
 
@@ -136,7 +131,7 @@ def kernel_matrix(pairs_a, pairs_b, variant: KernelVariant = KernelVariant.MEAN)
     # slab stay in cache while every feature is added in.  Each entry still
     # sums 1 - |u - v| over the features in order; a sign disagreement
     # multiplies the term by 0 and adds a signed zero, which leaves the sum
-    # as it was (inputs are finite, see _check_unit_box).  The slab stays
+    # as it was (inputs are finite, see _check_within).  The slab stays
     # contiguous where a symmetric block is narrower.  Entry (j, i) sums the
     # same terms as entry (i, j), as |v - u| = |u - v| exactly, so mirroring
     # the upper triangle is bit-identical.
@@ -163,13 +158,12 @@ def kernel_matrix(pairs_a, pairs_b, variant: KernelVariant = KernelVariant.MEAN)
     return out
 
 
-def gram_matrix(pairs, variant: KernelVariant = KernelVariant.MEAN) -> np.ndarray:
-    """Square kernel matrix of a pair collection: symmetric, unit diagonal, PSD.
+def gram_matrix(diffs, variant: KernelVariant = KernelVariant.MEAN) -> np.ndarray:
+    """Square kernel matrix of (m, d) pair differences: symmetric, unit diagonal, PSD.
 
     Computes the upper triangle only (see kernel_matrix).
     """
-    pairs = _as_pair_arrays(pairs)
-    if pairs[0].shape[0] == 0:
+    diffs = np.asarray(diffs, dtype=float)
+    if diffs.shape[0] == 0:
         raise ValueError("gram_matrix requires at least one pair")
-    return kernel_matrix(pairs, pairs, variant)
-
+    return kernel_matrix(diffs, diffs, variant)

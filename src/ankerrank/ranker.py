@@ -1,11 +1,12 @@
 """The analogy-kernel ranking pipeline.
 
-Training rankings are decomposed into labeled ordered item pairs, an SVM with
-the analogy kernel learns the pairwise preference direction, calibrated
-outputs are combined into a reciprocal preference matrix, and a
-Bradley-Terry-Luce fit turns that matrix into a total order.  The BTL fit is
-Newton's method on log-utilities, stopped on the gradient norm; its result
-says whether it converged, and a fit that did not converge logs a warning.
+Training rankings are decomposed into labeled ordered item pairs, each
+carried as its difference vector; an SVM with the analogy kernel learns the
+pairwise preference direction, calibrated outputs are combined into a
+reciprocal preference matrix, and a Bradley-Terry-Luce fit turns that matrix
+into a total order.  The BTL fit is Newton's method on log-utilities, stopped
+on the gradient norm; its result says whether it converged, and a fit that
+did not converge logs a warning.
 
 ``build_pair_instances`` is the one enumerator of training preferences (the
 baselines use it too), and ``ranking_from_scores`` the one conversion from
@@ -27,7 +28,7 @@ from .data import (
     choose_normalization_scope,
     normalize_train_test,
 )
-from .kernel import KernelVariant, _as_pair_arrays, gram_matrix, kernel_matrix
+from .kernel import KernelVariant, _check_within, gram_matrix, kernel_matrix
 from .svm import (
     _ARMIJO,
     _MIN_STEP,
@@ -72,15 +73,16 @@ class RankPrediction:
 
 @dataclass(frozen=True)
 class AnkerModel:
-    """A trained preference SVM and the training pairs its support indexes.
+    """A trained preference SVM, its kernel variant and its support pairs.
 
-    Queries passed to ``anker_predict`` must be normalized like the training
-    items; ``anker_rank`` does both in one call.
+    ``support_diffs`` holds the support pairs' differences, in ``svm.support``
+    order.  Queries passed to ``anker_predict`` must be normalized like the
+    training items; ``anker_rank`` does both in one call.
     """
 
     svm: SvmModel
-    pair_first: np.ndarray
-    pair_second: np.ndarray
+    variant: KernelVariant
+    support_diffs: np.ndarray
 
 
 def build_pair_instances(data: RankedDataset) -> np.ndarray:
@@ -121,31 +123,27 @@ def reciprocal_preferences(support_forward: np.ndarray, support_backward: np.nda
     return pref
 
 
-def preference_matrix(model: SvmModel, train_pairs, query: np.ndarray) -> np.ndarray:
-    """Reciprocal pairwise preference estimates for a query item set.
+def preference_matrix(model: AnkerModel, query: np.ndarray) -> np.ndarray:
+    """Reciprocal pairwise preference estimates for a query item set in [0, 1].
 
     For each ordered query pair the calibrated model output is a degree of
     support; opposite orientations are combined via
-    p_ij = (1 + q_ij - q_ji) / 2, which makes the matrix reciprocal.
+    p_ij = (1 + q_ij - q_ji) / 2, which makes the matrix reciprocal.  The
+    backward differences are the forward ones negated, exactly.
     """
-    if model.platt is None or model.variant is None:
-        raise ValueError("model must carry a kernel variant and calibration parameters")
+    svm = model.svm
+    if svm.platt is None:
+        raise ValueError("model must carry calibration parameters")
     query = np.asarray(query, dtype=float)
-    n = query.shape[0]
-    first, second = _as_pair_arrays(train_pairs)
-    support_first = first[model.support]
-    support_second = second[model.support]
-    rows, cols = np.triu_indices(n, k=1)
-    forward = (query[rows], query[cols])
-    backward = (query[cols], query[rows])
-    if model.support.size:
-        k_fwd = kernel_matrix(forward, (support_first, support_second), model.variant)
-        k_bwd = kernel_matrix(backward, (support_first, support_second), model.variant)
-        q_fwd = platt_prob(model.platt, decision_values(model, k_fwd))
-        q_bwd = platt_prob(model.platt, decision_values(model, k_bwd))
-    else:
-        q_fwd = q_bwd = np.full(rows.size, platt_prob(model.platt, model.bias))
-    return reciprocal_preferences(np.asarray(q_fwd), np.asarray(q_bwd), n)
+    _check_within(query, 0.0, 1.0, "query items")
+    rows, cols = np.triu_indices(query.shape[0], k=1)
+    forward = query[rows] - query[cols]
+
+    def support(diffs: np.ndarray) -> np.ndarray:
+        kernel = kernel_matrix(diffs, model.support_diffs, model.variant)
+        return platt_prob(svm.platt, decision_values(svm, kernel))
+
+    return reciprocal_preferences(support(forward), support(-forward), query.shape[0])
 
 
 def btl_log_likelihood(pref: np.ndarray, theta: np.ndarray) -> float:
@@ -254,14 +252,14 @@ def ordering_from_ranking(ranking: np.ndarray) -> np.ndarray:
 
 def anker_fit(train: RankedDataset, *, variant: KernelVariant = KernelVariant.POLY2,
               C: float | None = None, seed: int = 0, cap: int | None = None) -> AnkerModel:
-    """Train the preference SVM on an already-normalized dataset.
+    """Train the preference SVM on a dataset whose items lie in [0, 1].
 
-    Each training preference becomes one labeled pair: a seeded fair coin
-    per pair, drawn in pair order, keeps (preferred, other) with label +1 or
-    swaps it to (other, preferred) with label -1, so labels stay balanced.
-    An optional ``cap`` then subsamples the pairs uniformly; pairs that do
-    not hold both labels raise ``DataFormatError``.  The cost
-    is picked from ``DEFAULT_C_GRID`` by repeated internal cross-validation
+    Each training preference becomes one labeled pair difference: a seeded
+    fair coin per pair, drawn in pair order, keeps preferred - other with
+    label +1 or negates it (other - preferred) with label -1, so labels stay
+    balanced.  An optional ``cap`` then subsamples the pairs uniformly; pairs
+    that do not hold both labels raise ``DataFormatError``.  The cost is
+    picked from ``DEFAULT_C_GRID`` by repeated internal cross-validation
     when ``C`` is None; the SVM is trained by SMO and its decision values
     are calibrated on the training pairs.
     """
@@ -270,24 +268,23 @@ def anker_fit(train: RankedDataset, *, variant: KernelVariant = KernelVariant.PO
             raise DataFormatError(f"training query {query.query_id!r} has fewer than two items")
     rng = np.random.default_rng(seed)
     pairs = build_pair_instances(train)
-    keep = rng.random(len(pairs)) < 0.5
-    pairs = np.where(keep[:, None], pairs, pairs[:, ::-1])
-    labels = np.where(keep, 1.0, -1.0)
+    labels = np.where(rng.random(len(pairs)) < 0.5, 1.0, -1.0)
     if cap is not None and cap < len(pairs):
         chosen = np.sort(rng.choice(len(pairs), size=cap, replace=False))
         pairs, labels = pairs[chosen], labels[chosen]
     if not (np.any(labels > 0) and np.any(labels < 0)):
         raise DataFormatError(f"too few training pairs: {len(labels)} pair(s) do not hold both labels")
     items = train.all_items()
-    first, second = items[pairs[:, 0]], items[pairs[:, 1]]
-    gram = gram_matrix((first, second), variant)
+    _check_within(items, 0.0, 1.0, "training items")
+    diffs = (items[pairs[:, 0]] - items[pairs[:, 1]]) * labels[:, None]
+    gram = gram_matrix(diffs, variant)
     if C is None:
         C = select_c(gram, labels, seed=seed)
         logger.debug("selected C=%g by cross-validation", C)
     model = smo_train(gram, labels, C)
     train_decisions = decision_values(model, gram[:, model.support])
-    model = replace(model, variant=variant, platt=platt_fit(train_decisions, labels))
-    return AnkerModel(svm=model, pair_first=first, pair_second=second)
+    model = replace(model, platt=platt_fit(train_decisions, labels))
+    return AnkerModel(svm=model, variant=variant, support_diffs=diffs[model.support])
 
 
 def anker_predict(model: AnkerModel, query: np.ndarray) -> RankPrediction:
@@ -297,7 +294,7 @@ def anker_predict(model: AnkerModel, query: np.ndarray) -> RankPrediction:
         raise DataFormatError("a query needs at least two items")
     if not np.isfinite(query).all():
         raise ValueError("query features must be finite")
-    pref = preference_matrix(model.svm, (model.pair_first, model.pair_second), query)
+    pref = preference_matrix(model, query)
     params = btl_fit(pref)
     ranking = ranking_from_scores(params.theta)
     return RankPrediction(

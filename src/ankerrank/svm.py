@@ -1,9 +1,10 @@
 """Binary kernel SVM trained by sequential minimal optimization.
 
-Works on precomputed kernel values; the pipeline feeds it the analogy
-kernel on item pairs.  Includes sigmoid (Platt) calibration of decision
-values into probabilities and cost selection by repeated internal
-cross-validation, whose fold scheme the linear RankSVM baseline shares.
+Works on precomputed kernel values and knows nothing of the kernel; the
+pipeline feeds it the analogy kernel on pair differences.  Includes sigmoid
+(Platt) calibration of decision values into probabilities and cost
+selection by repeated internal cross-validation, whose fold scheme the
+linear RankSVM baseline shares.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelVariant
-
 logger = logging.getLogger(__name__)
 
 # Logarithmic cost grid replacing a full regularization path: 2^-6 .. 2^6.
 DEFAULT_C_GRID: tuple[float, ...] = tuple(2.0**k for k in range(-6, 7, 2))
 
 _ALPHA_SNAP = 1e-12
+_CV_REPEATS, _CV_FOLDS = 3, 2  # cost selection: 3 repeats of stratified 2-fold CV
+_PLATT_MAX_STEPS, _PLATT_TOL = 100, 1e-10  # Platt's Newton step cap and gradient tolerance
 # Newton line searches (platt_fit here, btl_fit in ranker and RankSVM in
 # baselines): Armijo constant and smallest step fraction.
 _ARMIJO = 1e-4
@@ -52,7 +53,6 @@ class SvmModel:
     bias: float
     C: float
     converged: bool = True
-    variant: KernelVariant | None = None
     platt: PlattParams | None = None
 
 
@@ -167,12 +167,13 @@ def decision_values(model: SvmModel, kernel_rows) -> np.ndarray:
     return rows @ coeffs + model.bias
 
 
-def platt_fit(decisions, labels, max_iter: int = 100, tol: float = 1e-10) -> PlattParams:
+def platt_fit(decisions, labels) -> PlattParams:
     """Fit the calibration sigmoid by Newton iterations with backtracking.
 
     Minimizes the cross-entropy against prior-corrected targets
     (N+ + 1) / (N+ + 2) and 1 / (N- + 2), which regularizes the fit on
-    separable data.
+    separable data.  Stops when both gradient components are below
+    ``_PLATT_TOL``, after ``_PLATT_MAX_STEPS`` steps, or when a line search fails.
     """
     s = np.asarray(decisions, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -196,14 +197,14 @@ def platt_fit(decisions, labels, max_iter: int = 100, tol: float = 1e-10) -> Pla
     b = float(np.log((n_neg + 1.0) / (n_pos + 1.0)))
     value = objective(a, b)
     sigma = 1e-12  # Hessian ridge
-    for _ in range(max_iter):
+    for _ in range(_PLATT_MAX_STEPS):
         z = a * s + b
         p = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
         q = 1.0 - p
         d1 = target - p
         grad_a = float(np.dot(s, d1))
         grad_b = float(np.sum(d1))
-        if abs(grad_a) < tol and abs(grad_b) < tol:
+        if abs(grad_a) < _PLATT_TOL and abs(grad_b) < _PLATT_TOL:
             break
         w = p * q
         h11 = float(np.dot(s * s, w)) + sigma
@@ -230,70 +231,58 @@ def platt_fit(decisions, labels, max_iter: int = 100, tol: float = 1e-10) -> Pla
 
 
 def platt_prob(params: PlattParams, decision):
-    """Calibrated probability 1 / (1 + exp(a * s + b)), clipped to (0, 1).
-
-    Accepts a scalar or an array of decision values.
-    """
+    """Calibrated probabilities 1 / (1 + exp(a * s + b)) of decision values, clipped to (0, 1)."""
     s = np.asarray(decision, dtype=float)
     # |z| > 40 already saturates past the output clip, so clipping z first
     # keeps exp() in range without changing any result.
     z = np.clip(params.a * s + params.b, -40.0, 40.0)
-    p = np.clip(1.0 / (1.0 + np.exp(z)), 1e-12, 1.0 - 1e-12)
-    if np.isscalar(decision) or np.ndim(decision) == 0:
-        return float(p)
-    return p
+    return np.clip(1.0 / (1.0 + np.exp(z)), 1e-12, 1.0 - 1e-12)
 
 
-def _cv_splits(labels, folds: int = 2, repeats: int = 3,
-               seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+def _cv_splits(labels, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
     """(fit, validation) index arrays of repeated stratified cross-validation.
 
-    In each repeat every class is shuffled and dealt round-robin to the
+    In each of 3 repeats every class is shuffled and dealt round-robin to 2
     folds.  Splits with an empty side are left out.
     """
     y = np.asarray(labels, dtype=float)
     rng = np.random.default_rng(seed)
     splits = []
-    for _ in range(repeats):
+    for _ in range(_CV_REPEATS):
         assignment = np.empty(y.size, dtype=int)
         for cls in (-1.0, 1.0):
             members = rng.permutation(np.flatnonzero(y == cls))
-            assignment[members] = np.arange(members.size) % folds
-        for fold in range(folds):
+            assignment[members] = np.arange(members.size) % _CV_FOLDS
+        for fold in range(_CV_FOLDS):
             val, fit = np.flatnonzero(assignment == fold), np.flatnonzero(assignment != fold)
             if val.size and fit.size:
                 splits.append((fit, val))
     return splits
 
 
-def select_c(kernel: np.ndarray, labels, grid=DEFAULT_C_GRID, folds: int = 2,
-             repeats: int = 3, seed: int = 0, tol: float = 1e-3) -> float:
-    """Pick the cost with the lowest mean 0/1 validation error.
+def select_c(kernel: np.ndarray, labels, seed: int = 0) -> float:
+    """Pick the cost from ``DEFAULT_C_GRID`` with the lowest mean 0/1 validation error.
 
-    Runs ``repeats`` rounds of stratified ``folds``-fold cross-validation on
-    the precomputed kernel; ties go to the smallest cost.
+    Runs 3 rounds of stratified 2-fold cross-validation (``_cv_splits``) on
+    the precomputed kernel, solving by SMO at its default tolerance; ties go
+    to the smallest cost.
     """
-    grid = sorted(float(c) for c in grid)
-    if not grid:
-        raise ValueError("the cost grid must not be empty")
-    if len(grid) == 1:
-        return grid[0]
     y = np.asarray(labels, dtype=float)
     K = np.asarray(kernel, dtype=float)
-    splits = [(fit, val) for fit, val in _cv_splits(y, folds, repeats, seed)
+    splits = [(fit, val) for fit, val in _cv_splits(y, seed)
               if np.any(y[fit] > 0) and np.any(y[fit] < 0)]
     if not splits:
         logger.debug("too few examples per class for cross-validation; using the smallest cost")
-        return grid[0]
+        return DEFAULT_C_GRID[0]
 
-    errors = np.zeros(len(grid))
+    errors = np.zeros(len(DEFAULT_C_GRID))
     for fit, val in splits:
         sub_kernel = K[np.ix_(fit, fit)]
         sub_labels = y[fit]
-        for g, cost in enumerate(grid):
-            model = smo_train(sub_kernel, sub_labels, cost, tol=tol)
+        for g, cost in enumerate(DEFAULT_C_GRID):
+            model = smo_train(sub_kernel, sub_labels, cost)
             rows = K[np.ix_(val, fit[model.support])]
             predicted = np.where(decision_values(model, rows) > 0, 1.0, -1.0)
             errors[g] += float(np.mean(predicted != y[val]))
     errors /= len(splits)
-    return grid[int(np.argmin(errors))]
+    return DEFAULT_C_GRID[int(np.argmin(errors))]

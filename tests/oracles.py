@@ -1,7 +1,8 @@
 """Independent reference implementations used to freeze expected test values.
 
 Everything here deliberately avoids the code paths under test: the QP oracle
-is an accelerated projected-gradient method, scored like SMO by a dense
+is an accelerated projected-gradient method with an exact projection (sorted
+kinks of the piecewise-linear constraint), scored like SMO by a dense
 evaluation of the dual objective, the KS oracle enumerates
 permutations, the inversion counter is a double loop, the BTL oracle is a
 grid search on the simplex, the training-pair oracle draws one coin per
@@ -19,20 +20,22 @@ from scipy import optimize
 
 
 def project_box_hyperplane(v: np.ndarray, y: np.ndarray, box: float) -> np.ndarray:
-    """Euclidean projection onto {0 <= a <= box, y . a = 0} by bisection."""
-    lo = -(np.max(np.abs(v)) + box + 1.0)
-    hi = -lo
+    """Exact Euclidean projection onto {0 <= a <= box, y . a = 0}, y in {-1, +1}.
 
-    def constraint(lam: float) -> float:
-        return float(y @ np.clip(v - lam * y, 0.0, box))
-
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v - 0.5 * (lo + hi) * y, 0.0, box)
+    The projection is a(lam) = clip(v - lam * y, 0, box) at the root of
+    f(lam) = y . a(lam).  f is non-increasing and piecewise linear, with kinks
+    where v_i - lam * y_i reaches 0 or box, at lam = y_i * v_i and
+    y_i * (v_i - box).  f is evaluated at the sorted kinks, and the root is
+    interpolated in the segment where f changes sign.
+    """
+    kinks = np.sort(np.concatenate([y * v, y * (v - box)]))
+    f = np.clip(v - kinks[:, None] * y, 0.0, box) @ y
+    # f at the smallest kink is box * #{y = +1} > 0, so j exists.
+    j = int(np.flatnonzero(f >= 0.0)[-1])
+    lam = kinks[j]
+    if f[j] > 0.0 and j + 1 < kinks.size:
+        lam += f[j] * (kinks[j + 1] - kinks[j]) / (f[j] - f[j + 1])
+    return np.clip(v - lam * y, 0.0, box)
 
 
 def projected_gradient_qp(kernel: np.ndarray, labels: np.ndarray, box: float,

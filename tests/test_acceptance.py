@@ -38,9 +38,9 @@ def test_criterion_1_kernel_validity():
         for _ in range(200):
             size = int(rng.integers(2, 51))
             dim = int(rng.integers(1, 21))
-            pairs = (rng.random((size, dim)), rng.random((size, dim)))
+            diffs = rng.random((size, dim)) - rng.random((size, dim))
             for variant in (KernelVariant.MEAN, KernelVariant.POLY2):
-                gram = gram_matrix(pairs, variant)
+                gram = gram_matrix(diffs, variant)
                 low = float(np.linalg.eigvalsh(gram).min())
                 worst = min(worst, low)
                 assert low >= -1e-8
@@ -65,11 +65,12 @@ def test_criterion_3_kernel_equals_proportion_degree():
         rng = np.random.default_rng(20_240_003)
         quads = rng.random((100_000, 4))
         # The pipeline's kernel on one feature, for the pairs (a, b) and
-        # (c, d) of each quadruple: the diagonal of 1 000 x 1 000 blocks.
+        # (c, d) of each quadruple, passed as their differences: the
+        # diagonal of 1 000 x 1 000 blocks.
         for start in range(0, len(quads), 1000):
             chunk = quads[start:start + 1000]
             a, b, c, d = (chunk[:, i:i + 1] for i in range(4))
-            kernel = np.diag(kernel_matrix((a, b), (c, d), KernelVariant.MEAN))
+            kernel = np.diag(kernel_matrix(a - b, c - d, KernelVariant.MEAN))
             expected = [proportion_degree(*quad) for quad in chunk]
             assert np.array_equal(kernel, expected)
 
@@ -81,7 +82,7 @@ def test_criterion_4_smo_against_projected_gradient_oracle():
         for _ in range(50):
             n = int(rng.integers(2, 7))
             d = int(rng.integers(1, 6))
-            gram = gram_matrix((rng.random((n, d)), rng.random((n, d))), KernelVariant.MEAN)
+            gram = gram_matrix(rng.random((n, d)) - rng.random((n, d)), KernelVariant.MEAN)
             labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
             labels[0], labels[1] = 1.0, -1.0
             cost = float(rng.choice([0.1, 1.0, 10.0]))

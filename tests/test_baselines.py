@@ -221,15 +221,14 @@ def test_able2rank_matches_exhaustive_hand_aggregation():
     prediction = able2rank_lite(train_n, query, k=3)
 
     # brute force: walk every training preference and accumulate both sides
-    query_pair = (query[0:1], query[1:2])
     fwd, bwd = [], []
     q = train_n.queries[0]
     ordering = q.ordering
     for a in range(2):
         for b in range(a + 1, 3):
-            pref_pair = (q.items[ordering[a:a + 1]], q.items[ordering[b:b + 1]])
-            fwd.append(kernel_matrix(pref_pair, query_pair)[0, 0])
-            bwd.append(kernel_matrix(pref_pair, (query[1:2], query[0:1]))[0, 0])
+            pref_diff = q.items[ordering[a:a + 1]] - q.items[ordering[b:b + 1]]
+            fwd.append(kernel_matrix(pref_diff, query[0:1] - query[1:2])[0, 0])
+            bwd.append(kernel_matrix(pref_diff, query[1:2] - query[0:1])[0, 0])
     s_fwd, s_bwd = sum(sorted(fwd)[-3:]), sum(sorted(bwd)[-3:])
     expected = s_fwd / (s_fwd + s_bwd) if s_fwd + s_bwd > 0 else 0.5
     assert prediction.preference[0, 1] == pytest.approx(expected, abs=1e-12)

@@ -280,6 +280,30 @@ def test_benchmark_accepts_external_rankings(csv_files, tmp_path):
     assert int(by_name["upstream"][4]) == 1
 
 
+@pytest.mark.parametrize("malform", [
+    lambda truth: truth[:-1],
+    lambda truth: [[0, 0]] + truth[1:],
+    lambda truth: [["a", "b"]] + truth[1:],
+    lambda truth: [[0, [1]]] + truth[1:],
+    lambda truth: [[k + 0.5 for k in ordering] for ordering in truth],
+    lambda truth: [[bool(k) for k in ordering] for ordering in truth],
+], ids=["one-ordering-short", "not-a-permutation", "strings", "nested", "fractions", "booleans"])
+def test_benchmark_malformed_external_rankings_exit_2(csv_files, tmp_path, capsys, malform):
+    # Two-item test queries: the fractions truncate to, and the booleans read
+    # as, the true orderings, so a lenient parser would score them as perfect.
+    test = make_linear_dataset(3, 2, 3, seed=9)
+    save_dataset(test, tmp_path / "test.csv")
+    truth = [q.ordering.tolist() for q in test.queries]
+    external = tmp_path / "external.json"
+    external.write_text(json.dumps([{"ordering": o} for o in malform(truth)]))
+    code = main(["benchmark", "--train", str(csv_files["train"]), "--test", str(tmp_path / "test.csv"),
+                 "--methods", "err,upstream", "--external", f"upstream={external}", "--repeats", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "external ordering" in captured.err
+    assert captured.out == ""
+
+
 def test_benchmark_missing_external_file_is_a_usage_error(csv_files, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["benchmark", "--train", str(csv_files["train"]), "--test", str(csv_files["test"]),

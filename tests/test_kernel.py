@@ -20,21 +20,21 @@ VALID_QUADRUPLES = {
 }
 
 
-def _unit_pairs(diffs):
-    """One-feature pairs in [0, 1] whose differences are exactly ``diffs``."""
-    d = np.asarray(diffs, dtype=float).reshape(-1, 1)
-    return np.maximum(d, 0.0), np.maximum(-d, 0.0)
+def _column(diffs):
+    """One-feature pair differences, one per row."""
+    return np.asarray(diffs, dtype=float).reshape(-1, 1)
 
 
 def _diagonal_kernel(quads, chunk=1000):
     """One-feature kernel of the pairs (a, b) and (c, d) of each quadruple.
 
-    Read off the diagonals of ``chunk`` x ``chunk`` kernel_matrix blocks.
+    Read off the diagonals of ``chunk`` x ``chunk`` kernel_matrix blocks of
+    the differences a - b and c - d.
     """
     out = []
     for start in range(0, len(quads), chunk):
         a, b, c, d = (quads[start:start + chunk, i:i + 1] for i in range(4))
-        out.append(np.diag(kernel_matrix((a, b), (c, d), KernelVariant.MEAN)))
+        out.append(np.diag(kernel_matrix(a - b, c - d, KernelVariant.MEAN)))
     return np.concatenate(out)
 
 
@@ -82,12 +82,25 @@ def test_proportion_degree_internal_symmetry():
 # pairs' differences u and v.
 
 def test_scalar_kernel_examples():
-    values = kernel_matrix(_unit_pairs([0.3, 0.2, 0.3]), _unit_pairs([0.3, 0.7, -0.2]))
+    values = kernel_matrix(_column([0.3, 0.2, 0.3]), _column([0.3, 0.7, -0.2]))
     assert values[0, 0] == 1.0
     assert values[1, 1] == pytest.approx(0.5)
     assert values[2, 2] == 0.0
     with pytest.raises(ValueError):
-        kernel_matrix((np.array([[1.5]]), np.array([[0.0]])), _unit_pairs([0.0]))
+        kernel_matrix(np.array([[1.5]]) - np.array([[0.0]]), _column([0.0]))
+
+
+@pytest.mark.parametrize("bad", [1.0 + 1e-15, -1.5, np.nan, np.inf])
+def test_kernel_rejects_differences_outside_the_unit_interval(bad):
+    good = np.array([[0.5, -1.0], [1.0, 0.0]])
+    wrong = good.copy()
+    wrong[1, 0] = bad
+    for diffs_a, diffs_b in ((wrong, good), (good, wrong)):
+        with pytest.raises(ValueError, match=r"outside \[-1, 1\] or not finite"):
+            kernel_matrix(diffs_a, diffs_b)
+    with pytest.raises(ValueError, match=r"outside \[-1, 1\] or not finite"):
+        gram_matrix(wrong)
+    assert kernel_matrix(good, good).shape == (2, 2)  # the extremes -1 and 1 are accepted
 
 
 def test_scalar_kernel_equals_proportion_degree_exactly():
@@ -97,7 +110,7 @@ def test_scalar_kernel_equals_proportion_degree_exactly():
 
 
 def test_scalar_kernel_zero_is_its_own_sign_class():
-    values = kernel_matrix(_unit_pairs([0.0, 0.0, -0.4]), _unit_pairs([0.0, 0.4, 0.0]))
+    values = kernel_matrix(_column([0.0, 0.0, -0.4]), _column([0.0, 0.4, 0.0]))
     assert np.array_equal(np.diag(values), [1.0, 0.0, 0.0])
 
 
@@ -112,14 +125,14 @@ def test_kernel_matrix_equals_the_sign_and_minimum_form():
     au, av = np.abs(u)[:, None], np.abs(v)[None, :]
     same_sign = np.sign(u)[:, None] == np.sign(v)[None, :]
     expected = same_sign * (np.minimum(au, av) + np.minimum(1.0 - au, 1.0 - av))
-    assert np.max(np.abs(kernel_matrix(a, b, KernelVariant.MEAN) - expected)) <= 1e-15
+    assert np.max(np.abs(kernel_matrix(u[:, None], v[:, None], KernelVariant.MEAN) - expected)) <= 1e-15
 
 
 # The pair kernel is one entry of kernel_matrix.
 
 def test_pair_kernel_identical_pairs():
     rng = np.random.default_rng(0)
-    pair = (rng.random((1, 6)), rng.random((1, 6)))
+    pair = rng.random((1, 6)) - rng.random((1, 6))
     assert kernel_matrix(pair, pair, KernelVariant.MEAN)[0, 0] == 1.0
     assert kernel_matrix(pair, pair, KernelVariant.POLY2)[0, 0] == 1.0
 
@@ -127,8 +140,8 @@ def test_pair_kernel_identical_pairs():
 def test_pair_kernel_mean_and_squared_aggregation():
     # Dimension 0 contributes 1 (equal differences), dimension 1 contributes 0
     # (opposite signs), so the mean is 0.5 and its square 0.25.
-    p = (np.array([[0.5, 0.5]]), np.array([[0.3, 0.2]]))
-    q = (np.array([[0.7, 0.1]]), np.array([[0.5, 0.4]]))
+    p = np.array([[0.5, 0.5]]) - np.array([[0.3, 0.2]])
+    q = np.array([[0.7, 0.1]]) - np.array([[0.5, 0.4]])
     assert kernel_matrix(p, q, KernelVariant.MEAN)[0, 0] == pytest.approx(0.5)
     assert kernel_matrix(p, q, KernelVariant.POLY2)[0, 0] == pytest.approx(0.25)
 
@@ -137,8 +150,8 @@ def test_pair_kernel_symmetry_and_range():
     rng = np.random.default_rng(13)
     for _ in range(50):
         d = int(rng.integers(1, 8))
-        p = (rng.random((1, d)), rng.random((1, d)))
-        q = (rng.random((1, d)), rng.random((1, d)))
+        p = rng.random((1, d)) - rng.random((1, d))
+        q = rng.random((1, d)) - rng.random((1, d))
         for variant in KernelVariant:
             value = kernel_matrix(p, q, variant)[0, 0]
             assert value == kernel_matrix(q, p, variant)[0, 0]
@@ -147,33 +160,33 @@ def test_pair_kernel_symmetry_and_range():
 
 def test_pair_kernel_rejects_bad_input():
     with pytest.raises(ValueError):
-        kernel_matrix((np.array([[1.5]]), np.array([[0.0]])), (np.array([[0.1]]), np.array([[0.2]])))
+        kernel_matrix(np.array([[1.5]]) - np.array([[0.0]]), np.array([[0.1]]) - np.array([[0.2]]))
     with pytest.raises(ValueError):
-        kernel_matrix((np.array([[0.1, 0.2]]), np.array([[0.0, 0.0]])),
-                      (np.array([[0.1]]), np.array([[0.2]])))
+        kernel_matrix(np.array([[0.1, 0.2]]) - np.array([[0.0, 0.0]]),
+                      np.array([[0.1]]) - np.array([[0.2]]))
 
 
 def test_gram_matrix_trivial_cases():
-    pair = (np.array([[0.2, 0.9]]), np.array([[0.4, 0.1]]))
+    pair = np.array([[0.2, 0.9]]) - np.array([[0.4, 0.1]])
     assert np.array_equal(gram_matrix(pair, KernelVariant.MEAN), np.array([[1.0]]))
-    duplicated = (np.vstack([pair[0], pair[0]]), np.vstack([pair[1], pair[1]]))
+    duplicated = np.vstack([pair, pair])
     assert np.array_equal(gram_matrix(duplicated, KernelVariant.POLY2), np.ones((2, 2)))
 
 
 def test_gram_matrix_exact_symmetry_and_unit_diagonal():
     rng = np.random.default_rng(5)
-    pairs = (rng.random((20, 4)), rng.random((20, 4)))
+    diffs = rng.random((20, 4)) - rng.random((20, 4))
     for variant in KernelVariant:
-        gram = gram_matrix(pairs, variant)
+        gram = gram_matrix(diffs, variant)
         assert np.array_equal(gram, gram.T)
         assert np.all(np.diag(gram) == 1.0)
 
 
 def test_gram_matrix_is_psd_on_random_pairs():
     rng = np.random.default_rng(99)
-    pairs = (rng.random((50, 10)), rng.random((50, 10)))
+    diffs = rng.random((50, 10)) - rng.random((50, 10))
     for variant in KernelVariant:
-        gram = gram_matrix(pairs, variant)
+        gram = gram_matrix(diffs, variant)
         assert np.linalg.eigvalsh(gram).min() >= -1e-8
 
 
@@ -182,7 +195,7 @@ def test_block_structure_by_sign_class():
     # block diagonal: positive, zero, and negative classes never mix.
     values = np.array([0.9, 0.5, 0.1, 0.0, 0.0, -0.2, -0.8])
     n = values.size
-    gram = gram_matrix(_unit_pairs(values))
+    gram = gram_matrix(_column(values))
     signs = np.sign(values)
     for i in range(n):
         for j in range(n):
@@ -194,8 +207,8 @@ def test_block_structure_by_sign_class():
 
 def test_kernel_matrix_cross_shapes():
     rng = np.random.default_rng(8)
-    a = (rng.random((5, 3)), rng.random((5, 3)))
-    b = (rng.random((7, 3)), rng.random((7, 3)))
+    a = rng.random((5, 3)) - rng.random((5, 3))
+    b = rng.random((7, 3)) - rng.random((7, 3))
     out = kernel_matrix(a, b, KernelVariant.MEAN)
     assert out.shape == (5, 7)
     assert np.all((out >= 0.0) & (out <= 1.0))
@@ -227,7 +240,7 @@ def test_kernel_matrix_equals_the_full_slab_oracle_bit_for_bit(n_rows, n_cols):
     b = _edge_value_pairs(rng, n_cols, 5)
     for variant in KernelVariant:
         expected = full_slab_kernel_matrix(a, b, poly2=variant is KernelVariant.POLY2)
-        assert np.array_equal(kernel_matrix(a, b, variant), expected)
+        assert np.array_equal(kernel_matrix(a[0] - a[1], b[0] - b[1], variant), expected)
 
 
 @pytest.mark.parametrize("m", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
@@ -235,19 +248,20 @@ def test_gram_matrix_equals_kernel_matrix_bit_for_bit(m):
     # gram_matrix computes the upper triangle and mirrors it; kernel_matrix
     # fills both triangles when its arguments are distinct objects
     pairs = _edge_value_pairs(np.random.default_rng(2000 + m), m, 5)
+    diffs = pairs[0] - pairs[1]
     for variant in KernelVariant:
-        gram = gram_matrix(pairs, variant)
-        assert np.array_equal(gram, kernel_matrix(pairs, (pairs[0], pairs[1]), variant))
-        assert np.array_equal(gram, kernel_matrix(pairs, pairs, variant))
+        gram = gram_matrix(diffs, variant)
+        assert np.array_equal(gram, kernel_matrix(diffs, diffs.copy(), variant))
+        assert np.array_equal(gram, kernel_matrix(diffs, diffs, variant))
         assert np.array_equal(gram, full_slab_kernel_matrix(pairs, pairs, variant is KernelVariant.POLY2))
 
 
 def test_gram_matrix_traced_peak_stays_near_the_output_size():
     rng = np.random.default_rng(32)
-    pairs = (rng.random((1500, 10)), rng.random((1500, 10)))
+    diffs = rng.random((1500, 10)) - rng.random((1500, 10))
     tracemalloc.start()
     try:
-        out = gram_matrix(pairs, KernelVariant.POLY2)
+        out = gram_matrix(diffs, KernelVariant.POLY2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -258,8 +272,8 @@ def test_gram_matrix_traced_peak_stays_near_the_output_size():
 def test_kernel_matrix_zero_differences_and_extremes():
     # Feature 0: both differences 0 (agree, term 1) / one of them 0 (disagree, term 0).
     # Feature 1: +1 against +1 and -1 against -1 (term 1), +1 against -1 (term 0).
-    a = (np.array([[0.5, 1.0], [0.5, 0.0]]), np.array([[0.5, 0.0], [0.5, 1.0]]))
-    b = (np.array([[0.3, 1.0], [0.9, 0.0]]), np.array([[0.3, 0.0], [0.2, 1.0]]))
+    a = np.array([[0.5, 1.0], [0.5, 0.0]]) - np.array([[0.5, 0.0], [0.5, 1.0]])
+    b = np.array([[0.3, 1.0], [0.9, 0.0]]) - np.array([[0.3, 0.0], [0.2, 1.0]])
     expected = np.array([[1.0, 0.0], [0.5, 0.5]])
     assert np.array_equal(kernel_matrix(a, b, KernelVariant.MEAN), expected)
     assert np.array_equal(kernel_matrix(a, b, KernelVariant.POLY2), expected * expected)
@@ -267,8 +281,8 @@ def test_kernel_matrix_zero_differences_and_extremes():
 
 def test_kernel_matrix_traced_peak_stays_near_the_output_size():
     rng = np.random.default_rng(31)
-    a = (rng.random((2000, 10)), rng.random((2000, 10)))
-    b = (rng.random((500, 10)), rng.random((500, 10)))
+    a = rng.random((2000, 10)) - rng.random((2000, 10))
+    b = rng.random((500, 10)) - rng.random((500, 10))
     tracemalloc.start()
     try:
         out = kernel_matrix(a, b, KernelVariant.POLY2)
@@ -284,4 +298,4 @@ def test_kernel_matrix_rejects_nan(position):
     arrays = [np.full((2, 3), 0.5), np.full((2, 3), 0.25), np.full((3, 3), 0.75), np.full((3, 3), 0.5)]
     arrays[position][1, 2] = np.nan
     with pytest.raises(ValueError, match="not finite"):
-        kernel_matrix((arrays[0], arrays[1]), (arrays[2], arrays[3]))
+        kernel_matrix(arrays[0] - arrays[1], arrays[2] - arrays[3])

@@ -53,8 +53,21 @@ def test_removed_names_are_gone():
     assert not hasattr(ranker, "_stats_to_dict") and not hasattr(ranker, "_stats_from_dict")
     assert "stats" not in ranker.AnkerModel.__dataclass_fields__
     assert "tol" not in svm.SvmModel.__dataclass_fields__
+    assert "variant" not in svm.SvmModel.__dataclass_fields__
+    assert not hasattr(kernel, "_as_pair_arrays")
     assert not hasattr(data, "_as_matrix")
     assert not hasattr(svm.SvmModel, "with_variant") and not hasattr(svm.SvmModel, "with_platt")
+
+
+def test_model_fields_are_pinned():
+    # A model carries its support pairs only, as differences.
+    assert tuple(ranker.AnkerModel.__dataclass_fields__) == ("svm", "variant", "support_diffs")
+
+
+def test_svm_does_not_depend_on_the_kernel():
+    tree = ast.parse(Path(svm.__file__).read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "kernel" not in imported
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ankerrank.baselines import able2rank_lite
 from ankerrank.data import (
     DataFormatError,
     NormalizationMode,
@@ -9,8 +10,9 @@ from ankerrank.data import (
     RankedQuery,
     normalize_train_test,
 )
-from ankerrank.kernel import KernelVariant
+from ankerrank.kernel import KernelVariant, gram_matrix
 from ankerrank.ranker import (
+    AnkerModel,
     anker_fit,
     anker_predict,
     anker_rank,
@@ -23,7 +25,7 @@ from ankerrank.ranker import (
     ranking_from_scores,
     reciprocal_preferences,
 )
-from ankerrank.svm import PlattParams, SvmModel
+from ankerrank.svm import PlattParams, SvmModel, platt_prob, smo_train
 from oracles import btl_grid_argmax, coin_flip_pairs
 from synthetic import make_linear_dataset, numeric_schema
 
@@ -63,14 +65,13 @@ def test_pair_label_orientation_matches_the_ranking():
     assert len({frozenset(p) for p in pairs.tolist()}) == len(pairs)
     assert not np.any(pairs == 6)  # the row of the one-item query
 
-    # anker_fit's label +1 means the first item of the pair is preferred
+    # anker_fit's label +1 means the pair's difference is preferred - other,
+    # which raises the utility the dataset is ranked by
     data = make_linear_dataset(2, 6, 2, seed=4)
-    rows = {tuple(x): k for k, x in enumerate(data.all_items())}
-    position = np.concatenate([q.ranking for q in data.queries])
     model = anker_fit(data, C=1.0, seed=5)
-    for first, second, label in zip(model.pair_first, model.pair_second, model.svm.labels):
-        first_pos, second_pos = position[rows[tuple(first)]], position[rows[tuple(second)]]
-        assert (first_pos < second_pos) == (label == 1.0)
+    assert model.svm.support.size > 0
+    utility_gain = model.support_diffs @ np.linspace(1.0, 2.0, 2)
+    assert np.array_equal(utility_gain > 0, model.svm.labels[model.svm.support] == 1.0)
 
 
 @pytest.mark.parametrize("cap", [None, 25])
@@ -78,9 +79,11 @@ def test_anker_fit_pairs_match_the_coin_loop_oracle(cap):
     data = make_linear_dataset(3, 7, 3, seed=37)
     first, second, labels = coin_flip_pairs(data, seed=38, cap=cap)
     model = anker_fit(data, C=1.0, seed=38, cap=cap)
-    assert np.array_equal(model.pair_first, first)
-    assert np.array_equal(model.pair_second, second)
     assert np.array_equal(model.svm.labels, labels)
+    assert np.array_equal(model.support_diffs, (first - second)[model.svm.support])
+    # alpha depends on every pair's orientation through the Gram matrix
+    reference = smo_train(gram_matrix(first - second, KernelVariant.POLY2), labels, 1.0)
+    assert np.array_equal(model.svm.alpha, reference.alpha)
 
 
 def test_pair_extraction_is_deterministic():
@@ -88,16 +91,17 @@ def test_pair_extraction_is_deterministic():
     assert np.array_equal(build_pair_instances(data), build_pair_instances(data))
     a = anker_fit(data, C=1.0, seed=7)
     b = anker_fit(data, C=1.0, seed=7)
-    assert np.array_equal(a.pair_first, b.pair_first)
+    assert np.array_equal(a.support_diffs, b.support_diffs)
     assert np.array_equal(a.svm.labels, b.svm.labels)
 
 
 def test_pair_cap_subsamples():
     data = make_linear_dataset(2, 10, 2, seed=8)
     capped = anker_fit(data, C=1.0, seed=9, cap=30)
-    assert capped.pair_first.shape == (30, 2) and capped.svm.labels.size == 30
+    assert capped.svm.labels.size == 30 and capped.svm.alpha.size == 30
+    assert capped.support_diffs.shape == (capped.svm.support.size, 2)
     again = anker_fit(data, C=1.0, seed=9, cap=30)
-    assert np.array_equal(capped.pair_first, again.pair_first)
+    assert np.array_equal(capped.support_diffs, again.support_diffs)
 
 
 def test_pair_extraction_rejects_singleton_queries():
@@ -140,7 +144,7 @@ def test_preference_matrix_is_reciprocal_end_to_end():
     model = _trained_toy_model()
     rng = np.random.default_rng(12)
     query = rng.random((6, 3))
-    pref = preference_matrix(model.svm, (model.pair_first, model.pair_second), query)
+    pref = preference_matrix(model, query)
     off = ~np.eye(6, dtype=bool)
     assert np.all(pref[off] + pref.T[off] == 1.0)
     assert np.all(np.diag(pref) == 0.5)
@@ -148,11 +152,50 @@ def test_preference_matrix_is_reciprocal_end_to_end():
 
 
 def test_preference_matrix_with_empty_support_is_uninformative():
-    model = SvmModel(alpha=np.zeros(1), labels=np.ones(1), support=np.zeros(0, dtype=int),
-                     bias=0.0, C=1.0, variant=KernelVariant.MEAN,
-                     platt=PlattParams(-1.0, 0.0))
-    pref = preference_matrix(model, (np.zeros((1, 2)), np.full((1, 2), 0.5)), np.random.default_rng(0).random((4, 2)))
+    svm = SvmModel(alpha=np.zeros(1), labels=np.ones(1), support=np.zeros(0, dtype=int),
+                   bias=0.0, C=1.0, platt=PlattParams(-1.0, 0.0))
+    model = AnkerModel(svm=svm, variant=KernelVariant.MEAN, support_diffs=np.zeros((0, 2)))
+    pref = preference_matrix(model, np.random.default_rng(0).random((4, 2)))
     assert np.all(pref == 0.5)
+
+
+def test_preference_matrix_backward_block_is_the_reversed_pairs():
+    # The backward block negates the forward differences; it must give the
+    # same supports as kernel rows of the pairs (x_j, x_i) built directly.
+    model = _trained_toy_model()
+    query = np.random.default_rng(19).random((5, 3))
+    query[3] = query[1]  # duplicate items give zero differences
+    rows, cols = np.triu_indices(5, k=1)
+    svm = model.svm
+
+    def support(diffs):
+        kernel = gram_matrix(np.vstack([diffs, model.support_diffs]), model.variant)
+        coef = svm.alpha[svm.support] * svm.labels[svm.support]
+        return platt_prob(svm.platt, kernel[: len(diffs), len(diffs):] @ coef + svm.bias)
+
+    expected = reciprocal_preferences(support(query[rows] - query[cols]),
+                                      support(query[cols] - query[rows]), 5)
+    assert np.max(np.abs(preference_matrix(model, query) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25])
+def test_items_outside_the_unit_interval_are_rejected(bad):
+    data = make_linear_dataset(2, 5, 2, seed=20)
+    model = anker_fit(data, C=1.0, seed=21)
+    items = data.all_items().copy()
+    items[3, 1] = bad
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        anker_fit(data.with_items(items), C=1.0, seed=21)
+    query = np.random.default_rng(22).random((4, 2))
+    query[2, 0] = bad
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        anker_predict(model, query)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        preference_matrix(model, query)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        able2rank_lite(data.with_items(items), query[[0, 1, 3]])
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        able2rank_lite(data, query)
 
 
 # ---------------------------------------------------------------------------

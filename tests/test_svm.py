@@ -13,14 +13,14 @@ from ankerrank.svm import (
     select_c,
     smo_train,
 )
-from oracles import dual_objective, projected_gradient_qp
+from oracles import dual_objective, project_box_hyperplane, projected_gradient_qp
 
 
 def random_instance(rng, n_max=6):
     """A small random training problem with a valid analogy-kernel Gram matrix."""
     n = int(rng.integers(2, n_max + 1))
     d = int(rng.integers(1, 6))
-    gram = gram_matrix((rng.random((n, d)), rng.random((n, d))), KernelVariant.MEAN)
+    gram = gram_matrix(rng.random((n, d)) - rng.random((n, d)), KernelVariant.MEAN)
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     labels[0], labels[1] = 1.0, -1.0  # both classes present
     cost = float(rng.choice([0.1, 1.0, 10.0]))
@@ -86,6 +86,23 @@ def test_dual_objective_matches_projected_gradient_oracle():
         assert ours == pytest.approx(reference, abs=1e-6)
 
 
+def test_oracle_projection_is_feasible():
+    # a = clip(v - lam * y, 0, box) is the projection for the lam that makes
+    # it feasible, so feasibility checks the oracle's exact root.
+    rng = np.random.default_rng(12)
+    for trial in range(2000):
+        n = int(rng.integers(2, 8))
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        y[0], y[1] = 1.0, -1.0
+        box = float(rng.choice([0.1, 1.0, 10.0]))
+        v = rng.normal(size=n) * float(rng.choice([0.01, 1.0, 30.0]))
+        if trial % 4 == 0:
+            v[: n // 2] = np.round(v[: n // 2])  # coinciding kinks
+        a = project_box_hyperplane(v, y, box)
+        assert np.all((a >= 0.0) & (a <= box))
+        assert abs(float(y @ a)) <= 1e-12 * max(1.0, float(np.max(np.abs(v))))
+
+
 def test_label_flip_negates_decisions_exactly():
     rng = np.random.default_rng(3)
     gram, labels, cost = random_instance(rng, n_max=10)
@@ -123,7 +140,7 @@ def test_empty_support_returns_bias():
 
 def test_smo_warns_when_it_stops_unconverged(caplog):
     rng = np.random.default_rng(6)
-    gram = gram_matrix((rng.random((12, 3)), rng.random((12, 3))), KernelVariant.MEAN)
+    gram = gram_matrix(rng.random((12, 3)) - rng.random((12, 3)), KernelVariant.MEAN)
     labels = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
     with caplog.at_level("WARNING", logger="ankerrank.svm"):
         model = smo_train(gram, labels, C=1.0, tol=1e-8, max_iter=1)
@@ -223,15 +240,10 @@ def separable_instance(rng, n=24, gap=1.0):
     return x @ x.T, labels
 
 
-def test_select_c_single_element_grid():
-    gram, labels = separable_instance(np.random.default_rng(7))
-    assert select_c(gram, labels, grid=[0.5]) == 0.5
-
-
 def test_select_c_tie_breaks_toward_smallest():
     # comfortably separable: every cost reaches zero validation error
     gram, labels = separable_instance(np.random.default_rng(8), gap=4.0)
-    assert select_c(gram, labels, grid=DEFAULT_C_GRID, seed=1) == min(DEFAULT_C_GRID)
+    assert select_c(gram, labels, seed=1) == min(DEFAULT_C_GRID)
 
 
 def test_select_c_reaches_zero_error_on_separable_data():
@@ -242,8 +254,3 @@ def test_select_c_reaches_zero_error_on_separable_data():
     model = smo_train(gram, labels, chosen, tol=1e-3)
     predicted = np.where(decision_values(model, gram[:, model.support]) > 0, 1.0, -1.0)
     assert np.mean(predicted != labels) == 0.0
-
-
-def test_select_c_empty_grid_rejected():
-    with pytest.raises(ValueError):
-        select_c(np.eye(2), np.array([1.0, -1.0]), grid=[])
