@@ -8,15 +8,15 @@ not reproduce exactly) the original evidence-accumulation scheme.
 
 RankSVM and able2rank take their training preferences from the same pair
 enumerator as the analogy-kernel ranker (``build_pair_instances``).  RankSVM
-is a linear model without a bias, fitted on the squared hinge by Newton's
-method in the primal; it builds no Gram matrix and runs no SMO.  The
-linear models rank a query with ``ranking_from_scores``: RankSVM on the
-utility ``items @ weights``, expected rank regression on ``-err_predict``.
+is a linear model without a bias, fitted on the squared hinge in the primal
+by the damped Newton loop that ``svm`` shares; it builds no Gram matrix and
+runs no SMO.  The linear models rank a query with ``ranking_from_scores``:
+RankSVM on the utility ``items @ weights``, expected rank regression on
+``-err_predict``.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +30,9 @@ from .ranker import (
     ordering_from_ranking,
     ranking_from_scores,
 )
-from .svm import _ARMIJO, _MIN_STEP, DEFAULT_C_GRID, _cv_splits
+from .svm import DEFAULT_C_GRID, _cv_splits, _newton_minimize
 # Not called here; perfbench's tracer wraps these names at this module.
 from .svm import select_c, smo_train  # noqa: F401
-
-logger = logging.getLogger(__name__)
 
 # RankSVM's Newton fit: the gradient max-norm that counts as converged, and
 # the step cap.
@@ -94,39 +92,28 @@ def _squared_hinge_newton(diffs: np.ndarray, C: float,
                           max_steps: int = _NEWTON_MAX_STEPS) -> np.ndarray:
     """Minimizer of 1/2 |w|^2 + C sum_i max(0, 1 - w . d_i)^2 by Newton's method.
 
-    Each step solves (I + 2C X_A' X_A) s = -g, where X_A holds the rows with
-    slack 1 - w . d > 0 and g is the gradient, and is halved until the
-    Armijo condition holds.  The objective is piecewise quadratic, so a full
-    step lands on the minimizer once the active rows settle.  A fit that
-    stops after ``max_steps`` steps, or when no step along the Newton
-    direction lowers the objective, logs a warning.
+    Each step of ``svm._newton_minimize`` solves (I + 2C X_A' X_A) s = -g,
+    where X_A holds the rows with slack 1 - w . d > 0 and g is the gradient.
+    The objective is piecewise quadratic, so a full step lands on the
+    minimizer once the active rows settle.  A fit that stops after
+    ``max_steps`` steps, or when no step along the Newton direction lowers
+    the objective, logs a warning.
     """
-    w = np.zeros(diffs.shape[1])
-    slack = np.ones(len(diffs))
-    for steps in range(max_steps + 1):
+    def local(w: np.ndarray):
+        slack = 1.0 - diffs @ w
         active = slack > 0.0
         grad = w - 2.0 * C * (slack[active] @ diffs[active])
-        grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm <= _NEWTON_TOL or steps == max_steps:
-            break
         step = -np.linalg.solve(np.eye(w.size) + 2.0 * C * (diffs[active].T @ diffs[active]), grad)
         along = diffs @ step
-        t = 1.0
-        while t >= _MIN_STEP:
-            # Change of each squared-hinge term, formed without cancellation
-            # so that tiny steps near the minimizer are judged exactly.
+
+        def change(t: float) -> float:
+            # Change of each squared-hinge term, formed without cancellation.
             moved = np.where(active, -np.minimum(slack, t * along), np.maximum(slack - t * along, 0.0))
-            change = t * (w @ step) + 0.5 * t * t * (step @ step) + C * (moved @ (2.0 * slack * active + moved))
-            if change <= _ARMIJO * t * (grad @ step):
-                break
-            t /= 2.0
-        else:
-            break
-        w = w + t * step
-        slack = 1.0 - diffs @ w
-    if grad_norm > _NEWTON_TOL:
-        logger.warning("RankSVM Newton fit stopped unconverged after %d steps "
-                       "(gradient max-norm %.3e, tolerance %.1e)", steps, grad_norm, _NEWTON_TOL)
+            return t * (w @ step) + 0.5 * t * t * (step @ step) + C * (moved @ (2.0 * slack * active + moved))
+
+        return grad, step, change
+
+    w, *_ = _newton_minimize(np.zeros(diffs.shape[1]), local, _NEWTON_TOL, max_steps, "RankSVM fit")
     return w
 
 

@@ -4,9 +4,11 @@ stdout carries only machine-readable payloads (JSON or CSV); diagnostics and
 human-readable tables go to stderr.  Exit codes: 0 success, 1 internal
 failure, 2 usage or malformed input.
 
-Heavy imports happen inside the command handlers so that the thread cap
-(--threads or the ANKERRANK_THREADS environment variable) can be applied to
-the numerical backend before it is loaded.
+The handlers look library functions up on their modules at call time
+(``data.load_dataset``), so a function replaced on its module is the one
+that runs.  Cap the numerical backend's threads with ``OPENBLAS_NUM_THREADS``
+or ``OMP_NUM_THREADS`` in the environment the process starts with; numpy
+reads them when it is first imported.
 """
 
 from __future__ import annotations
@@ -14,9 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from . import data, evaluate, kernel, ranker
 
 
 def _checked(parse, accept, what: str):
@@ -38,14 +43,6 @@ _tolerance = _checked(float, lambda x: 0 <= x < math.inf, "a finite non-negative
 _cost = _checked(float, lambda c: 0 < c < math.inf, "'auto' or a finite positive number")
 
 
-def _apply_thread_cap(threads: int | None) -> None:
-    if threads is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(threads)
-
-
 def _write_payload(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -58,29 +55,21 @@ def _parse_cost(value: str) -> float | None:
 
 
 def _scope_from_flag(value: str):
-    from .data import NormalizationScope
-
-    if value == "auto":
-        return None
-    return NormalizationScope(value)
+    return None if value == "auto" else data.NormalizationScope(value)
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    from .data import DataFormatError, load_dataset
-    from .kernel import KernelVariant
-    from .ranker import anker_rank
-
-    train = load_dataset(args.train)
-    query_ds = load_dataset(args.query, schema=train.schema)
+    train = data.load_dataset(args.train)
+    query_ds = data.load_dataset(args.query, schema=train.schema)
     if len(query_ds.queries) != 1:
-        raise DataFormatError(
+        raise data.DataFormatError(
             f"{args.query}: the query file must contain exactly one query_id, "
             f"found {len(query_ds.queries)}"
         )
-    prediction = anker_rank(
+    prediction = ranker.anker_rank(
         train,
         query_ds.queries[0].items,
-        variant=KernelVariant.from_string(args.kernel),
+        variant=kernel.KernelVariant.from_string(args.kernel),
         C=args.C,
         seed=args.seed,
         cap=args.pair_cap,
@@ -119,48 +108,34 @@ def _load_external_orderings(argument: str) -> tuple[str, list]:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    from .data import load_dataset
-    from .evaluate import (
-        METHOD_NAMES,
-        MethodConfig,
-        format_results_table,
-        results_to_csv,
-        run_experiment,
-    )
-    from .kernel import KernelVariant
-
     externals = dict(args.external or [])
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    unknown = [m for m in methods if m not in METHOD_NAMES and m not in externals]
+    unknown = [m for m in methods if m not in evaluate.METHOD_NAMES and m not in externals]
     if unknown or not methods:
         print(
             f"unsupported method {', '.join(unknown) if unknown else '(none)'}; "
-            f"choose from: {', '.join(METHOD_NAMES)} or a name given via --external",
+            f"choose from: {', '.join(evaluate.METHOD_NAMES)} or a name given via --external",
             file=sys.stderr,
         )
         return 2
-    train = load_dataset(args.train)
-    test = load_dataset(args.test, schema=train.schema)
-    config = MethodConfig(
-        variant=KernelVariant.from_string(args.kernel),
+    train = data.load_dataset(args.train)
+    test = data.load_dataset(args.test, schema=train.schema)
+    config = evaluate.MethodConfig(
+        variant=kernel.KernelVariant.from_string(args.kernel),
         C=args.C,
         able2rank_k=args.able2rank_k,
         pair_cap=args.pair_cap,
         scope=_scope_from_flag(args.normalize),
     )
-    results = run_experiment(train, test, methods, repeats=args.repeats,
-                             seed=args.seed, config=config, externals=externals)
+    results = evaluate.run_experiment(train, test, methods, repeats=args.repeats,
+                                      seed=args.seed, config=config, externals=externals)
     problem = args.problem or f"{Path(args.train).stem}->{Path(args.test).stem}"
-    _write_payload(results_to_csv(results, problem), args.out)
-    print(format_results_table(results, problem), file=sys.stderr)
+    _write_payload(evaluate.results_to_csv(results, problem), args.out)
+    print(evaluate.format_results_table(results, problem), file=sys.stderr)
     return 0
 
 
 def cmd_kernel_check(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .kernel import KernelVariant, boolean_proportion, gram_matrix, proportion_degree
-
     rng = np.random.default_rng(args.seed)
     worst = np.inf
     passes = 0
@@ -168,18 +143,16 @@ def cmd_kernel_check(args: argparse.Namespace) -> int:
         size = int(rng.integers(2, 51))
         dim = int(rng.integers(1, args.dim + 1))
         diffs = rng.random((size, dim)) - rng.random((size, dim))
-        for variant in (KernelVariant.MEAN, KernelVariant.POLY2):
-            gram = gram_matrix(diffs, variant)
-            low = float(np.linalg.eigvalsh(gram).min())
-            worst = min(worst, low)
-        if worst >= -args.tol:
-            passes += 1
+        low = min(float(np.linalg.eigvalsh(kernel.gram_matrix(diffs, variant)).min())
+                  for variant in (kernel.KernelVariant.MEAN, kernel.KernelVariant.POLY2))
+        worst = min(worst, low)
+        passes += low >= -args.tol
 
     boolean_matches = 0
     for code in range(16):
         quad = tuple((code >> shift) & 1 for shift in (3, 2, 1, 0))
-        degree = proportion_degree(*(float(x) for x in quad))
-        if degree == float(boolean_proportion(*quad)):
+        degree = kernel.proportion_degree(*(float(x) for x in quad))
+        if degree == float(kernel.boolean_proportion(*quad)):
             boolean_matches += 1
 
     ok = passes == args.samples and boolean_matches == 16
@@ -206,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ankerrank",
         description="Object ranking with an analogy kernel over preference pairs.",
     )
-    parser.add_argument("--threads", type=_positive_int, default=None,
-                        help="cap numerical-backend threads (default: ANKERRANK_THREADS or library default)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     rank = sub.add_parser("rank", help="rank a query item set given training rankings")
@@ -257,18 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    env_threads = os.environ.get("ANKERRANK_THREADS")
-    if args.threads is None and env_threads:
-        try:
-            args.threads = _positive_int(env_threads)
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"ANKERRANK_THREADS: {exc}")
-    _apply_thread_cap(args.threads)
-    from .data import DataFormatError
-
     try:
         return args.func(args)
-    except DataFormatError as exc:
+    except data.DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure

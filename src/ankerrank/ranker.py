@@ -4,9 +4,9 @@ Training rankings are decomposed into labeled ordered item pairs, each
 carried as its difference vector; an SVM with the analogy kernel learns the
 pairwise preference direction, calibrated outputs are combined into a
 reciprocal preference matrix, and a Bradley-Terry-Luce fit turns that matrix
-into a total order.  The BTL fit is Newton's method on log-utilities, stopped
-on the gradient norm; its result says whether it converged, and a fit that
-did not converge logs a warning.
+into a total order.  The BTL fit is the shared damped Newton loop of ``svm``
+on log-utilities, stopped on the gradient norm; its result says whether it
+converged, and a fit that did not converge logs a warning.
 
 ``build_pair_instances`` is the one enumerator of training preferences (the
 baselines use it too), and ``ranking_from_scores`` the one conversion from
@@ -30,9 +30,9 @@ from .data import (
 )
 from .kernel import KernelVariant, _check_within, gram_matrix, kernel_matrix
 from .svm import (
-    _ARMIJO,
-    _MIN_STEP,
     SvmModel,
+    _newton_minimize,
+    _sigmoid,
     decision_values,
     platt_fit,
     platt_prob,
@@ -155,22 +155,18 @@ def btl_log_likelihood(pref: np.ndarray, theta: np.ndarray) -> float:
     return float(np.sum(pref[off] * pairwise[off]))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function 1 / (1 + exp(-x)) without overflow for large |x|."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
 def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlParams:
     """Maximum-likelihood Bradley-Terry-Luce utilities by Newton's method on log-utilities.
 
     Entries are clipped away from {0, 1} so the maximizer stays finite.  The
     log-likelihood sum_ij p_ij log sigma(beta_i - beta_j) is concave in
-    beta = log theta.  Each step solves (L + 11'/n) delta = g, where g is its
-    gradient and L, the negative Hessian, is the Laplacian of the weights
-    (p_ij + p_ji) sigma_ij sigma_ji; the 11'/n term removes the shift null
-    space.  The step is halved until the Armijo condition holds, so the
-    recorded likelihood path never decreases, and beta is re-centred to mean 0.
+    beta = log theta; its negative is minimized by ``svm._newton_minimize``.
+    Each step solves (L + 11'/n) delta = g, where g is the gradient of the
+    log-likelihood and L, the negative Hessian, is the Laplacian of the
+    weights (p_ij + p_ji) sigma_ij sigma_ji; the 11'/n term removes the shift
+    null space, and because g sums to 0, delta does too.  A step changes
+    log sigma_ij by -log1p(sigma_ji expm1(-d_ij)), exact to rounding even
+    when the step is tiny, so the recorded likelihood path never decreases.
 
     ``tol`` bounds the max-norm of the gradient with respect to beta:
     ``converged`` is True when that bound is met.  The fit stops unconverged,
@@ -193,47 +189,26 @@ def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlPa
     wins_matrix = np.where(off, p, 0.0)
     wins = wins_matrix.sum(axis=1)
     pair_weight = wins_matrix + wins_matrix.T
-    beta = np.zeros(n)
-    path = [btl_log_likelihood(p, np.full(n, 1.0 / n))]
-    converged = False
-    iterations = 0
-    while True:
+
+    def local(beta: np.ndarray):
         sigma = _sigmoid(beta[:, None] - beta[None, :])
         grad = wins - (pair_weight * sigma).sum(axis=1)
-        grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm < tol:
-            converged = True
-            break
-        if iterations == max_iter:
-            break
         h = pair_weight * sigma * sigma.T
         laplacian = np.diag(h.sum(axis=1)) - h
-        # Adding 1/n to every entry is the 11'/n term; grad sums to 0, so step does too.
+        # Adding 1/n to every entry is the 11'/n term.
         step = np.linalg.solve(laplacian + 1.0 / n, grad)
-        slope = float(grad @ step)
-        t = 1.0
-        accepted = False
-        with np.errstate(over="ignore", invalid="ignore"):
-            while t >= _MIN_STEP:
-                # log sigma(x + d) - log sigma(x) = -log1p(sigma(-x) expm1(-d)),
-                # exact to rounding even when the step is tiny.
-                d = t * (step[:, None] - step[None, :])
-                gain = -float(np.sum(wins_matrix * np.log1p(sigma.T * np.expm1(-d))))
-                if gain >= _ARMIJO * t * slope:
-                    accepted = True
-                    break
-                t /= 2.0
-        if not accepted:
-            break
-        beta = beta + t * step
-        beta -= beta.mean()
-        path.append(path[-1] + gain)
-        iterations += 1
-    if not converged:
-        logger.warning("BTL fit stopped unconverged after %d Newton steps "
-                       "(gradient max-norm %.3e, tolerance %.1e)", iterations, grad_norm, tol)
+
+        def change(t: float) -> float:  # of the negative log-likelihood
+            d = t * (step[:, None] - step[None, :])
+            with np.errstate(over="ignore", invalid="ignore"):
+                return float(np.sum(wins_matrix * np.log1p(sigma.T * np.expm1(-d))))
+
+        return -grad, step, change
+
+    beta, iterations, converged, changes = _newton_minimize(np.zeros(n), local, tol, max_iter, "BTL fit")
+    path = np.cumsum([btl_log_likelihood(p, np.full(n, 1.0 / n)), *(-c for c in changes)])
     theta = np.exp(beta - beta.max())
-    return BtlParams(theta / theta.sum(), iterations, converged, np.asarray(path))
+    return BtlParams(theta / theta.sum(), iterations, converged, path)
 
 
 def ranking_from_scores(scores) -> np.ndarray:

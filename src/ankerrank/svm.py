@@ -5,6 +5,11 @@ pipeline feeds it the analogy kernel on pair differences.  Includes sigmoid
 (Platt) calibration of decision values into probabilities and cost
 selection by repeated internal cross-validation, whose fold scheme the
 linear RankSVM baseline shares.
+
+``_newton_minimize`` is the one damped Newton loop of the package: the
+Platt fit here, the Bradley-Terry-Luce fit in ``ranker`` and the RankSVM
+fit in ``baselines`` only define their gradient, Newton direction and
+objective change, and share its line search, stopping test and warning.
 """
 
 from __future__ import annotations
@@ -22,8 +27,7 @@ DEFAULT_C_GRID: tuple[float, ...] = tuple(2.0**k for k in range(-6, 7, 2))
 _ALPHA_SNAP = 1e-12
 _CV_REPEATS, _CV_FOLDS = 3, 2  # cost selection: 3 repeats of stratified 2-fold CV
 _PLATT_MAX_STEPS, _PLATT_TOL = 100, 1e-10  # Platt's Newton step cap and gradient tolerance
-# Newton line searches (platt_fit here, btl_fit in ranker and RankSVM in
-# baselines): Armijo constant and smallest step fraction.
+# The Newton line search: Armijo constant and smallest step fraction.
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-10
 
@@ -167,13 +171,62 @@ def decision_values(model: SvmModel, kernel_rows) -> np.ndarray:
     return rows @ coeffs + model.bias
 
 
-def platt_fit(decisions, labels) -> PlattParams:
-    """Fit the calibration sigmoid by Newton iterations with backtracking.
+def _newton_minimize(x: np.ndarray, local, tol: float, max_steps: int, what: str):
+    """Minimize a smooth convex function by Newton steps with Armijo backtracking.
 
-    Minimizes the cross-entropy against prior-corrected targets
-    (N+ + 1) / (N+ + 2) and 1 / (N- + 2), which regularizes the fit on
-    separable data.  Stops when both gradient components are below
-    ``_PLATT_TOL``, after ``_PLATT_MAX_STEPS`` steps, or when a line search fails.
+    ``local(x)`` returns the gradient g, the Newton direction s and a function
+    ``change(t)``: the objective change from x to x + t s, formed without
+    cancellation so that tiny steps near the minimizer are judged exactly.
+    The step fraction t starts at 1 and is halved until
+    change(t) <= _ARMIJO t (g . s).  The loop stops converged when
+    max |g| <= ``tol``, and unconverged, with one warning naming ``what``,
+    after ``max_steps`` steps or when no t >= _MIN_STEP passes.
+
+    Returns x, the number of steps taken, ``converged`` and the list of
+    accepted objective changes.
+    """
+    changes = []
+    while True:
+        grad, direction, change = local(x)
+        grad_norm = float(np.max(np.abs(grad)))
+        if grad_norm <= tol:
+            return x, len(changes), True, changes
+        if len(changes) == max_steps:
+            break
+        slope = float(grad @ direction)
+        t = 1.0
+        while t >= _MIN_STEP:
+            delta = change(t)
+            if delta <= _ARMIJO * t * slope:
+                break
+            t /= 2.0
+        else:
+            break
+        x = x + t * direction
+        changes.append(delta)
+    logger.warning("%s stopped unconverged after %d Newton steps "
+                   "(gradient max-norm %.3e, tolerance %.1e)", what, len(changes), grad_norm, tol)
+    return x, len(changes), False, changes
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-x)) without overflow for large |x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def platt_fit(decisions, labels) -> PlattParams:
+    """Fit the calibration sigmoid by damped Newton steps (Lin, Lin & Weng, MLJ 2007).
+
+    Minimizes the cross-entropy sum_i l_i(a s_i + b), with
+    l_i(z) = t_i z + log(1 + exp(-z)), against prior-corrected targets
+    t_i = (N+ + 1) / (N+ + 2) and 1 / (N- + 2), which regularizes the fit on
+    separable data.  A step changes term i by
+    l_i(z + d) - l_i(z) = t_i d + log1p(p expm1(-d)) with p = 1 / (1 + exp(z)),
+    so the line search stays exact near the optimum.  Stops when both
+    gradient components are at most ``_PLATT_TOL``; a fit that stops after
+    ``_PLATT_MAX_STEPS`` steps, or when no step lowers the objective, logs a
+    warning.
     """
     s = np.asarray(decisions, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -186,48 +239,29 @@ def platt_fit(decisions, labels) -> PlattParams:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("platt_fit needs both classes")
     target = np.where(y > 0, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
-
-    def objective(a: float, b: float) -> float:
-        z = a * s + b
-        # log(1 + exp(-|z|)) + positive part, stable for large |z|
-        return float(np.sum(np.where(z >= 0, target * z + np.log1p(np.exp(-z)),
-                                     (target - 1.0) * z + np.log1p(np.exp(z)))))
-
-    a = 0.0
-    b = float(np.log((n_neg + 1.0) / (n_pos + 1.0)))
-    value = objective(a, b)
     sigma = 1e-12  # Hessian ridge
-    for _ in range(_PLATT_MAX_STEPS):
-        z = a * s + b
-        p = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
-        q = 1.0 - p
-        d1 = target - p
-        grad_a = float(np.dot(s, d1))
-        grad_b = float(np.sum(d1))
-        if abs(grad_a) < _PLATT_TOL and abs(grad_b) < _PLATT_TOL:
-            break
-        w = p * q
-        h11 = float(np.dot(s * s, w)) + sigma
-        h22 = float(np.sum(w)) + sigma
-        h12 = float(np.dot(s, w))
-        det = h11 * h22 - h12 * h12
-        step_a = -(h22 * grad_a - h12 * grad_b) / det
-        step_b = -(h11 * grad_b - h12 * grad_a) / det
-        gain = grad_a * step_a + grad_b * step_b
 
-        stepsize = 1.0
-        while stepsize >= _MIN_STEP:
-            new_a = a + stepsize * step_a
-            new_b = b + stepsize * step_b
-            new_value = objective(new_a, new_b)
-            if new_value < value + _ARMIJO * stepsize * gain:
-                a, b, value = new_a, new_b, new_value
-                break
-            stepsize /= 2.0
-        else:
-            logger.debug("Platt line search failed; keeping current parameters")
-            break
-    return PlattParams(a=a, b=b)
+    def local(x: np.ndarray):
+        z = x[0] * s + x[1]
+        p = _sigmoid(-z)
+        d1 = target - p
+        grad = np.array([np.dot(s, d1), np.sum(d1)])
+        w = p * (1.0 - p)
+        h12 = np.dot(s, w)
+        hessian = np.array([[np.dot(s * s, w) + sigma, h12], [h12, np.sum(w) + sigma]])
+        direction = -np.linalg.solve(hessian, grad)
+        along = direction[0] * s + direction[1]
+
+        def change(t: float) -> float:
+            d = t * along
+            with np.errstate(over="ignore", invalid="ignore"):
+                return float(np.sum(target * d + np.log1p(p * np.expm1(-d))))
+
+        return grad, direction, change
+
+    start = np.array([0.0, np.log((n_neg + 1.0) / (n_pos + 1.0))])
+    (a, b), *_ = _newton_minimize(start, local, _PLATT_TOL, _PLATT_MAX_STEPS, "Platt fit")
+    return PlattParams(a=float(a), b=float(b))
 
 
 def platt_prob(params: PlattParams, decision):

@@ -133,9 +133,9 @@ def test_ranksvm_cost_ties_go_to_the_smallest():
 
 def test_ranksvm_newton_warns_when_it_stops_unconverged(caplog):
     diffs = _difference_vectors(conflicting_dataset())
-    with caplog.at_level(logging.WARNING, logger="ankerrank.baselines"):
+    with caplog.at_level(logging.WARNING, logger="ankerrank.svm"):
         _squared_hinge_newton(diffs, 1.0, max_steps=1)
-    assert "unconverged after 1 steps" in caplog.text
+    assert "RankSVM fit stopped unconverged after 1 Newton steps" in caplog.text
     assert "gradient max-norm" in caplog.text
 
 

@@ -70,6 +70,18 @@ def test_svm_does_not_depend_on_the_kernel():
     assert "kernel" not in imported
 
 
+def test_only_the_newton_driver_names_the_line_search_constants():
+    # One damped Newton loop serves Platt, BTL and RankSVM.
+    naming = set()
+    for path in sorted(Path(ankerrank.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [node.id] if isinstance(node, ast.Name) else \
+                [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
+            if {"_ARMIJO", "_MIN_STEP"} & set(names):
+                naming.add(path.name)
+    assert naming == {"svm.py"}
+
+
 def _unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()

@@ -280,7 +280,7 @@ def test_btl_converges_on_random_reciprocal_matrices(n):
 
 def test_btl_warns_when_it_stops_unconverged(caplog):
     pref = _random_reciprocal(np.random.default_rng(41), 10)
-    with caplog.at_level("WARNING", logger="ankerrank.ranker"):
+    with caplog.at_level("WARNING", logger="ankerrank.svm"):
         params = btl_fit(pref, max_iter=1)
     assert not params.converged and params.iterations == 1
     assert "after 1 Newton steps" in caplog.text and "gradient max-norm" in caplog.text

@@ -7,6 +7,7 @@ from ankerrank.svm import (
     DEFAULT_C_GRID,
     PlattParams,
     SvmModel,
+    _newton_minimize,
     decision_values,
     platt_fit,
     platt_prob,
@@ -229,6 +230,68 @@ def test_platt_prob_monotone_for_negative_slope():
 def test_platt_fit_requires_both_classes():
     with pytest.raises(ValueError, match="both classes"):
         platt_fit(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_platt_reaches_its_gradient_tolerance_on_large_fits(seed):
+    # fit-cv-sized problems, where a line search judged on the difference of
+    # two sums of ~n terms gave up near the optimum
+    rng = np.random.default_rng(seed)
+    decisions = 2.0 * rng.normal(size=1900)
+    labels = np.where(decisions + rng.normal(size=1900) > 0, 1.0, -1.0)
+    params = platt_fit(decisions, labels)
+    n_pos, n_neg = np.sum(labels > 0), np.sum(labels < 0)
+    target = np.where(labels > 0, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
+    residual = target - 1.0 / (1.0 + np.exp(params.a * decisions + params.b))
+    assert max(abs(decisions @ residual), abs(residual.sum())) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The shared Newton driver
+
+def _quadratic(hessian, minimizer, scale=1.0):
+    """local() of 1/2 (x - m)' H (x - m), whose direction is ``scale`` Newton steps."""
+    def local(x):
+        grad = hessian @ (x - minimizer)
+        step = -scale * np.linalg.solve(hessian, grad)
+
+        def change(t):
+            return t * (grad @ step) + 0.5 * t * t * (step @ hessian @ step)
+
+        return grad, step, change
+    return local
+
+
+def test_newton_driver_takes_one_full_step_on_a_quadratic(caplog):
+    hessian = np.array([[2.0, 0.5], [0.5, 1.0]])
+    minimizer = np.array([0.25, -1.0])
+    with caplog.at_level("WARNING", logger="ankerrank.svm"):
+        x, steps, converged, changes = _newton_minimize(
+            np.zeros(2), _quadratic(hessian, minimizer), 1e-12, 10, "quadratic")
+    assert converged and steps == 1 and len(changes) == 1
+    assert np.allclose(x, minimizer, rtol=0.0, atol=1e-15)
+    assert changes[0] == pytest.approx(-0.5 * minimizer @ hessian @ minimizer)
+    assert caplog.text == ""
+
+
+def test_newton_driver_halves_a_step_that_lowers_the_objective_too_little():
+    # A step of 1.99995 Newton steps lowers 1/2 |x|^2 by less than the Armijo
+    # bound; its half lowers it by 1/2 |x|^2 (5 at x = (1, 2)) exactly.
+    *_, changes = _newton_minimize(np.array([1.0, 2.0]), _quadratic(np.eye(2), np.zeros(2), 1.99995),
+                                   1e-12, 10, "quadratic")
+    assert changes[0] == pytest.approx(-2.5)
+
+
+def test_newton_driver_warns_when_no_step_lowers_the_objective(caplog):
+    start = np.array([1.0, 2.0])
+    with caplog.at_level("WARNING", logger="ankerrank.svm"):
+        x, steps, converged, changes = _newton_minimize(
+            start, _quadratic(np.eye(2), np.zeros(2), -1.0), 1e-12, 10, "quadratic")
+    assert not converged and steps == 0 and changes == []
+    assert np.array_equal(x, start)
+    assert len(caplog.records) == 1
+    assert "quadratic stopped unconverged after 0 Newton steps" in caplog.text
+    assert "gradient max-norm 2.000e+00" in caplog.text
 
 
 # ---------------------------------------------------------------------------
