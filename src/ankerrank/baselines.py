@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RankedDataset
+from .data import DataFormatError, RankedDataset
 from .kernel import KernelVariant, _check_within, kernel_matrix
 from .ranker import (
     RankPrediction,
@@ -84,7 +84,7 @@ def _difference_vectors(train: RankedDataset) -> np.ndarray:
     diffs = items[pairs[:, 0]] - items[pairs[:, 1]]
     diffs = diffs[np.any(diffs != 0.0, axis=1)]
     if not len(diffs):
-        raise ValueError("no usable preference pairs in the training data")
+        raise DataFormatError("no usable preference pairs in the training data")
     return diffs
 
 
@@ -103,15 +103,20 @@ def _squared_hinge_newton(diffs: np.ndarray, C: float,
         slack = 1.0 - diffs @ w
         active = slack > 0.0
         grad = w - 2.0 * C * (slack[active] @ diffs[active])
-        step = -np.linalg.solve(np.eye(w.size) + 2.0 * C * (diffs[active].T @ diffs[active]), grad)
-        along = diffs @ step
 
-        def change(t: float) -> float:
-            # Change of each squared-hinge term, formed without cancellation.
-            moved = np.where(active, -np.minimum(slack, t * along), np.maximum(slack - t * along, 0.0))
-            return t * (w @ step) + 0.5 * t * t * (step @ step) + C * (moved @ (2.0 * slack * active + moved))
+        def newton():
+            step = -np.linalg.solve(np.eye(w.size) + 2.0 * C * (diffs[active].T @ diffs[active]), grad)
+            along = diffs @ step
 
-        return grad, step, change
+            def change(t: float) -> float:
+                # Change of each squared-hinge term, formed without cancellation.
+                moved = np.where(active, -np.minimum(slack, t * along), np.maximum(slack - t * along, 0.0))
+                return (t * (w @ step) + 0.5 * t * t * (step @ step)
+                        + C * (moved @ (2.0 * slack * active + moved)))
+
+            return step, change
+
+        return grad, newton
 
     w, *_ = _newton_minimize(np.zeros(diffs.shape[1]), local, _NEWTON_TOL, max_steps, "RankSVM fit")
     return w
@@ -156,7 +161,7 @@ def able2rank_lite(train: RankedDataset, query: np.ndarray, k: int = 20) -> Rank
     pairs = build_pair_instances(train)
     n_prefs = len(pairs)
     if n_prefs == 0:
-        raise ValueError("no training preferences: every training query has a single item")
+        raise DataFormatError("no training preferences: every training query has a single item")
     items = train.all_items()
     _check_within(items, 0.0, 1.0, "training items")
     _check_within(query, 0.0, 1.0, "query items")

@@ -1,4 +1,4 @@
-"""Command-line interface: rank, benchmark, and kernel-check.
+"""Command-line interface: rank and benchmark.
 
 stdout carries only machine-readable payloads (JSON or CSV); diagnostics and
 human-readable tables go to stderr.  Exit codes: 0 success, 1 internal
@@ -19,8 +19,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data, evaluate, kernel, ranker
 
 
@@ -39,7 +37,6 @@ def _checked(parse, accept, what: str):
 
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
 _seed = _checked(int, lambda n: n >= 0, "a non-negative integer")
-_tolerance = _checked(float, lambda x: 0 <= x < math.inf, "a finite non-negative number")
 _cost = _checked(float, lambda c: 0 < c < math.inf, "'auto' or a finite positive number")
 
 
@@ -69,7 +66,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     prediction = ranker.anker_rank(
         train,
         query_ds.queries[0].items,
-        variant=kernel.KernelVariant.from_string(args.kernel),
+        variant=kernel.KernelVariant(args.kernel),
         C=args.C,
         seed=args.seed,
         cap=args.pair_cap,
@@ -121,7 +118,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     train = data.load_dataset(args.train)
     test = data.load_dataset(args.test, schema=train.schema)
     config = evaluate.MethodConfig(
-        variant=kernel.KernelVariant.from_string(args.kernel),
+        variant=kernel.KernelVariant(args.kernel),
         C=args.C,
         able2rank_k=args.able2rank_k,
         pair_cap=args.pair_cap,
@@ -135,45 +132,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_kernel_check(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    worst = np.inf
-    passes = 0
-    for _ in range(args.samples):
-        size = int(rng.integers(2, 51))
-        dim = int(rng.integers(1, args.dim + 1))
-        diffs = rng.random((size, dim)) - rng.random((size, dim))
-        low = min(float(np.linalg.eigvalsh(kernel.gram_matrix(diffs, variant)).min())
-                  for variant in (kernel.KernelVariant.MEAN, kernel.KernelVariant.POLY2))
-        worst = min(worst, low)
-        passes += low >= -args.tol
-
-    boolean_matches = 0
-    for code in range(16):
-        quad = tuple((code >> shift) & 1 for shift in (3, 2, 1, 0))
-        degree = kernel.proportion_degree(*(float(x) for x in quad))
-        if degree == float(kernel.boolean_proportion(*quad)):
-            boolean_matches += 1
-
-    ok = passes == args.samples and boolean_matches == 16
-    print(
-        f"min eigenvalue >= {-args.tol:g} in {passes}/{args.samples} trials "
-        f"(worst {worst:.3e})",
-        file=sys.stderr,
-    )
-    print(f"{boolean_matches}/16 Boolean quadruples match", file=sys.stderr)
-    payload = {
-        "trials": args.samples,
-        "passes": passes,
-        "min_eigenvalue": worst,
-        "tolerance": args.tol,
-        "boolean_matches": boolean_matches,
-        "ok": ok,
-    }
-    sys.stdout.write(json.dumps(payload) + "\n")
-    return 0 if ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ankerrank",
@@ -181,47 +139,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rank = sub.add_parser("rank", help="rank a query item set given training rankings")
-    rank.add_argument("--train", required=True, help="training dataset CSV")
+    # The training and model options that both commands take.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--train", required=True, help="training dataset CSV")
+    shared.add_argument("--kernel", choices=("mean", "poly2"), default="poly2")
+    shared.add_argument("--C", type=_parse_cost, default=None,
+                        help="SVM cost, or 'auto' for internal cross-validation (default: auto)")
+    shared.add_argument("--seed", type=_seed, default=42)
+    shared.add_argument("--normalize", choices=("auto", "train+test", "test-only"), default="auto")
+    shared.add_argument("--pair-cap", type=_positive_int, default=None,
+                        help="subsample the training pairs to at most this many")
+
+    rank = sub.add_parser("rank", parents=[shared],
+                          help="rank a query item set given training rankings")
     rank.add_argument("--query", required=True, help="query CSV (single query_id; rank column is ignored)")
     rank.add_argument("--out", default=None, help="output JSON path (default: stdout)")
-    rank.add_argument("--kernel", choices=("mean", "poly2"), default="poly2")
-    rank.add_argument("--C", type=_parse_cost, default=None,
-                      help="SVM cost, or 'auto' for internal cross-validation (default: auto)")
-    rank.add_argument("--seed", type=_seed, default=42)
-    rank.add_argument("--normalize", choices=("auto", "train+test", "test-only"), default="auto")
-    rank.add_argument("--pair-cap", type=_positive_int, default=None,
-                      help="subsample the training pairs to at most this many")
     rank.add_argument("--include-matrix", action="store_true",
                       help="include the pairwise preference matrix in the JSON output")
     rank.set_defaults(func=cmd_rank)
 
-    bench = sub.add_parser("benchmark", help="run the train-to-test protocol for several methods")
-    bench.add_argument("--train", required=True)
+    bench = sub.add_parser("benchmark", parents=[shared],
+                           help="run the train-to-test protocol for several methods")
     bench.add_argument("--test", required=True)
     bench.add_argument("--methods", required=True,
                        help="comma-separated subset of: anker,err,ranksvm,able2rank")
     bench.add_argument("--repeats", type=_positive_int, default=20)
-    bench.add_argument("--seed", type=_seed, default=42)
     bench.add_argument("--out", default=None, help="results CSV path (default: stdout)")
     bench.add_argument("--problem", default=None, help="problem label in the CSV (default: file stems)")
-    bench.add_argument("--kernel", choices=("mean", "poly2"), default="poly2")
-    bench.add_argument("--C", type=_parse_cost, default=None)
     bench.add_argument("--able2rank-k", type=_positive_int, default=20)
-    bench.add_argument("--pair-cap", type=_positive_int, default=None)
-    bench.add_argument("--normalize", choices=("auto", "train+test", "test-only"), default="auto")
     bench.add_argument("--external", action="append", type=_load_external_orderings,
                        metavar="NAME=PATH",
                        help="include externally produced rankings (rank-command JSON, "
                             "one object per test query) as method NAME")
     bench.set_defaults(func=cmd_benchmark)
-
-    check = sub.add_parser("kernel-check", help="verify kernel positive semi-definiteness empirically")
-    check.add_argument("--samples", type=_positive_int, default=200)
-    check.add_argument("--dim", type=_positive_int, default=10)
-    check.add_argument("--tol", type=_tolerance, default=1e-8)
-    check.add_argument("--seed", type=_seed, default=42)
-    check.set_defaults(func=cmd_kernel_check)
     return parser
 
 

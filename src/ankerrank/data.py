@@ -461,7 +461,7 @@ def _rescale(rows: np.ndarray, fit: np.ndarray, mode: NormalizationMode) -> np.n
         shift = fit.min(axis=0)
         span = fit.max(axis=0) - shift
     elif fit.shape[0] < 2:
-        raise ValueError("fitting a zscore normalization needs at least two rows")
+        raise DataFormatError("fitting a zscore normalization needs at least two rows")
     else:
         shift = fit.mean(axis=0)
         span = fit.std(axis=0, ddof=1)

@@ -50,14 +50,6 @@ class KernelVariant(Enum):
     MEAN = "mean"
     POLY2 = "poly2"
 
-    @classmethod
-    def from_string(cls, name: str) -> "KernelVariant":
-        try:
-            return cls(name)
-        except ValueError:
-            valid = ", ".join(v.value for v in cls)
-            raise ValueError(f"unknown kernel variant {name!r} (expected one of: {valid})") from None
-
 
 def boolean_proportion(a: int, b: int, c: int, d: int) -> int:
     """Exact analogical proportion on bits: 1 for the six valid quadruples, else 0."""

@@ -193,17 +193,21 @@ def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlPa
     def local(beta: np.ndarray):
         sigma = _sigmoid(beta[:, None] - beta[None, :])
         grad = wins - (pair_weight * sigma).sum(axis=1)
-        h = pair_weight * sigma * sigma.T
-        laplacian = np.diag(h.sum(axis=1)) - h
-        # Adding 1/n to every entry is the 11'/n term.
-        step = np.linalg.solve(laplacian + 1.0 / n, grad)
 
-        def change(t: float) -> float:  # of the negative log-likelihood
-            d = t * (step[:, None] - step[None, :])
-            with np.errstate(over="ignore", invalid="ignore"):
-                return float(np.sum(wins_matrix * np.log1p(sigma.T * np.expm1(-d))))
+        def newton():
+            h = pair_weight * sigma * sigma.T
+            laplacian = np.diag(h.sum(axis=1)) - h
+            # Adding 1/n to every entry is the 11'/n term.
+            step = np.linalg.solve(laplacian + 1.0 / n, grad)
 
-        return -grad, step, change
+            def change(t: float) -> float:  # of the negative log-likelihood
+                d = t * (step[:, None] - step[None, :])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return float(np.sum(wins_matrix * np.log1p(sigma.T * np.expm1(-d))))
+
+            return step, change
+
+        return -grad, newton
 
     beta, iterations, converged, changes = _newton_minimize(np.zeros(n), local, tol, max_iter, "BTL fit")
     path = np.cumsum([btl_log_likelihood(p, np.full(n, 1.0 / n)), *(-c for c in changes)])

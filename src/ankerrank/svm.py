@@ -174,11 +174,13 @@ def decision_values(model: SvmModel, kernel_rows) -> np.ndarray:
 def _newton_minimize(x: np.ndarray, local, tol: float, max_steps: int, what: str):
     """Minimize a smooth convex function by Newton steps with Armijo backtracking.
 
-    ``local(x)`` returns the gradient g, the Newton direction s and a function
-    ``change(t)``: the objective change from x to x + t s, formed without
-    cancellation so that tiny steps near the minimizer are judged exactly.
-    The step fraction t starts at 1 and is halved until
-    change(t) <= _ARMIJO t (g . s).  The loop stops converged when
+    ``local(x)`` returns the gradient g and a function ``newton()``, which
+    returns the Newton direction s and a function ``change(t)``: the
+    objective change from x to x + t s, formed without cancellation so that
+    tiny steps near the minimizer are judged exactly.  ``newton`` is called
+    only after the stopping tests, so a point where the loop stops converged
+    or at the step cap solves no Newton system.  The step fraction t starts
+    at 1 and is halved until change(t) <= _ARMIJO t (g . s).  The loop stops converged when
     max |g| <= ``tol``, and unconverged, with one warning naming ``what``,
     after ``max_steps`` steps or when no t >= _MIN_STEP passes.
 
@@ -187,12 +189,13 @@ def _newton_minimize(x: np.ndarray, local, tol: float, max_steps: int, what: str
     """
     changes = []
     while True:
-        grad, direction, change = local(x)
+        grad, newton = local(x)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= tol:
             return x, len(changes), True, changes
         if len(changes) == max_steps:
             break
+        direction, change = newton()
         slope = float(grad @ direction)
         t = 1.0
         while t >= _MIN_STEP:
@@ -246,18 +249,22 @@ def platt_fit(decisions, labels) -> PlattParams:
         p = _sigmoid(-z)
         d1 = target - p
         grad = np.array([np.dot(s, d1), np.sum(d1)])
-        w = p * (1.0 - p)
-        h12 = np.dot(s, w)
-        hessian = np.array([[np.dot(s * s, w) + sigma, h12], [h12, np.sum(w) + sigma]])
-        direction = -np.linalg.solve(hessian, grad)
-        along = direction[0] * s + direction[1]
 
-        def change(t: float) -> float:
-            d = t * along
-            with np.errstate(over="ignore", invalid="ignore"):
-                return float(np.sum(target * d + np.log1p(p * np.expm1(-d))))
+        def newton():
+            w = p * (1.0 - p)
+            h12 = np.dot(s, w)
+            hessian = np.array([[np.dot(s * s, w) + sigma, h12], [h12, np.sum(w) + sigma]])
+            direction = -np.linalg.solve(hessian, grad)
+            along = direction[0] * s + direction[1]
 
-        return grad, direction, change
+            def change(t: float) -> float:
+                d = t * along
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return float(np.sum(target * d + np.log1p(p * np.expm1(-d))))
+
+            return direction, change
+
+        return grad, newton
 
     start = np.array([0.0, np.log((n_neg + 1.0) / (n_pos + 1.0))])
     (a, b), *_ = _newton_minimize(start, local, _PLATT_TOL, _PLATT_MAX_STEPS, "Platt fit")

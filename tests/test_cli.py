@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,8 +9,7 @@ import numpy as np
 import pytest
 
 import ankerrank
-from ankerrank import kernel
-from ankerrank.cli import main
+from ankerrank.cli import build_parser, main
 from ankerrank.data import RankedDataset, RankedQuery, save_dataset
 from synthetic import make_linear_dataset
 
@@ -135,6 +135,33 @@ def test_rank_too_few_training_pairs_exits_2(tmp_path, capsys, n_items):
     assert set(codes) == ({2} if n_items == 2 else {0, 2})
 
 
+def _identical_items(source):
+    return [RankedQuery(q.query_id, np.tile(q.items[:1], (q.n_items, 1)), q.ranking) for q in source.queries]
+
+
+def _single_items(source):
+    return [RankedQuery(q.query_id, q.items[:1], np.array([0])) for q in source.queries]
+
+
+@pytest.mark.parametrize("make_queries,options,message", [
+    (_identical_items, "--methods ranksvm", "no usable preference pairs"),
+    (_single_items, "--methods ranksvm", "no usable preference pairs"),
+    (_single_items, "--methods able2rank", "no training preferences"),
+    (lambda source: _single_items(source)[:1], "--methods err --normalize test-only", "at least two rows"),
+], ids=["ranksvm-identical-items", "ranksvm-single-items", "able2rank-single-items", "err-one-row"])
+def test_benchmark_training_data_without_preferences_exits_2(csv_files, tmp_path, capsys,
+                                                             make_queries, options, message):
+    source = make_linear_dataset(2, 6, 3, seed=8)
+    train = tmp_path / "train.csv"
+    save_dataset(RankedDataset(source.schema, tuple(make_queries(source))), train)
+    code = main(["benchmark", "--train", str(train), "--test", str(csv_files["test"]),
+                 "--repeats", "1", *options.split()])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err and "internal error" not in captured.err
+    assert captured.out == ""
+
+
 def _exit_code(argv):
     try:
         return main(argv)
@@ -151,8 +178,6 @@ def _exit_code(argv):
     "benchmark --able2rank-k 0",
     "benchmark --repeats 0",
     "benchmark --repeats 2.5",
-    "kernel-check --samples 0",
-    "kernel-check --dim 0",
 ], ids=lambda options: f"{options}-None")
 def test_count_options_must_be_positive_integers(csv_files, capsys, options):
     inputs = {"rank": ["--train", str(csv_files["train"]), "--query", str(csv_files["query"])],
@@ -173,10 +198,6 @@ def test_count_options_must_be_positive_integers(csv_files, capsys, options):
     ("benchmark --C nan", "finite positive number"),
     ("rank --seed -1", "non-negative integer"),
     ("benchmark --seed -1", "non-negative integer"),
-    ("kernel-check --seed -1", "non-negative integer"),
-    ("kernel-check --tol nan", "finite non-negative number"),
-    ("kernel-check --tol inf", "finite non-negative number"),
-    ("kernel-check --tol=-1e-8", "finite non-negative number"),
 ])
 def test_cost_seed_and_tolerance_options_are_checked(csv_files, capsys, options, message):
     inputs = {"rank": ["--train", str(csv_files["train"]), "--query", str(csv_files["query"])],
@@ -187,24 +208,6 @@ def test_cost_seed_and_tolerance_options_are_checked(csv_files, capsys, options,
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
-
-
-def test_kernel_check_counts_each_trial_on_its_own(monkeypatch, capsys):
-    real = kernel.gram_matrix
-    calls = []
-
-    def first_call_not_psd(diffs, variant):
-        gram = real(diffs, variant)
-        if not calls:
-            gram = gram - 2.0 * np.eye(len(gram))
-        calls.append(variant)
-        return gram
-
-    monkeypatch.setattr(kernel, "gram_matrix", first_call_not_psd)
-    assert main(["kernel-check", "--samples", "10"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["passes"] == 9 and payload["min_eigenvalue"] < -1.0
-    assert len(calls) == 20
 
 
 def _run_cli(argv, **env):
@@ -325,30 +328,19 @@ def test_benchmark_missing_external_file_is_a_usage_error(csv_files, capsys):
     assert excinfo.value.code == 2
 
 
-def test_kernel_check_passes_and_reports(capsys):
-    code = main(["kernel-check", "--samples", "25", "--dim", "6", "--seed", "1"])
-    captured = capsys.readouterr()
-    assert code == 0
-    payload = json.loads(captured.out)
-    assert payload["ok"] is True
-    assert payload["passes"] == 25
-    assert payload["boolean_matches"] == 16
-    assert payload["min_eigenvalue"] >= -1e-8
-    assert "25/25 trials" in captured.err
-    assert "16/16 Boolean quadruples match" in captured.err
-
-
-def test_kernel_check_zero_tolerance_may_fail(capsys):
-    # tolerance semantics: demanding an exactly non-negative spectrum can
-    # fail due to round-off, and the command then signals failure
-    code = main(["kernel-check", "--samples", "40", "--dim", "8", "--tol", "0", "--seed", "2"])
-    captured = capsys.readouterr()
-    payload = json.loads(captured.out)
-    assert code == (0 if payload["ok"] else 1)
-
-
-def test_cli_entry_point_runs_as_subprocess(csv_files, tmp_path):
+def test_cli_entry_point_runs_as_subprocess(csv_files):
     # the installed console script path: run via python -m equivalent
-    result = _run_cli(["kernel-check", "--samples", "3", "--dim", "3"])
-    assert result.returncode == 0
-    assert json.loads(result.stdout)["ok"] is True
+    result = _run_cli(["rank", "--train", str(csv_files["train"]), "--query", str(csv_files["query"]),
+                       "--C", "1"])
+    assert result.returncode == 0, result.stderr
+    assert sorted(json.loads(result.stdout)["ordering"]) == list(range(6))
+
+
+def test_the_commands_are_rank_and_benchmark(capsys):
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    assert set(commands) == {"rank", "benchmark"}
+    assert _exit_code(["kernel-check"]) == 2
+    captured = capsys.readouterr()
+    assert "invalid choice: 'kernel-check'" in captured.err
+    assert captured.out == ""

@@ -214,13 +214,6 @@ def test_kernel_matrix_cross_shapes():
     assert np.all((out >= 0.0) & (out <= 1.0))
 
 
-def test_variant_parsing():
-    assert KernelVariant.from_string("mean") is KernelVariant.MEAN
-    assert KernelVariant.from_string("poly2") is KernelVariant.POLY2
-    with pytest.raises(ValueError):
-        KernelVariant.from_string("rbf")
-
-
 def _edge_value_pairs(rng, n, d):
     """Random pairs whose differences include exact zeros and the +-1 extremes."""
     first = rng.random((n, d))

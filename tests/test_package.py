@@ -2,7 +2,7 @@ import ast
 from pathlib import Path
 
 import ankerrank
-from ankerrank import baselines, data, evaluate, kernel, ranker, svm
+from ankerrank import baselines, cli, data, evaluate, kernel, ranker, svm
 
 # Public names removed together with the code they named: the second
 # implementations of preference pairs and score-to-ranking steps, model
@@ -57,6 +57,9 @@ def test_removed_names_are_gone():
     assert not hasattr(kernel, "_as_pair_arrays")
     assert not hasattr(data, "_as_matrix")
     assert not hasattr(svm.SvmModel, "with_variant") and not hasattr(svm.SvmModel, "with_platt")
+    # The kernel-check command, its tolerance option and the CLI-only variant parser.
+    assert not hasattr(cli, "cmd_kernel_check") and not hasattr(cli, "_tolerance")
+    assert not hasattr(kernel.KernelVariant, "from_string")
 
 
 def test_model_fields_are_pinned():

@@ -249,26 +249,38 @@ def test_platt_reaches_its_gradient_tolerance_on_large_fits(seed):
 # ---------------------------------------------------------------------------
 # The shared Newton driver
 
-def _quadratic(hessian, minimizer, scale=1.0):
-    """local() of 1/2 (x - m)' H (x - m), whose direction is ``scale`` Newton steps."""
+def _quadratic(hessian, minimizer, scale=1.0, requests=None):
+    """local() of 1/2 (x - m)' H (x - m), whose direction is ``scale`` Newton steps.
+
+    Each point at which the direction is requested is appended to ``requests``.
+    """
     def local(x):
         grad = hessian @ (x - minimizer)
-        step = -scale * np.linalg.solve(hessian, grad)
 
-        def change(t):
-            return t * (grad @ step) + 0.5 * t * t * (step @ hessian @ step)
+        def newton():
+            if requests is not None:
+                requests.append(x)
+            step = -scale * np.linalg.solve(hessian, grad)
 
-        return grad, step, change
+            def change(t):
+                return t * (grad @ step) + 0.5 * t * t * (step @ hessian @ step)
+
+            return step, change
+
+        return grad, newton
     return local
 
 
 def test_newton_driver_takes_one_full_step_on_a_quadratic(caplog):
     hessian = np.array([[2.0, 0.5], [0.5, 1.0]])
     minimizer = np.array([0.25, -1.0])
+    requests = []
     with caplog.at_level("WARNING", logger="ankerrank.svm"):
         x, steps, converged, changes = _newton_minimize(
-            np.zeros(2), _quadratic(hessian, minimizer), 1e-12, 10, "quadratic")
+            np.zeros(2), _quadratic(hessian, minimizer, requests=requests), 1e-12, 10, "quadratic")
     assert converged and steps == 1 and len(changes) == 1
+    # The direction is solved for at the start only, not at the minimizer.
+    assert len(requests) == 1 and np.array_equal(requests[0], np.zeros(2))
     assert np.allclose(x, minimizer, rtol=0.0, atol=1e-15)
     assert changes[0] == pytest.approx(-0.5 * minimizer @ hessian @ minimizer)
     assert caplog.text == ""
