@@ -10,9 +10,9 @@ RankSVM and able2rank take their training preferences from the same pair
 enumerator as the analogy-kernel ranker (``build_pair_instances``).  RankSVM
 is a linear model without a bias, fitted on the squared hinge in the primal
 by the damped Newton loop that ``svm`` shares; it builds no Gram matrix and
-runs no SMO.  The linear models rank a query with ``ranking_from_scores``:
-RankSVM on the utility ``items @ weights``, expected rank regression on
-``-err_predict``.
+runs no SMO.  The linear models score items: RankSVM by the utility
+``items @ weights`` (larger is better), expected rank regression by
+``err_predict`` (smaller is better).
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ import numpy as np
 
 from .data import DataFormatError, RankedDataset
 from .kernel import KernelVariant, _check_within, kernel_matrix
-from .ranker import (
-    RankPrediction,
-    btl_fit,
-    build_pair_instances,
-    ordering_from_ranking,
-    ranking_from_scores,
-)
+from .ranker import RankPrediction, btl_fit, build_pair_instances, reciprocal_preferences
 from .svm import DEFAULT_C_GRID, _cv_splits, _newton_minimize
 # Not called here; perfbench's tracer wraps these names at this module.
 from .svm import select_c, smo_train  # noqa: F401
@@ -182,14 +176,5 @@ def able2rank_lite(train: RankedDataset, query: np.ndarray, k: int = 20) -> Rank
     sum_bwd = top_k_sums(evidence_bwd)
     total = sum_fwd + sum_bwd
     upper = np.where(total > 0.0, sum_fwd / np.where(total > 0.0, total, 1.0), 0.5)
-    pref = np.full((n, n), 0.5)
-    pref[rows, cols] = upper
-    pref[cols, rows] = 1.0 - upper
-    params = btl_fit(pref)
-    ranking = ranking_from_scores(params.theta)
-    return RankPrediction(
-        ranking=ranking,
-        ordering=ordering_from_ranking(ranking),
-        theta=params.theta,
-        preference=pref,
-    )
+    pref = reciprocal_preferences(upper, n)
+    return RankPrediction(btl_fit(pref).theta, pref)

@@ -107,13 +107,12 @@ def _load_external_orderings(argument: str) -> tuple[str, list]:
 def cmd_benchmark(args: argparse.Namespace) -> int:
     externals = dict(args.external or [])
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    unknown = [m for m in methods if m not in evaluate.METHOD_NAMES and m not in externals]
-    if unknown or not methods:
-        print(
-            f"unsupported method {', '.join(unknown) if unknown else '(none)'}; "
-            f"choose from: {', '.join(evaluate.METHOD_NAMES)} or a name given via --external",
-            file=sys.stderr,
-        )
+    try:
+        if len(externals) < len(args.external or []):
+            raise ValueError("an --external NAME is given more than once")
+        evaluate.check_methods(methods, externals)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     train = data.load_dataset(args.train)
     test = data.load_dataset(args.test, schema=train.schema)

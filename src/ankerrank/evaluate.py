@@ -1,10 +1,12 @@
 """Ranking loss, the train-to-test benchmark protocol, and rank summaries.
 
-A benchmark problem is a (train, test) dataset pair.  Every method is run
-``repeats`` times with independently spawned random streams (coin flips,
-cross-validation folds, and solver seeds are re-randomized per run), the
-ranking loss is averaged over the test queries of each run, and methods are
-ranked by mean loss with equal means sharing the lower rank.
+A benchmark problem is a (train, test) dataset pair, normalized once per
+normalization mode after one KS gate.  Every method is run ``repeats`` times
+with independently spawned random streams (coin flips, cross-validation
+folds, and solver seeds are re-randomized per run).  Each run predicts
+positions for the items of every test query, the ranking loss (a tie counts
+half) is averaged over the test queries, and methods are ranked by mean loss
+with equal means sharing the lower rank.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .data import (
     normalize_train_test,
 )
 from .kernel import KernelVariant
-from .ranker import anker_fit, anker_predict, ranking_from_scores
+from .ranker import anker_fit, anker_predict
 
 METHOD_NAMES = ("anker", "err", "ranksvm", "able2rank")
 
@@ -32,19 +34,25 @@ METHOD_NAMES = ("anker", "err", "ranksvm", "able2rank")
 def ranking_loss(pi: np.ndarray, pi_star: np.ndarray) -> float:
     """Normalized number of discordant item pairs between two rankings.
 
-    Both arguments assign a position to each item; the loss is the number of
-    item pairs ordered differently, divided by n(n-1)/2.
+    Both arguments assign a position to each item, smaller is better; the
+    loss is the number of item pairs ordered differently, divided by
+    n(n-1)/2.  ``pi`` may tie items: a pair tied in ``pi`` counts as half
+    discordant (Kendall's distance with penalty 1/2 of Fagin et al., 2004),
+    which is the expected loss when the tie is broken at random.
     """
-    pi = np.asarray(pi, dtype=int)
+    pi = np.asarray(pi, dtype=float)
     pi_star = np.asarray(pi_star, dtype=int)
     if pi.shape != pi_star.shape or pi.ndim != 1:
         raise ValueError("rankings must be 1-D and equally long")
+    if not np.isfinite(pi).all():
+        raise ValueError("predicted positions must be finite")
     n = pi.size
     if n < 2:
         raise ValueError("ranking loss needs at least two items")
     before = pi[:, None] < pi[None, :]
     before_star = pi_star[:, None] < pi_star[None, :]
-    discordant = int(np.sum(before & ~before_star))
+    tied = pi[:, None] == pi[None, :]
+    discordant = int(np.sum(before & ~before_star)) + 0.5 * int(np.sum(tied & before_star))
     return discordant / (n * (n - 1) / 2)
 
 
@@ -80,60 +88,55 @@ class ExperimentResult:
         object.__setattr__(self, "losses", np.asarray(self.losses, dtype=float))
 
 
-def _normalized_views(train: RankedDataset, test: RankedDataset, mode: NormalizationMode,
-                      config: MethodConfig) -> tuple[RankedDataset, list[np.ndarray], list[np.ndarray]]:
-    """Normalize train and test item rows once per problem for one method family."""
-    scope = config.scope
-    if scope is None:
-        scope = choose_normalization_scope(train.all_items(), test.all_items())
-    train_norm, test_norm = normalize_train_test(
-        train.all_items(), test.all_items(), mode, scope
-    )
-    train_ds = train.with_items(train_norm)
-    queries = []
-    truths = []
-    offset = 0
-    for query in test.queries:
-        queries.append(test_norm[offset : offset + query.n_items])
-        truths.append(query.ranking)
-        offset += query.n_items
-    return train_ds, queries, truths
-
-
 def _run_anker(train, test, seed, config):
-    train_ds, queries, truths = _normalized_views(train, test, NormalizationMode.MINMAX, config)
-    model = anker_fit(train_ds, variant=config.variant, C=config.C, seed=seed, cap=config.pair_cap)
-    return [ranking_loss(anker_predict(model, q).ranking, t) for q, t in zip(queries, truths)]
+    model = anker_fit(train, variant=config.variant, C=config.C, seed=seed, cap=config.pair_cap)
+    return [-anker_predict(model, q.items).theta for q in test.queries]
 
 
 def _run_err(train, test, seed, config):
     del seed  # fully deterministic
-    train_ds, queries, truths = _normalized_views(train, test, NormalizationMode.ZSCORE, config)
-    model = bl.err_fit(train_ds)
-    return [ranking_loss(ranking_from_scores(-bl.err_predict(model, q)), t)
-            for q, t in zip(queries, truths)]
+    model = bl.err_fit(train)
+    return [bl.err_predict(model, q.items) for q in test.queries]
 
 
 def _run_ranksvm(train, test, seed, config):
-    train_ds, queries, truths = _normalized_views(train, test, NormalizationMode.ZSCORE, config)
-    model = bl.ranksvm_fit(train_ds, C=config.C, seed=seed)
-    return [ranking_loss(ranking_from_scores(q @ model.weights), t)
-            for q, t in zip(queries, truths)]
+    model = bl.ranksvm_fit(train, C=config.C, seed=seed)
+    return [-(q.items @ model.weights) for q in test.queries]
 
 
 def _run_able2rank(train, test, seed, config):
     del seed  # fully deterministic
-    train_ds, queries, truths = _normalized_views(train, test, NormalizationMode.MINMAX, config)
-    return [ranking_loss(bl.able2rank_lite(train_ds, q, k=config.able2rank_k).ranking, t)
-            for q, t in zip(queries, truths)]
+    return [-bl.able2rank_lite(train, q.items, k=config.able2rank_k).theta for q in test.queries]
 
 
+# Each method's normalization and its runner: runner(train, test, seed,
+# config) gets the normalized datasets and returns one array of predicted
+# positions per test query, smaller is better.
 _RUNNERS = {
-    "anker": _run_anker,
-    "err": _run_err,
-    "ranksvm": _run_ranksvm,
-    "able2rank": _run_able2rank,
+    "anker": (NormalizationMode.MINMAX, _run_anker),
+    "err": (NormalizationMode.ZSCORE, _run_err),
+    "ranksvm": (NormalizationMode.ZSCORE, _run_ranksvm),
+    "able2rank": (NormalizationMode.MINMAX, _run_able2rank),
 }
+
+
+def check_methods(methods, externals) -> None:
+    """Raise ``ValueError`` unless each method name has one meaning.
+
+    A name is a built-in method or a key of ``externals`` that is not one,
+    and no name repeats.
+    """
+    methods = list(methods)
+    unknown = [m for m in methods if m not in _RUNNERS and m not in externals]
+    if unknown or not methods:
+        raise ValueError(f"unsupported method {', '.join(unknown) or '(none)'} "
+                         f"(known: {', '.join(METHOD_NAMES)}, or an external name)")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"method {', '.join(repeated)} given more than once")
+    shadowing = sorted(set(externals) & set(_RUNNERS))
+    if shadowing:
+        raise ValueError(f"external method {', '.join(shadowing)} has the name of a built-in method")
 
 
 def score_external_orderings(test: RankedDataset, orderings) -> float:
@@ -181,15 +184,13 @@ def run_experiment(train: RankedDataset, test: RankedDataset, methods,
 
     ``externals`` maps extra method names to pre-computed per-query orderings
     (best-to-worst item indices); those enter the comparison with a constant
-    loss across repeats.
+    loss across repeats.  Method names must pass ``check_methods``.
     """
     if config is None:
         config = MethodConfig()
     externals = externals or {}
     methods = list(methods)
-    for name in methods:
-        if name not in _RUNNERS and name not in externals:
-            raise ValueError(f"unsupported method {name!r} (known: {', '.join(METHOD_NAMES)})")
+    check_methods(methods, externals)
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     for query in test.queries:
@@ -199,16 +200,29 @@ def run_experiment(train: RankedDataset, test: RankedDataset, methods,
                 "the ranking loss needs at least two"
             )
 
+    # One scope and one normalization per mode, shared by every method and run.
+    modes = dict.fromkeys(_RUNNERS[name][0] for name in methods if name in _RUNNERS)
+    scope = config.scope
+    if scope is None and modes:
+        scope = choose_normalization_scope(train.all_items(), test.all_items())
+    views = {}
+    for mode in modes:
+        train_norm, test_norm = normalize_train_test(train.all_items(), test.all_items(), mode, scope)
+        views[mode] = (train.with_items(train_norm), test.with_items(test_norm))
+
     master = np.random.SeedSequence(seed)
     method_streams = master.spawn(len(methods))
     results = []
     for name, stream in zip(methods, method_streams):
         if name in _RUNNERS:
-            run_streams = stream.spawn(repeats)
+            mode, runner = _RUNNERS[name]
+            train_view, test_view = views[mode]
             losses = np.empty(repeats)
-            for r, run_stream in enumerate(run_streams):
+            for r, run_stream in enumerate(stream.spawn(repeats)):
                 run_seed = int(run_stream.generate_state(1)[0])
-                losses[r] = float(np.mean(_RUNNERS[name](train, test, run_seed, config)))
+                predicted = runner(train_view, test_view, run_seed, config)
+                losses[r] = float(np.mean([ranking_loss(p, q.ranking)
+                                           for p, q in zip(predicted, test.queries)]))
         else:
             losses = np.full(repeats, score_external_orderings(test, externals[name]))
         mean = float(losses.mean())

@@ -8,15 +8,16 @@ into a total order.  The BTL fit is the shared damped Newton loop of ``svm``
 on log-utilities, stopped on the gradient norm; its result says whether it
 converged, and a fit that did not converge logs a warning.
 
-``build_pair_instances`` is the one enumerator of training preferences (the
-baselines use it too), and ``ranking_from_scores`` the one conversion from
-scores to positions.
+``build_pair_instances`` is the one enumerator of training preferences and
+``reciprocal_preferences`` the one builder of a preference matrix (the
+baselines use both); a ``RankPrediction`` holds BTL utilities and their
+preference matrix and derives its positions through ``ranking_from_scores``.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,12 +64,22 @@ class BtlParams:
 
 @dataclass(frozen=True)
 class RankPrediction:
-    """Predicted order of a query: positions, ordering, utilities, preferences."""
+    """Predicted order of a query from its utilities and preference matrix.
 
-    ranking: np.ndarray
-    ordering: np.ndarray
+    ``ranking`` holds the positions ``ranking_from_scores(theta)`` (0 = best,
+    ties keep index order) and ``ordering`` the item indices best to worst,
+    its inverse.
+    """
+
     theta: np.ndarray
     preference: np.ndarray
+    ranking: np.ndarray = field(init=False)
+    ordering: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        ranking = ranking_from_scores(self.theta)
+        object.__setattr__(self, "ranking", ranking)
+        object.__setattr__(self, "ordering", np.argsort(ranking, kind="stable"))
 
 
 @dataclass(frozen=True)
@@ -103,21 +114,17 @@ def build_pair_instances(data: RankedDataset) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def reciprocal_preferences(support_forward: np.ndarray, support_backward: np.ndarray,
-                           n_items: int) -> np.ndarray:
-    """Combine directional support degrees into a reciprocal preference matrix.
+def reciprocal_preferences(upper: np.ndarray, n_items: int) -> np.ndarray:
+    """The reciprocal preference matrix with a given upper triangle.
 
-    ``support_forward[m]`` backs item i over item j and ``support_backward[m]``
-    backs j over i, for the m-th pair (i, j) with i < j in row-major order.
-    The combined estimate is (1 + forward - backward) / 2; the opposite entry
-    is its exact complement and the diagonal is 0.5.
+    ``upper[m]`` is the preference of item i over item j for the m-th pair
+    (i, j) with i < j in row-major order; the opposite entry is its exact
+    complement and the diagonal is 0.5.
     """
     rows, cols = np.triu_indices(n_items, k=1)
-    if support_forward.shape != rows.shape or support_backward.shape != rows.shape:
-        raise ValueError("support degrees do not match the number of item pairs")
+    if upper.shape != rows.shape:
+        raise ValueError("preferences do not match the number of item pairs")
     pref = np.full((n_items, n_items), 0.5)
-    # Grouping the difference first makes equal support yield exactly 0.5.
-    upper = (1.0 + (support_forward - support_backward)) / 2.0
     pref[rows, cols] = upper
     pref[cols, rows] = 1.0 - upper
     return pref
@@ -143,7 +150,9 @@ def preference_matrix(model: AnkerModel, query: np.ndarray) -> np.ndarray:
         kernel = kernel_matrix(diffs, model.support_diffs, model.variant)
         return platt_prob(svm.platt, decision_values(svm, kernel))
 
-    return reciprocal_preferences(support(forward), support(-forward), query.shape[0])
+    # Grouping the difference first makes equal support yield exactly 0.5.
+    upper = (1.0 + (support(forward) - support(-forward))) / 2.0
+    return reciprocal_preferences(upper, query.shape[0])
 
 
 def btl_log_likelihood(pref: np.ndarray, theta: np.ndarray) -> float:
@@ -224,11 +233,6 @@ def ranking_from_scores(scores) -> np.ndarray:
     return ranking
 
 
-def ordering_from_ranking(ranking: np.ndarray) -> np.ndarray:
-    """Item indices best-to-worst (the inverse permutation of the positions)."""
-    return np.argsort(np.asarray(ranking, dtype=int), kind="stable")
-
-
 def anker_fit(train: RankedDataset, *, variant: KernelVariant = KernelVariant.POLY2,
               C: float | None = None, seed: int = 0, cap: int | None = None) -> AnkerModel:
     """Train the preference SVM on a dataset whose items lie in [0, 1].
@@ -274,14 +278,7 @@ def anker_predict(model: AnkerModel, query: np.ndarray) -> RankPrediction:
     if not np.isfinite(query).all():
         raise ValueError("query features must be finite")
     pref = preference_matrix(model, query)
-    params = btl_fit(pref)
-    ranking = ranking_from_scores(params.theta)
-    return RankPrediction(
-        ranking=ranking,
-        ordering=ordering_from_ranking(ranking),
-        theta=params.theta,
-        preference=pref,
-    )
+    return RankPrediction(btl_fit(pref).theta, pref)
 
 
 def anker_rank(train: RankedDataset, query: np.ndarray, *,

@@ -4,7 +4,7 @@ Everything here deliberately avoids the code paths under test: the QP oracle
 is an accelerated projected-gradient method with an exact projection (sorted
 kinks of the piecewise-linear constraint), scored like SMO by a dense
 evaluation of the dual objective, the KS oracle enumerates
-permutations, the inversion counter is a double loop, the BTL oracle is a
+permutations, the inversion counter is a double loop (a tie counts one half), the BTL oracle is a
 grid search on the simplex, the training-pair oracle draws one coin per
 preference in a nested loop, the analogy-kernel oracle fills the whole
 matrix one feature at a time, and the squared-hinge RankSVM oracle is
@@ -104,15 +104,20 @@ def ks_exact_permutation_p(a, b) -> float:
 
 
 def brute_force_ranking_loss(pi, pi_star) -> float:
-    """Discordant-pair count by double loop, normalized by n(n-1)/2."""
+    """Discordant-pair count by double loop, normalized by n(n-1)/2.
+
+    A pair tied in ``pi`` but ordered in ``pi_star`` counts one half.
+    """
     pi = list(pi)
     pi_star = list(pi_star)
     n = len(pi)
-    discordant = 0
+    discordant = 0.0
     for i in range(n):
         for j in range(n):
             if pi[i] < pi[j] and pi_star[i] > pi_star[j]:
                 discordant += 1
+            elif pi[i] == pi[j] and pi_star[i] < pi_star[j]:
+                discordant += 0.5
     return discordant / (n * (n - 1) / 2)
 
 

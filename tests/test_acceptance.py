@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines; tolerances are pinned here and not configurable.
 """
 
+import json
 import time
 from contextlib import contextmanager
 
@@ -160,7 +161,8 @@ def test_criterion_8_protocol_fidelity(tmp_path):
         train_path = tmp_path / "train.csv"
         test_path = tmp_path / "test.csv"
         save_dataset(make_linear_dataset(3, 8, 3, seed=20_240_108), train_path)
-        save_dataset(make_linear_dataset(2, 8, 3, seed=20_240_208), test_path)
+        test = make_linear_dataset(2, 8, 3, seed=20_240_208)
+        save_dataset(test, test_path)
 
         # byte-identical CSV for a fixed seed, two methods
         argv = ["benchmark", "--train", str(train_path), "--test", str(test_path),
@@ -171,20 +173,23 @@ def test_criterion_8_protocol_fidelity(tmp_path):
         assert first.read_bytes() == second.read_bytes()
 
         # 20 repeats: mean +- std recorded, ranks follow the shared-lower-rank
-        # convention (the duplicated deterministic method ties exactly)
+        # convention (two external methods with the same orderings tie exactly)
+        reversed_path = tmp_path / "reversed.json"
+        reversed_path.write_text(json.dumps([{"ordering": q.ordering[::-1].tolist()} for q in test.queries]))
         out = tmp_path / "r20.csv"
         assert cli_main(["benchmark", "--train", str(train_path), "--test", str(test_path),
-                         "--methods", "err,err,able2rank", "--repeats", "20",
+                         "--methods", "worst,worse,err,able2rank", "--repeats", "20",
+                         "--external", f"worst={reversed_path}", "--external", f"worse={reversed_path}",
                          "--seed", "13", "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "problem,method,mean,std,rank"
         rows = [line.split(",") for line in lines[1:]]
-        assert len(rows) == 3
+        assert len(rows) == 4
         means = [float(r[2]) for r in rows]
         ranks = [int(r[4]) for r in rows]
         assert means[0] == means[1]
         assert ranks == competition_ranks(means).tolist()
-        assert ranks[0] == ranks[1]  # equal means share the lower rank
+        assert ranks[0] == ranks[1] == 3  # equal means share the lower rank
         for r in rows:
             float(r[3])  # std column parses
 

@@ -268,6 +268,42 @@ def test_benchmark_unknown_method_exits_2(csv_files, capsys):
     assert "unsupported method" in captured.err
 
 
+@pytest.mark.parametrize("options,message", [
+    ("--methods err,err", "method err given more than once"),
+    ("--methods err,anker --external anker={reversed}", "method anker has the name of a built-in method"),
+    ("--methods err,mine --external mine={reversed} --external mine={reversed}",
+     "--external NAME is given more than once"),
+], ids=["repeated-method", "external-shadows-built-in", "repeated-external"])
+def test_benchmark_method_names_have_one_meaning(csv_files, tmp_path, capsys, options, message):
+    from ankerrank.data import load_dataset
+
+    reversed_path = tmp_path / "reversed.json"
+    reversed_path.write_text(json.dumps(
+        [{"ordering": q.ordering[::-1].tolist()} for q in load_dataset(csv_files["test"]).queries]))
+    # The training file does not exist: names are checked before any data is loaded.
+    code = main(["benchmark", "--train", str(tmp_path / "missing.csv"), "--test", str(csv_files["test"]),
+                 "--repeats", "1", *options.format(reversed=reversed_path).split()])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
+def test_benchmark_scores_a_ranker_without_information_at_one_half(csv_files, tmp_path):
+    # Training queries whose items are all identical carry no preference, so
+    # both rankers tie every test item; save_dataset writes the test rows in
+    # rank order, so breaking the ties by row index would score 0.
+    source = make_linear_dataset(3, 8, 3, seed=0)
+    train = tmp_path / "train.csv"
+    save_dataset(RankedDataset(source.schema, tuple(_identical_items(source))), train)
+    out = tmp_path / "results.csv"
+    code = main(["benchmark", "--train", str(train), "--test", str(csv_files["test"]),
+                 "--methods", "anker,able2rank", "--repeats", "2", "--out", str(out)])
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert {r[1]: r[2] for r in rows} == {"anker": "0.500000", "able2rank": "0.500000"}
+
+
 def test_benchmark_same_seed_is_byte_identical(csv_files, tmp_path):
     argv = ["benchmark", "--train", str(csv_files["train"]), "--test", str(csv_files["test"]),
             "--methods", "anker,err", "--repeats", "2", "--seed", "4", "--C", "1.0"]

@@ -1,7 +1,12 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
+from ankerrank import evaluate
+from ankerrank.data import NormalizationScope
 from ankerrank.evaluate import (
+    METHOD_NAMES,
     MethodConfig,
     competition_ranks,
     format_results_table,
@@ -72,6 +77,39 @@ def test_loss_input_validation():
         ranking_loss(np.array([0]), np.array([0]))
 
 
+def test_a_tie_counts_half_a_discordant_pair():
+    assert ranking_loss([0, 0, 0], [0, 1, 2]) == 0.5
+    assert ranking_loss([0.5, 0.5, 2.0], [1, 0, 2]) == pytest.approx(1 / 6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_loss_rejects_non_finite_positions(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ranking_loss(np.array([0.0, bad, 1.0]), np.array([0, 1, 2]))
+
+
+def test_loss_with_ties_matches_brute_force_oracle():
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        n = int(rng.integers(2, 13))
+        pi = 0.25 * rng.integers(0, max(1, n // 2), size=n)  # real positions, many ties
+        pi_star = rng.permutation(n)
+        assert ranking_loss(pi, pi_star) == pytest.approx(brute_force_ranking_loss(pi, pi_star))
+
+
+def test_loss_with_ties_is_the_mean_over_tie_breakings():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        pi = rng.integers(0, 3, size=n)
+        pi_star = rng.permutation(n)
+        # every strict ranking that keeps the order pi already fixes
+        refinements = [np.array(p) for p in permutations(range(n))
+                       if all(p[i] < p[j] for i in range(n) for j in range(n) if pi[i] < pi[j])]
+        expected = np.mean([ranking_loss(p, pi_star) for p in refinements])
+        assert ranking_loss(pi, pi_star) == pytest.approx(expected)
+
+
 # ---------------------------------------------------------------------------
 # Rank bookkeeping
 
@@ -138,6 +176,40 @@ def test_run_experiment_rejects_unknown_method(small_problem):
     train, test = small_problem
     with pytest.raises(ValueError, match="unsupported method"):
         run_experiment(train, test, ["ranknet"], repeats=1, seed=0)
+
+
+@pytest.mark.parametrize("methods,external,message", [
+    (["err", "err"], None, "more than once"),
+    (["err", "anker"], "anker", "name of a built-in method"),
+    (["err"], "ranksvm", "name of a built-in method"),
+])
+def test_run_experiment_gives_each_method_name_one_meaning(small_problem, methods, external, message):
+    train, test = small_problem
+    externals = {external: [q.ordering.tolist()[::-1] for q in test.queries]} if external else None
+    with pytest.raises(ValueError, match=message):
+        run_experiment(train, test, methods, repeats=1, seed=0, externals=externals)
+
+
+@pytest.mark.parametrize("scope,expected", [
+    (None, {"scope": 1, "normalize": 2}),
+    (NormalizationScope.TEST_ONLY, {"scope": 0, "normalize": 2}),
+])
+def test_run_experiment_normalizes_once_per_problem(small_problem, monkeypatch, scope, expected):
+    train, test = small_problem
+    calls = {"scope": 0, "normalize": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(evaluate, "choose_normalization_scope",
+                        counted("scope", evaluate.choose_normalization_scope))
+    monkeypatch.setattr(evaluate, "normalize_train_test",
+                        counted("normalize", evaluate.normalize_train_test))
+    run_experiment(train, test, METHOD_NAMES, repeats=3, seed=14, config=MethodConfig(C=1.0, scope=scope))
+    assert calls == expected
 
 
 def test_results_csv_format(small_problem):

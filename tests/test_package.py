@@ -21,8 +21,8 @@ PUBLIC = (
     "anker_predict", "anker_rank", "boolean_proportion", "btl_fit", "btl_log_likelihood",
     "build_pair_instances", "choose_normalization_scope", "competition_ranks", "decision_values",
     "err_fit", "err_predict", "format_results_table", "gram_matrix", "kernel_matrix",
-    "ks_two_sample", "load_dataset", "normalize_train_test",
-    "ordering_from_ranking", "platt_fit", "platt_prob", "preference_matrix", "proportion_degree",
+    "ks_two_sample", "load_dataset", "normalize_train_test", "platt_fit", "platt_prob",
+    "preference_matrix", "proportion_degree",
     "ranking_from_scores", "ranking_loss", "ranksvm_fit", "reciprocal_preferences",
     "results_to_csv", "run_experiment", "save_dataset", "score_external_orderings", "select_c",
     "smo_train",

@@ -13,6 +13,7 @@ from ankerrank.data import (
 from ankerrank.kernel import KernelVariant, gram_matrix
 from ankerrank.ranker import (
     AnkerModel,
+    RankPrediction,
     anker_fit,
     anker_predict,
     anker_rank,
@@ -20,7 +21,6 @@ from ankerrank.ranker import (
     btl_log_likelihood,
     PREFERENCE_CLIP,
     build_pair_instances,
-    ordering_from_ranking,
     preference_matrix,
     ranking_from_scores,
     reciprocal_preferences,
@@ -116,9 +116,9 @@ def test_pair_extraction_rejects_singleton_queries():
 
 def test_reciprocal_preferences_formula():
     # one pair (0, 1): support 1.0 for, 0.0 against
-    pref = reciprocal_preferences(np.array([1.0]), np.array([0.0]), 2)
+    pref = reciprocal_preferences(np.array([1.0]), 2)
     assert pref[0, 1] == 1.0 and pref[1, 0] == 0.0
-    sym = reciprocal_preferences(np.array([0.4]), np.array([0.4]), 2)
+    sym = reciprocal_preferences(np.array([0.5]), 2)
     assert sym[0, 1] == 0.5 and sym[1, 0] == 0.5
     assert sym[0, 0] == 0.5 and sym[1, 1] == 0.5
 
@@ -127,7 +127,7 @@ def test_reciprocal_preferences_sum_is_exactly_one():
     rng = np.random.default_rng(10)
     n = 9
     m = n * (n - 1) // 2
-    pref = reciprocal_preferences(rng.random(m), rng.random(m), n)
+    pref = reciprocal_preferences(rng.random(m), n)
     off = ~np.eye(n, dtype=bool)
     assert np.all(pref[off] + pref.T[off] == 1.0)
 
@@ -173,8 +173,8 @@ def test_preference_matrix_backward_block_is_the_reversed_pairs():
         coef = svm.alpha[svm.support] * svm.labels[svm.support]
         return platt_prob(svm.platt, kernel[: len(diffs), len(diffs):] @ coef + svm.bias)
 
-    expected = reciprocal_preferences(support(query[rows] - query[cols]),
-                                      support(query[cols] - query[rows]), 5)
+    upper = (1.0 + (support(query[rows] - query[cols]) - support(query[cols] - query[rows]))) / 2.0
+    expected = reciprocal_preferences(upper, 5)
     assert np.max(np.abs(preference_matrix(model, query) - expected)) <= 1e-12
 
 
@@ -324,7 +324,6 @@ def test_btl_elementwise_dominance_orders_theta():
 def test_ranking_from_scores_example():
     ranking = ranking_from_scores(np.array([0.2, 0.5, 0.3]))
     assert np.array_equal(ranking, [2, 0, 1])
-    assert np.array_equal(ordering_from_ranking(ranking), [1, 2, 0])
 
 
 def test_ranking_from_scores_ties_are_stable():
@@ -334,6 +333,22 @@ def test_ranking_from_scores_ties_are_stable():
 
 def test_ranking_from_scores_sorted_input_is_identity():
     assert np.array_equal(ranking_from_scores(np.array([0.5, 0.3, 0.2])), [0, 1, 2])
+
+
+@pytest.mark.parametrize("theta", [[0.2, 0.5, 0.3], [0.1, 0.4, 0.1, 0.4]])
+def test_rank_prediction_derives_positions_and_ordering_from_theta(theta):
+    theta = np.array(theta)
+    prediction = RankPrediction(theta, np.full((theta.size, theta.size), 0.5))
+    assert np.array_equal(prediction.ranking, ranking_from_scores(theta))
+    assert np.array_equal(prediction.ordering[prediction.ranking], np.arange(theta.size))
+
+
+def test_predictions_order_items_by_their_utilities():
+    train = make_linear_dataset(2, 6, 3, seed=22)
+    query = np.random.default_rng(23).random((5, 3))
+    for prediction in (anker_predict(anker_fit(train, C=1.0, seed=24), query), able2rank_lite(train, query)):
+        assert np.array_equal(prediction.ranking, ranking_from_scores(prediction.theta))
+        assert np.array_equal(prediction.ordering, np.argsort(prediction.ranking, kind="stable"))
 
 
 # ---------------------------------------------------------------------------
