@@ -124,7 +124,7 @@ def check_methods(methods, externals) -> None:
     """Raise ``ValueError`` unless each method name has one meaning.
 
     A name is a built-in method or a key of ``externals`` that is not one,
-    and no name repeats.
+    no name repeats, and every key of ``externals`` is one of the methods.
     """
     methods = list(methods)
     unknown = [m for m in methods if m not in _RUNNERS and m not in externals]
@@ -137,6 +137,9 @@ def check_methods(methods, externals) -> None:
     shadowing = sorted(set(externals) & set(_RUNNERS))
     if shadowing:
         raise ValueError(f"external method {', '.join(shadowing)} has the name of a built-in method")
+    unused = sorted(set(externals) - set(methods))
+    if unused:
+        raise ValueError(f"external method {', '.join(unused)} is not in the method list")
 
 
 def score_external_orderings(test: RankedDataset, orderings) -> float:

@@ -48,7 +48,10 @@ class SvmModel:
     the entries with alpha > 0.  Decision values are
     sum_i alpha_i y_i k(x, x_i) + bias over the support set.  ``converged``
     is False when training stopped at the iteration cap, or on a step that
-    could not move, instead of meeting the KKT tolerance.
+    could not move, instead of meeting the KKT tolerance.  ``iterations``
+    counts the working-pair updates taken, and ``kkt_violation`` is the
+    maximal violation m - M at the last check, at most the tolerance exactly
+    when ``converged``.
     """
 
     alpha: np.ndarray
@@ -58,6 +61,8 @@ class SvmModel:
     C: float
     converged: bool = True
     platt: PlattParams | None = None
+    iterations: int = 0
+    kkt_violation: float = 0.0
 
 
 def smo_train(kernel, labels, C: float, tol: float = 1e-3,
@@ -65,7 +70,11 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
     """Solve the soft-margin SVM dual by SMO with maximal-violating-pair selection.
 
     Args:
-        kernel: (n, n) kernel matrix.
+        kernel: (n, n) kernel matrix.  It must be symmetric, as every kernel
+            matrix is, because the solver reads row t where it needs column
+            t.  It is not checked: ``np.array_equal(K, K.T)`` would cost
+            about 12 % of a solve, and ``gram_matrix`` mirrors its triangle,
+            which ``K[np.ix_(idx, idx)]`` keeps.
         labels: Sequence of n labels in {-1, +1}; both classes required.
         C: Box constraint on the dual variables, finite and > 0.
         tol: KKT violation tolerance used as the stopping criterion.
@@ -96,70 +105,85 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
     if not np.all(np.isfinite(K)):
         raise ValueError("kernel values must be finite")
 
-    alpha = np.zeros(n)
+    # The loop is bound by its per-iteration overhead: the working pair's
+    # bookkeeping is in Python floats, and the vector work writes into
+    # preallocated buffers.
+    C = float(C)
+    alpha = [0.0] * n
+    y_list = y.tolist()
+    diag = K.diagonal().tolist()
+    rows = list(K)  # row t stands for column t of the symmetric K
     # v = -y * grad, where grad is the gradient of 1/2 a'(yy' * K)a - sum(a).
-    # It is updated from columns of K directly, so no second n x n matrix is
+    # It is updated from rows of K directly, so no second n x n matrix is
     # needed; at alpha = 0 the gradient is -1, so v starts at y.
     v = y.copy()
     snap = _ALPHA_SNAP * max(1.0, C)
 
-    # Feasible-direction masks, maintained incrementally (only the selected
-    # pair changes per iteration).
-    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-    low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+    # Selection penalties: 0.0 where alpha_t can move up (down) along y_t,
+    # -inf (+inf) where it cannot.  As v is finite, the argmax of v + up_pen
+    # is that of v over the feasible entries.  Only the selected pair's
+    # entries change per iteration.
+    up_pen = np.where(y > 0, 0.0, -np.inf)
+    low_pen = np.where(y > 0, np.inf, 0.0)
+    buf = np.empty(n)
+    scaled_row = np.empty(n)
 
     converged = False
-    m_bound = np.inf
-    big_m_bound = -np.inf
-    for iteration in range(max_iter):
-        i = int(np.argmax(np.where(up, v, -np.inf)))
-        j = int(np.argmin(np.where(low, v, np.inf)))
-        m_bound = v[i]
-        big_m_bound = v[j]
+    for iterations in range(max_iter):
+        np.add(v, up_pen, out=buf)
+        i = int(buf.argmax())
+        np.add(v, low_pen, out=buf)
+        j = int(buf.argmin())
+        m_bound = v.item(i)
+        big_m_bound = v.item(j)
         if m_bound - big_m_bound <= tol:
             converged = True
             break
 
         # Move along alpha_i += y_i t, alpha_j -= y_j t, which preserves
         # sum(alpha * y); the unconstrained optimum is t = (m - M) / eta.
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        y_i, y_j = y_list[i], y_list[j]
+        eta = diag[i] + diag[j] - 2.0 * K.item(i, j)
         step = (m_bound - big_m_bound) / max(eta, 1e-12)
-        limit_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
-        limit_j = alpha[j] if y[j] > 0 else (C - alpha[j])
+        limit_i = (C - alpha[i]) if y_i > 0 else alpha[i]
+        limit_j = alpha[j] if y_j > 0 else (C - alpha[j])
         step = min(step, limit_i, limit_j)
         if step <= 0.0:
             logger.warning("SMO stalled at iteration %d (KKT violation %.3e, tolerance %.1e)",
-                           iteration, m_bound - big_m_bound, tol)
+                           iterations, m_bound - big_m_bound, tol)
             break
-        delta_i = y[i] * step
-        delta_j = -y[j] * step
+        delta_i = y_i * step
+        delta_j = -y_j * step
         alpha[i] += delta_i
         alpha[j] += delta_j
         # Fixed index order keeps float accumulation independent of which
         # element of the pair was selected first.
-        first, second = (i, j) if i < j else (j, i)
-        deltas = {i: delta_i, j: delta_j}
-        v -= K[:, first] * (y[first] * deltas[first])
-        v -= K[:, second] * (y[second] * deltas[second])
+        for t, delta in ((i, delta_i), (j, delta_j)) if i < j else ((j, delta_j), (i, delta_i)):
+            np.multiply(rows[t], y_list[t] * delta, out=scaled_row)
+            np.subtract(v, scaled_row, out=v)
         for t in (i, j):
-            if alpha[t] < snap:
-                alpha[t] = 0.0
-            elif alpha[t] > C - snap:
-                alpha[t] = C
-            up[t] = (y[t] > 0 and alpha[t] < C) or (y[t] < 0 and alpha[t] > 0)
-            low[t] = (y[t] > 0 and alpha[t] > 0) or (y[t] < 0 and alpha[t] < C)
+            a_t, positive = alpha[t], y_list[t] > 0
+            if a_t < snap:
+                a_t = alpha[t] = 0.0
+            elif a_t > C - snap:
+                a_t = alpha[t] = C
+            up_pen[t] = 0.0 if (a_t < C if positive else a_t > 0.0) else -np.inf
+            low_pen[t] = 0.0 if (a_t > 0.0 if positive else a_t < C) else np.inf
     else:
+        iterations = max_iter
         logger.warning("SMO stopped unconverged at the iteration cap (%d) "
                        "(KKT violation %.3e, tolerance %.1e)", max_iter, m_bound - big_m_bound, tol)
 
+    alpha = np.array(alpha)
     free = (alpha > 0.0) & (alpha < C)
     if np.any(free):
         bias = float(v[free].mean())
     else:
-        bias = float((m_bound + big_m_bound) / 2.0)
+        bias = (m_bound + big_m_bound) / 2.0
     support = np.flatnonzero(alpha > 0.0)
-    return SvmModel(alpha=alpha, labels=y, support=support, bias=bias, C=float(C),
-                    converged=converged)
+    return SvmModel(alpha=alpha, labels=y, support=support, bias=bias, C=C,
+                    converged=converged, iterations=iterations,
+                    kkt_violation=m_bound - big_m_bound)
 
 
 def decision_values(model: SvmModel, kernel_rows) -> np.ndarray:

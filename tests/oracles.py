@@ -3,7 +3,10 @@
 Everything here deliberately avoids the code paths under test: the QP oracle
 is an accelerated projected-gradient method with an exact projection (sorted
 kinks of the piecewise-linear constraint), scored like SMO by a dense
-evaluation of the dual objective, the KS oracle enumerates
+evaluation of the dual objective, the reference SMO takes the same steps
+in a plain loop (column reads, ``np.where`` masks, numpy-scalar
+bookkeeping), kept so that a test can hold the tuned ``smo_train`` to
+bit-identical alpha, bias, ``converged`` and support, the KS oracle enumerates
 permutations, the inversion counter is a double loop (a tie counts one half), the BTL oracle is a
 grid search on the simplex, the training-pair oracle draws one coin per
 preference in a nested loop, the analogy-kernel oracle fills the whole
@@ -75,6 +78,62 @@ def dual_objective(kernel: np.ndarray, labels, alpha) -> float:
     a = np.asarray(alpha, dtype=float)
     Q = np.asarray(kernel, dtype=float) * np.outer(y, y)
     return float(a.sum() - 0.5 * a @ Q @ a)
+
+
+def reference_smo(kernel, labels, C: float, tol: float = 1e-3, max_iter: int = 10_000):
+    """SMO with maximal-violating-pair selection, written plainly.
+
+    The same algorithm, step, snap and order of accumulation as
+    ``smo_train``, without its input checks or warnings.  Returns alpha, the
+    bias, ``converged`` and the support indices.
+    """
+    K = np.asarray(kernel, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    n = y.size
+    alpha = np.zeros(n)
+    v = y.copy()
+    snap = 1e-12 * max(1.0, C)
+    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+    low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+
+    converged = False
+    for _ in range(max_iter):
+        i = int(np.argmax(np.where(up, v, -np.inf)))
+        j = int(np.argmin(np.where(low, v, np.inf)))
+        m_bound = v[i]
+        big_m_bound = v[j]
+        if m_bound - big_m_bound <= tol:
+            converged = True
+            break
+        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        step = (m_bound - big_m_bound) / max(eta, 1e-12)
+        limit_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
+        limit_j = alpha[j] if y[j] > 0 else (C - alpha[j])
+        step = min(step, limit_i, limit_j)
+        if step <= 0.0:
+            break
+        delta_i = y[i] * step
+        delta_j = -y[j] * step
+        alpha[i] += delta_i
+        alpha[j] += delta_j
+        first, second = (i, j) if i < j else (j, i)
+        deltas = {i: delta_i, j: delta_j}
+        v -= K[:, first] * (y[first] * deltas[first])
+        v -= K[:, second] * (y[second] * deltas[second])
+        for t in (i, j):
+            if alpha[t] < snap:
+                alpha[t] = 0.0
+            elif alpha[t] > C - snap:
+                alpha[t] = C
+            up[t] = (y[t] > 0 and alpha[t] < C) or (y[t] < 0 and alpha[t] > 0)
+            low[t] = (y[t] > 0 and alpha[t] > 0) or (y[t] < 0 and alpha[t] < C)
+
+    free = (alpha > 0.0) & (alpha < C)
+    if np.any(free):
+        bias = float(v[free].mean())
+    else:
+        bias = float((m_bound + big_m_bound) / 2.0)
+    return alpha, bias, converged, np.flatnonzero(alpha > 0.0)
 
 
 def ks_exact_permutation_p(a, b) -> float:

@@ -273,7 +273,8 @@ def test_benchmark_unknown_method_exits_2(csv_files, capsys):
     ("--methods err,anker --external anker={reversed}", "method anker has the name of a built-in method"),
     ("--methods err,mine --external mine={reversed} --external mine={reversed}",
      "--external NAME is given more than once"),
-], ids=["repeated-method", "external-shadows-built-in", "repeated-external"])
+    ("--methods err --external mine={reversed}", "external method mine is not in the method list"),
+], ids=["repeated-method", "external-shadows-built-in", "repeated-external", "external-not-a-method"])
 def test_benchmark_method_names_have_one_meaning(csv_files, tmp_path, capsys, options, message):
     from ankerrank.data import load_dataset
 

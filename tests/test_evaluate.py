@@ -182,6 +182,7 @@ def test_run_experiment_rejects_unknown_method(small_problem):
     (["err", "err"], None, "more than once"),
     (["err", "anker"], "anker", "name of a built-in method"),
     (["err"], "ranksvm", "name of a built-in method"),
+    (["err"], "mine", "external method mine is not in the method list"),
 ])
 def test_run_experiment_gives_each_method_name_one_meaning(small_problem, methods, external, message):
     train, test = small_problem

@@ -14,7 +14,7 @@ from ankerrank.svm import (
     select_c,
     smo_train,
 )
-from oracles import dual_objective, project_box_hyperplane, projected_gradient_qp
+from oracles import dual_objective, project_box_hyperplane, projected_gradient_qp, reference_smo
 
 
 def random_instance(rng, n_max=6):
@@ -41,6 +41,41 @@ def test_duplicated_example_with_opposite_labels_hits_the_box():
     # multipliers to the bound.
     model = smo_train(np.ones((2, 2)), [1, -1], C=3.0, tol=1e-8)
     assert np.allclose(model.alpha, [3.0, 3.0])
+
+
+def test_two_example_analytic_solution_takes_one_step():
+    model = smo_train(np.eye(2), [1, -1], C=10.0, tol=1e-8)
+    assert model.iterations == 1
+    assert model.converged and model.kkt_violation == 0.0
+
+
+def assert_matches_reference(gram, labels, C, **options):
+    model = smo_train(gram, labels, C, **options)
+    alpha, bias, converged, support = reference_smo(gram, labels, C, **options)
+    assert model.alpha.tobytes() == alpha.tobytes()
+    assert model.bias == bias
+    assert model.converged == converged
+    assert np.array_equal(model.support, support)
+
+
+@pytest.mark.parametrize("C", [2.0**-6, 1.0, 64.0])
+@pytest.mark.parametrize("variant", list(KernelVariant))
+@pytest.mark.parametrize("n", [12, 75, 300])
+def test_smo_is_bit_identical_to_the_reference_loop(n, variant, C):
+    rng = np.random.default_rng(n)
+    gram = gram_matrix(rng.random((n, 5)) - rng.random((n, 5)), variant)
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    labels[0], labels[1] = 1.0, -1.0
+    assert_matches_reference(gram, labels, C)
+
+
+def test_smo_is_bit_identical_to_the_reference_loop_at_the_cap_and_the_box():
+    rng = np.random.default_rng(7)
+    gram = gram_matrix(rng.random((12, 3)) - rng.random((12, 3)), KernelVariant.MEAN)
+    labels = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+    assert_matches_reference(gram, labels, 1.0, tol=1e-8, max_iter=1)
+    # Zero curvature: the step is clipped at the box.
+    assert_matches_reference(np.ones((2, 2)), np.array([1.0, -1.0]), 3.0, tol=1e-8)
 
 
 def test_equality_constraint_holds():
@@ -147,6 +182,27 @@ def test_smo_warns_when_it_stops_unconverged(caplog):
         model = smo_train(gram, labels, C=1.0, tol=1e-8, max_iter=1)
     assert not model.converged
     assert "iteration cap (1)" in caplog.text and "KKT violation" in caplog.text
+
+
+def test_smo_counts_the_update_it_takes_before_the_cap():
+    rng = np.random.default_rng(6)
+    gram = gram_matrix(rng.random((12, 3)) - rng.random((12, 3)), KernelVariant.MEAN)
+    labels = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+    model = smo_train(gram, labels, C=1.0, tol=1e-8, max_iter=1)
+    assert model.iterations == 1 and not model.converged
+
+
+def test_converged_exactly_when_the_kkt_violation_meets_the_tolerance():
+    rng = np.random.default_rng(8)
+    outcomes = set()
+    for max_iter in (1, 3, 10, 10_000):
+        for _ in range(10):
+            gram, labels, cost = random_instance(rng, n_max=12)
+            model = smo_train(gram, labels, cost, tol=1e-6, max_iter=max_iter)
+            assert model.converged == (model.kkt_violation <= 1e-6)
+            assert model.iterations <= max_iter
+            outcomes.add(model.converged)
+    assert outcomes == {True, False}
 
 
 def test_single_class_and_bad_kernel_are_rejected():
