@@ -428,15 +428,17 @@ def ks_two_sample(a, b, alpha: float = 0.05) -> KsDecision:
     return KsDecision(statistic, p_value, alpha, p_value < alpha)
 
 
-def choose_normalization_scope(train: np.ndarray, test: np.ndarray,
-                               alpha: float = 0.05) -> NormalizationScope:
+SCOPE_ALPHA = 0.05  # family-wise significance level of the scope gate
+
+
+def choose_normalization_scope(train: np.ndarray, test: np.ndarray) -> NormalizationScope:
     """Decide whether the test matrix must be normalized on its own.
 
     Takes the train and test item matrices, (n, d) and (m, d).  Runs a
     per-feature two-sample KS test at the Bonferroni-corrected level
-    alpha/d; any rejection means the distributions differ, so normalization
-    statistics for the test side come from the test data alone.  Otherwise
-    the training data is pooled in.
+    ``SCOPE_ALPHA``/d = 0.05/d; any rejection means the distributions
+    differ, so normalization statistics for the test side come from the
+    test data alone.  Otherwise the training data is pooled in.
     """
     train = np.asarray(train, dtype=float)
     test = np.asarray(test, dtype=float)
@@ -445,7 +447,7 @@ def choose_normalization_scope(train: np.ndarray, test: np.ndarray,
             f"schema mismatch: train has {train.shape[1:]} features, test has {test.shape[1:]}"
         )
     d = train.shape[1]
-    per_feature_alpha = alpha / d
+    per_feature_alpha = SCOPE_ALPHA / d
     for k in range(d):
         if ks_two_sample(train[:, k], test[:, k], per_feature_alpha).rejected:
             return NormalizationScope.TEST_ONLY

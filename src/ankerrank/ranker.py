@@ -58,7 +58,8 @@ class BtlParams:
     def __post_init__(self) -> None:
         theta = np.asarray(self.theta, dtype=float)
         object.__setattr__(self, "theta", theta)
-        if np.any(theta <= 0) or abs(theta.sum() - 1.0) > 1e-9:
+        # Written so that NaN fails the test: every comparison with NaN is False.
+        if not (np.all(theta > 0) and abs(theta.sum() - 1.0) <= 1e-9):
             raise ValueError("theta must be positive and sum to 1")
 
 
@@ -167,7 +168,8 @@ def btl_log_likelihood(pref: np.ndarray, theta: np.ndarray) -> float:
 def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlParams:
     """Maximum-likelihood Bradley-Terry-Luce utilities by Newton's method on log-utilities.
 
-    Entries are clipped away from {0, 1} so the maximizer stays finite.  The
+    Off-diagonal entries must be finite with p_ij + p_ji = 1 (within 1e-9),
+    and are clipped away from {0, 1} so the maximizer stays finite.  The
     log-likelihood sum_ij p_ij log sigma(beta_i - beta_j) is concave in
     beta = log theta; its negative is minimized by ``svm._newton_minimize``.
     Each step solves (L + 11'/n) delta = g, where g is the gradient of the
@@ -177,7 +179,7 @@ def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlPa
     log sigma_ij by -log1p(sigma_ji expm1(-d_ij)), exact to rounding even
     when the step is tiny, so the recorded likelihood path never decreases.
 
-    ``tol`` bounds the max-norm of the gradient with respect to beta:
+    ``tol`` >= 0 bounds the max-norm of the gradient with respect to beta:
     ``converged`` is True when that bound is met.  The fit stops unconverged,
     with a warning, after ``max_iter`` Newton steps or when no step along the
     Newton direction raises the likelihood.  Returns theta = softmax(beta).
@@ -186,16 +188,15 @@ def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlPa
     n = pref.shape[0]
     if pref.ndim != 2 or pref.shape != (n, n):
         raise ValueError("preference matrix must be square")
+    if not tol >= 0.0:
+        raise ValueError("tol must be a non-negative number")
     off = ~np.eye(n, dtype=bool)
-    recip_gap = np.max(np.abs(pref[off] + pref.T[off] - 1.0)) if n > 1 else 0.0
-    if recip_gap > 1e-9:
-        raise ValueError(f"preference matrix is not reciprocal (max gap {recip_gap:.3e})")
-    p = pref.copy()
-    p[off] = np.clip(p[off], PREFERENCE_CLIP, 1.0 - PREFERENCE_CLIP)
-    if n == 1:
-        return BtlParams(np.ones(1), 0, True, np.zeros(1))
-
-    wins_matrix = np.where(off, p, 0.0)
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        recip_gap = np.max(np.abs(pref[off] + pref.T[off] - 1.0), initial=0.0)
+    # NaN fails this test, and a NaN or infinite entry makes the gap NaN or inf.
+    if not recip_gap <= 1e-9:
+        raise ValueError(f"preference matrix is not reciprocal and finite (max gap {recip_gap:.3e})")
+    wins_matrix = np.where(off, np.clip(pref, PREFERENCE_CLIP, 1.0 - PREFERENCE_CLIP), 0.0)
     wins = wins_matrix.sum(axis=1)
     pair_weight = wins_matrix + wins_matrix.T
 
@@ -219,7 +220,7 @@ def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlPa
         return -grad, newton
 
     beta, iterations, converged, changes = _newton_minimize(np.zeros(n), local, tol, max_iter, "BTL fit")
-    path = np.cumsum([btl_log_likelihood(p, np.full(n, 1.0 / n)), *(-c for c in changes)])
+    path = np.cumsum([btl_log_likelihood(wins_matrix, np.full(n, 1.0 / n)), *(-c for c in changes)])
     theta = np.exp(beta - beta.max())
     return BtlParams(theta / theta.sum(), iterations, converged, path)
 

@@ -46,12 +46,12 @@ class SvmModel:
 
     ``alpha`` and ``labels`` cover the full training set; ``support`` indexes
     the entries with alpha > 0.  Decision values are
-    sum_i alpha_i y_i k(x, x_i) + bias over the support set.  ``converged``
-    is False when training stopped at the iteration cap, or on a step that
-    could not move, instead of meeting the KKT tolerance.  ``iterations``
-    counts the working-pair updates taken, and ``kkt_violation`` is the
-    maximal violation m - M at the last check, at most the tolerance exactly
-    when ``converged``.
+    sum_i alpha_i y_i k(x, x_i) + bias over the support set.
+    ``iterations`` counts the working-pair updates taken, and
+    ``kkt_violation`` is the maximal violation m - M at the returned alpha.
+    ``converged`` is True exactly when that violation is at most the
+    tolerance; a solve that stops at the iteration cap, or on a step that
+    could not move, without meeting it is not converged.
     """
 
     alpha: np.ndarray
@@ -77,15 +77,15 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
             which ``K[np.ix_(idx, idx)]`` keeps.
         labels: Sequence of n labels in {-1, +1}; both classes required.
         C: Box constraint on the dual variables, finite and > 0.
-        tol: KKT violation tolerance used as the stopping criterion.
+        tol: KKT violation tolerance used as the stopping criterion, >= 0.
         max_iter: Cap on working-pair updates.
 
     Returns:
         SvmModel with 0 <= alpha <= C, sum(alpha * labels) = 0, and the bias
         averaged over unbounded support vectors (midpoint of the feasible
-        interval when there are none).  A solve that stops before meeting
-        ``tol`` returns ``converged=False`` and logs a warning with the
-        iteration count and the KKT violation.
+        interval when there are none).  ``kkt_violation``, ``converged`` and
+        that midpoint describe the returned alpha; a solve that stops at the
+        cap or on a stalled step without meeting ``tol`` logs one warning.
     """
     y = np.asarray(labels, dtype=float)
     n = y.size
@@ -97,6 +97,8 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         raise ValueError("training set contains a single class")
     if not 0 < C < np.inf:
         raise ValueError("C must be a finite positive number")
+    if not tol >= 0.0:
+        raise ValueError("tol must be a non-negative number")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     K = np.asarray(kernel, dtype=float)
@@ -128,16 +130,15 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
     buf = np.empty(n)
     scaled_row = np.empty(n)
 
-    converged = False
-    for iterations in range(max_iter):
+    for iterations in range(max_iter + 1):
         np.add(v, up_pen, out=buf)
         i = int(buf.argmax())
         np.add(v, low_pen, out=buf)
         j = int(buf.argmin())
         m_bound = v.item(i)
         big_m_bound = v.item(j)
-        if m_bound - big_m_bound <= tol:
-            converged = True
+        converged = m_bound - big_m_bound <= tol
+        if converged or iterations == max_iter:
             break
 
         # Move along alpha_i += y_i t, alpha_j -= y_j t, which preserves
@@ -148,9 +149,7 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         limit_i = (C - alpha[i]) if y_i > 0 else alpha[i]
         limit_j = alpha[j] if y_j > 0 else (C - alpha[j])
         step = min(step, limit_i, limit_j)
-        if step <= 0.0:
-            logger.warning("SMO stalled at iteration %d (KKT violation %.3e, tolerance %.1e)",
-                           iterations, m_bound - big_m_bound, tol)
+        if step <= 0.0:  # reachable with tol = 0 or an underflowing step
             break
         delta_i = y_i * step
         delta_j = -y_j * step
@@ -169,10 +168,9 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
                 a_t = alpha[t] = C
             up_pen[t] = 0.0 if (a_t < C if positive else a_t > 0.0) else -np.inf
             low_pen[t] = 0.0 if (a_t > 0.0 if positive else a_t < C) else np.inf
-    else:
-        iterations = max_iter
-        logger.warning("SMO stopped unconverged at the iteration cap (%d) "
-                       "(KKT violation %.3e, tolerance %.1e)", max_iter, m_bound - big_m_bound, tol)
+    if not converged:
+        logger.warning("SMO stopped unconverged after %d updates, iteration cap (%d) "
+                       "(KKT violation %.3e, tolerance %.1e)", iterations, max_iter, m_bound - big_m_bound, tol)
 
     alpha = np.array(alpha)
     free = (alpha > 0.0) & (alpha < C)

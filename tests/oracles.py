@@ -96,14 +96,13 @@ def reference_smo(kernel, labels, C: float, tol: float = 1e-3, max_iter: int = 1
     up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
     low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
 
-    converged = False
-    for _ in range(max_iter):
+    for taken in range(max_iter + 1):
         i = int(np.argmax(np.where(up, v, -np.inf)))
         j = int(np.argmin(np.where(low, v, np.inf)))
         m_bound = v[i]
         big_m_bound = v[j]
-        if m_bound - big_m_bound <= tol:
-            converged = True
+        converged = m_bound - big_m_bound <= tol
+        if converged or taken == max_iter:
             break
         eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
         step = (m_bound - big_m_bound) / max(eta, 1e-12)

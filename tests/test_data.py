@@ -305,7 +305,7 @@ def test_scope_single_feature_reduces_to_plain_alpha():
     rng = np.random.default_rng(7)
     train = rng.normal(size=(80, 1))
     test = rng.normal(0.35, 1.0, size=(80, 1))
-    gate = choose_normalization_scope(train, test, alpha=0.05)
+    gate = choose_normalization_scope(train, test)
     single = ks_two_sample(train[:, 0], test[:, 0], alpha=0.05)
     expected = NormalizationScope.TEST_ONLY if single.rejected else NormalizationScope.TRAIN_PLUS_TEST
     assert gate is expected

@@ -13,6 +13,7 @@ from ankerrank.data import (
 from ankerrank.kernel import KernelVariant, gram_matrix
 from ankerrank.ranker import (
     AnkerModel,
+    BtlParams,
     RankPrediction,
     anker_fit,
     anker_predict,
@@ -289,6 +290,31 @@ def test_btl_warns_when_it_stops_unconverged(caplog):
 def test_btl_rejects_non_reciprocal_input():
     with pytest.raises(ValueError, match="reciprocal"):
         btl_fit(np.array([[0.5, 0.9], [0.4, 0.5]]))
+
+
+@pytest.mark.parametrize("upper, lower", [(np.nan, 0.5), (np.nan, np.nan), (np.inf, -np.inf)])
+def test_btl_rejects_non_finite_preferences(upper, lower):
+    pref = np.full((3, 3), 0.5)
+    pref[0, 1], pref[1, 0] = upper, lower
+    with pytest.raises(ValueError, match="reciprocal and finite"):
+        btl_fit(pref)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0])
+def test_btl_rejects_a_nan_or_negative_tolerance(tol):
+    with pytest.raises(ValueError, match="tol"):
+        btl_fit(np.array([[0.5, 0.7], [0.3, 0.5]]), tol=tol)
+
+
+def test_btl_params_reject_nan_theta():
+    with pytest.raises(ValueError, match="positive"):
+        BtlParams(np.array([np.nan, np.nan]), 0, True, np.zeros(1))
+
+
+def test_btl_one_item_goes_through_the_newton_driver_unchanged():
+    params = btl_fit(np.array([[0.5]]))
+    assert params.theta.tolist() == [1.0] and params.iterations == 0 and params.converged
+    assert params.log_likelihood_path.tolist() == [0.0]
 
 
 def test_btl_scale_invariance_at_the_ranking_level():

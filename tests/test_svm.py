@@ -205,6 +205,47 @@ def test_converged_exactly_when_the_kkt_violation_meets_the_tolerance():
     assert outcomes == {True, False}
 
 
+def test_smo_capped_at_the_updates_it_needs_returns_the_full_record(caplog):
+    rng = np.random.default_rng(0)
+    gram = gram_matrix(rng.random((40, 5)) - rng.random((40, 5)), KernelVariant.MEAN)
+    labels = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+    labels[0], labels[1] = 1.0, -1.0
+    full = smo_train(gram, labels, C=1.0)
+    assert full.converged and full.iterations > 1
+    with caplog.at_level("WARNING", logger="ankerrank.svm"):
+        capped = smo_train(gram, labels, C=1.0, max_iter=full.iterations)
+    assert not caplog.records
+    assert capped.alpha.tobytes() == full.alpha.tobytes()
+    assert (capped.bias, capped.converged, capped.iterations, capped.kkt_violation) == (
+        full.bias, True, full.iterations, full.kkt_violation)
+
+
+def test_smo_record_describes_the_returned_alpha_at_every_cap():
+    rng = np.random.default_rng(7)
+    gram = gram_matrix(rng.random((12, 3)) - rng.random((12, 3)), KernelVariant.MEAN)
+    labels = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+    full = smo_train(gram, labels, C=1.0, tol=1e-8)
+    midpoints = 0
+    for cap in range(1, full.iterations + 1):
+        model = smo_train(gram, labels, C=1.0, tol=1e-8, max_iter=cap)
+        alpha, y = model.alpha, model.labels
+        v = y - gram @ (alpha * y)
+        up = ((y > 0) & (alpha < 1.0)) | ((y < 0) & (alpha > 0.0))
+        low = ((y > 0) & (alpha > 0.0)) | ((y < 0) & (alpha < 1.0))
+        m_bound, big_m_bound = v[up].max(), v[low].min()
+        assert model.kkt_violation == pytest.approx(m_bound - big_m_bound, abs=1e-12)
+        if not np.any((alpha > 0.0) & (alpha < 1.0)):
+            assert model.bias == pytest.approx((m_bound + big_m_bound) / 2.0, abs=1e-12)
+            midpoints += 1
+    assert midpoints > 0
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0])
+def test_smo_rejects_a_nan_or_negative_tolerance(tol):
+    with pytest.raises(ValueError, match="tol"):
+        smo_train(np.eye(2), [1, -1], C=10.0, tol=tol)
+
+
 def test_single_class_and_bad_kernel_are_rejected():
     with pytest.raises(ValueError, match="single class"):
         smo_train(np.eye(2), [1, 1], C=1.0)
