@@ -58,8 +58,9 @@ class FeatureSchema:
         for name, kind, lev in zip(self.names, self.kinds, self.levels):
             if kind is FeatureKind.NUMERIC and lev is not None:
                 raise DataFormatError(f"numeric feature {name!r} must not declare levels")
-            if kind is FeatureKind.BINARY and (lev is None or len(lev) != 2):
-                raise DataFormatError(f"binary feature {name!r} must take exactly two raw values")
+            if kind is FeatureKind.BINARY and len(lev or ()) != 2:
+                raise DataFormatError(f"binary feature {name!r} must take exactly two raw values, "
+                                      f"found {len(lev or ())}")
             if kind is FeatureKind.ORDINAL and (lev is None or len(lev) < 2):
                 raise DataFormatError(f"ordinal feature {name!r} needs an ordered level list")
             if lev is not None and len(set(lev)) != len(lev):
@@ -114,9 +115,8 @@ class RankedQuery:
 
     def __post_init__(self) -> None:
         items = np.asarray(self.items, dtype=float)
-        ranking = np.asarray(self.ranking, dtype=int)
+        ranking = np.asarray(self.ranking)
         object.__setattr__(self, "items", items)
-        object.__setattr__(self, "ranking", ranking)
         if items.ndim != 2:
             raise DataFormatError("query items must form a 2-D (n, d) array")
         n = items.shape[0]
@@ -124,8 +124,10 @@ class RankedQuery:
             raise DataFormatError("a query needs at least one item")
         if not np.isfinite(items).all():
             raise DataFormatError(f"query {self.query_id!r} has non-finite feature values")
+        # Compared before the integer cast, so 1.5 is not read as 1.
         if ranking.shape != (n,) or sorted(ranking.tolist()) != list(range(n)):
             raise DataFormatError(f"ranking of query {self.query_id!r} is not a permutation of 0..{n - 1}")
+        object.__setattr__(self, "ranking", ranking.astype(int, copy=False))
 
     @property
     def n_items(self) -> int:
@@ -193,10 +195,8 @@ def _parse_header_cell(cell: str) -> tuple[str, FeatureKind | None, tuple[str, .
     if ":" in cell:
         name, _, kind_str = cell.partition(":")
         kind_str = kind_str.strip()
-        if kind_str == "numeric":
-            return name.strip(), FeatureKind.NUMERIC, None
-        if kind_str == "binary":
-            return name.strip(), FeatureKind.BINARY, None
+        if kind_str in ("numeric", "binary"):
+            return name.strip(), FeatureKind(kind_str), None
         if kind_str == "ordinal":
             raise DataFormatError(f"ordinal column {name!r} must list its levels, e.g. {name}:ordinal{{a<b<c}}")
         raise DataFormatError(f"unknown feature kind {kind_str!r} in header cell {cell!r}")
@@ -204,18 +204,13 @@ def _parse_header_cell(cell: str) -> tuple[str, FeatureKind | None, tuple[str, .
 
 
 def _infer_column(name: str, declared: FeatureKind | None, levels: tuple[str, ...] | None,
-                  raw: list[str]) -> tuple[FeatureKind, tuple[str, ...] | None]:
+                  raw: tuple[str, ...]) -> tuple[FeatureKind, tuple[str, ...] | None]:
     """Resolve the kind and level list of one column from header info and raw values."""
     if declared is FeatureKind.ORDINAL:
         return declared, levels
-    if declared is FeatureKind.BINARY or declared is None:
-        distinct = sorted(set(raw))
-        if declared is FeatureKind.BINARY:
-            if len(distinct) != 2:
-                raise DataFormatError(
-                    f"binary feature {name!r} must take exactly two raw values, found {len(distinct)}"
-                )
-            return FeatureKind.BINARY, tuple(distinct)
+    if declared is FeatureKind.NUMERIC:
+        return declared, None
+    if declared is None:
         # Undeclared: numeric when everything parses, two-valued text is binary.
         try:
             for value in raw:
@@ -223,13 +218,13 @@ def _infer_column(name: str, declared: FeatureKind | None, levels: tuple[str, ..
             return FeatureKind.NUMERIC, None
         except ValueError:
             pass
-        if len(distinct) == 2:
-            return FeatureKind.BINARY, tuple(distinct)
+    distinct = tuple(sorted(set(raw)))
+    if declared is None and len(distinct) != 2:
         raise DataFormatError(
             f"cannot infer a kind for column {name!r}: non-numeric with {len(distinct)} distinct values; "
             "annotate it in the header"
         )
-    return FeatureKind.NUMERIC, None
+    return FeatureKind.BINARY, distinct
 
 
 def _check_against_schema(schema: FeatureSchema, names: list[str],
@@ -265,8 +260,7 @@ def load_dataset(path: str | Path, schema: FeatureSchema | None = None) -> Ranke
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    rows = [row for row in rows if row]  # tolerate blank lines
+        rows = [row for row in csv.reader(handle) if row]  # tolerate blank lines
     if not rows:
         raise DataFormatError(f"{path}: empty file")
     header = rows[0]
@@ -293,29 +287,24 @@ def load_dataset(path: str | Path, schema: FeatureSchema | None = None) -> Ranke
     for line_no, row in enumerate(body, start=2):
         if len(row) != width:
             raise DataFormatError(f"{path}: row {line_no} has {len(row)} fields, expected {width}")
+    cells = [[cell.strip() for cell in row[2:]] for row in body]
 
     if schema is not None:
         _check_against_schema(schema, names, declared, declared_levels)
         resolved = schema
     else:
-        kinds: list[FeatureKind] = []
-        levels_out: list[tuple[str, ...] | None] = []
-        for k, name in enumerate(names):
-            column = [row[2 + k].strip() for row in body]
-            kind, levels = _infer_column(name, declared[k], declared_levels[k], column)
-            kinds.append(kind)
-            levels_out.append(levels)
-        resolved = FeatureSchema(tuple(names), tuple(kinds), tuple(levels_out))
+        kinds, levels = zip(*[_infer_column(name, kind, lev, column) for name, kind, lev, column
+                              in zip(names, declared, declared_levels, zip(*cells))])
+        resolved = FeatureSchema(tuple(names), kinds, levels)
 
     # Group rows by query_id in first-appearance order.
     groups: dict[str, list[tuple[int, list[str]]]] = {}
-    for line_no, row in enumerate(body, start=2):
-        qid = row[0].strip()
+    for line_no, (row, features) in enumerate(zip(body, cells), start=2):
         try:
             rank = int(row[1])
         except ValueError:
             raise DataFormatError(f"{path}: row {line_no} has non-integer rank {row[1]!r}") from None
-        groups.setdefault(qid, []).append((rank, [cell.strip() for cell in row[2:]]))
+        groups.setdefault(row[0].strip(), []).append((rank, features))
 
     queries = []
     for qid, members in groups.items():
@@ -329,12 +318,8 @@ def load_dataset(path: str | Path, schema: FeatureSchema | None = None) -> Ranke
             raise DataFormatError(
                 f"{path}: ranks of query {qid!r} must be exactly 1..{n}, got {sorted(seen)}"
             )
-        items = np.empty((n, resolved.n_features))
-        ranking = np.empty(n, dtype=int)
-        for i, (rank, cells) in enumerate(members):
-            ranking[i] = rank - 1
-            for k, cell in enumerate(cells):
-                items[i, k] = resolved.encode(k, cell)
+        items = [[resolved.encode(k, cell) for k, cell in enumerate(features)] for _, features in members]
+        ranking = [rank - 1 for rank, _ in members]
         try:
             queries.append(RankedQuery(qid, items, ranking))
         except DataFormatError as exc:
@@ -345,26 +330,22 @@ def load_dataset(path: str | Path, schema: FeatureSchema | None = None) -> Ranke
 def save_dataset(dataset: RankedDataset, path: str | Path) -> None:
     """Write a dataset in canonical CSV form (kinds annotated, rows in rank order).
 
-    Loading a canonical file and saving it again reproduces it byte for byte.
+    Fields holding a comma, a double quote or a line feed are quoted per RFC
+    4180.  Loading a canonical file and saving it again reproduces it byte for
+    byte, unless a name holds ``:`` or a level ``<``, ``{`` or ``}``.
     """
     schema = dataset.schema
     header = ["query_id", "rank"]
     for name, kind, levels in zip(schema.names, schema.kinds, schema.levels):
-        if kind is FeatureKind.NUMERIC:
-            header.append(f"{name}:numeric")
-        elif kind is FeatureKind.BINARY:
-            header.append(f"{name}:binary")
-        else:
-            assert levels is not None
-            header.append(f"{name}:ordinal{{{'<'.join(levels)}}}")
-    lines = [",".join(header)]
-    for query in dataset.queries:
-        for position, item_idx in enumerate(query.ordering):
-            cells = [query.query_id, str(position + 1)]
-            for k in range(schema.n_features):
-                cells.append(schema.decode(k, float(query.items[item_idx, k])))
-            lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        listed = f"{{{'<'.join(levels)}}}" if kind is FeatureKind.ORDINAL else ""
+        header.append(f"{name}:{kind.value}{listed}")
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for query in dataset.queries:
+            for position, item_idx in enumerate(query.ordering):
+                writer.writerow([query.query_id, position + 1,
+                                 *(schema.decode(k, float(v)) for k, v in enumerate(query.items[item_idx]))])
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +440,19 @@ def choose_normalization_scope(train: np.ndarray, test: np.ndarray) -> Normaliza
 
 def _rescale(rows: np.ndarray, fit: np.ndarray, mode: NormalizationMode) -> np.ndarray:
     """``rows`` rescaled per feature with statistics fitted on ``fit``."""
-    if mode is NormalizationMode.MINMAX:
-        shift = fit.min(axis=0)
-        span = fit.max(axis=0) - shift
-    elif fit.shape[0] < 2:
-        raise DataFormatError("fitting a zscore normalization needs at least two rows")
-    else:
-        shift = fit.mean(axis=0)
-        span = fit.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode is NormalizationMode.MINMAX:
+            shift = fit.min(axis=0)
+            span = fit.max(axis=0) - shift
+        elif fit.shape[0] < 2:
+            raise DataFormatError("fitting a zscore normalization needs at least two rows")
+        else:
+            shift = fit.mean(axis=0)
+            span = fit.std(axis=0, ddof=1)
+    overflow = np.flatnonzero(~np.isfinite(span))  # a non-finite mean makes the std non-finite
+    if overflow.size:
+        raise DataFormatError(f"feature column {overflow[0] + 1} cannot be {mode.value}-normalized: "
+                              "its fitted shift or span is not finite")
     safe = np.where(span > 0.0, span, 1.0)
     return np.where(span > 0.0, (rows - shift) / safe, 0.0)
 
@@ -481,7 +467,8 @@ def normalize_train_test(train: np.ndarray, test: np.ndarray, mode: Normalizatio
     that is constant on the fitted rows maps to 0.  Under TRAIN_PLUS_TEST
     both sides use statistics fitted on the pooled rows; under TEST_ONLY each
     side is normalized with its own.  Both matrices need at least one row,
-    and a ZSCORE fit needs at least two.  Returns the normalized train and
+    and a ZSCORE fit needs at least two.  A feature whose fitted span
+    overflows raises ``DataFormatError``.  Returns the normalized train and
     test matrices.
     """
     train = np.asarray(train, dtype=float)

@@ -11,6 +11,7 @@ with equal means sharing the lower rank.
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass, replace
 
@@ -39,9 +40,10 @@ def ranking_loss(pi: np.ndarray, pi_star: np.ndarray) -> float:
     n(n-1)/2.  ``pi`` may tie items: a pair tied in ``pi`` counts as half
     discordant (Kendall's distance with penalty 1/2 of Fagin et al., 2004),
     which is the expected loss when the tie is broken at random.
+    ``pi_star`` must be a permutation of 0..n-1.
     """
     pi = np.asarray(pi, dtype=float)
-    pi_star = np.asarray(pi_star, dtype=int)
+    pi_star = np.asarray(pi_star)
     if pi.shape != pi_star.shape or pi.ndim != 1:
         raise ValueError("rankings must be 1-D and equally long")
     if not np.isfinite(pi).all():
@@ -49,6 +51,8 @@ def ranking_loss(pi: np.ndarray, pi_star: np.ndarray) -> float:
     n = pi.size
     if n < 2:
         raise ValueError("ranking loss needs at least two items")
+    if sorted(pi_star.tolist()) != list(range(n)):
+        raise ValueError(f"the true ranking is not a permutation of 0..{n - 1}")
     before = pi[:, None] < pi[None, :]
     before_star = pi_star[:, None] < pi_star[None, :]
     tied = pi[:, None] == pi[None, :]
@@ -236,11 +240,11 @@ def run_experiment(train: RankedDataset, test: RankedDataset, methods,
 
 
 def results_to_csv(results: list[ExperimentResult], problem: str) -> str:
-    """Serialize results as ``problem,method,mean,std,rank`` CSV text."""
+    """Serialize results as ``problem,method,mean,std,rank`` CSV text, quoted per RFC 4180."""
     out = io.StringIO()
-    out.write("problem,method,mean,std,rank\n")
-    for r in results:
-        out.write(f"{problem},{r.method},{r.mean_loss:.6f},{r.std_loss:.6f},{r.rank}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["problem", "method", "mean", "std", "rank"])
+    writer.writerows([problem, r.method, f"{r.mean_loss:.6f}", f"{r.std_loss:.6f}", r.rank] for r in results)
     return out.getvalue()
 
 

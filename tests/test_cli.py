@@ -236,6 +236,22 @@ def test_rank_output_does_not_depend_on_the_thread_count(tmp_path):
         assert np.allclose(two[key], one[key], rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("command, mode", [("rank", "minmax"), ("benchmark", "zscore")])
+def test_normalization_overflow_exits_2_with_one_error_line(tmp_path, command, mode):
+    # finite training values whose range and sample variance overflow
+    train, query = tmp_path / "train.csv", tmp_path / "query.csv"
+    train.write_text("query_id,rank,f0,f1\nq,1,0.1,1e308\nq,2,0.7,-1e308\nq,3,0.4,0.5\n")
+    query.write_text("query_id,rank,f0,f1\nz,1,0.2,0.3\nz,2,0.5,0.9\n")
+    inputs = {"rank": ["--query", str(query)],
+              "benchmark": ["--test", str(query), "--methods", "err,ranksvm", "--repeats", "1"]}
+    run = _run_cli([command, "--train", str(train), "--C", "1", *inputs[command]])
+    assert run.returncode == 2
+    assert run.stderr.decode().splitlines() == [
+        f"error: feature column 2 cannot be {mode}-normalized: its fitted shift or span is not finite"
+    ]
+    assert run.stdout == b""
+
+
 def test_rank_is_byte_identical_for_a_fixed_seed(csv_files, tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special as sp_special
@@ -131,9 +133,71 @@ def test_canonical_round_trip(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_round_trip_quotes_commas_and_double_quotes(tmp_path):
+    schema = FeatureSchema(
+        ("price, usd", "flag", "grade"),
+        (FeatureKind.NUMERIC, FeatureKind.BINARY, FeatureKind.ORDINAL),
+        (None, ("a,b", "c"), ('low, "ish"', "mid", 'high"')),
+    )
+    # rows in rank order, which is the order save_dataset writes them in
+    queries = (
+        RankedQuery("q,1", np.array([[1.5, 0.0, 0.5], [-2.0, 1.0, 1.0], [0.1, 0.0, 0.0]]), np.arange(3)),
+        RankedQuery('say "hi"', np.array([[3.0, 1.0, 0.0], [4e-05, 0.0, 1.0]]), np.arange(2)),
+    )
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    save_dataset(RankedDataset(schema, queries), first)
+    loaded = load_dataset(first)
+    assert loaded.schema == schema
+    assert [q.query_id for q in loaded.queries] == ["q,1", 'say "hi"']
+    for got, expected in zip(loaded.queries, queries):
+        assert got.items.tobytes() == expected.items.tobytes()
+        assert np.array_equal(got.ranking, expected.ranking)
+    save_dataset(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_canonical_bytes_of_a_mixed_kind_dataset(tmp_path):
+    schema = FeatureSchema(
+        ("price", "stars", "flag"),
+        (FeatureKind.NUMERIC, FeatureKind.ORDINAL, FeatureKind.BINARY),
+        (None, ("1", "2", "3"), ("no", "yes")),
+    )
+    queries = (
+        RankedQuery("h1", np.array([[95.5, 0.5, 0.0], [129.0, 1.0, 1.0]]), np.array([1, 0])),
+        RankedQuery("h2", np.array([[0.1, 0.0, 1.0], [-1e-05, 0.5, 0.0], [2e20, 1.0, 0.0]]),
+                    np.array([2, 0, 1])),
+    )
+    path = tmp_path / "canonical.csv"
+    save_dataset(RankedDataset(schema, queries), path)
+    assert path.read_bytes() == (
+        b"query_id,rank,price:numeric,stars:ordinal{1<2<3},flag:binary\n"
+        b"h1,1,129.0,3,yes\n"
+        b"h1,2,95.5,2,no\n"
+        b"h2,1,-1e-05,2,no\n"
+        b"h2,2,2e+20,3,no\n"
+        b"h2,3,0.1,1,yes\n"
+    )
+
+
+def test_schema_counts_the_levels_of_a_binary_feature():
+    with pytest.raises(DataFormatError, match="'flag' must take exactly two raw values, found 3"):
+        FeatureSchema(("flag",), (FeatureKind.BINARY,), (("a", "b", "c"),))
+
+
 def test_query_requires_permutation():
     with pytest.raises(DataFormatError, match="not a permutation"):
         RankedQuery("q", np.zeros((2, 1)), np.array([0, 0]))
+
+
+@pytest.mark.parametrize("ranking", [[1.5, 0.2], [0.5, 1.0], [np.nan, 0.0]])
+def test_query_rejects_a_non_integral_ranking(ranking):
+    with pytest.raises(DataFormatError, match="not a permutation"):
+        RankedQuery("q", np.zeros((2, 1)), np.array(ranking))
+
+
+def test_query_stores_an_integral_float_ranking_as_integers():
+    query = RankedQuery("q", np.zeros((2, 1)), np.array([1.0, 0.0]))
+    assert query.ranking.dtype.kind == "i" and query.ranking.tolist() == [1, 0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -220,6 +284,16 @@ def test_zscore_one_row_fit_is_rejected():
     with pytest.raises(ValueError, match="at least two rows"):
         normalize_train_test(np.array([[1.0], [2.0]]), np.array([[3.0]]), ZSCORE,
                              NormalizationScope.TEST_ONLY)
+
+
+@pytest.mark.parametrize("mode", [MINMAX, ZSCORE], ids=["minmax", "zscore"])
+def test_overflowing_statistics_are_rejected_without_warnings(mode):
+    # finite values whose range (and sample variance) overflow
+    data = np.array([[0.1, 1e308], [0.7, -1e308], [0.4, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError, match=f"feature column 2 cannot be {mode.value}-normalized"):
+            normalize_train_test(data, data, mode, NormalizationScope.TRAIN_PLUS_TEST)
 
 
 # ---------------------------------------------------------------------------

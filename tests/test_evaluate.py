@@ -1,3 +1,5 @@
+import csv
+import io
 from itertools import permutations
 
 import numpy as np
@@ -7,6 +9,7 @@ from ankerrank import evaluate
 from ankerrank.data import NormalizationScope
 from ankerrank.evaluate import (
     METHOD_NAMES,
+    ExperimentResult,
     MethodConfig,
     competition_ranks,
     format_results_table,
@@ -109,6 +112,12 @@ def test_loss_with_ties_is_the_mean_over_tie_breakings():
         expected = np.mean([ranking_loss(p, pi_star) for p in refinements])
         assert ranking_loss(pi, pi_star) == pytest.approx(expected)
 
+
+
+@pytest.mark.parametrize("pi_star", [[0.2, 0.9], [0, 0], [1, 2], [0.0, 1.5]])
+def test_loss_needs_a_permutation_as_the_true_ranking(pi_star):
+    with pytest.raises(ValueError, match="not a permutation of 0..1"):
+        ranking_loss([0, 1], pi_star)
 
 # ---------------------------------------------------------------------------
 # Rank bookkeeping
@@ -222,6 +231,20 @@ def test_results_csv_format(small_problem):
     fields = lines[1].split(",")
     assert fields[0] == "train->test" and fields[1] == "err"
     float(fields[2]), float(fields[3]), int(fields[4])
+
+
+def test_results_csv_bytes_and_quoting():
+    results = [ExperimentResult("err", 0.25, 0.125, [0.25], rank=1),
+               ExperimentResult("anker", 0.5, 0.0, [0.5], rank=2)]
+    assert results_to_csv(results, "d1->d2") == (
+        "problem,method,mean,std,rank\n"
+        "d1->d2,err,0.250000,0.125000,1\n"
+        "d1->d2,anker,0.500000,0.000000,2\n"
+    )
+    rows = list(csv.reader(io.StringIO(results_to_csv(results, 'a,"b"'))))
+    assert [len(row) for row in rows] == [5, 5, 5]
+    assert [row[0] for row in rows[1:]] == ['a,"b"', 'a,"b"']
+    assert rows[1][1:] == ["err", "0.250000", "0.125000", "1"]
 
 
 def test_format_results_table_mentions_all_methods(small_problem):

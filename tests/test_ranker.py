@@ -287,6 +287,18 @@ def test_btl_warns_when_it_stops_unconverged(caplog):
     assert "after 1 Newton steps" in caplog.text and "gradient max-norm" in caplog.text
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_btl_rejects_a_step_cap_below_one(max_iter):
+    pref = _random_reciprocal(np.random.default_rng(3), 3)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        btl_fit(pref, tol=0.0, max_iter=max_iter)
+
+
+def test_btl_rejects_an_empty_preference_matrix():
+    with pytest.raises(ValueError, match="at least one item"):
+        btl_fit(np.zeros((0, 0)))
+
+
 def test_btl_rejects_non_reciprocal_input():
     with pytest.raises(ValueError, match="reciprocal"):
         btl_fit(np.array([[0.5, 0.9], [0.4, 0.5]]))
