@@ -1,10 +1,12 @@
 """Item tables, ranked datasets, CSV ingestion, and feature normalization.
 
 The dataset file format is CSV with header ``query_id,rank,<f1>,<f2>,...``:
-one row per item, rank 1 = most preferred within its query.  Feature columns
-may carry a kind suffix in the header (``price:numeric``, ``flag:binary``,
-``stars:ordinal{1<2<3<4<5}``); unsuffixed columns are numeric when every
-value parses as a float, binary when exactly two distinct raw values occur.
+one row per item, rank 1 = most preferred within its query.  Every feature
+header cell reads ``name[:kind[{l1<l2<...}]]`` (``price:numeric``,
+``flag:binary{no<yes}``, ``stars:ordinal{1<2<3<4<5}``), and listed levels
+are coded in their listed order.  Unsuffixed columns are numeric when every
+value parses as a float, binary when exactly two distinct raw values occur;
+a binary column that lists no levels takes its two values in sorted order.
 """
 
 from __future__ import annotations
@@ -39,13 +41,30 @@ class NormalizationScope(Enum):
     TRAIN_PLUS_TEST = "train+test"
 
 
+def _check_field(field: str, text: str, reserved: str) -> None:
+    """Raise ``DataFormatError`` unless ``text`` loads back from a saved file as itself.
+
+    The loader strips every cell, Python 3.11's ``csv.writer`` leaves a lone
+    carriage return unquoted, and ``reserved`` holds the characters that the
+    header grammar gives a meaning to in this field.
+    """
+    reason = ("surrounding whitespace" if text != text.strip() else
+              "a lone carriage return" if re.search("\r(?!\n)", text) else
+              next((repr(char) for char in reserved if char in text), None))
+    if reason:
+        raise DataFormatError(f"{field} {text!r} would not load back as itself: it has {reason}")
+
+
 @dataclass(frozen=True)
 class FeatureSchema:
     """Names, kinds, and (for binary/ordinal features) ordered raw levels.
 
     ``levels[k]`` is None for numeric features, the two raw values mapped to
     0 and 1 for binary features, and the full ordered level list for ordinal
-    features (encoded as index / (len(levels) - 1)).
+    features (encoded as index / (len(levels) - 1)).  So that a saved file
+    loads back as itself, no name or level may be empty, have surrounding
+    whitespace or hold a lone carriage return, no name may hold ``:``, and no
+    level ``<`` or ``}``.
     """
 
     names: tuple[str, ...]
@@ -56,6 +75,11 @@ class FeatureSchema:
         if not (len(self.names) == len(self.kinds) == len(self.levels)):
             raise DataFormatError("schema names, kinds, and levels must have equal length")
         for name, kind, lev in zip(self.names, self.kinds, self.levels):
+            if not name or not all(lev or ()):
+                raise DataFormatError(f"feature {name!r} has an empty name or level")
+            _check_field("feature name", name, ":")
+            for level in lev or ():
+                _check_field(f"level of feature {name!r}", level, "<}")
             if kind is FeatureKind.NUMERIC and lev is not None:
                 raise DataFormatError(f"numeric feature {name!r} must not declare levels")
             if kind is FeatureKind.BINARY and len(lev or ()) != 2:
@@ -181,35 +205,28 @@ class RankedDataset:
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
-_ORDINAL_HEADER = re.compile(r"^(?P<name>[^:]+):ordinal\{(?P<levels>[^}]*)\}$")
+# Every header cell is name[:kind[{l1<l2<...}]]; the pattern matches any cell.
+_HEADER_CELL = re.compile(r"(?P<name>[^:]*)(?::(?P<kind>.*?)(?:\{(?P<levels>[^}]*)\})?)?", re.DOTALL)
 
 
 def _parse_header_cell(cell: str) -> tuple[str, FeatureKind | None, tuple[str, ...] | None]:
+    """Name, declared kind and declared levels of one cell; ``FeatureSchema`` checks the levels."""
     cell = cell.strip()
-    m = _ORDINAL_HEADER.match(cell)
-    if m:
-        levels = tuple(part.strip() for part in m.group("levels").split("<"))
-        if len(levels) < 2 or any(not lv for lv in levels):
-            raise DataFormatError(f"malformed ordinal levels in header cell {cell!r}")
-        return m.group("name").strip(), FeatureKind.ORDINAL, levels
-    if ":" in cell:
-        name, _, kind_str = cell.partition(":")
-        kind_str = kind_str.strip()
-        if kind_str in ("numeric", "binary"):
-            return name.strip(), FeatureKind(kind_str), None
-        if kind_str == "ordinal":
-            raise DataFormatError(f"ordinal column {name!r} must list its levels, e.g. {name}:ordinal{{a<b<c}}")
-        raise DataFormatError(f"unknown feature kind {kind_str!r} in header cell {cell!r}")
-    return cell, None, None
+    name, kind, listed = _HEADER_CELL.fullmatch(cell).group("name", "kind", "levels")
+    try:
+        kind = None if kind is None else FeatureKind(kind.strip())
+    except ValueError:
+        raise DataFormatError(f"unknown feature kind {kind.strip()!r} in header cell {cell!r}") from None
+    levels = None if listed is None else tuple(part.strip() for part in listed.split("<"))
+    return name.strip(), kind, levels
 
 
 def _infer_column(name: str, declared: FeatureKind | None, levels: tuple[str, ...] | None,
                   raw: tuple[str, ...]) -> tuple[FeatureKind, tuple[str, ...] | None]:
     """Resolve the kind and level list of one column from header info and raw values."""
-    if declared is FeatureKind.ORDINAL:
+    # Only a binary column that lists no levels sorts the ones it finds.
+    if levels is not None or declared in (FeatureKind.NUMERIC, FeatureKind.ORDINAL):
         return declared, levels
-    if declared is FeatureKind.NUMERIC:
-        return declared, None
     if declared is None:
         # Undeclared: numeric when everything parses, two-valued text is binary.
         try:
@@ -251,12 +268,14 @@ def load_dataset(path: str | Path, schema: FeatureSchema | None = None) -> Ranke
     Args:
         path: CSV file following the dataset contract.
         schema: Optional schema from a previously loaded file; header names
-            and kinds must match, and binary/ordinal encodings are taken from
-            it so that separately loaded files encode identically.
+            and kinds must match, so must any level list the header declares,
+            and binary/ordinal encodings are taken from it so that separately
+            loaded files encode identically.
 
     Raises:
         DataFormatError: On ragged rows, duplicate or non-contiguous ranks,
-            unknown levels, or a header that contradicts ``schema``.
+            unknown levels or kinds, a level list that ``FeatureSchema``
+            refuses, or a header that contradicts ``schema``.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
@@ -328,16 +347,22 @@ def load_dataset(path: str | Path, schema: FeatureSchema | None = None) -> Ranke
 
 
 def save_dataset(dataset: RankedDataset, path: str | Path) -> None:
-    """Write a dataset in canonical CSV form (kinds annotated, rows in rank order).
+    """Write a dataset in canonical CSV form (kinds and levels annotated, rows in rank order).
 
     Fields holding a comma, a double quote or a line feed are quoted per RFC
-    4180.  Loading a canonical file and saving it again reproduces it byte for
-    byte, unless a name holds ``:`` or a level ``<``, ``{`` or ``}``.
+    4180.  Loading the file gives back the schema and items that were saved,
+    and saving that again reproduces the file byte for byte.  A query id with
+    surrounding whitespace or a lone carriage return raises
+    ``DataFormatError`` before anything is written; ``FeatureSchema`` refuses
+    such names and levels, as well as a ``:`` in a name and a ``<`` or ``}``
+    in a level.
     """
+    for query in dataset.queries:
+        _check_field("query id", query.query_id, "")
     schema = dataset.schema
     header = ["query_id", "rank"]
     for name, kind, levels in zip(schema.names, schema.kinds, schema.levels):
-        listed = f"{{{'<'.join(levels)}}}" if kind is FeatureKind.ORDINAL else ""
+        listed = "" if levels is None else f"{{{'<'.join(levels)}}}"
         header.append(f"{name}:{kind.value}{listed}")
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")

@@ -66,7 +66,7 @@ class SvmModel:
 
 
 def smo_train(kernel, labels, C: float, tol: float = 1e-3,
-              max_iter: int = 10_000) -> SvmModel:
+              max_iter: int | None = None) -> SvmModel:
     """Solve the soft-margin SVM dual by SMO with maximal-violating-pair selection.
 
     Args:
@@ -78,7 +78,8 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         labels: Sequence of n labels in {-1, +1}; both classes required.
         C: Box constraint on the dual variables, finite and > 0.
         tol: KKT violation tolerance used as the stopping criterion, >= 0.
-        max_iter: Cap on working-pair updates.
+        max_iter: Cap on working-pair updates; None means max(10 000, 100 n),
+            a cap that grows with the problem as LIBSVM's max(10^7, 100 n) does.
 
     Returns:
         SvmModel with 0 <= alpha <= C, sum(alpha * labels) = 0, and the bias
@@ -99,6 +100,8 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         raise ValueError("C must be a finite positive number")
     if not tol >= 0.0:
         raise ValueError("tol must be a non-negative number")
+    if max_iter is None:
+        max_iter = max(10_000, 100 * n)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     K = np.asarray(kernel, dtype=float)

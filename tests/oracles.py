@@ -80,16 +80,18 @@ def dual_objective(kernel: np.ndarray, labels, alpha) -> float:
     return float(a.sum() - 0.5 * a @ Q @ a)
 
 
-def reference_smo(kernel, labels, C: float, tol: float = 1e-3, max_iter: int = 10_000):
+def reference_smo(kernel, labels, C: float, tol: float = 1e-3, max_iter: int | None = None):
     """SMO with maximal-violating-pair selection, written plainly.
 
-    The same algorithm, step, snap and order of accumulation as
-    ``smo_train``, without its input checks or warnings.  Returns alpha, the
+    The same algorithm, step, snap, order of accumulation and default cap
+    as ``smo_train``, without its input checks or warnings.  Returns alpha, the
     bias, ``converged`` and the support indices.
     """
     K = np.asarray(kernel, dtype=float)
     y = np.asarray(labels, dtype=float)
     n = y.size
+    if max_iter is None:
+        max_iter = max(10_000, 100 * n)
     alpha = np.zeros(n)
     v = y.copy()
     snap = 1e-12 * max(1.0, C)

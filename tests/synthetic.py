@@ -28,3 +28,27 @@ def make_linear_dataset(n_queries: int, n_items: int, d: int, seed: int,
         items = rng.random((n_items, d))
         queries.append(RankedQuery(f"{prefix}{qi}", items, ranking_from_scores(items @ weights)))
     return RankedDataset(numeric_schema(d), tuple(queries))
+
+
+def threshold_rule(u: np.ndarray) -> np.ndarray:
+    """h(u) = sign u_1 if |u_1| > 0.3, else sign u_0, over the last axis of ``u``."""
+    return np.where(np.abs(u[..., 1]) > 0.3, np.sign(u[..., 1]), np.sign(u[..., 0]))
+
+
+def make_rule_dataset(n_queries: int, n_items: int, d: int, seed: int, rule,
+                      prefix: str = "q") -> RankedDataset:
+    """Items uniform in [0, 1]^d, each query in the Copeland order of a pairwise rule.
+
+    ``rule`` maps difference vectors x_i - x_j (last axis d) to a value that
+    is positive where i is preferred to j.  Item i scores the number of j
+    with rule(x_i - x_j) > 0; ties go to the larger x_0, then to the lower
+    index.
+    """
+    rng = np.random.default_rng(seed)
+    queries = []
+    for qi in range(n_queries):
+        items = rng.random((n_items, d))
+        wins = (rule(items[:, None, :] - items[None, :, :]) > 0).sum(axis=1)
+        ordering = np.lexsort((np.arange(n_items), -items[:, 0], -wins))
+        queries.append(RankedQuery(f"{prefix}{qi}", items, np.argsort(ordering)))
+    return RankedDataset(numeric_schema(d), tuple(queries))

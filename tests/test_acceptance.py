@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from ankerrank.cli import main as cli_main
-from ankerrank.data import NormalizationScope, choose_normalization_scope, save_dataset
+from ankerrank.data import NormalizationScope, RankedDataset, choose_normalization_scope, save_dataset
 from ankerrank.evaluate import MethodConfig, competition_ranks, ranking_loss, run_experiment
 from ankerrank.kernel import KernelVariant, boolean_proportion, gram_matrix, kernel_matrix, proportion_degree
 from ankerrank.ranker import btl_fit
 from ankerrank.svm import decision_values, smo_train
 from oracles import brute_force_ranking_loss, btl_grid_argmax, dual_objective, projected_gradient_qp
-from synthetic import make_linear_dataset
+from synthetic import make_linear_dataset, make_rule_dataset, threshold_rule
 
 
 @contextmanager
@@ -204,3 +204,19 @@ def test_criterion_9_normalization_gate():
         test = rng.normal(size=(100, 4))
         test[:, 2] += 10.0 * train[:, 2].std(ddof=1)
         assert choose_normalization_scope(train, test) is NormalizationScope.TEST_ONLY
+
+
+def test_criterion_10_analogy_kernel_learns_a_nonlinear_rule():
+    with criterion(10, "anker beats RankSVM on a threshold rule"):
+        # h(u) depends on the sign pattern of u, which the kernel's sign
+        # classes see and a linear score w . u does not.  Seeds fixed in advance.
+        config = MethodConfig(scope=NormalizationScope.TRAIN_PLUS_TEST)
+        for seed in range(200, 206):
+            data = make_rule_dataset(16, 12, 3, seed, threshold_rule)
+            train = RankedDataset(data.schema, data.queries[:8])
+            test = RankedDataset(data.schema, data.queries[8:])
+            loss = {r.method: r.mean_loss for r in run_experiment(train, test, ["anker", "ranksvm"],
+                                                                  repeats=1, config=config)}
+            print(f"\n[acceptance]   seed {seed}: anker d_RL = {loss['anker']:.4f}, "
+                  f"ranksvm d_RL = {loss['ranksvm']:.4f}")
+            assert loss["anker"] <= loss["ranksvm"] - 0.02

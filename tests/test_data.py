@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from ankerrank.data import (
     save_dataset,
 )
 from oracles import ks_exact_permutation_p
+from synthetic import numeric_schema
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -170,13 +172,80 @@ def test_canonical_bytes_of_a_mixed_kind_dataset(tmp_path):
     path = tmp_path / "canonical.csv"
     save_dataset(RankedDataset(schema, queries), path)
     assert path.read_bytes() == (
-        b"query_id,rank,price:numeric,stars:ordinal{1<2<3},flag:binary\n"
+        b"query_id,rank,price:numeric,stars:ordinal{1<2<3},flag:binary{no<yes}\n"
         b"h1,1,129.0,3,yes\n"
         b"h1,2,95.5,2,no\n"
         b"h2,1,-1e-05,2,no\n"
         b"h2,2,2e+20,3,no\n"
         b"h2,3,0.1,1,yes\n"
     )
+
+
+def test_binary_level_order_survives_a_round_trip(tmp_path):
+    schema = FeatureSchema(
+        ("flag", "stars", "price"),
+        (FeatureKind.BINARY, FeatureKind.ORDINAL, FeatureKind.NUMERIC),
+        (("yes", "no"), ("1", "2", "3"), None),
+    )
+    queries = (RankedQuery("q", np.array([[0.0, 1.0, 2.5], [1.0, 0.5, -1.0], [0.0, 0.0, 0.0]]), np.arange(3)),)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    save_dataset(RankedDataset(schema, queries), first)
+    assert first.read_text().startswith("query_id,rank,flag:binary{yes<no},stars:ordinal{1<2<3},price:numeric\n")
+    loaded = load_dataset(first)
+    assert loaded.schema == schema
+    assert loaded.queries[0].items.tobytes() == queries[0].items.tobytes()
+    save_dataset(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_a_saved_one_valued_binary_column_loads_without_a_schema(tmp_path):
+    schema = FeatureSchema(("flag",), (FeatureKind.BINARY,), (("no", "yes"),))
+    path = tmp_path / "one.csv"
+    save_dataset(RankedDataset(schema, (RankedQuery("q", np.array([[1.0], [1.0]]), np.arange(2)),)), path)
+    loaded = load_dataset(path)
+    assert loaded.schema == schema
+    assert np.array_equal(loaded.queries[0].items, [[1.0], [1.0]])
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("x:numeric{a<b}", "numeric feature 'x' must not declare levels"),
+    ("x:ordinal", "ordinal feature 'x' needs an ordered level list"),
+    ("x:weird", "unknown feature kind 'weird'"),
+    ("x:ordinal{a<}", "feature 'x' has an empty name or level"),
+])
+def test_a_malformed_header_cell_is_rejected(tmp_path, cell, message):
+    path = write_csv(tmp_path, f"query_id,rank,{cell}\nq1,1,a\nq1,2,b\n")
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("name, levels, field", [
+    ("a:b", ("lo", "hi"), "feature name 'a:b'"),
+    (" flag", ("lo", "hi"), "feature name ' flag'"),
+    ("flag", ("lo<", "hi"), "level of feature 'flag'"),
+    ("flag", ("lo", "hi}"), "level of feature 'flag'"),
+    ("flag", ("lo", "hi "), "level of feature 'flag'"),
+    ("flag", ("lo", "h\ri"), "level of feature 'flag'"),
+    ("flag", ("", "hi"), "empty name or level"),
+])
+def test_schema_refuses_names_and_levels_that_would_not_load_back(name, levels, field):
+    with pytest.raises(DataFormatError, match=re.escape(field)):
+        FeatureSchema((name,), (FeatureKind.BINARY,), (levels,))
+
+
+@pytest.mark.parametrize("query_id", ["a\rb", " q", "q\t"])
+def test_save_refuses_a_query_id_that_would_not_load_back(tmp_path, query_id):
+    dataset = RankedDataset(numeric_schema(1), (RankedQuery(query_id, np.zeros((2, 1)), np.arange(2)),))
+    path = tmp_path / "out.csv"
+    with pytest.raises(DataFormatError, match=re.escape(f"query id {query_id!r}")):
+        save_dataset(dataset, path)
+    assert not path.exists()
+
+
+def test_a_query_id_with_a_crlf_still_round_trips(tmp_path):
+    path = tmp_path / "crlf.csv"
+    save_dataset(RankedDataset(numeric_schema(1), (RankedQuery("a\r\nb", np.zeros((2, 1)), np.arange(2)),)), path)
+    assert load_dataset(path).queries[0].query_id == "a\r\nb"
 
 
 def test_schema_counts_the_levels_of_a_binary_feature():

@@ -105,6 +105,16 @@ def test_pair_cap_subsamples():
     assert np.array_equal(capped.support_diffs, again.support_diffs)
 
 
+def test_a_3800_pair_fit_converges_under_the_default_cap(caplog):
+    # 20 queries of 20 items give 3 800 pairs; this solve needs more than
+    # 10 000 updates, so a fixed cap of 10 000 stopped it unconverged.
+    with caplog.at_level("WARNING", logger="ankerrank.svm"):
+        model = anker_fit(make_linear_dataset(20, 20, 5, seed=3), C=16.0, seed=0)
+    assert model.svm.labels.size == 3800
+    assert model.svm.converged and model.svm.iterations > 10_000
+    assert not caplog.records
+
+
 def test_pair_extraction_rejects_singleton_queries():
     ds = RankedDataset(numeric_schema(2), (RankedQuery("q", np.zeros((1, 2)), np.array([0])),))
     assert build_pair_instances(ds).shape == (0, 2)
