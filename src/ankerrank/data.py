@@ -41,30 +41,14 @@ class NormalizationScope(Enum):
     TRAIN_PLUS_TEST = "train+test"
 
 
-def _check_field(field: str, text: str, reserved: str) -> None:
-    """Raise ``DataFormatError`` unless ``text`` loads back from a saved file as itself.
-
-    The loader strips every cell, Python 3.11's ``csv.writer`` leaves a lone
-    carriage return unquoted, and ``reserved`` holds the characters that the
-    header grammar gives a meaning to in this field.
-    """
-    reason = ("surrounding whitespace" if text != text.strip() else
-              "a lone carriage return" if re.search("\r(?!\n)", text) else
-              next((repr(char) for char in reserved if char in text), None))
-    if reason:
-        raise DataFormatError(f"{field} {text!r} would not load back as itself: it has {reason}")
-
-
 @dataclass(frozen=True)
 class FeatureSchema:
     """Names, kinds, and (for binary/ordinal features) ordered raw levels.
 
     ``levels[k]`` is None for numeric features, the two raw values mapped to
     0 and 1 for binary features, and the full ordered level list for ordinal
-    features (encoded as index / (len(levels) - 1)).  So that a saved file
-    loads back as itself, no name or level may be empty, have surrounding
-    whitespace or hold a lone carriage return, no name may hold ``:``, and no
-    level ``<`` or ``}``.
+    features (encoded as index / (len(levels) - 1)).  No name may be empty;
+    a level may.
     """
 
     names: tuple[str, ...]
@@ -75,11 +59,8 @@ class FeatureSchema:
         if not (len(self.names) == len(self.kinds) == len(self.levels)):
             raise DataFormatError("schema names, kinds, and levels must have equal length")
         for name, kind, lev in zip(self.names, self.kinds, self.levels):
-            if not name or not all(lev or ()):
-                raise DataFormatError(f"feature {name!r} has an empty name or level")
-            _check_field("feature name", name, ":")
-            for level in lev or ():
-                _check_field(f"level of feature {name!r}", level, "<}")
+            if not name:
+                raise DataFormatError("a feature has an empty name")
             if kind is FeatureKind.NUMERIC and lev is not None:
                 raise DataFormatError(f"numeric feature {name!r} must not declare levels")
             if kind is FeatureKind.BINARY and len(lev or ()) != 2:
@@ -274,8 +255,9 @@ def load_dataset(path: str | Path, schema: FeatureSchema | None = None) -> Ranke
 
     Raises:
         DataFormatError: On ragged rows, duplicate or non-contiguous ranks,
-            unknown levels or kinds, a level list that ``FeatureSchema``
-            refuses, or a header that contradicts ``schema``.
+            unknown levels or kinds, an empty feature name or a level list
+            that ``FeatureSchema`` refuses, or a header that contradicts
+            ``schema``.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
@@ -291,8 +273,6 @@ def load_dataset(path: str | Path, schema: FeatureSchema | None = None) -> Ranke
     declared_levels: list[tuple[str, ...] | None] = []
     for cell in header[2:]:
         name, kind, levels = _parse_header_cell(cell)
-        if not name:
-            raise DataFormatError(f"{path}: empty feature name in header")
         names.append(name)
         declared.append(kind)
         declared_levels.append(levels)
@@ -346,20 +326,37 @@ def load_dataset(path: str | Path, schema: FeatureSchema | None = None) -> Ranke
     return RankedDataset(resolved, tuple(queries))
 
 
+def _check_field(field: str, text: str, reserved: str) -> None:
+    """Raise ``DataFormatError`` unless ``text`` loads back from a saved file as itself.
+
+    The loader strips every cell, Python 3.11's ``csv.writer`` leaves a lone
+    carriage return unquoted, and ``reserved`` holds the characters that the
+    header grammar gives a meaning to in this field.
+    """
+    reason = ("surrounding whitespace" if text != text.strip() else
+              "a lone carriage return" if re.search("\r(?!\n)", text) else
+              next((repr(char) for char in reserved if char in text), None))
+    if reason:
+        raise DataFormatError(f"{field} {text!r} would not load back as itself: it has {reason}")
+
+
 def save_dataset(dataset: RankedDataset, path: str | Path) -> None:
     """Write a dataset in canonical CSV form (kinds and levels annotated, rows in rank order).
 
     Fields holding a comma, a double quote or a line feed are quoted per RFC
     4180.  Loading the file gives back the schema and items that were saved,
-    and saving that again reproduces the file byte for byte.  A query id with
-    surrounding whitespace or a lone carriage return raises
-    ``DataFormatError`` before anything is written; ``FeatureSchema`` refuses
-    such names and levels, as well as a ``:`` in a name and a ``<`` or ``}``
-    in a level.
+    and saving that again reproduces the file byte for byte.  A query id,
+    feature name or level with surrounding whitespace or a lone carriage
+    return, a ``:`` in a name, or a ``<`` or ``}`` in a level raises
+    ``DataFormatError`` before anything is written.
     """
+    schema = dataset.schema
     for query in dataset.queries:
         _check_field("query id", query.query_id, "")
-    schema = dataset.schema
+    for name, levels in zip(schema.names, schema.levels):
+        _check_field("feature name", name, ":")
+        for level in levels or ():
+            _check_field(f"level of feature {name!r}", level, "<}")
     header = ["query_id", "rank"]
     for name, kind, levels in zip(schema.names, schema.kinds, schema.levels):
         listed = "" if levels is None else f"{{{'<'.join(levels)}}}"

@@ -211,12 +211,29 @@ def test_a_saved_one_valued_binary_column_loads_without_a_schema(tmp_path):
     ("x:numeric{a<b}", "numeric feature 'x' must not declare levels"),
     ("x:ordinal", "ordinal feature 'x' needs an ordered level list"),
     ("x:weird", "unknown feature kind 'weird'"),
-    ("x:ordinal{a<}", "feature 'x' has an empty name or level"),
+    ("x:binary{a}", "binary feature 'x' must take exactly two raw values, found 1"),
+    (":numeric", "a feature has an empty name"),
 ])
 def test_a_malformed_header_cell_is_rejected(tmp_path, cell, message):
     path = write_csv(tmp_path, f"query_id,rank,{cell}\nq1,1,a\nq1,2,b\n")
     with pytest.raises(DataFormatError, match=re.escape(message)):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("header, cells, levels", [
+    ("flag", ("yes", ""), ("", "yes")),
+    ("x:ordinal{a<}", ("a", ""), ("a", "")),
+])
+def test_a_column_with_a_blank_level_round_trips(tmp_path, header, cells, levels):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    loaded = load_dataset(write_csv(tmp_path, f"query_id,rank,{header}\nq,1,{cells[0]}\nq,2,{cells[1]}\n"))
+    assert loaded.schema.levels == (levels,)
+    save_dataset(loaded, first)
+    again = load_dataset(first)
+    assert again.schema == loaded.schema
+    assert again.queries[0].items.tobytes() == loaded.queries[0].items.tobytes()
+    save_dataset(again, second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.mark.parametrize("name, levels, field", [
@@ -226,11 +243,20 @@ def test_a_malformed_header_cell_is_rejected(tmp_path, cell, message):
     ("flag", ("lo", "hi}"), "level of feature 'flag'"),
     ("flag", ("lo", "hi "), "level of feature 'flag'"),
     ("flag", ("lo", "h\ri"), "level of feature 'flag'"),
-    ("flag", ("", "hi"), "empty name or level"),
 ])
-def test_schema_refuses_names_and_levels_that_would_not_load_back(name, levels, field):
+def test_save_refuses_names_and_levels_that_would_not_load_back(tmp_path, name, levels, field):
+    schema = FeatureSchema((name,), (FeatureKind.BINARY,), (levels,))
+    path = tmp_path / "out.csv"
     with pytest.raises(DataFormatError, match=re.escape(field)):
-        FeatureSchema((name,), (FeatureKind.BINARY,), (levels,))
+        save_dataset(RankedDataset(schema, (RankedQuery("q", np.array([[0.0], [1.0]]), np.arange(2)),)), path)
+    assert not path.exists()
+
+
+def test_a_binary_column_with_grammar_characters_loads_but_does_not_save(tmp_path):
+    loaded = load_dataset(write_csv(tmp_path, "query_id,rank,price_band\nq,1,<50\nq,2,50+\n"))
+    assert loaded.schema.levels == (("50+", "<50"),)
+    with pytest.raises(DataFormatError, match=re.escape("level of feature 'price_band' '<50'")):
+        save_dataset(loaded, tmp_path / "out.csv")
 
 
 @pytest.mark.parametrize("query_id", ["a\rb", " q", "q\t"])
