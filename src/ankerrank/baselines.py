@@ -160,20 +160,13 @@ def able2rank_lite(train: RankedDataset, query: np.ndarray, k: int = 20) -> Rank
     _check_within(items, 0.0, 1.0, "training items")
     _check_within(query, 0.0, 1.0, "query items")
     pref_diffs = items[pairs[:, 0]] - items[pairs[:, 1]]
-    top = min(k, n_prefs)
     rows, cols = np.triu_indices(n, k=1)
     forward = query[rows] - query[cols]
-    evidence_fwd = kernel_matrix(pref_diffs, forward, KernelVariant.MEAN)
-    evidence_bwd = kernel_matrix(pref_diffs, -forward, KernelVariant.MEAN)
-
-    def top_k_sums(evidence: np.ndarray) -> np.ndarray:
-        if top >= evidence.shape[0]:
-            return evidence.sum(axis=0)
-        part = np.partition(evidence, n_prefs - top, axis=0)
-        return part[n_prefs - top:, :].sum(axis=0)
-
-    sum_fwd = top_k_sums(evidence_fwd)
-    sum_bwd = top_k_sums(evidence_bwd)
+    evidence = kernel_matrix(pref_diffs, np.concatenate([forward, -forward]), KernelVariant.MEAN)
+    if k < n_prefs:
+        evidence = np.partition(evidence, n_prefs - k, axis=0)[n_prefs - k:]
+    # Each half is summed on its own: numpy orders a one-column sum differently.
+    sum_fwd, sum_bwd = (half.sum(axis=0) for half in np.split(evidence, 2, axis=1))
     total = sum_fwd + sum_bwd
     upper = np.where(total > 0.0, sum_fwd / np.where(total > 0.0, total, 1.0), 0.5)
     pref = reciprocal_preferences(upper, n)

@@ -47,8 +47,8 @@ class FeatureSchema:
 
     ``levels[k]`` is None for numeric features, the two raw values mapped to
     0 and 1 for binary features, and the full ordered level list for ordinal
-    features (encoded as index / (len(levels) - 1)).  No name may be empty;
-    a level may.
+    features (encoded as index / (len(levels) - 1)).  Names must be unique
+    and non-empty; a level may be empty.
     """
 
     names: tuple[str, ...]
@@ -58,9 +58,11 @@ class FeatureSchema:
     def __post_init__(self) -> None:
         if not (len(self.names) == len(self.kinds) == len(self.levels)):
             raise DataFormatError("schema names, kinds, and levels must have equal length")
-        for name, kind, lev in zip(self.names, self.kinds, self.levels):
+        for k, (name, kind, lev) in enumerate(zip(self.names, self.kinds, self.levels)):
             if not name:
                 raise DataFormatError("a feature has an empty name")
+            if name in self.names[:k]:
+                raise DataFormatError(f"duplicate feature name {name!r}")
             if kind is FeatureKind.NUMERIC and lev is not None:
                 raise DataFormatError(f"numeric feature {name!r} must not declare levels")
             if kind is FeatureKind.BINARY and len(lev or ()) != 2:
@@ -146,7 +148,7 @@ class RankedQuery:
 
 @dataclass(frozen=True)
 class RankedDataset:
-    """A feature schema plus one or more ranked queries sharing it."""
+    """A feature schema plus one or more ranked queries sharing it; query ids are unique."""
 
     schema: FeatureSchema
     queries: tuple[RankedQuery, ...]
@@ -156,11 +158,15 @@ class RankedDataset:
         if not self.queries:
             raise DataFormatError("a dataset needs at least one query")
         d = self.schema.n_features
+        ids: set[str] = set()
         for q in self.queries:
             if q.items.shape[1] != d:
                 raise DataFormatError(
                     f"query {q.query_id!r} has {q.items.shape[1]} features, schema expects {d}"
                 )
+            if q.query_id in ids:
+                raise DataFormatError(f"duplicate query id {q.query_id!r}")
+            ids.add(q.query_id)
 
     @property
     def n_features(self) -> int:
@@ -247,26 +253,36 @@ def load_dataset(path: str | Path, schema: FeatureSchema | None = None) -> Ranke
     """Load a ranked dataset from CSV.
 
     Args:
-        path: CSV file following the dataset contract.
+        path: CSV file following the dataset contract, in UTF-8.
         schema: Optional schema from a previously loaded file; header names
             and kinds must match, so must any level list the header declares,
             and binary/ordinal encodings are taken from it so that separately
             loaded files encode identically.
 
     Raises:
-        DataFormatError: On ragged rows, duplicate or non-contiguous ranks,
-            unknown levels or kinds, an empty feature name or a level list
-            that ``FeatureSchema`` refuses, or a header that contradicts
-            ``schema``.
+        DataFormatError: On a file that cannot be read or decoded, ragged
+            rows, duplicate or non-contiguous ranks, unknown levels or kinds,
+            a schema that ``FeatureSchema`` refuses (an empty or repeated
+            feature name, a bad level list), or a header that contradicts
+            ``schema``.  The message starts with the file's path.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle) if row]  # tolerate blank lines
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            rows = [row for row in csv.reader(handle) if row]  # tolerate blank lines
+        return _parse_rows(rows, schema)
+    except (DataFormatError, OSError, UnicodeDecodeError, csv.Error) as exc:
+        # An OSError's full text repeats the file name; its strerror does not.
+        raise DataFormatError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def _parse_rows(rows: list[list[str]], schema: FeatureSchema | None) -> RankedDataset:
+    """The dataset held by a file's non-blank CSV rows (see ``load_dataset``)."""
     if not rows:
-        raise DataFormatError(f"{path}: empty file")
+        raise DataFormatError("empty file")
     header = rows[0]
     if len(header) < 3 or header[0].strip() != "query_id" or header[1].strip() != "rank":
-        raise DataFormatError(f"{path}: header must start with query_id,rank and have at least one feature")
+        raise DataFormatError("header must start with query_id,rank and have at least one feature")
 
     names: list[str] = []
     declared: list[FeatureKind | None] = []
@@ -276,16 +292,14 @@ def load_dataset(path: str | Path, schema: FeatureSchema | None = None) -> Ranke
         names.append(name)
         declared.append(kind)
         declared_levels.append(levels)
-    if len(set(names)) != len(names):
-        raise DataFormatError(f"{path}: duplicate feature names in header")
 
     body = rows[1:]
     if not body:
-        raise DataFormatError(f"{path}: no data rows")
+        raise DataFormatError("no data rows")
     width = len(header)
     for line_no, row in enumerate(body, start=2):
         if len(row) != width:
-            raise DataFormatError(f"{path}: row {line_no} has {len(row)} fields, expected {width}")
+            raise DataFormatError(f"row {line_no} has {len(row)} fields, expected {width}")
     cells = [[cell.strip() for cell in row[2:]] for row in body]
 
     if schema is not None:
@@ -302,7 +316,7 @@ def load_dataset(path: str | Path, schema: FeatureSchema | None = None) -> Ranke
         try:
             rank = int(row[1])
         except ValueError:
-            raise DataFormatError(f"{path}: row {line_no} has non-integer rank {row[1]!r}") from None
+            raise DataFormatError(f"row {line_no} has non-integer rank {row[1]!r}") from None
         groups.setdefault(row[0].strip(), []).append((rank, features))
 
     queries = []
@@ -311,18 +325,12 @@ def load_dataset(path: str | Path, schema: FeatureSchema | None = None) -> Ranke
         seen: set[int] = set()
         for rank, _ in members:
             if rank in seen:
-                raise DataFormatError(f"{path}: duplicate rank {rank} in query {qid!r}")
+                raise DataFormatError(f"duplicate rank {rank} in query {qid!r}")
             seen.add(rank)
         if seen != set(range(1, n + 1)):
-            raise DataFormatError(
-                f"{path}: ranks of query {qid!r} must be exactly 1..{n}, got {sorted(seen)}"
-            )
+            raise DataFormatError(f"ranks of query {qid!r} must be exactly 1..{n}, got {sorted(seen)}")
         items = [[resolved.encode(k, cell) for k, cell in enumerate(features)] for _, features in members]
-        ranking = [rank - 1 for rank, _ in members]
-        try:
-            queries.append(RankedQuery(qid, items, ranking))
-        except DataFormatError as exc:
-            raise DataFormatError(f"{path}: {exc}") from None
+        queries.append(RankedQuery(qid, items, [rank - 1 for rank, _ in members]))
     return RankedDataset(resolved, tuple(queries))
 
 

@@ -281,9 +281,7 @@ def anker_predict(model: AnkerModel, query: np.ndarray) -> RankPrediction:
     query = np.asarray(query, dtype=float)
     if query.ndim != 2 or query.shape[0] < 2:
         raise DataFormatError("a query needs at least two items")
-    if not np.isfinite(query).all():
-        raise ValueError("query features must be finite")
-    pref = preference_matrix(model, query)
+    pref = preference_matrix(model, query)  # refuses values outside [0, 1], NaN included
     return RankPrediction(btl_fit(pref).theta, pref)
 
 

@@ -81,6 +81,34 @@ def test_rank_non_finite_feature_exits_2(csv_files, tmp_path, capsys, cell):
     assert captured.out == ""
 
 
+def test_benchmark_names_the_test_file_that_fails_to_load(csv_files, tmp_path, capsys):
+    test = tmp_path / "test.csv"
+    test.write_text("query_id,rank,f0,f1,f2\nq,1,0.1,x,0.3\nq,2,0.4,0.5,0.6\n")
+    code = main(["benchmark", "--train", str(csv_files["train"]), "--test", str(test),
+                 "--methods", "err", "--repeats", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {test}: non-numeric value 'x' in numeric column 'f1'\n"
+    assert captured.out == ""
+
+
+def test_rank_missing_training_file_exits_2(csv_files, tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    code = main(["rank", "--train", str(missing), "--query", str(csv_files["query"])])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {missing}: No such file or directory\n"
+
+
+def test_rank_non_utf8_training_file_exits_2(csv_files, tmp_path, capsys):
+    train = tmp_path / "latin.csv"
+    train.write_bytes("query_id,rank,f0,f1,f2\nq,1,0.1,0.2,0.3\nq\xe9,1,0.4,0.5,0.6\n".encode("latin-1"))
+    code = main(["rank", "--train", str(train), "--query", str(csv_files["query"])])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {train}: ") and "decode" in captured.err
+
+
 def _with_one_item_query(path, source):
     """Save ``source`` plus one extra query that holds a single item."""
     single = RankedQuery("single", source.queries[0].items[:1], np.array([0]))
@@ -397,3 +425,14 @@ def test_the_commands_are_rank_and_benchmark(capsys):
     captured = capsys.readouterr()
     assert "invalid choice: 'kernel-check'" in captured.err
     assert captured.out == ""
+
+
+def test_rank_runs_without_scipy(csv_files):
+    # The runtime depends on numpy only; a None entry in sys.modules makes
+    # every import of scipy raise ImportError.
+    argv = ["rank", "--train", str(csv_files["train"]), "--query", str(csv_files["query"])]
+    script = f"import sys\nsys.modules['scipy'] = None\nfrom ankerrank import cli\nraise SystemExit(cli.main({argv!r}))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(ankerrank.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert sorted(json.loads(result.stdout)["ordering"]) == list(range(6))

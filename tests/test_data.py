@@ -317,6 +317,32 @@ def test_dataset_requires_consistent_width():
         RankedDataset(schema, (query,))
 
 
+def test_schema_rejects_a_repeated_feature_name():
+    with pytest.raises(DataFormatError, match="duplicate feature name 'a'"):
+        FeatureSchema(("a", "b", "a"), (FeatureKind.NUMERIC,) * 3, (None,) * 3)
+
+
+def test_dataset_rejects_a_repeated_query_id():
+    queries = (RankedQuery("q", np.zeros((2, 1)), np.arange(2)), RankedQuery("q", np.ones((2, 1)), np.arange(2)))
+    with pytest.raises(DataFormatError, match="duplicate query id 'q'"):
+        RankedDataset(numeric_schema(1), queries)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("query_id,rank,a\nq,1,0.1,9\n", "row 2 has 4 fields"),
+    ("query_id,rank,a\nq,1,0.1\nq,1,0.2\n", "duplicate rank 1"),
+    ("query_id,rank,a:numeric\nq,1,x\nq,2,0.2\n", "non-numeric value 'x'"),
+    ("query_id,rank,a\nq,1,0.1\nq,2,nan\n", "non-finite"),
+    ("query_id,rank,a,a\nq,1,0.1,0.2\nq,2,0.3,0.4\n", "duplicate feature name 'a'"),
+], ids=["empty", "ragged", "duplicate-rank", "non-numeric", "non-finite", "repeated-name"])
+def test_every_load_error_names_the_file_once(tmp_path, text, message):
+    path = write_csv(tmp_path, text, name="named.csv")
+    with pytest.raises(DataFormatError, match=re.escape(message)) as excinfo:
+        load_dataset(path)
+    assert str(excinfo.value).startswith(f"{path}: ") and str(excinfo.value).count("named.csv") == 1
+
+
 # ---------------------------------------------------------------------------
 # Normalization
 
