@@ -24,7 +24,7 @@ import numpy as np
 from .data import DataFormatError, RankedDataset
 from .kernel import KernelVariant, _check_within, kernel_matrix
 from .ranker import RankPrediction, btl_fit, build_pair_instances, reciprocal_preferences
-from .svm import DEFAULT_C_GRID, _cv_splits, _newton_minimize
+from .svm import DEFAULT_C_GRID, _choose_cost, _newton_minimize
 # Not called here; perfbench's tracer wraps these names at this module.
 from .svm import select_c, smo_train  # noqa: F401
 
@@ -123,18 +123,16 @@ def ranksvm_fit(train: RankedDataset, C: float | None = None, seed: int = 0) -> 
     over the non-zero differences d = x - x' of the preferences x > x', by
     Newton's method in the primal (Chapelle & Keerthi, Inf. Retr. 2010).
     The weight vector scores items directly.  With ``C=None`` the cost is
-    chosen from ``DEFAULT_C_GRID`` (ascending) on the fold scheme of
-    ``select_c`` (2-fold x 3, shuffled by ``seed``): the validation error is
-    the share of held-out differences with w . d <= 0, and ties go to the
-    smallest cost.
+    chosen from ``DEFAULT_C_GRID`` by the cost search that ``select_c`` runs
+    (``svm._choose_cost``: 2-fold x 3, shuffled by ``seed``).  The
+    validation error is the share of held-out differences with w . d <= 0;
+    errors are compared exactly, so ties go to the smallest cost.
     """
     diffs = _difference_vectors(train)
     if C is None:
-        errors = np.zeros(len(DEFAULT_C_GRID))
-        for fit, val in _cv_splits(np.ones(len(diffs)), seed=seed):
-            for g, cost in enumerate(DEFAULT_C_GRID):
-                errors[g] += np.mean(diffs[val] @ _squared_hinge_newton(diffs[fit], cost) <= 0.0)
-        C = DEFAULT_C_GRID[int(np.argmin(errors))]
+        C = _choose_cost(np.ones(len(diffs)), seed, lambda fit, val: [
+            np.count_nonzero(diffs[val] @ _squared_hinge_newton(diffs[fit], cost) <= 0.0)
+            for cost in DEFAULT_C_GRID])
     return LinearModel(weights=_squared_hinge_newton(diffs, C), intercept=0.0)
 
 

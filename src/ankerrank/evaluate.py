@@ -66,9 +66,10 @@ class MethodConfig:
 
     ``variant`` and ``pair_cap`` apply to ``anker``, ``able2rank_k`` to
     ``able2rank``.  ``C`` is the cost of both SVMs (anker and RankSVM);
-    None picks it from ``DEFAULT_C_GRID`` by cross-validation.  ``scope``
-    fixes the normalization scope; None lets the KS gate (level 0.05)
-    choose it.
+    None lets each pick its own from ``DEFAULT_C_GRID`` by the one
+    cross-validated cost search that ``select_c`` and ``ranksvm_fit``
+    share, with ties going to the smallest cost.  ``scope`` fixes the
+    normalization scope; None lets the KS gate (level 0.05) choose it.
     """
 
     variant: KernelVariant = KernelVariant.POLY2

@@ -3,8 +3,8 @@
 Works on precomputed kernel values and knows nothing of the kernel; the
 pipeline feeds it the analogy kernel on pair differences.  Includes sigmoid
 (Platt) calibration of decision values into probabilities and cost
-selection by repeated internal cross-validation, whose fold scheme the
-linear RankSVM baseline shares.
+selection by repeated internal cross-validation, the one cost search that
+the linear RankSVM baseline shares.
 
 ``_newton_minimize`` is the one damped Newton loop of the package: the
 Platt fit here, the Bradley-Terry-Luce fit in ``ranker`` and the RankSVM
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,10 +35,17 @@ _MIN_STEP = 1e-10
 
 @dataclass(frozen=True)
 class PlattParams:
-    """Parameters of the calibrated sigmoid p = 1 / (1 + exp(a * s + b))."""
+    """Parameters of the calibrated sigmoid p = 1 / (1 + exp(a * s + b)).
+
+    ``steps`` counts the Newton steps of the fit, and ``converged`` is False
+    when it stopped at the step cap or on a step that could not lower the
+    objective.
+    """
 
     a: float
     b: float
+    steps: int = 0
+    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -254,7 +262,7 @@ def platt_fit(decisions, labels) -> PlattParams:
     so the line search stays exact near the optimum.  Stops when both
     gradient components are at most ``_PLATT_TOL``; a fit that stops after
     ``_PLATT_MAX_STEPS`` steps, or when no step lowers the objective, logs a
-    warning.
+    warning and returns ``converged=False``.
     """
     s = np.asarray(decisions, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -292,8 +300,8 @@ def platt_fit(decisions, labels) -> PlattParams:
         return grad, newton
 
     start = np.array([0.0, np.log((n_neg + 1.0) / (n_pos + 1.0))])
-    (a, b), *_ = _newton_minimize(start, local, _PLATT_TOL, _PLATT_MAX_STEPS, "Platt fit")
-    return PlattParams(a=float(a), b=float(b))
+    (a, b), steps, converged, _ = _newton_minimize(start, local, _PLATT_TOL, _PLATT_MAX_STEPS, "Platt fit")
+    return PlattParams(a=float(a), b=float(b), steps=steps, converged=converged)
 
 
 def platt_prob(params: PlattParams, decision):
@@ -305,15 +313,19 @@ def platt_prob(params: PlattParams, decision):
     return np.clip(1.0 / (1.0 + np.exp(z)), 1e-12, 1.0 - 1e-12)
 
 
-def _cv_splits(labels, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(fit, validation) index arrays of repeated stratified cross-validation.
+def _choose_cost(labels, seed: int, split_mistakes) -> float:
+    """The cost of ``DEFAULT_C_GRID`` with the lowest mean validation error.
 
     In each of 3 repeats every class is shuffled and dealt round-robin to 2
-    folds.  Splits with an empty side are left out.
+    folds.  A split counts when its validation side is non-empty and its fit
+    side holds every class of ``labels``; ``split_mistakes(fit, val)`` returns
+    its integer mistake count on ``val`` per grid cost.  Error rates add up
+    as exact fractions, so a tie, or a problem without a usable split, goes
+    to the smallest cost.
     """
     y = np.asarray(labels, dtype=float)
     rng = np.random.default_rng(seed)
-    splits = []
+    errors = [Fraction(0)] * len(DEFAULT_C_GRID)
     for _ in range(_CV_REPEATS):
         assignment = np.empty(y.size, dtype=int)
         for cls in (-1.0, 1.0):
@@ -321,34 +333,28 @@ def _cv_splits(labels, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
             assignment[members] = np.arange(members.size) % _CV_FOLDS
         for fold in range(_CV_FOLDS):
             val, fit = np.flatnonzero(assignment == fold), np.flatnonzero(assignment != fold)
-            if val.size and fit.size:
-                splits.append((fit, val))
-    return splits
+            if val.size and np.array_equal(np.unique(y[fit]), np.unique(y)):
+                errors = [e + Fraction(n, val.size) for e, n in zip(errors, split_mistakes(fit, val))]
+    return DEFAULT_C_GRID[errors.index(min(errors))]
 
 
 def select_c(kernel: np.ndarray, labels, seed: int = 0) -> float:
     """Pick the cost from ``DEFAULT_C_GRID`` with the lowest mean 0/1 validation error.
 
-    Runs 3 rounds of stratified 2-fold cross-validation (``_cv_splits``) on
-    the precomputed kernel, solving by SMO at its default tolerance; ties go
-    to the smallest cost.
+    Runs 3 rounds of stratified 2-fold cross-validation (``_choose_cost``,
+    which ``ranksvm_fit`` shares) on the precomputed kernel, solving by SMO
+    at its default tolerance.  Errors are compared exactly, so ties go to
+    the smallest cost.  Labels of one class raise ``smo_train``'s
+    "single class" ``ValueError``.
     """
     y = np.asarray(labels, dtype=float)
     K = np.asarray(kernel, dtype=float)
-    splits = [(fit, val) for fit, val in _cv_splits(y, seed)
-              if np.any(y[fit] > 0) and np.any(y[fit] < 0)]
-    if not splits:
-        logger.debug("too few examples per class for cross-validation; using the smallest cost")
-        return DEFAULT_C_GRID[0]
 
-    errors = np.zeros(len(DEFAULT_C_GRID))
-    for fit, val in splits:
+    def split_mistakes(fit, val):
+        # Gathered here, so one split's sub-kernel is freed before the next is.
         sub_kernel = K[np.ix_(fit, fit)]
-        sub_labels = y[fit]
-        for g, cost in enumerate(DEFAULT_C_GRID):
-            model = smo_train(sub_kernel, sub_labels, cost)
-            rows = K[np.ix_(val, fit[model.support])]
-            predicted = np.where(decision_values(model, rows) > 0, 1.0, -1.0)
-            errors[g] += float(np.mean(predicted != y[val]))
-    errors /= len(splits)
-    return DEFAULT_C_GRID[int(np.argmin(errors))]
+        models = (smo_train(sub_kernel, y[fit], cost) for cost in DEFAULT_C_GRID)
+        return [np.count_nonzero((decision_values(m, K[np.ix_(val, fit[m.support])]) > 0) != (y[val] > 0))
+                for m in models]
+
+    return _choose_cost(y, seed, split_mistakes)

@@ -1,4 +1,4 @@
-"""Synthetic ranked datasets with a known linear utility (the ground-truth oracle)."""
+"""Synthetic ranked datasets with a known ground truth: a linear utility or a pairwise rule."""
 
 from __future__ import annotations
 
@@ -30,9 +30,27 @@ def make_linear_dataset(n_queries: int, n_items: int, d: int, seed: int,
     return RankedDataset(numeric_schema(d), tuple(queries))
 
 
+# Pairwise rules h(u) over the last axis of a difference u = x_i - x_j; the
+# nonlinear ones depend on the sign pattern of u.
+
+def linear_rule(u: np.ndarray) -> np.ndarray:
+    """h(u) = w . u with weights w evenly spaced from 1 to 2, as ``make_linear_dataset``."""
+    return u @ np.linspace(1.0, 2.0, u.shape[-1])
+
+
 def threshold_rule(u: np.ndarray) -> np.ndarray:
     """h(u) = sign u_1 if |u_1| > 0.3, else sign u_0, over the last axis of ``u``."""
     return np.where(np.abs(u[..., 1]) > 0.3, np.sign(u[..., 1]), np.sign(u[..., 0]))
+
+
+def first_threshold_rule(u: np.ndarray) -> np.ndarray:
+    """h(u) = sign u_0 if |u_0| > 0.2, else sign u_1."""
+    return np.where(np.abs(u[..., 0]) > 0.2, np.sign(u[..., 0]), np.sign(u[..., 1]))
+
+
+def majority_rule(u: np.ndarray) -> np.ndarray:
+    """h(u) = sign of sum_k sign u_k: i beats j on most features (intransitive)."""
+    return np.sign(np.sign(u).sum(axis=-1))
 
 
 def make_rule_dataset(n_queries: int, n_items: int, d: int, seed: int, rule,

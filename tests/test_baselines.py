@@ -131,6 +131,15 @@ def test_ranksvm_cost_ties_go_to_the_smallest():
     assert np.array_equal(chosen.weights, ranksvm_fit(data, C=min(DEFAULT_C_GRID)).weights)
 
 
+def test_ranksvm_breaks_an_exact_cost_tie_toward_the_smallest():
+    # C = 4 and C = 64 both err on 7/3 of a split in all; summed as floats,
+    # the rates of C = 64 came out one ulp lower.
+    data = make_linear_dataset(2, 3, 2, seed=26)
+    chosen = ranksvm_fit(data, C=None, seed=26)
+    assert np.array_equal(chosen.weights, ranksvm_fit(data, C=4.0).weights)
+    assert not np.array_equal(chosen.weights, ranksvm_fit(data, C=64.0).weights)
+
+
 def test_ranksvm_newton_warns_when_it_stops_unconverged(caplog):
     diffs = _difference_vectors(conflicting_dataset())
     with caplog.at_level(logging.WARNING, logger="ankerrank.svm"):

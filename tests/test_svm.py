@@ -1,12 +1,16 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy import optimize as sp_optimize
 
+from ankerrank import svm
 from ankerrank.kernel import KernelVariant, gram_matrix
 from ankerrank.svm import (
     DEFAULT_C_GRID,
     PlattParams,
     SvmModel,
+    _choose_cost,
     _newton_minimize,
     decision_values,
     platt_fit,
@@ -324,6 +328,25 @@ def test_platt_prob_monotone_for_negative_slope():
     assert np.all(np.diff(values) > 0.0)
 
 
+def test_platt_fit_records_its_steps_and_convergence():
+    rng = np.random.default_rng(6)
+    decisions = 2.0 * rng.normal(size=40)
+    labels = np.where(decisions + rng.normal(size=40) > 0, 1.0, -1.0)
+    params = platt_fit(decisions, labels)
+    assert params.converged and params.steps >= 1
+
+
+def test_platt_fit_at_its_step_cap_is_unconverged_and_warns(monkeypatch, caplog):
+    monkeypatch.setattr(svm, "_PLATT_MAX_STEPS", 1)
+    decisions = np.array([-2.0, -1.0, 0.5, 1.0, 2.0])
+    labels = np.array([-1.0, 1.0, -1.0, 1.0, 1.0])
+    with caplog.at_level(logging.WARNING, logger="ankerrank.svm"):
+        params = platt_fit(decisions, labels)
+    assert (params.steps, params.converged) == (1, False)
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "Platt fit stopped unconverged after 1 Newton steps" in caplog.text
+
+
 def test_platt_fit_requires_both_classes():
     with pytest.raises(ValueError, match="both classes"):
         platt_fit(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
@@ -426,3 +449,30 @@ def test_select_c_reaches_zero_error_on_separable_data():
     model = smo_train(gram, labels, chosen, tol=1e-3)
     predicted = np.where(decision_values(model, gram[:, model.support]) > 0, 1.0, -1.0)
     assert np.mean(predicted != labels) == 0.0
+
+
+def test_select_c_rejects_a_single_class():
+    gram, _ = separable_instance(np.random.default_rng(8))
+    with pytest.raises(ValueError, match="single class"):
+        select_c(gram, -np.ones(len(gram)), seed=0)
+
+
+def test_choose_cost_compares_error_sums_exactly():
+    # Costs 0 and 3 both err on 6/5 of a split in all.  As floats their
+    # rates sum to 1.2000000000000002 and 1.2, which would pick cost 3.
+    per_cost = {0: [0, 0, 0, 1, 2, 3], 3: [0, 0, 0, 2, 3, 1]}
+    splits = []
+
+    def split_mistakes(fit, val):
+        splits.append((fit.size, val.size))
+        return [per_cost.get(g, [5] * 6)[len(splits) - 1] for g in range(len(DEFAULT_C_GRID))]
+
+    assert _choose_cost(np.ones(10), 0, split_mistakes) == DEFAULT_C_GRID[0]
+    assert splits == [(5, 5)] * 6
+
+
+def test_choose_cost_without_a_usable_split_takes_the_smallest_cost():
+    def split_mistakes(fit, val):
+        raise AssertionError("no split holds both classes on its fit side")
+
+    assert _choose_cost(np.array([1.0, -1.0]), 0, split_mistakes) == DEFAULT_C_GRID[0]
