@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataFormatError, RankedDataset
-from .kernel import KernelVariant, _check_within, kernel_matrix
+from .kernel import KernelVariant, kernel_matrix, pair_differences
 from .ranker import RankPrediction, btl_fit, build_pair_instances, reciprocal_preferences
 from .svm import DEFAULT_C_GRID, _choose_cost, _newton_minimize
 # Not called here; perfbench's tracer wraps these names at this module.
@@ -82,16 +82,15 @@ def _difference_vectors(train: RankedDataset) -> np.ndarray:
     return diffs
 
 
-def _squared_hinge_newton(diffs: np.ndarray, C: float,
-                          max_steps: int = _NEWTON_MAX_STEPS) -> np.ndarray:
+def _squared_hinge_newton(diffs: np.ndarray, C: float) -> np.ndarray:
     """Minimizer of 1/2 |w|^2 + C sum_i max(0, 1 - w . d_i)^2 by Newton's method.
 
     Each step of ``svm._newton_minimize`` solves (I + 2C X_A' X_A) s = -g,
     where X_A holds the rows with slack 1 - w . d > 0 and g is the gradient.
     The objective is piecewise quadratic, so a full step lands on the
     minimizer once the active rows settle.  A fit that stops after
-    ``max_steps`` steps, or when no step along the Newton direction lowers
-    the objective, logs a warning.
+    ``_NEWTON_MAX_STEPS`` steps, or when no step along the Newton direction
+    lowers the objective, logs a warning.
     """
     def local(w: np.ndarray):
         slack = 1.0 - diffs @ w
@@ -112,7 +111,7 @@ def _squared_hinge_newton(diffs: np.ndarray, C: float,
 
         return grad, newton
 
-    w, *_ = _newton_minimize(np.zeros(diffs.shape[1]), local, _NEWTON_TOL, max_steps, "RankSVM fit")
+    w, *_ = _newton_minimize(np.zeros(diffs.shape[1]), local, _NEWTON_TOL, _NEWTON_MAX_STEPS, "RankSVM fit")
     return w
 
 
@@ -126,8 +125,11 @@ def ranksvm_fit(train: RankedDataset, C: float | None = None, seed: int = 0) -> 
     chosen from ``DEFAULT_C_GRID`` by the cost search that ``select_c`` runs
     (``svm._choose_cost``: 2-fold x 3, shuffled by ``seed``).  The
     validation error is the share of held-out differences with w . d <= 0;
-    errors are compared exactly, so ties go to the smallest cost.
+    errors are compared exactly, so ties go to the smallest cost.  A given
+    ``C`` must be finite and positive, as ``smo_train`` requires.
     """
+    if C is not None and not 0 < C < np.inf:
+        raise ValueError("C must be a finite positive number")
     diffs = _difference_vectors(train)
     if C is None:
         C = _choose_cost(np.ones(len(diffs)), seed, lambda fit, val: [
@@ -148,18 +150,13 @@ def able2rank_lite(train: RankedDataset, query: np.ndarray, k: int = 20) -> Rank
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    query = np.asarray(query, dtype=float)
-    n = query.shape[0]
+    n = len(query)
     pairs = build_pair_instances(train)
     n_prefs = len(pairs)
     if n_prefs == 0:
         raise DataFormatError("no training preferences: every training query has a single item")
-    items = train.all_items()
-    _check_within(items, 0.0, 1.0, "training items")
-    _check_within(query, 0.0, 1.0, "query items")
-    pref_diffs = items[pairs[:, 0]] - items[pairs[:, 1]]
-    rows, cols = np.triu_indices(n, k=1)
-    forward = query[rows] - query[cols]
+    pref_diffs = pair_differences(train.all_items(), *pairs.T, "training items")
+    forward = pair_differences(query, *np.triu_indices(n, k=1), "query items")
     evidence = kernel_matrix(pref_diffs, np.concatenate([forward, -forward]), KernelVariant.MEAN)
     if k < n_prefs:
         evidence = np.partition(evidence, n_prefs - k, axis=0)[n_prefs - k:]

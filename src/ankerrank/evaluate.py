@@ -192,7 +192,8 @@ def run_experiment(train: RankedDataset, test: RankedDataset, methods,
 
     ``externals`` maps extra method names to pre-computed per-query orderings
     (best-to-worst item indices); those enter the comparison with a constant
-    loss across repeats.  Method names must pass ``check_methods``.
+    loss across repeats, and are scored before any method runs, so a
+    malformed ordering fails fast.  Method names must pass ``check_methods``.
     """
     if config is None:
         config = MethodConfig()
@@ -207,6 +208,8 @@ def run_experiment(train: RankedDataset, test: RankedDataset, methods,
                 f"test query {query.query_id!r} has fewer than two items; "
                 "the ranking loss needs at least two"
             )
+    external_losses = {name: score_external_orderings(test, orderings)
+                       for name, orderings in externals.items()}
 
     # One scope and one normalization per mode, shared by every method and run.
     modes = dict.fromkeys(_RUNNERS[name][0] for name in methods if name in _RUNNERS)
@@ -232,7 +235,7 @@ def run_experiment(train: RankedDataset, test: RankedDataset, methods,
                 losses[r] = float(np.mean([ranking_loss(p, q.ranking)
                                            for p, q in zip(predicted, test.queries)]))
         else:
-            losses = np.full(repeats, score_external_orderings(test, externals[name]))
+            losses = np.full(repeats, external_losses[name])
         mean = float(losses.mean())
         std = float(losses.std(ddof=1)) if repeats > 1 else 0.0
         results.append(ExperimentResult(method=name, mean_loss=mean, std_loss=std, losses=losses))

@@ -7,7 +7,8 @@ u = a - b and v = c - d in [-1, 1], the same formula is a kernel g(u, v);
 averaging it per feature dimension extends it to pairs of feature vectors,
 and squaring the average gives a degree-2 polynomial variant.  So the kernel
 sees an ordered pair (x, x') only through its difference x - x', and
-``kernel_matrix`` and ``gram_matrix`` take (m, d) arrays of differences.
+``kernel_matrix`` and ``gram_matrix`` take (m, d) arrays of differences,
+which ``pair_differences`` builds from items in [0, 1].
 
 Why g is positive semi-definite: when u and v share a sign,
 |u - v| = ||u| - |v||, so
@@ -80,6 +81,13 @@ def _check_within(arr: np.ndarray, low: float, high: float, what: str) -> None:
     if arr.size and not (arr.min() >= low and arr.max() <= high):
         raise ValueError(f"{what} has values outside [{low:g}, {high:g}] or not finite; "
                          "normalize items to [0, 1] before applying the kernel")
+
+
+def pair_differences(items, first, second, what: str) -> np.ndarray:
+    """Kernel pairs items[first] - items[second]; items outside [0, 1] or not finite raise, naming ``what``."""
+    items = np.asarray(items, dtype=float)
+    _check_within(items, 0.0, 1.0, what)
+    return items[first] - items[second]
 
 
 def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN) -> np.ndarray:

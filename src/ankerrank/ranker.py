@@ -29,7 +29,7 @@ from .data import (
     choose_normalization_scope,
     normalize_train_test,
 )
-from .kernel import KernelVariant, _check_within, gram_matrix, kernel_matrix
+from .kernel import KernelVariant, gram_matrix, kernel_matrix, pair_differences
 from .svm import (
     SvmModel,
     _newton_minimize,
@@ -142,10 +142,7 @@ def preference_matrix(model: AnkerModel, query: np.ndarray) -> np.ndarray:
     svm = model.svm
     if svm.platt is None:
         raise ValueError("model must carry calibration parameters")
-    query = np.asarray(query, dtype=float)
-    _check_within(query, 0.0, 1.0, "query items")
-    rows, cols = np.triu_indices(query.shape[0], k=1)
-    forward = query[rows] - query[cols]
+    forward = pair_differences(query, *np.triu_indices(len(query), k=1), "query items")
 
     def support(diffs: np.ndarray) -> np.ndarray:
         kernel = kernel_matrix(diffs, model.support_diffs, model.variant)
@@ -153,7 +150,7 @@ def preference_matrix(model: AnkerModel, query: np.ndarray) -> np.ndarray:
 
     # Grouping the difference first makes equal support yield exactly 0.5.
     upper = (1.0 + (support(forward) - support(-forward))) / 2.0
-    return reciprocal_preferences(upper, query.shape[0])
+    return reciprocal_preferences(upper, len(query))
 
 
 def btl_log_likelihood(pref: np.ndarray, theta: np.ndarray) -> float:
@@ -186,9 +183,9 @@ def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlPa
     softmax(beta).
     """
     pref = np.asarray(pref, dtype=float)
-    n = pref.shape[0]
-    if pref.ndim != 2 or pref.shape != (n, n):
+    if pref.ndim != 2 or pref.shape[0] != pref.shape[1]:
         raise ValueError("preference matrix must be square")
+    n = pref.shape[0]
     if n == 0:
         raise ValueError("preference matrix must have at least one item")
     if not tol >= 0.0:
@@ -263,9 +260,7 @@ def anker_fit(train: RankedDataset, *, variant: KernelVariant = KernelVariant.PO
         pairs, labels = pairs[chosen], labels[chosen]
     if not (np.any(labels > 0) and np.any(labels < 0)):
         raise DataFormatError(f"too few training pairs: {len(labels)} pair(s) do not hold both labels")
-    items = train.all_items()
-    _check_within(items, 0.0, 1.0, "training items")
-    diffs = (items[pairs[:, 0]] - items[pairs[:, 1]]) * labels[:, None]
+    diffs = pair_differences(train.all_items(), *pairs.T, "training items") * labels[:, None]
     gram = gram_matrix(diffs, variant)
     if C is None:
         C = select_c(gram, labels, seed=seed)

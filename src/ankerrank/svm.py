@@ -307,10 +307,7 @@ def platt_fit(decisions, labels) -> PlattParams:
 def platt_prob(params: PlattParams, decision):
     """Calibrated probabilities 1 / (1 + exp(a * s + b)) of decision values, clipped to (0, 1)."""
     s = np.asarray(decision, dtype=float)
-    # |z| > 40 already saturates past the output clip, so clipping z first
-    # keeps exp() in range without changing any result.
-    z = np.clip(params.a * s + params.b, -40.0, 40.0)
-    return np.clip(1.0 / (1.0 + np.exp(z)), 1e-12, 1.0 - 1e-12)
+    return np.clip(_sigmoid(-(params.a * s + params.b)), 1e-12, 1.0 - 1e-12)
 
 
 def _choose_cost(labels, seed: int, split_mistakes) -> float:

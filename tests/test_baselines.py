@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from ankerrank import baselines
 from ankerrank.baselines import (
     LinearModel,
     _difference_vectors,
@@ -140,10 +141,19 @@ def test_ranksvm_breaks_an_exact_cost_tie_toward_the_smallest():
     assert not np.array_equal(chosen.weights, ranksvm_fit(data, C=64.0).weights)
 
 
-def test_ranksvm_newton_warns_when_it_stops_unconverged(caplog):
+@pytest.mark.parametrize("C", [0.0, -1.0, np.inf, np.nan])
+def test_ranksvm_refuses_the_costs_smo_refuses(C, caplog):
+    data = make_linear_dataset(2, 4, 2, seed=1)
+    with caplog.at_level(logging.WARNING), pytest.raises(ValueError, match="C must be a finite positive number"):
+        ranksvm_fit(data, C=C)
+    assert caplog.text == ""
+
+
+def test_ranksvm_newton_warns_when_it_stops_unconverged(caplog, monkeypatch):
     diffs = _difference_vectors(conflicting_dataset())
+    monkeypatch.setattr(baselines, "_NEWTON_MAX_STEPS", 1)
     with caplog.at_level(logging.WARNING, logger="ankerrank.svm"):
-        _squared_hinge_newton(diffs, 1.0, max_steps=1)
+        _squared_hinge_newton(diffs, 1.0)
     assert "RankSVM fit stopped unconverged after 1 Newton steps" in caplog.text
     assert "gradient max-norm" in caplog.text
 

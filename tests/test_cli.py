@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import ankerrank
+from ankerrank import ranker
 from ankerrank.cli import build_parser, main
-from ankerrank.data import RankedDataset, RankedQuery, save_dataset
+from ankerrank.data import RankedDataset, RankedQuery, load_dataset, save_dataset
+from ankerrank.evaluate import score_external_orderings
+from ankerrank.kernel import KernelVariant
 from synthetic import make_linear_dataset
 
 
@@ -36,6 +39,32 @@ def test_rank_happy_path(csv_files, tmp_path, capsys):
     assert sorted(payload["ordering"]) == list(range(6))
     assert len(payload["theta"]) == 6
     assert "preference_matrix" not in payload
+
+
+def test_rank_kernel_mean_writes_the_library_ranking(csv_files, capsys):
+    argv = ["rank", "--train", str(csv_files["train"]), "--query", str(csv_files["query"]),
+            "--C", "2", "--seed", "7"]
+    assert main(argv + ["--kernel", "mean"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    train = load_dataset(csv_files["train"])
+    query = load_dataset(csv_files["query"], schema=train.schema).queries[0].items
+    expected = ranker.anker_rank(train, query, variant=KernelVariant.MEAN, C=2.0, seed=7)
+    assert payload["ordering"] == expected.ordering.tolist()
+    assert payload["theta"] == expected.theta.tolist()
+    # The default kernel gives other utilities, so the option took effect.
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["theta"] != payload["theta"]
+
+
+def test_an_internal_failure_exits_1_with_nothing_on_stdout(csv_files, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver exploded")
+
+    monkeypatch.setattr(ranker, "anker_rank", broken)
+    assert main(["rank", "--train", str(csv_files["train"]), "--query", str(csv_files["query"])]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: solver exploded\n"
+    assert captured.out == ""
 
 
 def test_rank_writes_json_to_stdout(csv_files, capsys):
@@ -407,6 +436,42 @@ def test_benchmark_missing_external_file_is_a_usage_error(csv_files, capsys):
         main(["benchmark", "--train", str(csv_files["train"]), "--test", str(csv_files["test"]),
               "--methods", "err,mine", "--external", "mine=/nonexistent/ext.json"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("argument, content, message", [
+    ("mine", None, "--external expects NAME=PATH"),
+    ("mine={path}", "[{\"ordering\": [0, 1]", "is not valid JSON"),
+    ("mine={path}", '[{"order": [0, 1]}]', "expected ranking JSON objects with an 'ordering' key"),
+    ("mine={path}", "[[0, 1]]", "expected ranking JSON objects with an 'ordering' key"),
+], ids=["no-equals-sign", "invalid-json", "no-ordering-key", "not-an-object"])
+def test_benchmark_malformed_external_argument_is_a_usage_error(csv_files, tmp_path, capsys,
+                                                               argument, content, message):
+    path = tmp_path / "ext.json"
+    if content is not None:
+        path.write_text(content)
+    argv = ["benchmark", "--train", str(csv_files["train"]), "--test", str(csv_files["test"]),
+            "--methods", "err,mine", "--external", argument.format(path=path)]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_benchmark_accepts_one_rank_command_object_as_an_external(csv_files, tmp_path):
+    # A test file of one query takes the rank command's JSON as it is written.
+    test = make_linear_dataset(1, 7, 3, seed=12)
+    save_dataset(test, tmp_path / "test.csv")
+    external = tmp_path / "rank.json"
+    assert main(["rank", "--train", str(csv_files["train"]), "--query", str(tmp_path / "test.csv"),
+                 "--C", "1", "--out", str(external)]) == 0
+    out = tmp_path / "results.csv"
+    assert main(["benchmark", "--train", str(csv_files["train"]), "--test", str(tmp_path / "test.csv"),
+                 "--methods", "err,mine", "--external", f"mine={external}", "--repeats", "1",
+                 "--out", str(out)]) == 0
+    rows = {r[1]: r for r in (line.split(",") for line in out.read_text().strip().split("\n")[1:])}
+    ordering = json.loads(external.read_text())["ordering"]
+    expected = score_external_orderings(load_dataset(tmp_path / "test.csv"), [ordering])
+    assert rows["mine"][2] == f"{expected:.6f}"
 
 
 def test_cli_entry_point_runs_as_subprocess(csv_files):

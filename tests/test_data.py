@@ -119,6 +119,18 @@ def test_load_schema_mismatch_names_the_column(tmp_path):
         load_dataset(short, schema=schema)
 
 
+@pytest.mark.parametrize("header, message", [
+    ("s:numeric", "column 's' declared as numeric, schema expects ordinal"),
+    ("s:ordinal{high<low}", "column 's' declares levels that differ from the schema"),
+], ids=["kind", "levels"])
+def test_a_header_that_contradicts_the_schema_is_rejected(tmp_path, header, message):
+    train = write_csv(tmp_path, "query_id,rank,s:ordinal{low<high}\nq1,1,high\nq1,2,low\n")
+    schema = load_dataset(train).schema
+    query = write_csv(tmp_path, f"query_id,rank,{header}\nq9,1,high\nq9,2,low\n", "q.csv")
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        load_dataset(query, schema=schema)
+
+
 def test_canonical_round_trip(tmp_path):
     path = write_csv(
         tmp_path,
@@ -335,7 +347,14 @@ def test_dataset_rejects_a_repeated_query_id():
     ("query_id,rank,a:numeric\nq,1,x\nq,2,0.2\n", "non-numeric value 'x'"),
     ("query_id,rank,a\nq,1,0.1\nq,2,nan\n", "non-finite"),
     ("query_id,rank,a,a\nq,1,0.1,0.2\nq,2,0.3,0.4\n", "duplicate feature name 'a'"),
-], ids=["empty", "ragged", "duplicate-rank", "non-numeric", "non-finite", "repeated-name"])
+    ("id,rank,a\nq,1,0.1\nq,2,0.2\n", "header must start with query_id,rank"),
+    ("query_id,rank\nq,1\nq,2\n", "header must start with query_id,rank and have at least one feature"),
+    ("query_id,rank,a\n", "no data rows"),
+    ("query_id,rank,a\nq,first,0.1\nq,2,0.2\n", "row 2 has non-integer rank 'first'"),
+    ("query_id,rank,c\nq,1,red\nq,2,blue\nq,3,green\n",
+     "cannot infer a kind for column 'c': non-numeric with 3 distinct values"),
+], ids=["empty", "ragged", "duplicate-rank", "non-numeric", "non-finite", "repeated-name",
+        "header-start", "header-without-features", "header-only", "non-integer-rank", "uninferable-kind"])
 def test_every_load_error_names_the_file_once(tmp_path, text, message):
     path = write_csv(tmp_path, text, name="named.csv")
     with pytest.raises(DataFormatError, match=re.escape(message)) as excinfo:

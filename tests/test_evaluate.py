@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ankerrank import evaluate
-from ankerrank.data import NormalizationScope
+from ankerrank.data import DataFormatError, NormalizationScope
 from ankerrank.evaluate import (
     METHOD_NAMES,
     ExperimentResult,
@@ -181,6 +181,13 @@ def test_run_experiment_method_order_does_not_leak_randomness(small_problem):
     assert np.array_equal(alone[0].losses, paired[0].losses)
 
 
+@pytest.mark.parametrize("method", ["anker", "ranksvm"])
+def test_run_experiment_refuses_a_cost_outside_the_positive_reals_for_both_svms(small_problem, method):
+    train, test = small_problem
+    with pytest.raises(ValueError, match="C must be a finite positive number"):
+        run_experiment(train, test, [method], repeats=1, seed=0, config=MethodConfig(C=0.0))
+
+
 def test_run_experiment_rejects_unknown_method(small_problem):
     train, test = small_problem
     with pytest.raises(ValueError, match="unsupported method"):
@@ -285,3 +292,16 @@ def test_external_method_joins_the_ranking(small_problem):
     assert by_name["oracle"].std_loss == 0.0
     assert by_name["oracle"].rank == 1
     assert by_name["oracle"].losses.shape == (3,)
+
+
+def test_external_orderings_are_checked_before_any_method_runs(small_problem, monkeypatch):
+    train, test = small_problem
+
+    def too_early(*args, **kwargs):
+        raise AssertionError("ran before the external orderings were checked")
+
+    monkeypatch.setattr(evaluate, "anker_fit", too_early)
+    monkeypatch.setattr(evaluate, "choose_normalization_scope", too_early)
+    malformed = [[0, 0]] * len(test.queries)
+    with pytest.raises(DataFormatError, match="not a permutation"):
+        run_experiment(train, test, ["anker", "ext"], repeats=3, seed=0, externals={"ext": malformed})

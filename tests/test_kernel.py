@@ -9,6 +9,7 @@ from ankerrank.kernel import (
     boolean_proportion,
     gram_matrix,
     kernel_matrix,
+    pair_differences,
     proportion_degree,
 )
 from oracles import full_slab_kernel_matrix
@@ -101,6 +102,24 @@ def test_kernel_rejects_differences_outside_the_unit_interval(bad):
     with pytest.raises(ValueError, match=r"outside \[-1, 1\] or not finite"):
         gram_matrix(wrong)
     assert kernel_matrix(good, good).shape == (2, 2)  # the extremes -1 and 1 are accepted
+
+
+def test_pair_differences_are_the_row_differences_bit_for_bit():
+    items = np.random.default_rng(0).random((7, 3))
+    items[0] = (0.0, 1.0, 0.5)  # the interval's ends are accepted
+    first, second = np.triu_indices(7, k=1)
+    expected = items[first] - items[second]
+    assert pair_differences(items, first, second, "items").tobytes() == expected.tobytes()
+    assert pair_differences(items.tolist(), first, second, "items").tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", [1.0 + 1e-15, -0.25, np.nan, np.inf])
+def test_pair_differences_refuse_items_outside_the_unit_interval(bad):
+    items = np.full((3, 2), 0.5)
+    items[1, 0] = bad  # a row no pair uses is checked too
+    with pytest.raises(ValueError, match=r"^training items has values outside \[0, 1\] or not finite; "
+                                         r"normalize items to \[0, 1\] before applying the kernel$"):
+        pair_differences(items, [0], [2], "training items")
 
 
 def test_scalar_kernel_equals_proportion_degree_exactly():

@@ -85,6 +85,19 @@ def test_only_the_newton_driver_names_the_line_search_constants():
     assert naming == {"svm.py"}
 
 
+def test_only_the_kernel_names_its_range_check():
+    # ``kernel.pair_differences`` is the one step from items to kernel pairs.
+    naming = set()
+    for path in sorted(Path(ankerrank.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [node.id] if isinstance(node, ast.Name) else \
+                [node.attr] if isinstance(node, ast.Attribute) else \
+                [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
+            if "_check_within" in names:
+                naming.add(path.name)
+    assert naming == {"kernel.py"}
+
+
 def _unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()

@@ -304,6 +304,12 @@ def test_btl_rejects_a_step_cap_below_one(max_iter):
         btl_fit(pref, tol=0.0, max_iter=max_iter)
 
 
+@pytest.mark.parametrize("pref", [np.float64(0.5), np.full(3, 0.5), np.full((2, 3), 0.5)])
+def test_btl_rejects_a_preference_array_that_is_not_a_square_matrix(pref):
+    with pytest.raises(ValueError, match="preference matrix must be square"):
+        btl_fit(pref)
+
+
 def test_btl_rejects_an_empty_preference_matrix():
     with pytest.raises(ValueError, match="at least one item"):
         btl_fit(np.zeros((0, 0)))
