@@ -2,7 +2,8 @@
 
 stdout carries only machine-readable payloads (JSON or CSV); diagnostics and
 human-readable tables go to stderr.  Exit codes: 0 success, 1 internal
-failure, 2 usage or malformed input.
+failure, 2 usage, malformed input or an ``--out`` that cannot be written;
+``main`` alone turns an exception into an exit code.
 
 The handlers look library functions up on their modules at call time
 (``data.load_dataset``), so a function replaced on its module is the one
@@ -107,13 +108,9 @@ def _load_external_orderings(argument: str) -> tuple[str, list]:
 def cmd_benchmark(args: argparse.Namespace) -> int:
     externals = dict(args.external or [])
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    try:
-        if len(externals) < len(args.external or []):
-            raise ValueError("an --external NAME is given more than once")
-        evaluate.check_methods(methods, externals)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if len(externals) < len(args.external or []):
+        raise data.DataFormatError("an --external NAME is given more than once")
+    evaluate.check_methods(methods, externals)
     train = data.load_dataset(args.train)
     test = data.load_dataset(args.test, schema=train.schema)
     config = evaluate.MethodConfig(
@@ -151,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rank = sub.add_parser("rank", parents=[shared],
                           help="rank a query item set given training rankings")
-    rank.add_argument("--query", required=True, help="query CSV (single query_id; rank column is ignored)")
+    rank.add_argument("--query", required=True,
+                      help="query CSV (single query_id; its ranks must be 1..n but do not change the output)")
     rank.add_argument("--out", default=None, help="output JSON path (default: stdout)")
     rank.add_argument("--include-matrix", action="store_true",
                       help="include the pairwise preference matrix in the JSON output")
@@ -179,7 +177,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except data.DataFormatError as exc:
+    except (data.DataFormatError, OSError) as exc:  # bad input, or --out cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure

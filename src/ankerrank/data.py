@@ -98,14 +98,17 @@ class FeatureSchema:
         return pos / (len(levels) - 1)
 
     def decode(self, index: int, code: float) -> str:
-        """Raw cell string for a numeric code (inverse of encode)."""
+        """Raw cell string that ``encode`` maps to ``code``; a code of no level raises ``DataFormatError``."""
         kind = self.kinds[index]
         if kind is FeatureKind.NUMERIC:
             return repr(code)
         levels = self.levels[index]
-        assert levels is not None
-        pos = round(code * (len(levels) - 1))
-        return levels[pos]
+        # Only the level nearest to code can have it as its code; encode says whether it does.
+        nearest = levels[round(min(max(code, 0.0), 1.0) * (len(levels) - 1))]
+        if self.encode(index, nearest) != code:
+            raise DataFormatError(f"{code!r} is not the code of a level of {kind.value} feature "
+                                  f"{self.names[index]!r}")
+        return nearest
 
 
 @dataclass(frozen=True)
@@ -355,8 +358,9 @@ def save_dataset(dataset: RankedDataset, path: str | Path) -> None:
     4180.  Loading the file gives back the schema and items that were saved,
     and saving that again reproduces the file byte for byte.  A query id,
     feature name or level with surrounding whitespace or a lone carriage
-    return, a ``:`` in a name, or a ``<`` or ``}`` in a level raises
-    ``DataFormatError`` before anything is written.
+    return, a ``:`` in a name, a ``<`` or ``}`` in a level, or an item value
+    that is not the code of a level raises ``DataFormatError`` before
+    anything is written.
     """
     schema = dataset.schema
     for query in dataset.queries:
@@ -369,13 +373,16 @@ def save_dataset(dataset: RankedDataset, path: str | Path) -> None:
     for name, kind, levels in zip(schema.names, schema.kinds, schema.levels):
         listed = "" if levels is None else f"{{{'<'.join(levels)}}}"
         header.append(f"{name}:{kind.value}{listed}")
+    rows = [header]
+    for query in dataset.queries:
+        try:
+            rows += [[query.query_id, position + 1,
+                      *(schema.decode(k, float(v)) for k, v in enumerate(query.items[item_idx]))]
+                     for position, item_idx in enumerate(query.ordering)]
+        except DataFormatError as exc:
+            raise DataFormatError(f"query {query.query_id!r}: {exc}") from None
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for query in dataset.queries:
-            for position, item_idx in enumerate(query.ordering):
-                writer.writerow([query.query_id, position + 1,
-                                 *(schema.decode(k, float(v)) for k, v in enumerate(query.items[item_idx]))])
+        csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,6 @@ from .data import (
 from .kernel import KernelVariant
 from .ranker import anker_fit, anker_predict
 
-METHOD_NAMES = ("anker", "err", "ranksvm", "able2rank")
-
 
 def ranking_loss(pi: np.ndarray, pi_star: np.ndarray) -> float:
     """Normalized number of discordant item pairs between two rankings.
@@ -123,10 +121,11 @@ _RUNNERS = {
     "ranksvm": (NormalizationMode.ZSCORE, _run_ranksvm),
     "able2rank": (NormalizationMode.MINMAX, _run_able2rank),
 }
+METHOD_NAMES = tuple(_RUNNERS)
 
 
 def check_methods(methods, externals) -> None:
-    """Raise ``ValueError`` unless each method name has one meaning.
+    """Raise ``DataFormatError`` unless each method name has one meaning.
 
     A name is a built-in method or a key of ``externals`` that is not one,
     no name repeats, and every key of ``externals`` is one of the methods.
@@ -134,17 +133,17 @@ def check_methods(methods, externals) -> None:
     methods = list(methods)
     unknown = [m for m in methods if m not in _RUNNERS and m not in externals]
     if unknown or not methods:
-        raise ValueError(f"unsupported method {', '.join(unknown) or '(none)'} "
-                         f"(known: {', '.join(METHOD_NAMES)}, or an external name)")
+        raise DataFormatError(f"unsupported method {', '.join(unknown) or '(none)'} "
+                              f"(known: {', '.join(METHOD_NAMES)}, or an external name)")
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:
-        raise ValueError(f"method {', '.join(repeated)} given more than once")
+        raise DataFormatError(f"method {', '.join(repeated)} given more than once")
     shadowing = sorted(set(externals) & set(_RUNNERS))
     if shadowing:
-        raise ValueError(f"external method {', '.join(shadowing)} has the name of a built-in method")
+        raise DataFormatError(f"external method {', '.join(shadowing)} has the name of a built-in method")
     unused = sorted(set(externals) - set(methods))
     if unused:
-        raise ValueError(f"external method {', '.join(unused)} is not in the method list")
+        raise DataFormatError(f"external method {', '.join(unused)} is not in the method list")
 
 
 def score_external_orderings(test: RankedDataset, orderings) -> float:

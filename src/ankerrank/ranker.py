@@ -294,13 +294,13 @@ def anker_rank(train: RankedDataset, query: np.ndarray, *,
     """
     query = np.asarray(query, dtype=float)
     if query.ndim != 2 or query.shape[1] != train.n_features:
-        raise ValueError(
+        raise DataFormatError(
             f"query items must be (n, {train.n_features}), got {query.shape}"
         )
     if query.shape[0] < 2:
         raise DataFormatError("a query needs at least two items")
     if not np.isfinite(query).all():
-        raise ValueError("query features must be finite")
+        raise DataFormatError("query features must be finite")
     if scope is None:
         scope = choose_normalization_scope(train.all_items(), query)
     train_norm, query_norm = normalize_train_test(

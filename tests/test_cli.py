@@ -363,6 +363,21 @@ def test_benchmark_method_names_have_one_meaning(csv_files, tmp_path, capsys, op
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["rank", "benchmark"])
+def test_an_out_path_that_cannot_be_written_exits_2(csv_files, tmp_path, capsys, command):
+    out = tmp_path / "missing" / "result"
+    inputs = {"rank": ["--query", str(csv_files["query"])],
+              "benchmark": ["--test", str(csv_files["test"]), "--methods", "err", "--repeats", "1"]}
+    code = main([command, "--train", str(csv_files["train"]), "--C", "1", *inputs[command],
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and str(out) in line
+    assert not out.parent.exists()
+
+
 def test_benchmark_scores_a_ranker_without_information_at_one_half(csv_files, tmp_path):
     # Training queries whose items are all identical carry no preference, so
     # both rankers tie every test item; save_dataset writes the test rows in

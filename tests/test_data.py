@@ -224,6 +224,7 @@ def test_a_saved_one_valued_binary_column_loads_without_a_schema(tmp_path):
     ("x:ordinal", "ordinal feature 'x' needs an ordered level list"),
     ("x:weird", "unknown feature kind 'weird'"),
     ("x:binary{a}", "binary feature 'x' must take exactly two raw values, found 1"),
+    ("x:ordinal{a<b<a}", "feature 'x' has duplicate levels"),
     (":numeric", "a feature has an empty name"),
 ])
 def test_a_malformed_header_cell_is_rejected(tmp_path, cell, message):
@@ -264,6 +265,25 @@ def test_save_refuses_names_and_levels_that_would_not_load_back(tmp_path, name, 
     assert not path.exists()
 
 
+@pytest.mark.parametrize("column, value, message", [
+    (0, -0.7, "-0.7 is not the code of a level of binary feature 'flag'"),
+    (1, 0.3, "0.3 is not the code of a level of ordinal feature 'stars'"),
+    (1, 2.0, "2.0 is not the code of a level of ordinal feature 'stars'"),
+], ids=["binary-negative", "ordinal-between-levels", "ordinal-above-the-top"])
+def test_save_refuses_an_item_value_that_is_no_level_code(tmp_path, column, value, message):
+    # z-scored items are such values: save_dataset(ds.with_items(zscored)).
+    schema = FeatureSchema(("flag", "stars"), (FeatureKind.BINARY, FeatureKind.ORDINAL),
+                           (("no", "yes"), ("1", "2", "3")))
+    items = np.array([[0.0, 0.5], [1.0, 1.0]])
+    items[1, column] = value
+    dataset = RankedDataset(schema, (RankedQuery("ok", np.zeros((2, 2)), np.arange(2)),
+                                     RankedQuery("q", items, np.arange(2))))
+    path = tmp_path / "out.csv"
+    with pytest.raises(DataFormatError, match=re.escape(f"query 'q': {message}")):
+        save_dataset(dataset, path)
+    assert not path.exists()
+
+
 def test_a_binary_column_with_grammar_characters_loads_but_does_not_save(tmp_path):
     loaded = load_dataset(write_csv(tmp_path, "query_id,rank,price_band\nq,1,<50\nq,2,50+\n"))
     assert loaded.schema.levels == (("50+", "<50"),)
@@ -289,6 +309,31 @@ def test_a_query_id_with_a_crlf_still_round_trips(tmp_path):
 def test_schema_counts_the_levels_of_a_binary_feature():
     with pytest.raises(DataFormatError, match="'flag' must take exactly two raw values, found 3"):
         FeatureSchema(("flag",), (FeatureKind.BINARY,), (("a", "b", "c"),))
+
+
+def test_schema_needs_a_kind_and_a_level_entry_per_name():
+    with pytest.raises(DataFormatError, match="must have equal length"):
+        FeatureSchema(("a", "b"), (FeatureKind.NUMERIC,), (None, None))
+
+
+@pytest.mark.parametrize("items, message", [
+    (np.zeros(2), "2-D"),
+    (np.zeros((0, 2)), "at least one item"),
+], ids=["1-D", "no-items"])
+def test_query_needs_a_matrix_of_items(items, message):
+    with pytest.raises(DataFormatError, match=message):
+        RankedQuery("q", items, np.arange(len(items)))
+
+
+def test_dataset_needs_a_query():
+    with pytest.raises(DataFormatError, match="at least one query"):
+        RankedDataset(numeric_schema(1), ())
+
+
+def test_with_items_needs_the_dataset_shape():
+    dataset = RankedDataset(numeric_schema(2), (RankedQuery("q", np.zeros((3, 2)), np.arange(3)),))
+    with pytest.raises(ValueError, match="replacement matrix shape"):
+        dataset.with_items(np.zeros((3, 1)))
 
 
 def test_query_requires_permutation():
@@ -418,6 +463,16 @@ def test_zscore_fitted_sample_is_standardized():
     out = _alone(data, ZSCORE)
     assert np.max(np.abs(out.mean(axis=0))) < 1e-9
     assert np.max(np.abs(out.std(axis=0, ddof=1) - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("train, test", [
+    (np.zeros((0, 2)), np.zeros((2, 2))),
+    (np.zeros((2, 2)), np.zeros((0, 2))),
+    (np.zeros(2), np.zeros((2, 2))),
+], ids=["no-train-rows", "no-test-rows", "1-D-train"])
+def test_normalization_needs_two_non_empty_matrices(train, test):
+    with pytest.raises(ValueError, match="two non-empty"):
+        normalize_train_test(train, test, MINMAX, NormalizationScope.TEST_ONLY)
 
 
 def test_zscore_one_row_fit_is_rejected():

@@ -194,6 +194,12 @@ def test_run_experiment_rejects_unknown_method(small_problem):
         run_experiment(train, test, ["ranknet"], repeats=1, seed=0)
 
 
+def test_run_experiment_needs_a_repeat(small_problem):
+    train, test = small_problem
+    with pytest.raises(ValueError, match="repeats must be at least 1"):
+        run_experiment(train, test, ["err"], repeats=0, seed=0)
+
+
 @pytest.mark.parametrize("methods,external,message", [
     (["err", "err"], None, "more than once"),
     (["err", "anker"], "anker", "name of a built-in method"),
@@ -203,7 +209,7 @@ def test_run_experiment_rejects_unknown_method(small_problem):
 def test_run_experiment_gives_each_method_name_one_meaning(small_problem, methods, external, message):
     train, test = small_problem
     externals = {external: [q.ordering.tolist()[::-1] for q in test.queries]} if external else None
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(DataFormatError, match=message):
         run_experiment(train, test, methods, repeats=1, seed=0, externals=externals)
 
 

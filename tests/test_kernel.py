@@ -183,6 +183,14 @@ def test_pair_kernel_rejects_bad_input():
     with pytest.raises(ValueError):
         kernel_matrix(np.array([[0.1, 0.2]]) - np.array([[0.0, 0.0]]),
                       np.array([[0.1]]) - np.array([[0.2]]))
+    with pytest.raises(ValueError, match="diffs_a must be a 2-D array"):
+        kernel_matrix(np.array([0.1, -0.2]), np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="diffs_b must be a 2-D array"):
+        kernel_matrix(np.zeros((1, 2)), np.array([0.1, -0.2]))
+    with pytest.raises(ValueError, match="at least one feature"):
+        kernel_matrix(np.zeros((2, 0)), np.zeros((3, 0)))
+    with pytest.raises(ValueError, match="at least one pair"):
+        gram_matrix(np.zeros((0, 2)))
 
 
 def test_gram_matrix_trivial_cases():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,11 @@ def test_reciprocal_preferences_sum_is_exactly_one():
     assert np.all(pref[off] + pref.T[off] == 1.0)
 
 
+def test_reciprocal_preferences_need_one_value_per_item_pair():
+    with pytest.raises(ValueError, match="number of item pairs"):
+        reciprocal_preferences(np.full(2, 0.5), 3)
+
+
 def _trained_toy_model(seed=11):
     data = make_linear_dataset(2, 8, 3, seed=seed)
     items = data.all_items()
@@ -168,6 +175,19 @@ def test_preference_matrix_with_empty_support_is_uninformative():
     model = AnkerModel(svm=svm, variant=KernelVariant.MEAN, support_diffs=np.zeros((0, 2)))
     pref = preference_matrix(model, np.random.default_rng(0).random((4, 2)))
     assert np.all(pref == 0.5)
+
+
+def test_preference_matrix_needs_a_calibrated_model():
+    model = _trained_toy_model()
+    uncalibrated = replace(model, svm=replace(model.svm, platt=None))
+    with pytest.raises(ValueError, match="calibration parameters"):
+        preference_matrix(uncalibrated, np.random.default_rng(0).random((4, 3)))
+
+
+@pytest.mark.parametrize("query", [np.full((1, 3), 0.5), np.full(3, 0.5)], ids=["one-item", "1-D"])
+def test_anker_predict_rejects_a_query_without_two_item_rows(query):
+    with pytest.raises(DataFormatError, match="at least two items"):
+        anker_predict(_trained_toy_model(), query)
 
 
 def test_preference_matrix_backward_block_is_the_reversed_pairs():
@@ -451,7 +471,7 @@ def test_anker_rank_scope_override_and_validation():
     query = np.random.default_rng(28).random((4, 3))
     prediction = anker_rank(train, query, C=1.0, seed=29, scope=NormalizationScope.TEST_ONLY)
     assert sorted(prediction.ranking.tolist()) == [0, 1, 2, 3]
-    with pytest.raises(ValueError, match="query items"):
+    with pytest.raises(DataFormatError, match="query items"):
         anker_rank(train, np.zeros((4, 2)), C=1.0)
 
 
@@ -463,7 +483,7 @@ def test_non_finite_queries_are_rejected(bad):
     model = _trained_toy_model(seed=36)
     with pytest.raises(ValueError, match="finite"):
         anker_predict(model, query)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(DataFormatError, match="finite"):
         anker_rank(train, query, C=1.0)
 
 

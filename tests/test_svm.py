@@ -265,8 +265,36 @@ def test_cost_must_be_finite_and_positive(C):
         smo_train(np.eye(2), [1, -1], C=C)
 
 
+@pytest.mark.parametrize("kernel, labels, options, message", [
+    (np.eye(1), [1], {}, "at least two examples"),
+    (np.eye(2), [1, 0], {}, r"labels must be -1 or \+1"),
+    (np.eye(2), [1, -1], {"max_iter": 0}, "max_iter must be at least 1"),
+    (np.eye(3), [1, -1], {}, r"kernel matrix shape \(3, 3\) does not match 2 labels"),
+], ids=["one-example", "label-zero", "max-iter-zero", "kernel-too-large"])
+def test_smo_rejects_malformed_training_input(kernel, labels, options, message):
+    with pytest.raises(ValueError, match=message):
+        smo_train(kernel, labels, C=1.0, **options)
+
+
+def test_decision_values_need_one_kernel_column_per_support_vector():
+    model = smo_train(np.eye(2), [1, -1], C=10.0)
+    with pytest.raises(ValueError, match=r"kernel rows have shape \(1, 3\), expected \(m, 2\)"):
+        decision_values(model, np.zeros((1, 3)))
+
+
 # ---------------------------------------------------------------------------
 # Platt calibration
+
+@pytest.mark.parametrize("decisions, labels, message", [
+    ([0.5, -0.5], [1.0, -1.0, 1.0], "1-D and equally long"),
+    ([[0.5, -0.5]], [[1.0, -1.0]], "1-D and equally long"),
+    ([0.5, np.nan], [1.0, -1.0], "decision values must be finite"),
+    ([np.inf, -0.5], [1.0, -1.0], "decision values must be finite"),
+], ids=["unequal-lengths", "two-dimensional", "nan", "inf"])
+def test_platt_rejects_malformed_decisions(decisions, labels, message):
+    with pytest.raises(ValueError, match=message):
+        platt_fit(np.array(decisions), np.array(labels))
+
 
 def platt_objective(a, b, decisions, labels):
     n_pos = int(np.sum(labels > 0))
