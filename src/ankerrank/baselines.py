@@ -157,11 +157,10 @@ def able2rank_lite(train: RankedDataset, query: np.ndarray, k: int = 20) -> Rank
         raise DataFormatError("no training preferences: every training query has a single item")
     pref_diffs = pair_differences(train.all_items(), *pairs.T, "training items")
     forward = pair_differences(query, *np.triu_indices(n, k=1), "query items")
-    evidence = kernel_matrix(pref_diffs, np.concatenate([forward, -forward]), KernelVariant.MEAN)
+    evidence = kernel_matrix(pref_diffs, forward, KernelVariant.MEAN, opposed=True)
     if k < n_prefs:
-        evidence = np.partition(evidence, n_prefs - k, axis=0)[n_prefs - k:]
-    # Each half is summed on its own: numpy orders a one-column sum differently.
-    sum_fwd, sum_bwd = (half.sum(axis=0) for half in np.split(evidence, 2, axis=1))
+        evidence = np.partition(evidence, n_prefs - k, axis=1)[:, n_prefs - k:]
+    sum_fwd, sum_bwd = (half.sum(axis=0) for half in evidence)
     total = sum_fwd + sum_bwd
     upper = np.where(total > 0.0, sum_fwd / np.where(total > 0.0, total, 1.0), 0.5)
     pref = reciprocal_preferences(upper, n)

@@ -41,6 +41,21 @@ _seed = _checked(int, lambda n: n >= 0, "a non-negative integer")
 _cost = _checked(float, lambda c: 0 < c < math.inf, "'auto' or a finite positive number")
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse an ``--out`` that cannot become a file, before any data is read.
+
+    Neither creates nor truncates the file; the final write still reports
+    what this check cannot see, such as a missing permission.
+    """
+    if not out:
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise data.DataFormatError(f"--out {out} is a directory")
+    if not path.parent.is_dir():
+        raise data.DataFormatError(f"--out {out}: directory {path.parent} does not exist")
+
+
 def _write_payload(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -176,6 +191,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except (data.DataFormatError, OSError) as exc:  # bad input, or --out cannot be written
         print(f"error: {exc}", file=sys.stderr)

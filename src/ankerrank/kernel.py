@@ -20,6 +20,13 @@ class indicators), and min(s, t) on s, t >= 0 is PSD (the histogram
 intersection kernel), so the sum of the two minima is PSD.  By the Schur
 product theorem the elementwise product is PSD too, and so are its average
 over features (MEAN) and that average squared (POLY2).
+
+The same identity scores a pair against a reversed pair for free: -v lies
+in the sign class opposite to v's, and for u and v of opposite nonzero
+signs |u - (-v)| = |u + v| = ||u| - |v|| too.  So one pass per feature
+computes t = 1 - ||u| - |v||, exactly the term either orientation needs,
+and ``kernel_matrix(..., opposed=True)`` gates it by sign class into K(a, b)
+and K(a, -b), the bytes of two separate calls.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
+
+from .data import DataFormatError
 
 # The six Boolean quadruples that are in exact analogical proportion.
 _BOOLEAN_TABLE = frozenset(
@@ -79,18 +88,22 @@ def proportion_degree(a: float, b: float, c: float, d: float) -> float:
 def _check_within(arr: np.ndarray, low: float, high: float, what: str) -> None:
     # Written so that NaN fails the test: every comparison with NaN is False.
     if arr.size and not (arr.min() >= low and arr.max() <= high):
-        raise ValueError(f"{what} has values outside [{low:g}, {high:g}] or not finite; "
-                         "normalize items to [0, 1] before applying the kernel")
+        raise DataFormatError(f"{what} has values outside [{low:g}, {high:g}] or not finite; "
+                              "normalize items to [0, 1] before applying the kernel")
 
 
 def pair_differences(items, first, second, what: str) -> np.ndarray:
-    """Kernel pairs items[first] - items[second]; items outside [0, 1] or not finite raise, naming ``what``."""
+    """Kernel pairs items[first] - items[second].
+
+    Items outside [0, 1] or not finite raise ``DataFormatError``, naming ``what``.
+    """
     items = np.asarray(items, dtype=float)
     _check_within(items, 0.0, 1.0, what)
     return items[first] - items[second]
 
 
-def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN) -> np.ndarray:
+def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN, *,
+                  opposed: bool = False) -> np.ndarray:
     """Kernel values between two collections of ordered item pairs.
 
     Args:
@@ -99,9 +112,13 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN)
         diffs_b: Second collection, same conventions.
         variant: MEAN averages per-dimension proportion degrees; POLY2
             squares the average.
+        opposed: Also score ``diffs_a`` against the reversed pairs
+            ``-diffs_b``.
 
     Returns:
-        Array of shape (len(diffs_a), len(diffs_b)) with values in [0, 1].
+        Array of shape (len(diffs_a), len(diffs_b)) with values in [0, 1];
+        with ``opposed`` an array of shape (2, len(diffs_a), len(diffs_b))
+        holding K(a, b) and K(a, -b), the same bytes as two separate calls.
         When ``diffs_a is diffs_b`` only the upper triangle is computed and
         mirrored, which gives the same bytes.
     """
@@ -119,43 +136,52 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN)
     n_dim = diffs_a.shape[1]
     if n_dim == 0:
         raise ValueError("pairs must have at least one feature")
-    # Features along rows, so each feature's differences are contiguous.
+    # Features along rows, so each feature's magnitudes are contiguous; the
+    # sign classes are 0 (negative), 1 (zero, -0.0 included) and 2 (positive).
     col_a = np.ascontiguousarray(diffs_a.T)
     col_b = col_a if symmetric else np.ascontiguousarray(diffs_b.T)
-    sign_a = np.sign(col_a)
-    sign_b = sign_a if symmetric else np.sign(col_b)
+    abs_a = np.abs(col_a)
+    abs_b = abs_a if symmetric else np.abs(col_b)
+    class_a = (np.sign(col_a) + 1.0).astype(np.intp)
+    class_b = class_a if symmetric else (np.sign(col_b) + 1.0).astype(np.intp)
+    # gate[k, c, j] = [class of diffs_b[j, k] is c]; -v is in class 2 - c.
+    gate = (class_b[:, None, :] == np.arange(3)[:, None]).astype(float)
 
     n_a, n_b = col_a.shape[1], col_b.shape[1]
-    out = np.zeros((n_a, n_b))
+    out = np.zeros((1 + opposed, n_a, n_b))
     # The rows are filled a block at a time, so the block and its per-feature
-    # slab stay in cache while every feature is added in.  Each entry still
-    # sums 1 - |u - v| over the features in order; a sign disagreement
-    # multiplies the term by 0 and adds a signed zero, which leaves the sum
-    # as it was (inputs are finite, see _check_within).  The slab stays
-    # contiguous where a symmetric block is narrower.  Entry (j, i) sums the
-    # same terms as entry (i, j), as |v - u| = |u - v| exactly, so mirroring
-    # the upper triangle is bit-identical.
+    # slab stay in cache while every feature is added in.  Each entry sums
+    # the term 1 - |u - v| over the features in order where u and v share a
+    # sign class, else 0.  Within a class u - v = +-(|u| - |v|) exactly, and
+    # for opposite classes u + v is too, so one slab t = 1 - ||u| - |v||
+    # serves both K(a, b) and K(a, -b); each half takes t times a 0/1 gate
+    # row picked by u's class.  A gated-off term is +0, as t >= 0 (inputs are
+    # finite, see _check_within), and leaves the sum as it was.  The slab
+    # stays contiguous where a symmetric block is narrower.  Entry (j, i)
+    # sums the same terms as entry (i, j), so mirroring the upper triangle is
+    # bit-identical.
     slab_buf = np.empty(_BLOCK_ROWS * n_b)
-    agree_buf = np.empty(_BLOCK_ROWS * n_b, dtype=bool)
     for start in range(0, n_a, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_a)
         rows, cols = slice(start, stop), slice(start if symmetric else 0, n_b)
-        block = out[rows, cols]
-        slab = slab_buf[: block.size].reshape(block.shape)
-        agree = agree_buf[: block.size].reshape(block.shape)
+        blocks = out[:, rows, cols]
+        slab = slab_buf[: blocks[0].size].reshape(blocks[0].shape)
         for k in range(n_dim):
-            np.subtract(col_a[k, rows, None], col_b[k, cols], out=slab)
+            np.copyto(slab, abs_a[k, rows, None])
+            np.subtract(slab, abs_b[k, cols], out=slab)
             np.abs(slab, out=slab)
             np.subtract(1.0, slab, out=slab)
-            np.equal(sign_a[k, rows, None], sign_b[k, cols], out=agree)
-            np.multiply(slab, agree, out=slab)
-            block += slab
+            table = gate[k, :, cols]
+            for block, gates in zip(blocks, (table, table[::-1])):
+                term = gates[class_a[k, rows]]
+                np.multiply(term, slab, out=term)
+                block += term
         if symmetric:
-            out[stop:, rows] = out[rows, stop:].T
+            out[:, stop:, rows] = out[:, rows, stop:].transpose(0, 2, 1)
     out /= n_dim
     if variant is KernelVariant.POLY2:
         np.multiply(out, out, out=out)
-    return out
+    return out if opposed else out[0]
 
 
 def gram_matrix(diffs, variant: KernelVariant = KernelVariant.MEAN) -> np.ndarray:

@@ -45,6 +45,10 @@ logger = logging.getLogger(__name__)
 
 PREFERENCE_CLIP = 1e-6
 
+# Query pairs per kernel call in preference_matrix: bounds the kernel block
+# to 2 x 256 x |S| floats whatever the query size.
+_QUERY_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class BtlParams:
@@ -137,19 +141,22 @@ def preference_matrix(model: AnkerModel, query: np.ndarray) -> np.ndarray:
     For each ordered query pair the calibrated model output is a degree of
     support; opposite orientations are combined via
     p_ij = (1 + q_ij - q_ji) / 2, which makes the matrix reciprocal.  The
-    backward differences are the forward ones negated, exactly.
+    backward differences are the forward ones negated, exactly, so one
+    ``kernel_matrix(..., opposed=True)`` call per chunk of query pairs gives
+    the kernel rows of both orientations: one magnitude ||u| - |v|| per
+    feature serves both (see ``kernel``), with the bytes of two calls.
     """
     svm = model.svm
     if svm.platt is None:
         raise ValueError("model must carry calibration parameters")
     forward = pair_differences(query, *np.triu_indices(len(query), k=1), "query items")
-
-    def support(diffs: np.ndarray) -> np.ndarray:
-        kernel = kernel_matrix(diffs, model.support_diffs, model.variant)
-        return platt_prob(svm.platt, decision_values(svm, kernel))
-
-    # Grouping the difference first makes equal support yield exactly 0.5.
-    upper = (1.0 + (support(forward) - support(-forward))) / 2.0
+    upper = np.empty(len(forward))
+    for start in range(0, len(forward), _QUERY_CHUNK):
+        chunk = forward[start:start + _QUERY_CHUNK]
+        kernels = kernel_matrix(chunk, model.support_diffs, model.variant, opposed=True)
+        fwd, bwd = (platt_prob(svm.platt, decision_values(svm, half)) for half in kernels)
+        # Grouping the difference first makes equal support yield exactly 0.5.
+        upper[start:start + len(chunk)] = (1.0 + (fwd - bwd)) / 2.0
     return reciprocal_preferences(upper, len(query))
 
 

@@ -17,7 +17,7 @@ from ankerrank.data import RankedDataset, RankedQuery, normalize_train_test
 from ankerrank.data import NormalizationMode, NormalizationScope
 from ankerrank.evaluate import ranking_loss
 from ankerrank.kernel import kernel_matrix
-from ankerrank.ranker import ranking_from_scores
+from ankerrank.ranker import build_pair_instances, ranking_from_scores, reciprocal_preferences
 from ankerrank.svm import DEFAULT_C_GRID
 from oracles import squared_hinge_lbfgs, squared_hinge_objective
 from synthetic import make_linear_dataset, numeric_schema
@@ -271,6 +271,30 @@ def test_able2rank_is_deterministic():
     a = able2rank_lite(train_n, query, k=4)
     b = able2rank_lite(train_n, query, k=4)
     assert np.array_equal(a.ranking, b.ranking)
+
+
+@pytest.mark.parametrize("k", [1, 7, 29, 30, 100])
+@pytest.mark.parametrize("n_items", [2, 7])
+def test_able2rank_equals_one_kernel_call_on_both_orientations_bit_for_bit(n_items, k):
+    # The evidence against the forward and the negated query pairs as one
+    # kernel block, as the halves of one concatenated second argument.
+    train = make_linear_dataset(2, 6, 3, seed=17)  # 30 training preferences
+    train_n = train.with_items(_minmax(train.all_items()))
+    query = np.random.default_rng(18).random((n_items, 3))
+    query[-1, 0] = query[0, 0]  # a zero difference
+    pairs = build_pair_instances(train_n)
+    n_prefs = len(pairs)
+    pref_diffs = train_n.all_items()[pairs[:, 0]] - train_n.all_items()[pairs[:, 1]]
+    rows, cols = np.triu_indices(n_items, k=1)
+    forward = query[rows] - query[cols]
+    evidence = kernel_matrix(pref_diffs, np.concatenate([forward, -forward]))
+    if k < n_prefs:
+        evidence = np.partition(evidence, n_prefs - k, axis=0)[n_prefs - k:]
+    sum_fwd, sum_bwd = (half.sum(axis=0) for half in np.split(evidence, 2, axis=1))
+    total = sum_fwd + sum_bwd
+    upper = np.where(total > 0.0, sum_fwd / np.where(total > 0.0, total, 1.0), 0.5)
+    expected = reciprocal_preferences(upper, n_items)
+    assert able2rank_lite(train_n, query, k=k).preference.tobytes() == expected.tobytes()
 
 
 def test_able2rank_rejects_bad_k():

@@ -364,18 +364,26 @@ def test_benchmark_method_names_have_one_meaning(csv_files, tmp_path, capsys, op
 
 
 @pytest.mark.parametrize("command", ["rank", "benchmark"])
-def test_an_out_path_that_cannot_be_written_exits_2(csv_files, tmp_path, capsys, command):
-    out = tmp_path / "missing" / "result"
+def test_an_out_path_that_cannot_be_written_exits_2(csv_files, tmp_path, capsys, monkeypatch, command):
+    # --out is checked before any data file is read.
+    def no_load(*args, **kwargs):
+        raise AssertionError("load_dataset must not run for an --out that cannot be written")
+
+    monkeypatch.setattr("ankerrank.data.load_dataset", no_load)
+    directory = tmp_path / "directory"
+    directory.mkdir()
     inputs = {"rank": ["--query", str(csv_files["query"])],
               "benchmark": ["--test", str(csv_files["test"]), "--methods", "err", "--repeats", "1"]}
-    code = main([command, "--train", str(csv_files["train"]), "--C", "1", *inputs[command],
-                 "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    [line] = captured.err.splitlines()
-    assert line.startswith("error: ") and str(out) in line
-    assert not out.parent.exists()
+    for out in (tmp_path / "missing" / "result", directory):
+        code = main([command, "--train", str(csv_files["train"]), "--C", "1", *inputs[command],
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and str(out) in line
+        assert list(tmp_path.iterdir()) == [directory]
+        assert list(directory.iterdir()) == []
 
 
 def test_benchmark_scores_a_ranker_without_information_at_one_half(csv_files, tmp_path):

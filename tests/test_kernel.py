@@ -258,9 +258,17 @@ def test_kernel_matrix_equals_the_full_slab_oracle_bit_for_bit(n_rows, n_cols):
     rng = np.random.default_rng(1000 * n_rows + n_cols)
     a = _edge_value_pairs(rng, n_rows, 5)
     b = _edge_value_pairs(rng, n_cols, 5)
+    diffs_a, diffs_b = a[0] - a[1], b[0] - b[1]
     for variant in KernelVariant:
         expected = full_slab_kernel_matrix(a, b, poly2=variant is KernelVariant.POLY2)
-        assert np.array_equal(kernel_matrix(a[0] - a[1], b[0] - b[1], variant), expected)
+        assert np.array_equal(kernel_matrix(diffs_a, diffs_b, variant), expected)
+        # The opposed half scores the reversed pairs (x', x), whose differences are -(x - x').
+        reversed_b = full_slab_kernel_matrix(a, b[::-1], poly2=variant is KernelVariant.POLY2)
+        both = kernel_matrix(diffs_a, diffs_b, variant, opposed=True)
+        assert both.shape == (2, n_rows, n_cols)
+        assert both.tobytes() == np.stack([expected, reversed_b]).tobytes()
+        assert both.tobytes() == np.stack([kernel_matrix(diffs_a, diffs_b, variant),
+                                           kernel_matrix(diffs_a, -diffs_b, variant)]).tobytes()
 
 
 @pytest.mark.parametrize("m", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
@@ -274,6 +282,8 @@ def test_gram_matrix_equals_kernel_matrix_bit_for_bit(m):
         assert np.array_equal(gram, kernel_matrix(diffs, diffs.copy(), variant))
         assert np.array_equal(gram, kernel_matrix(diffs, diffs, variant))
         assert np.array_equal(gram, full_slab_kernel_matrix(pairs, pairs, variant is KernelVariant.POLY2))
+        both = kernel_matrix(diffs, diffs, variant, opposed=True)
+        assert both.tobytes() == np.stack([gram, kernel_matrix(diffs, -diffs, variant)]).tobytes()
 
 
 def test_gram_matrix_traced_peak_stays_near_the_output_size():
@@ -303,14 +313,15 @@ def test_kernel_matrix_traced_peak_stays_near_the_output_size():
     rng = np.random.default_rng(31)
     a = rng.random((2000, 10)) - rng.random((2000, 10))
     b = rng.random((500, 10)) - rng.random((500, 10))
-    tracemalloc.start()
-    try:
-        out = kernel_matrix(a, b, KernelVariant.POLY2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (2000, 500)
-    assert peak <= 1.25 * out.nbytes
+    for opposed, shape in ((False, (2000, 500)), (True, (2, 2000, 500))):
+        tracemalloc.start()
+        try:
+            out = kernel_matrix(a, b, KernelVariant.POLY2, opposed=opposed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == shape
+        assert peak <= 1.25 * out.nbytes
 
 
 @pytest.mark.parametrize("position", range(4))

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ankerrank
 from ankerrank.baselines import able2rank_lite
 from ankerrank.data import (
     DataFormatError,
@@ -12,7 +18,7 @@ from ankerrank.data import (
     RankedQuery,
     normalize_train_test,
 )
-from ankerrank.kernel import KernelVariant, gram_matrix
+from ankerrank.kernel import KernelVariant, gram_matrix, kernel_matrix
 from ankerrank.ranker import (
     AnkerModel,
     BtlParams,
@@ -28,7 +34,7 @@ from ankerrank.ranker import (
     ranking_from_scores,
     reciprocal_preferences,
 )
-from ankerrank.svm import PlattParams, SvmModel, platt_prob, smo_train
+from ankerrank.svm import PlattParams, SvmModel, decision_values, platt_prob, smo_train
 from oracles import btl_grid_argmax, coin_flip_pairs
 from synthetic import make_linear_dataset, numeric_schema
 
@@ -209,24 +215,92 @@ def test_preference_matrix_backward_block_is_the_reversed_pairs():
     assert np.max(np.abs(preference_matrix(model, query) - expected)) <= 1e-12
 
 
-@pytest.mark.parametrize("bad", [1.5, -0.25])
+@pytest.mark.parametrize("bad", [1.5, -0.25, -1e-15, 1.0 + 1e-15])
 def test_items_outside_the_unit_interval_are_rejected(bad):
     data = make_linear_dataset(2, 5, 2, seed=20)
     model = anker_fit(data, C=1.0, seed=21)
     items = data.all_items().copy()
     items[3, 1] = bad
-    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+    with pytest.raises(DataFormatError, match=r"outside \[0, 1\]"):
         anker_fit(data.with_items(items), C=1.0, seed=21)
     query = np.random.default_rng(22).random((4, 2))
     query[2, 0] = bad
-    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+    with pytest.raises(DataFormatError, match=r"^query items has values outside \[0, 1\]"):
         anker_predict(model, query)
-    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+    with pytest.raises(DataFormatError, match=r"outside \[0, 1\]"):
         preference_matrix(model, query)
-    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+    with pytest.raises(DataFormatError, match=r"outside \[0, 1\]"):
         able2rank_lite(data.with_items(items), query[[0, 1, 3]])
-    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+    with pytest.raises(DataFormatError, match=r"outside \[0, 1\]"):
         able2rank_lite(data, query)
+
+
+def _random_model(n_support, n_features, seed):
+    """A calibrated POLY2 model on random support pairs with exact zero and +-1 differences."""
+    rng = np.random.default_rng(seed)
+    diffs = rng.random((n_support, n_features)) - rng.random((n_support, n_features))
+    kind = rng.integers(0, 6, size=diffs.shape)
+    diffs[kind == 0], diffs[kind == 1], diffs[kind == 2] = 0.0, 1.0, -1.0
+    labels = np.where(rng.random(n_support) < 0.5, 1.0, -1.0)
+    svm = SvmModel(alpha=rng.uniform(0.1, 1.0, n_support), labels=labels, support=np.arange(n_support),
+                   bias=0.1, C=1.0, platt=PlattParams(-3.0, 0.2))
+    return AnkerModel(svm=svm, variant=KernelVariant.POLY2, support_diffs=diffs)
+
+
+def _random_query(n_items, n_features, seed):
+    """Items in [0, 1] with both ends of the interval and a duplicate item."""
+    rng = np.random.default_rng(seed)
+    query = rng.random((n_items, n_features))
+    query[rng.random(query.shape) < 0.1] = 0.0
+    query[rng.random(query.shape) < 0.1] = 1.0
+    query[-1] = query[0]
+    return query
+
+
+def check_preference_matrix_is_the_two_call_formula():
+    """preference_matrix, byte for byte, from one whole kernel block per orientation.
+
+    The query sizes give 1, 45, 253, 276, 1035 and 4950 pairs, on both sides
+    of multiples of the 256 pairs that preference_matrix scores per kernel call.
+    """
+    model = _random_model(700, 5, seed=40)
+    svm = model.svm
+    for n_items in (2, 10, 23, 24, 46, 100):
+        query = _random_query(n_items, 5, seed=n_items)
+        rows, cols = np.triu_indices(n_items, k=1)
+        forward = query[rows] - query[cols]
+        kernels = (kernel_matrix(diffs, model.support_diffs, model.variant) for diffs in (forward, -forward))
+        fwd, bwd = (platt_prob(svm.platt, decision_values(svm, kernel)) for kernel in kernels)
+        expected = reciprocal_preferences((1.0 + (fwd - bwd)) / 2.0, n_items)
+        assert preference_matrix(model, query).tobytes() == expected.tobytes(), n_items
+
+
+def test_preference_matrix_is_the_two_call_formula_bit_for_bit():
+    # In a fresh interpreter with one BLAS thread.  A mat-vec split across
+    # threads rounds a few rows differently depending on where the split
+    # falls, which moves with the block height, and preference_matrix takes
+    # its decision values a chunk of pairs at a time.
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = Path(ankerrank.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
+    script = "import test_ranker; test_ranker.check_preference_matrix_is_the_two_call_formula()"
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+
+
+def test_anker_predict_traced_peak_stays_below_one_query_kernel_block():
+    model = _random_model(700, 10, seed=41)
+    query = _random_query(100, 10, seed=42)
+    n_pairs = 100 * 99 // 2
+    tracemalloc.start()
+    try:
+        prediction = anker_predict(model, query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(prediction.ordering.tolist()) == list(range(100))
+    assert peak < n_pairs * 700 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +555,7 @@ def test_non_finite_queries_are_rejected(bad):
     query = np.random.default_rng(35).random((4, 3))
     query[2, 1] = bad
     model = _trained_toy_model(seed=36)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(DataFormatError, match="finite"):
         anker_predict(model, query)
     with pytest.raises(DataFormatError, match="finite"):
         anker_rank(train, query, C=1.0)
