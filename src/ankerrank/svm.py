@@ -340,8 +340,14 @@ def select_c(kernel: np.ndarray, labels, seed: int = 0) -> float:
 
     Runs 3 rounds of stratified 2-fold cross-validation (``_choose_cost``,
     which ``ranksvm_fit`` shares) on the precomputed kernel, solving by SMO
-    at its default tolerance.  Errors are compared exactly, so ties go to
-    the smallest cost.  Labels of one class raise ``smo_train``'s
+    at its default tolerance.  A split solves its costs in grid order, puts
+    each model's alpha * y in one column of an (m, 7) coefficient array and
+    scores every cost on its validation side with one product against the
+    kernel.  Once a split's solve is converged with every alpha below its
+    cost, that model also solves each larger cost of the split, so those
+    costs make no further SMO call.  Errors are compared exactly, so ties
+    go to the smallest cost; a reused model errs exactly as the smaller
+    cost's model does.  Labels of one class raise ``smo_train``'s
     "single class" ``ValueError``.
     """
     y = np.asarray(labels, dtype=float)
@@ -350,8 +356,23 @@ def select_c(kernel: np.ndarray, labels, seed: int = 0) -> float:
     def split_mistakes(fit, val):
         # Gathered here, so one split's sub-kernel is freed before the next is.
         sub_kernel = K[np.ix_(fit, fit)]
-        models = (smo_train(sub_kernel, y[fit], cost) for cost in DEFAULT_C_GRID)
-        return [np.count_nonzero((decision_values(m, K[np.ix_(val, fit[m.support])]) > 0) != (y[val] > 0))
-                for m in models]
+        coeffs = np.zeros((y.size, len(DEFAULT_C_GRID)))
+        biases = np.empty(len(DEFAULT_C_GRID))
+        model = None
+        for k, cost in enumerate(DEFAULT_C_GRID):
+            # A converged model with every alpha below its cost C_k also solves
+            # any C' > C_k: alpha < C_k < C', so the entries that can move up
+            # and down are the same at C', and v depends on alpha alone.
+            # m - M is therefore unchanged and still meets the tolerance, and
+            # the bias is the same mean over the same free set (or the same
+            # midpoint).  SMO from zero at C' usually returns this alpha too;
+            # it may not where its path touched C_k or where the zero snap,
+            # which grows with C, differs.
+            if model is None or not (model.converged and model.alpha.max() < model.C):
+                model = smo_train(sub_kernel, y[fit], cost)
+            coeffs[fit[model.support], k] = model.alpha[model.support] * model.labels[model.support]
+            biases[k] = model.bias
+        decisions = (K @ coeffs)[val] + biases
+        return np.count_nonzero((decisions > 0) != (y[val, None] > 0), axis=0).tolist()
 
     return _choose_cost(y, seed, split_mistakes)

@@ -10,8 +10,9 @@ bit-identical alpha, bias, ``converged`` and support, the KS oracle enumerates
 permutations, the inversion counter is a double loop (a tie counts one half), the BTL oracle is a
 grid search on the simplex, the training-pair oracle draws one coin per
 preference in a nested loop, the analogy-kernel oracle fills the whole
-matrix one feature at a time, and the squared-hinge RankSVM oracle is
-scipy's L-BFGS-B.
+matrix one feature at a time, the squared-hinge RankSVM oracle is
+scipy's L-BFGS-B, and the cost-search oracle solves every split and cost by
+``smo_train`` and scores each model on its own gathered kernel block.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from itertools import combinations
 
 import numpy as np
 from scipy import optimize
+
+from ankerrank.svm import DEFAULT_C_GRID, _choose_cost, decision_values, smo_train
 
 
 def project_box_hyperplane(v: np.ndarray, y: np.ndarray, box: float) -> np.ndarray:
@@ -135,6 +138,27 @@ def reference_smo(kernel, labels, C: float, tol: float = 1e-3, max_iter: int | N
     else:
         bias = float((m_bound + big_m_bound) / 2.0)
     return alpha, bias, converged, np.flatnonzero(alpha > 0.0)
+
+
+def select_c_reference(kernel, labels, seed: int = 0) -> float:
+    """``select_c`` without its shortcuts: one SMO solve per split and cost.
+
+    The folds and the exact tie rule are ``_choose_cost``'s; each model is
+    scored on its own ``K[np.ix_(val, fit[support])]`` block through
+    ``decision_values``, and no solve is reused for a larger cost.
+    """
+    K = np.asarray(kernel, dtype=float)
+    y = np.asarray(labels, dtype=float)
+
+    def split_mistakes(fit, val):
+        sub_kernel, mistakes = K[np.ix_(fit, fit)], []
+        for cost in DEFAULT_C_GRID:
+            model = smo_train(sub_kernel, y[fit], cost)
+            decisions = decision_values(model, K[np.ix_(val, fit[model.support])])
+            mistakes.append(int(np.count_nonzero((decisions > 0) != (y[val] > 0))))
+        return mistakes
+
+    return _choose_cost(y, seed, split_mistakes)
 
 
 def ks_exact_permutation_p(a, b) -> float:

@@ -5,7 +5,8 @@ import pytest
 from scipy import optimize as sp_optimize
 
 from ankerrank import svm
-from ankerrank.kernel import KernelVariant, gram_matrix
+from ankerrank.kernel import KernelVariant, gram_matrix, pair_differences
+from ankerrank.ranker import build_pair_instances
 from ankerrank.svm import (
     DEFAULT_C_GRID,
     PlattParams,
@@ -18,7 +19,8 @@ from ankerrank.svm import (
     select_c,
     smo_train,
 )
-from oracles import dual_objective, project_box_hyperplane, projected_gradient_qp, reference_smo
+from oracles import dual_objective, project_box_hyperplane, projected_gradient_qp, reference_smo, select_c_reference
+from synthetic import make_linear_dataset
 
 
 def random_instance(rng, n_max=6):
@@ -477,6 +479,78 @@ def test_select_c_reaches_zero_error_on_separable_data():
     model = smo_train(gram, labels, chosen, tol=1e-3)
     predicted = np.where(decision_values(model, gram[:, model.support]) > 0, 1.0, -1.0)
     assert np.mean(predicted != labels) == 0.0
+
+
+def pair_gram(variant, d, flipped=0.0):
+    """The Gram and labels of a 4-query, 8-item linear dataset's 112 training pairs.
+
+    Pairs are oriented by a seeded coin as ``anker_fit`` does; then a
+    ``flipped`` share of the labels is drawn and flipped, so those pairs
+    contradict the ranking.
+    """
+    data = make_linear_dataset(4, 8, d, seed=0)
+    rng = np.random.default_rng(0)
+    pairs = build_pair_instances(data)
+    labels = np.where(rng.random(len(pairs)) < 0.5, 1.0, -1.0)
+    diffs = pair_differences(data.all_items(), *pairs.T, "training items") * labels[:, None]
+    labels = np.where(rng.random(len(pairs)) < flipped, -labels, labels)
+    return gram_matrix(diffs, variant), labels
+
+
+# Separable pairs: late costs keep every alpha below the box.  Noisy pairs
+# (14 of 112 labels flipped): every solve has some alpha at its cost.
+SEPARABLE = {"d": 3}
+NOISY = {"d": 1, "flipped": 0.1}
+SOLVES_PER_SEARCH = svm._CV_REPEATS * svm._CV_FOLDS * len(DEFAULT_C_GRID)
+
+
+@pytest.mark.parametrize("instance", [SEPARABLE, NOISY], ids=["separable", "noisy"])
+@pytest.mark.parametrize("variant", list(KernelVariant))
+def test_select_c_matches_the_oracle_that_solves_every_cost(variant, instance):
+    gram, labels = pair_gram(variant, **instance)
+    for seed in (0, 1, 2):
+        assert select_c(gram, labels, seed=seed) == select_c_reference(gram, labels, seed=seed)
+
+
+def record_solves(monkeypatch):
+    solves = []
+
+    def counting_smo_train(*args, **kwargs):
+        solves.append(smo_train(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(svm, "smo_train", counting_smo_train)
+    return solves
+
+
+@pytest.mark.parametrize("variant", list(KernelVariant))
+def test_select_c_skips_the_costs_above_a_solve_whose_box_never_binds(variant, monkeypatch):
+    gram, labels = pair_gram(variant, **SEPARABLE)
+    solves = record_solves(monkeypatch)
+    select_c(gram, labels, seed=0)
+    assert len(solves) < SOLVES_PER_SEARCH
+
+
+@pytest.mark.parametrize("variant", list(KernelVariant))
+def test_select_c_solves_every_cost_where_the_box_binds(variant, monkeypatch):
+    gram, labels = pair_gram(variant, **NOISY)
+    solves = record_solves(monkeypatch)
+    select_c(gram, labels, seed=0)
+    assert [m.alpha.max() for m in solves] == [m.C for m in solves]
+    assert len(solves) == SOLVES_PER_SEARCH
+
+
+@pytest.mark.parametrize("variant", list(KernelVariant))
+def test_a_solve_whose_box_never_binds_is_smo_at_every_larger_cost(variant):
+    gram, labels = pair_gram(variant, **SEPARABLE)
+    fit = np.arange(0, labels.size, 2)  # one fixed split's fit side
+    sub_kernel, y = gram[np.ix_(fit, fit)], labels[fit]
+    models = [smo_train(sub_kernel, y, cost) for cost in DEFAULT_C_GRID]
+    first = next(k for k, m in enumerate(models) if m.converged and m.alpha.max() < m.C)
+    assert first < len(DEFAULT_C_GRID) - 1
+    for model in models[first + 1:]:
+        assert model.alpha.tobytes() == models[first].alpha.tobytes()
+        assert model.bias == models[first].bias
 
 
 def test_select_c_rejects_a_single_class():
