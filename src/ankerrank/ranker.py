@@ -183,6 +183,13 @@ def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlPa
     log sigma_ij by -log1p(sigma_ji expm1(-d_ij)), exact to rounding even
     when the step is tiny, so the recorded likelihood path never decreases.
 
+    The fit starts at whichever of beta = 0 and the HodgeRank point
+    beta_i = (1/n) sum_j log(w_ij / w_ji) over the clipped weights (Jiang,
+    Lim, Yao & Ye, Math. Program. 2011) has the higher likelihood; a tie
+    keeps 0.  The HodgeRank point is the maximizer when the matrix is
+    BTL-consistent.  A fit that starts at 0 is the plain zero-start fit, to
+    the byte.  ``log_likelihood_path`` starts at the chosen point.
+
     ``tol`` >= 0 bounds the max-norm of the gradient with respect to beta:
     ``converged`` is True when that bound is met.  The fit stops unconverged,
     with a warning, after ``max_iter`` >= 1 Newton steps or when no step
@@ -209,27 +216,44 @@ def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlPa
     wins = wins_matrix.sum(axis=1)
     pair_weight = wins_matrix + wins_matrix.T
 
+    def log_likelihood(beta: np.ndarray) -> float:  # log sigma(x) = -logaddexp(0, -x)
+        return -float(np.sum(wins_matrix * np.logaddexp(0.0, beta[None, :] - beta[:, None])))
+
+    # The HodgeRank point: the least-squares fit of beta_i - beta_j to the
+    # log-odds, on a complete graph the row means of log(w_ij / w_ji).  Both
+    # candidates are scored by one expression, so a HodgeRank point equal to
+    # 0 ties; the zero start records btl_log_likelihood at uniform theta.
+    log_odds = np.log(np.divide(wins_matrix, wins_matrix.T, out=np.ones((n, n)), where=off))
+    start = log_odds.sum(axis=1) / n
+    start_likelihood = log_likelihood(start)
+    if not start_likelihood > log_likelihood(np.zeros(n)):
+        start, start_likelihood = np.zeros(n), btl_log_likelihood(wins_matrix, np.full(n, 1.0 / n))
+
     def local(beta: np.ndarray):
         sigma = _sigmoid(beta[:, None] - beta[None, :])
-        grad = wins - (pair_weight * sigma).sum(axis=1)
+        weighted = pair_weight * sigma
+        grad = wins - weighted.sum(axis=1)
 
         def newton():
-            h = pair_weight * sigma * sigma.T
-            laplacian = np.diag(h.sum(axis=1)) - h
-            # Adding 1/n to every entry is the 11'/n term.
-            step = np.linalg.solve(laplacian + 1.0 / n, grad)
+            h = weighted * sigma.T
+            degrees = h.sum(axis=1)
+            # The Laplacian plus 1/n in every entry (the 11'/n term), built in h;
+            # h has a zero diagonal, so the degrees go there unchanged.
+            system = np.subtract(1.0 / n, h, out=h)
+            system.flat[::n + 1] += degrees
+            step = np.linalg.solve(system, grad)
+            spread = step[:, None] - step[None, :]
 
             def change(t: float) -> float:  # of the negative log-likelihood
-                d = t * (step[:, None] - step[None, :])
                 with np.errstate(over="ignore", invalid="ignore"):
-                    return float(np.sum(wins_matrix * np.log1p(sigma.T * np.expm1(-d))))
+                    return float(np.sum(wins_matrix * np.log1p(sigma.T * np.expm1(-(t * spread)))))
 
             return step, change
 
         return -grad, newton
 
-    beta, iterations, converged, changes = _newton_minimize(np.zeros(n), local, tol, max_iter, "BTL fit")
-    path = np.cumsum([btl_log_likelihood(wins_matrix, np.full(n, 1.0 / n)), *(-c for c in changes)])
+    beta, iterations, converged, changes = _newton_minimize(start, local, tol, max_iter, "BTL fit")
+    path = np.cumsum([start_likelihood, *(-c for c in changes)])
     theta = np.exp(beta - beta.max())
     return BtlParams(theta / theta.sum(), iterations, converged, path)
 
@@ -283,6 +307,10 @@ def anker_predict(model: AnkerModel, query: np.ndarray) -> RankPrediction:
     query = np.asarray(query, dtype=float)
     if query.ndim != 2 or query.shape[0] < 2:
         raise DataFormatError("a query needs at least two items")
+    if query.shape[1] != model.support_diffs.shape[1]:
+        raise DataFormatError(
+            f"query items have {query.shape[1]} features, the model expects {model.support_diffs.shape[1]}"
+        )
     pref = preference_matrix(model, query)  # refuses values outside [0, 1], NaN included
     return RankPrediction(btl_fit(pref).theta, pref)
 

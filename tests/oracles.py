@@ -13,6 +13,9 @@ preference in a nested loop, the analogy-kernel oracle fills the whole
 matrix one feature at a time, the squared-hinge RankSVM oracle is
 scipy's L-BFGS-B, and the cost-search oracle solves every split and cost by
 ``smo_train`` and scores each model on its own gathered kernel block.
+One oracle shares the code under test on purpose: the cold-start BTL fit is
+``btl_fit`` as it was before its start rule, on the same Newton loop, kept
+so that a test can hold a fit that starts at 0 to identical bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from itertools import combinations
 import numpy as np
 from scipy import optimize
 
-from ankerrank.svm import DEFAULT_C_GRID, _choose_cost, decision_values, smo_train
+from ankerrank.ranker import PREFERENCE_CLIP, BtlParams, btl_log_likelihood
+from ankerrank.svm import DEFAULT_C_GRID, _choose_cost, _newton_minimize, _sigmoid, decision_values, smo_train
 
 
 def project_box_hyperplane(v: np.ndarray, y: np.ndarray, box: float) -> np.ndarray:
@@ -224,6 +228,53 @@ def btl_grid_argmax(pref: np.ndarray, resolution: float = 1e-3) -> np.ndarray:
                 continue
             loglik += pref[i, j] * (np.log(theta[:, i]) - np.log(theta[:, i] + theta[:, j]))
     return theta[int(np.argmax(loglik))]
+
+
+def btl_fit_cold(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlParams:
+    """``ranker.btl_fit`` as it was before the start rule: every fit starts at beta = 0."""
+    pref = np.asarray(pref, dtype=float)
+    if pref.ndim != 2 or pref.shape[0] != pref.shape[1]:
+        raise ValueError("preference matrix must be square")
+    n = pref.shape[0]
+    if n == 0:
+        raise ValueError("preference matrix must have at least one item")
+    if not tol >= 0.0:
+        raise ValueError("tol must be a non-negative number")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    off = ~np.eye(n, dtype=bool)
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        recip_gap = np.max(np.abs(pref[off] + pref.T[off] - 1.0), initial=0.0)
+    # NaN fails this test, and a NaN or infinite entry makes the gap NaN or inf.
+    if not recip_gap <= 1e-9:
+        raise ValueError(f"preference matrix is not reciprocal and finite (max gap {recip_gap:.3e})")
+    wins_matrix = np.where(off, np.clip(pref, PREFERENCE_CLIP, 1.0 - PREFERENCE_CLIP), 0.0)
+    wins = wins_matrix.sum(axis=1)
+    pair_weight = wins_matrix + wins_matrix.T
+
+    def local(beta: np.ndarray):
+        sigma = _sigmoid(beta[:, None] - beta[None, :])
+        grad = wins - (pair_weight * sigma).sum(axis=1)
+
+        def newton():
+            h = pair_weight * sigma * sigma.T
+            laplacian = np.diag(h.sum(axis=1)) - h
+            # Adding 1/n to every entry is the 11'/n term.
+            step = np.linalg.solve(laplacian + 1.0 / n, grad)
+
+            def change(t: float) -> float:  # of the negative log-likelihood
+                d = t * (step[:, None] - step[None, :])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return float(np.sum(wins_matrix * np.log1p(sigma.T * np.expm1(-d))))
+
+            return step, change
+
+        return -grad, newton
+
+    beta, iterations, converged, changes = _newton_minimize(np.zeros(n), local, tol, max_iter, "BTL fit")
+    path = np.cumsum([btl_log_likelihood(wins_matrix, np.full(n, 1.0 / n)), *(-c for c in changes)])
+    theta = np.exp(beta - beta.max())
+    return BtlParams(theta / theta.sum(), iterations, converged, path)
 
 
 def coin_flip_pairs(data, seed: int, cap: int | None = None):

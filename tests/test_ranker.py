@@ -35,7 +35,7 @@ from ankerrank.ranker import (
     reciprocal_preferences,
 )
 from ankerrank.svm import PlattParams, SvmModel, decision_values, platt_prob, smo_train
-from oracles import btl_grid_argmax, coin_flip_pairs
+from oracles import btl_fit_cold, btl_grid_argmax, coin_flip_pairs
 from synthetic import make_linear_dataset, numeric_schema
 
 
@@ -193,6 +193,13 @@ def test_preference_matrix_needs_a_calibrated_model():
 @pytest.mark.parametrize("query", [np.full((1, 3), 0.5), np.full(3, 0.5)], ids=["one-item", "1-D"])
 def test_anker_predict_rejects_a_query_without_two_item_rows(query):
     with pytest.raises(DataFormatError, match="at least two items"):
+        anker_predict(_trained_toy_model(), query)
+
+
+@pytest.mark.parametrize("width", [2, 0])
+def test_anker_predict_rejects_a_query_of_another_width(width):
+    query = np.full((4, width), 0.5)
+    with pytest.raises(DataFormatError, match=f"query items have {width} features, the model expects 3"):
         anker_predict(_trained_toy_model(), query)
 
 
@@ -437,6 +444,43 @@ def test_btl_one_item_goes_through_the_newton_driver_unchanged():
     params = btl_fit(np.array([[0.5]]))
     assert params.theta.tolist() == [1.0] and params.iterations == 0 and params.converged
     assert params.log_likelihood_path.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("n", [2, 5, 10])
+def test_btl_starts_at_the_exact_fit_of_a_consistent_matrix(n):
+    # p_ij = theta_i / (theta_i + theta_j): the HodgeRank start is the maximizer.
+    theta = np.random.default_rng(60 + n).random(n) + 0.1
+    theta /= theta.sum()
+    pref = theta[:, None] / (theta[:, None] + theta[None, :])
+    params = btl_fit(pref)
+    assert params.converged and params.iterations == 0 and params.log_likelihood_path.size == 1
+    assert np.max(np.abs(params.theta - theta) / theta) <= 1e-15
+    assert btl_fit_cold(pref).iterations > 0
+
+
+def test_btl_zero_start_is_the_cold_fit_byte_for_byte():
+    pref = _random_reciprocal(np.random.default_rng(41), 10)
+    clipped = np.where(~np.eye(10, dtype=bool), np.clip(pref, PREFERENCE_CLIP, 1.0 - PREFERENCE_CLIP), 0.0)
+    params, cold = btl_fit(pref), btl_fit_cold(pref)
+    # Zero has the higher likelihood here, so the fit starts there.
+    assert params.log_likelihood_path[0] == btl_log_likelihood(clipped, np.full(10, 0.1))
+    assert params.theta.tobytes() == cold.theta.tobytes()
+    assert params.iterations == cold.iterations
+    assert params.log_likelihood_path.tobytes() == cold.log_likelihood_path.tobytes()
+
+
+def test_btl_start_rule_keeps_model_orderings_and_saves_steps():
+    model = anker_fit(make_linear_dataset(4, 10, 3, seed=61), C=1.0, seed=62)
+    rng = np.random.default_rng(63)
+    steps, cold_steps = 0, 0
+    for n in (3, 5, 10, 10, 20):
+        pref = preference_matrix(model, rng.random((n, 3)))
+        params, cold = btl_fit(pref), btl_fit_cold(pref)
+        assert np.array_equal(ranking_from_scores(params.theta), ranking_from_scores(cold.theta))
+        assert params.converged and params.iterations <= cold.iterations
+        assert params.log_likelihood_path[0] >= cold.log_likelihood_path[0]
+        steps, cold_steps = steps + params.iterations, cold_steps + cold.iterations
+    assert steps < cold_steps
 
 
 def test_btl_scale_invariance_at_the_ranking_level():
