@@ -160,12 +160,17 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN,
     # stays contiguous where a symmetric block is narrower.  Entry (j, i)
     # sums the same terms as entry (i, j), so mirroring the upper triangle is
     # bit-identical.
+    # The gate rows are gathered into one preallocated block; mode="clip"
+    # lets np.take write into it directly (the classes are 0..2 already),
+    # where the default mode="raise" gathers into a temporary first.
     slab_buf = np.empty(_BLOCK_ROWS * n_b)
+    term_buf = np.empty(_BLOCK_ROWS * n_b)
     for start in range(0, n_a, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_a)
         rows, cols = slice(start, stop), slice(start if symmetric else 0, n_b)
         blocks = out[:, rows, cols]
         slab = slab_buf[: blocks[0].size].reshape(blocks[0].shape)
+        term = term_buf[: blocks[0].size].reshape(blocks[0].shape)
         for k in range(n_dim):
             np.copyto(slab, abs_a[k, rows, None])
             np.subtract(slab, abs_b[k, cols], out=slab)
@@ -173,7 +178,7 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN,
             np.subtract(1.0, slab, out=slab)
             table = gate[k, :, cols]
             for block, gates in zip(blocks, (table, table[::-1])):
-                term = gates[class_a[k, rows]]
+                np.take(gates, class_a[k, rows], axis=0, out=term, mode="clip")
                 np.multiply(term, slab, out=term)
                 block += term
         if symmetric:

@@ -81,7 +81,7 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         kernel: (n, n) kernel matrix.  It must be symmetric, as every kernel
             matrix is, because the solver reads row t where it needs column
             t.  It is not checked: ``np.array_equal(K, K.T)`` would cost
-            about 12 % of a solve, and ``gram_matrix`` mirrors its triangle,
+            about 14 % of a solve, and ``gram_matrix`` mirrors its triangle,
             which ``K[np.ix_(idx, idx)]`` keeps.
         labels: Sequence of n labels in {-1, +1}; both classes required.
         C: Box constraint on the dual variables, finite and > 0.
@@ -126,28 +126,25 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
     y_list = y.tolist()
     diag = K.diagonal().tolist()
     rows = list(K)  # row t stands for column t of the symmetric K
-    # v = -y * grad, where grad is the gradient of 1/2 a'(yy' * K)a - sum(a).
-    # It is updated from rows of K directly, so no second n x n matrix is
-    # needed; at alpha = 0 the gradient is -1, so v starts at y.
-    v = y.copy()
     snap = _ALPHA_SNAP * max(1.0, C)
 
-    # Selection penalties: 0.0 where alpha_t can move up (down) along y_t,
-    # -inf (+inf) where it cannot.  As v is finite, the argmax of v + up_pen
-    # is that of v over the feasible entries.  Only the selected pair's
-    # entries change per iteration.
-    up_pen = np.where(y > 0, 0.0, -np.inf)
-    low_pen = np.where(y > 0, np.inf, 0.0)
-    buf = np.empty(n)
-    scaled_row = np.empty(n)
+    # v = -y * grad, where grad is the gradient of 1/2 a'(yy' * K)a - sum(a);
+    # at alpha = 0 the gradient is -1, so v starts at y.  v is kept as two
+    # masked copies: ``up`` holds v_t where alpha_t can move up along y_t and
+    # -inf elsewhere, ``low`` holds v_t where it can move down and +inf
+    # elsewhere, so the working pair is up.argmax() and low.argmin().  As
+    # C > 0 every alpha_t can move some way, so v_t is whichever of up[t] and
+    # low[t] is finite.  An update is v -= step * (K[i] - K[j]), one row
+    # difference subtracted from both copies; +-inf entries stay as they are.
+    up = np.where(y > 0, y, -np.inf)
+    low = np.where(y > 0, np.inf, y)
+    row_diff = np.empty(n)
 
     for iterations in range(max_iter + 1):
-        np.add(v, up_pen, out=buf)
-        i = int(buf.argmax())
-        np.add(v, low_pen, out=buf)
-        j = int(buf.argmin())
-        m_bound = v.item(i)
-        big_m_bound = v.item(j)
+        i = int(up.argmax())
+        j = int(low.argmin())
+        m_bound = up.item(i)
+        big_m_bound = low.item(j)
         converged = m_bound - big_m_bound <= tol
         if converged or iterations == max_iter:
             break
@@ -162,23 +159,21 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         step = min(step, limit_i, limit_j)
         if step <= 0.0:  # reachable with tol = 0 or an underflowing step
             break
-        delta_i = y_i * step
-        delta_j = -y_j * step
-        alpha[i] += delta_i
-        alpha[j] += delta_j
-        # Fixed index order keeps float accumulation independent of which
-        # element of the pair was selected first.
-        for t, delta in ((i, delta_i), (j, delta_j)) if i < j else ((j, delta_j), (i, delta_i)):
-            np.multiply(rows[t], y_list[t] * delta, out=scaled_row)
-            np.subtract(v, scaled_row, out=v)
+        alpha[i] += y_i * step
+        alpha[j] -= y_j * step
+        np.subtract(rows[i], rows[j], out=row_diff)
+        np.multiply(row_diff, step, out=row_diff)
+        np.subtract(up, row_diff, out=up)
+        np.subtract(low, row_diff, out=low)
         for t in (i, j):
             a_t, positive = alpha[t], y_list[t] > 0
             if a_t < snap:
                 a_t = alpha[t] = 0.0
             elif a_t > C - snap:
                 a_t = alpha[t] = C
-            up_pen[t] = 0.0 if (a_t < C if positive else a_t > 0.0) else -np.inf
-            low_pen[t] = 0.0 if (a_t > 0.0 if positive else a_t < C) else np.inf
+            v_t = low.item(t) if up.item(t) == -np.inf else up.item(t)
+            up[t] = v_t if (a_t < C if positive else a_t > 0.0) else -np.inf
+            low[t] = v_t if (a_t > 0.0 if positive else a_t < C) else np.inf
     if not converged:
         logger.warning("SMO stopped unconverged after %d updates, iteration cap (%d) "
                        "(KKT violation %.3e, tolerance %.1e)", iterations, max_iter, m_bound - big_m_bound, tol)
@@ -186,7 +181,7 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
     alpha = np.array(alpha)
     free = (alpha > 0.0) & (alpha < C)
     if np.any(free):
-        bias = float(v[free].mean())
+        bias = float(up[free].mean())  # a free alpha_t can move both ways
     else:
         bias = (m_bound + big_m_bound) / 2.0
     support = np.flatnonzero(alpha > 0.0)

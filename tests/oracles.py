@@ -91,8 +91,11 @@ def reference_smo(kernel, labels, C: float, tol: float = 1e-3, max_iter: int | N
     """SMO with maximal-violating-pair selection, written plainly.
 
     The same algorithm, step, snap, order of accumulation and default cap
-    as ``smo_train``, without its input checks or warnings.  Returns alpha, the
-    bias, ``converged`` and the support indices.
+    as ``smo_train``, without its input checks or warnings.  It keeps v
+    whole, where ``smo_train`` keeps it as two copies masked by +-inf, and
+    moves it by the same one row difference per update: y_i alpha_i rises
+    by ``step`` and y_j alpha_j falls by it, so v -= step * (K[i] - K[j]).
+    Returns alpha, the bias, ``converged`` and the support indices.
     """
     K = np.asarray(kernel, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -124,10 +127,7 @@ def reference_smo(kernel, labels, C: float, tol: float = 1e-3, max_iter: int | N
         delta_j = -y[j] * step
         alpha[i] += delta_i
         alpha[j] += delta_j
-        first, second = (i, j) if i < j else (j, i)
-        deltas = {i: delta_i, j: delta_j}
-        v -= K[:, first] * (y[first] * deltas[first])
-        v -= K[:, second] * (y[second] * deltas[second])
+        v -= (K[:, i] - K[:, j]) * step
         for t in (i, j):
             if alpha[t] < snap:
                 alpha[t] = 0.0

@@ -146,14 +146,22 @@ def test_oracle_projection_is_feasible():
 
 
 def test_label_flip_negates_decisions_exactly():
-    rng = np.random.default_rng(3)
-    gram, labels, cost = random_instance(rng, n_max=10)
-    model = smo_train(gram, labels, cost, tol=1e-6)
-    flipped = smo_train(gram, -labels, cost, tol=1e-6)
-    rows = gram[:, model.support]
-    rows_flipped = gram[:, flipped.support]
-    assert np.array_equal(model.support, flipped.support)
-    assert np.array_equal(decision_values(model, rows), -decision_values(flipped, rows_flipped))
+    # Flipping the labels swaps the working pair, and the update
+    # v -= step * (K[i] - K[j]) is negated exactly, as a - b = -(b - a).
+    # A small instance, then 300 random pairs (the scale of a select_c
+    # split) of both variants at the grid's smallest and largest cost.
+    instances = [random_instance(np.random.default_rng(3), n_max=10)]
+    rng = np.random.default_rng(7)
+    diffs, labels = rng.random((300, 5)) - rng.random((300, 5)), np.where(rng.random(300) < 0.5, 1.0, -1.0)
+    for variant in KernelVariant:
+        instances += [(gram_matrix(diffs, variant), labels, cost) for cost in (DEFAULT_C_GRID[0], DEFAULT_C_GRID[-1])]
+    for gram, labels, cost in instances:
+        model = smo_train(gram, labels, cost, tol=1e-6)
+        flipped = smo_train(gram, -labels, cost, tol=1e-6)
+        rows = gram[:, model.support]
+        rows_flipped = gram[:, flipped.support]
+        assert np.array_equal(model.support, flipped.support)
+        assert np.array_equal(decision_values(model, rows), -decision_values(flipped, rows_flipped))
 
 
 def test_determinism():
