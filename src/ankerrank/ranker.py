@@ -32,6 +32,7 @@ from .data import (
 from .kernel import KernelVariant, gram_matrix, kernel_matrix, pair_differences
 from .svm import (
     SvmModel,
+    _check_cap,
     _newton_minimize,
     _sigmoid,
     decision_values,
@@ -192,9 +193,9 @@ def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlPa
 
     ``tol`` >= 0 bounds the max-norm of the gradient with respect to beta:
     ``converged`` is True when that bound is met.  The fit stops unconverged,
-    with a warning, after ``max_iter`` >= 1 Newton steps or when no step
-    along the Newton direction raises the likelihood.  Returns theta =
-    softmax(beta).
+    with a warning, after ``max_iter`` Newton steps (an integer >= 1) or when
+    no step along the Newton direction raises the likelihood.  Returns
+    theta = softmax(beta).
     """
     pref = np.asarray(pref, dtype=float)
     if pref.ndim != 2 or pref.shape[0] != pref.shape[1]:
@@ -204,8 +205,7 @@ def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlPa
         raise ValueError("preference matrix must have at least one item")
     if not tol >= 0.0:
         raise ValueError("tol must be a non-negative number")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_cap(max_iter)
     off = ~np.eye(n, dtype=bool)
     with np.errstate(invalid="ignore"):  # inf + -inf
         recip_gap = np.max(np.abs(pref[off] + pref.T[off] - 1.0), initial=0.0)

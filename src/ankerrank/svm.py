@@ -15,6 +15,7 @@ objective change, and share its line search, stopping test and warning.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,6 +74,14 @@ class SvmModel:
     kkt_violation: float = 0.0
 
 
+def _check_cap(max_iter) -> None:
+    """Raise ValueError unless the iteration cap ``max_iter`` is an integer >= 1."""
+    if not isinstance(max_iter, numbers.Integral):
+        raise ValueError(f"max_iter must be an integer, not {max_iter!r}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+
 def smo_train(kernel, labels, C: float, tol: float = 1e-3,
               max_iter: int | None = None) -> SvmModel:
     """Solve the soft-margin SVM dual by SMO with maximal-violating-pair selection.
@@ -81,13 +90,14 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         kernel: (n, n) kernel matrix.  It must be symmetric, as every kernel
             matrix is, because the solver reads row t where it needs column
             t.  It is not checked: ``np.array_equal(K, K.T)`` would cost
-            about 14 % of a solve, and ``gram_matrix`` mirrors its triangle,
+            about 17 % of a solve, and ``gram_matrix`` mirrors its triangle,
             which ``K[np.ix_(idx, idx)]`` keeps.
         labels: Sequence of n labels in {-1, +1}; both classes required.
         C: Box constraint on the dual variables, finite and > 0.
         tol: KKT violation tolerance used as the stopping criterion, >= 0.
-        max_iter: Cap on working-pair updates; None means max(10 000, 100 n),
-            a cap that grows with the problem as LIBSVM's max(10^7, 100 n) does.
+        max_iter: Integer cap on working-pair updates, >= 1; None means
+            max(10 000, 100 n), a cap that grows with the problem as LIBSVM's
+            max(10^7, 100 n) does.
 
     Returns:
         SvmModel with 0 <= alpha <= C, sum(alpha * labels) = 0, and the bias
@@ -110,70 +120,95 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         raise ValueError("tol must be a non-negative number")
     if max_iter is None:
         max_iter = max(10_000, 100 * n)
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_cap(max_iter)
     K = np.asarray(kernel, dtype=float)
     if K.shape != (n, n):
         raise ValueError(f"kernel matrix shape {K.shape} does not match {n} labels")
     if not np.all(np.isfinite(K)):
         raise ValueError("kernel values must be finite")
 
-    # The loop is bound by its per-iteration overhead: the working pair's
-    # bookkeeping is in Python floats, and the vector work writes into
+    # The loop is bound by its Python overhead, not by its six numpy calls
+    # over n-vectors.  Every method, function and constant it uses is bound
+    # to a local name, since a local is one array read where an attribute or
+    # global is a dictionary lookup per use.  The working pair's bookkeeping
+    # is in Python floats and bools, and the vector work writes into
     # preallocated buffers.
     C = float(C)
     alpha = [0.0] * n
-    y_list = y.tolist()
+    positive = (y > 0).tolist()
     diag = K.diagonal().tolist()
     rows = list(K)  # row t stands for column t of the symmetric K
     snap = _ALPHA_SNAP * max(1.0, C)
+    top = C - snap
+    inf, neg_inf = np.inf, -np.inf
 
     # v = -y * grad, where grad is the gradient of 1/2 a'(yy' * K)a - sum(a);
     # at alpha = 0 the gradient is -1, so v starts at y.  v is kept as two
     # masked copies: ``up`` holds v_t where alpha_t can move up along y_t and
     # -inf elsewhere, ``low`` holds v_t where it can move down and +inf
-    # elsewhere, so the working pair is up.argmax() and low.argmin().  As
-    # C > 0 every alpha_t can move some way, so v_t is whichever of up[t] and
-    # low[t] is finite.  An update is v -= step * (K[i] - K[j]), one row
-    # difference subtracted from both copies; +-inf entries stay as they are.
-    up = np.where(y > 0, y, -np.inf)
-    low = np.where(y > 0, np.inf, y)
+    # elsewhere, so the working pair is up.argmax() and low.argmin().  An
+    # update is v -= step * (K[i] - K[j]), one row difference subtracted from
+    # both copies; +-inf entries stay as they are.  The finite entries of
+    # both copies hold the same v_t, and up[i] and low[j] are finite, so
+    # after the update they are v_i and v_j.
+    up = np.where(y > 0, y, neg_inf)
+    low = np.where(y > 0, inf, y)
     row_diff = np.empty(n)
+    up_argmax, low_argmin, up_item, low_item, k_item = up.argmax, low.argmin, up.item, low.item, K.item
+    subtract, multiply = np.subtract, np.multiply
 
     for iterations in range(max_iter + 1):
-        i = int(up.argmax())
-        j = int(low.argmin())
-        m_bound = up.item(i)
-        big_m_bound = low.item(j)
+        i = int(up_argmax())
+        j = int(low_argmin())
+        m_bound = up_item(i)
+        big_m_bound = low_item(j)
         converged = m_bound - big_m_bound <= tol
         if converged or iterations == max_iter:
             break
 
         # Move along alpha_i += y_i t, alpha_j -= y_j t, which preserves
-        # sum(alpha * y); the unconstrained optimum is t = (m - M) / eta.
-        y_i, y_j = y_list[i], y_list[j]
-        eta = diag[i] + diag[j] - 2.0 * K.item(i, j)
-        step = (m_bound - big_m_bound) / max(eta, 1e-12)
-        limit_i = (C - alpha[i]) if y_i > 0 else alpha[i]
-        limit_j = alpha[j] if y_j > 0 else (C - alpha[j])
-        step = min(step, limit_i, limit_j)
+        # sum(alpha * y); the unconstrained optimum is t = (m - M) / eta,
+        # cut at the box.
+        alpha_i, alpha_j = alpha[i], alpha[j]
+        positive_i, positive_j = positive[i], positive[j]
+        eta = diag[i] + diag[j] - 2.0 * k_item(i, j)
+        if eta < 1e-12:
+            eta = 1e-12
+        step = (m_bound - big_m_bound) / eta
+        limit = (C - alpha_i) if positive_i else alpha_i
+        if limit < step:
+            step = limit
+        limit = alpha_j if positive_j else (C - alpha_j)
+        if limit < step:
+            step = limit
         if step <= 0.0:  # reachable with tol = 0 or an underflowing step
             break
-        alpha[i] += y_i * step
-        alpha[j] -= y_j * step
-        np.subtract(rows[i], rows[j], out=row_diff)
-        np.multiply(row_diff, step, out=row_diff)
-        np.subtract(up, row_diff, out=up)
-        np.subtract(low, row_diff, out=low)
-        for t in (i, j):
-            a_t, positive = alpha[t], y_list[t] > 0
-            if a_t < snap:
-                a_t = alpha[t] = 0.0
-            elif a_t > C - snap:
-                a_t = alpha[t] = C
-            v_t = low.item(t) if up.item(t) == -np.inf else up.item(t)
-            up[t] = v_t if (a_t < C if positive else a_t > 0.0) else -np.inf
-            low[t] = v_t if (a_t > 0.0 if positive else a_t < C) else np.inf
+        subtract(rows[i], rows[j], out=row_diff)
+        multiply(row_diff, step, out=row_diff)
+        subtract(up, row_diff, out=up)
+        subtract(low, row_diff, out=low)
+
+        # Take the step (y_t t is +-t), snap each alpha to the box and set its
+        # masks from where it now is.
+        alpha_i = alpha_i + step if positive_i else alpha_i - step
+        if alpha_i < snap:
+            alpha_i = 0.0
+        elif alpha_i > top:
+            alpha_i = C
+        alpha[i] = alpha_i
+        v_i = up_item(i)
+        up[i] = v_i if (alpha_i < C if positive_i else alpha_i > 0.0) else neg_inf
+        low[i] = v_i if (alpha_i > 0.0 if positive_i else alpha_i < C) else inf
+
+        alpha_j = alpha_j - step if positive_j else alpha_j + step
+        if alpha_j < snap:
+            alpha_j = 0.0
+        elif alpha_j > top:
+            alpha_j = C
+        alpha[j] = alpha_j
+        v_j = low_item(j)
+        up[j] = v_j if (alpha_j < C if positive_j else alpha_j > 0.0) else neg_inf
+        low[j] = v_j if (alpha_j > 0.0 if positive_j else alpha_j < C) else inf
     if not converged:
         logger.warning("SMO stopped unconverged after %d updates, iteration cap (%d) "
                        "(KKT violation %.3e, tolerance %.1e)", iterations, max_iter, m_bound - big_m_bound, tol)

@@ -6,7 +6,8 @@ kinks of the piecewise-linear constraint), scored like SMO by a dense
 evaluation of the dual objective, the reference SMO takes the same steps
 in a plain loop (column reads, ``np.where`` masks, numpy-scalar
 bookkeeping), kept so that a test can hold the tuned ``smo_train`` to
-bit-identical alpha, bias, ``converged`` and support, the KS oracle enumerates
+bit-identical alpha, bias, ``converged``, support, update count and final
+violation, the KS oracle enumerates
 permutations, the inversion counter is a double loop (a tie counts one half), the BTL oracle is a
 grid search on the simplex, the training-pair oracle draws one coin per
 preference in a nested loop, the analogy-kernel oracle fills the whole
@@ -95,7 +96,8 @@ def reference_smo(kernel, labels, C: float, tol: float = 1e-3, max_iter: int | N
     whole, where ``smo_train`` keeps it as two copies masked by +-inf, and
     moves it by the same one row difference per update: y_i alpha_i rises
     by ``step`` and y_j alpha_j falls by it, so v -= step * (K[i] - K[j]).
-    Returns alpha, the bias, ``converged`` and the support indices.
+    Returns alpha, the bias, ``converged``, the support indices, the number
+    of updates taken and the final violation m - M.
     """
     K = np.asarray(kernel, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -141,7 +143,7 @@ def reference_smo(kernel, labels, C: float, tol: float = 1e-3, max_iter: int | N
         bias = float(v[free].mean())
     else:
         bias = float((m_bound + big_m_bound) / 2.0)
-    return alpha, bias, converged, np.flatnonzero(alpha > 0.0)
+    return alpha, bias, converged, np.flatnonzero(alpha > 0.0), taken, float(m_bound - big_m_bound)
 
 
 def select_c_reference(kernel, labels, seed: int = 0) -> float:

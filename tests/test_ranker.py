@@ -405,6 +405,18 @@ def test_btl_rejects_a_step_cap_below_one(max_iter):
         btl_fit(pref, tol=0.0, max_iter=max_iter)
 
 
+@pytest.mark.parametrize("max_iter", [1.5, 2.0])
+def test_btl_rejects_a_step_cap_that_is_not_an_integer(max_iter):
+    pref = _random_reciprocal(np.random.default_rng(3), 3)
+    with pytest.raises(ValueError, match=f"max_iter must be an integer, not {max_iter}"):
+        btl_fit(pref, tol=0.0, max_iter=max_iter)
+
+
+def test_btl_accepts_a_numpy_integer_cap():
+    pref = _random_reciprocal(np.random.default_rng(3), 3)
+    assert btl_fit(pref, tol=0.0, max_iter=np.int64(2)).iterations <= 2
+
+
 @pytest.mark.parametrize("pref", [np.float64(0.5), np.full(3, 0.5), np.full((2, 3), 0.5)])
 def test_btl_rejects_a_preference_array_that_is_not_a_square_matrix(pref):
     with pytest.raises(ValueError, match="preference matrix must be square"):

@@ -57,11 +57,14 @@ def test_two_example_analytic_solution_takes_one_step():
 
 def assert_matches_reference(gram, labels, C, **options):
     model = smo_train(gram, labels, C, **options)
-    alpha, bias, converged, support = reference_smo(gram, labels, C, **options)
+    alpha, bias, converged, support, iterations, violation = reference_smo(gram, labels, C, **options)
     assert model.alpha.tobytes() == alpha.tobytes()
     assert model.bias == bias
     assert model.converged == converged
     assert np.array_equal(model.support, support)
+    assert model.iterations == iterations
+    assert model.kkt_violation == violation
+    return model
 
 
 @pytest.mark.parametrize("C", [2.0**-6, 1.0, 64.0])
@@ -73,6 +76,18 @@ def test_smo_is_bit_identical_to_the_reference_loop(n, variant, C):
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     labels[0], labels[1] = 1.0, -1.0
     assert_matches_reference(gram, labels, C)
+
+
+def test_smo_is_bit_identical_to_the_reference_loop_at_cross_validation_size():
+    # One fold of a 5-query, 20-item fit's 950 training pairs at the top grid
+    # cost: a solve of the size and length that cost selection runs.
+    data = make_linear_dataset(5, 20, 10, seed=0)
+    rng = np.random.default_rng(0)
+    pairs = build_pair_instances(data)
+    labels = np.where(rng.random(len(pairs)) < 0.5, 1.0, -1.0)
+    diffs = pair_differences(data.all_items(), *pairs.T, "training items") * labels[:, None]
+    model = assert_matches_reference(gram_matrix(diffs, KernelVariant.POLY2), labels, DEFAULT_C_GRID[-1])
+    assert labels.size == 950 and model.iterations > 2_500 and model.converged
 
 
 def test_smo_is_bit_identical_to_the_reference_loop_at_the_cap_and_the_box():
@@ -279,11 +294,19 @@ def test_cost_must_be_finite_and_positive(C):
     (np.eye(1), [1], {}, "at least two examples"),
     (np.eye(2), [1, 0], {}, r"labels must be -1 or \+1"),
     (np.eye(2), [1, -1], {"max_iter": 0}, "max_iter must be at least 1"),
+    (np.eye(2), [1, -1], {"max_iter": 1.5}, "max_iter must be an integer, not 1.5"),
+    (np.eye(2), [1, -1], {"max_iter": 2.0}, "max_iter must be an integer, not 2.0"),
     (np.eye(3), [1, -1], {}, r"kernel matrix shape \(3, 3\) does not match 2 labels"),
-], ids=["one-example", "label-zero", "max-iter-zero", "kernel-too-large"])
+], ids=["one-example", "label-zero", "max-iter-zero", "max-iter-fraction", "max-iter-float",
+        "kernel-too-large"])
 def test_smo_rejects_malformed_training_input(kernel, labels, options, message):
     with pytest.raises(ValueError, match=message):
         smo_train(kernel, labels, C=1.0, **options)
+
+
+def test_smo_accepts_a_numpy_integer_cap():
+    model = smo_train(np.eye(2), [1, -1], C=10.0, tol=1e-8, max_iter=np.int64(1))
+    assert model.iterations == 1 and model.converged
 
 
 def test_decision_values_need_one_kernel_column_per_support_vector():
