@@ -27,7 +27,8 @@ from .data import (
     normalize_train_test,
 )
 from .kernel import KernelVariant
-from .ranker import anker_fit, anker_predict
+from .ranker import _check_query, anker_fit, anker_predict
+from .svm import _check_cap
 
 
 def ranking_loss(pi: np.ndarray, pi_star: np.ndarray) -> float:
@@ -199,14 +200,9 @@ def run_experiment(train: RankedDataset, test: RankedDataset, methods,
     externals = externals or {}
     methods = list(methods)
     check_methods(methods, externals)
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
+    _check_cap(repeats, "repeats")
     for query in test.queries:
-        if query.n_items < 2:
-            raise DataFormatError(
-                f"test query {query.query_id!r} has fewer than two items; "
-                "the ranking loss needs at least two"
-            )
+        _check_query(query.items, train.n_features, f"test query {query.query_id!r}")
     external_losses = {name: score_external_orderings(test, orderings)
                        for name, orderings in externals.items()}
 

@@ -46,8 +46,8 @@ logger = logging.getLogger(__name__)
 
 PREFERENCE_CLIP = 1e-6
 
-# Query pairs per kernel call in preference_matrix: bounds the kernel block
-# to 2 x 256 x |S| floats whatever the query size.
+# Query pairs per kernel call in preference_matrix and able2rank_lite: bounds
+# the kernel block to 2 x 256 x |S| floats whatever the query size.
 _QUERY_CHUNK = 256
 
 
@@ -102,6 +102,21 @@ class AnkerModel:
     support_diffs: np.ndarray
 
 
+def _check_query(items, n_features: int, what: str) -> np.ndarray:
+    """``items`` as a float array; ``DataFormatError``, naming ``what``, unless they form a query.
+
+    A query to rank is a 2-D array of two or more items of ``n_features`` features.
+    """
+    items = np.asarray(items, dtype=float)
+    if items.ndim != 2:
+        raise DataFormatError(f"{what} must be a 2-D (items, features) array, got shape {items.shape}")
+    if len(items) < 2:
+        raise DataFormatError(f"{what} has fewer than two items")
+    if items.shape[1] != n_features:
+        raise DataFormatError(f"{what} has items of {items.shape[1]} features; training items have {n_features}")
+    return items
+
+
 def build_pair_instances(data: RankedDataset) -> np.ndarray:
     """Every ordered preference of the training rankings, as item row indices.
 
@@ -150,6 +165,7 @@ def preference_matrix(model: AnkerModel, query: np.ndarray) -> np.ndarray:
     svm = model.svm
     if svm.platt is None:
         raise ValueError("model must carry calibration parameters")
+    query = _check_query(query, model.support_diffs.shape[1], "query")
     forward = pair_differences(query, *np.triu_indices(len(query), k=1), "query items")
     upper = np.empty(len(forward))
     for start in range(0, len(forward), _QUERY_CHUNK):
@@ -205,7 +221,7 @@ def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlPa
         raise ValueError("preference matrix must have at least one item")
     if not tol >= 0.0:
         raise ValueError("tol must be a non-negative number")
-    _check_cap(max_iter)
+    _check_cap(max_iter, "max_iter")
     off = ~np.eye(n, dtype=bool)
     with np.errstate(invalid="ignore"):  # inf + -inf
         recip_gap = np.max(np.abs(pref[off] + pref.T[off] - 1.0), initial=0.0)
@@ -274,15 +290,16 @@ def anker_fit(train: RankedDataset, *, variant: KernelVariant = KernelVariant.PO
     Each training preference becomes one labeled pair difference: a seeded
     fair coin per pair, drawn in pair order, keeps preferred - other with
     label +1 or negates it (other - preferred) with label -1, so labels stay
-    balanced.  An optional ``cap`` then subsamples the pairs uniformly; pairs
-    that do not hold both labels raise ``DataFormatError``.  The cost is
-    picked from ``DEFAULT_C_GRID`` by repeated internal cross-validation
-    when ``C`` is None; the SVM is trained by SMO and its decision values
-    are calibrated on the training pairs.
+    balanced.  An optional integer ``cap`` >= 1 then subsamples the pairs
+    uniformly; pairs that do not hold both labels raise ``DataFormatError``.
+    The cost is picked from ``DEFAULT_C_GRID`` by repeated internal
+    cross-validation when ``C`` is None; the SVM is trained by SMO and its
+    decision values are calibrated on the training pairs.
     """
+    if cap is not None:
+        _check_cap(cap, "cap")
     for query in train.queries:
-        if query.n_items < 2:
-            raise DataFormatError(f"training query {query.query_id!r} has fewer than two items")
+        _check_query(query.items, train.n_features, f"training query {query.query_id!r}")
     rng = np.random.default_rng(seed)
     pairs = build_pair_instances(train)
     labels = np.where(rng.random(len(pairs)) < 0.5, 1.0, -1.0)
@@ -304,14 +321,7 @@ def anker_fit(train: RankedDataset, *, variant: KernelVariant = KernelVariant.PO
 
 def anker_predict(model: AnkerModel, query: np.ndarray) -> RankPrediction:
     """Rank an already-normalized query item set with a trained model."""
-    query = np.asarray(query, dtype=float)
-    if query.ndim != 2 or query.shape[0] < 2:
-        raise DataFormatError("a query needs at least two items")
-    if query.shape[1] != model.support_diffs.shape[1]:
-        raise DataFormatError(
-            f"query items have {query.shape[1]} features, the model expects {model.support_diffs.shape[1]}"
-        )
-    pref = preference_matrix(model, query)  # refuses values outside [0, 1], NaN included
+    pref = preference_matrix(model, query)  # refuses a malformed query and values outside [0, 1]
     return RankPrediction(btl_fit(pref).theta, pref)
 
 
@@ -327,13 +337,7 @@ def anker_rank(train: RankedDataset, query: np.ndarray, *,
     Bonferroni corrected) rejects distributional equality, in which case the
     query is rescaled on its own.
     """
-    query = np.asarray(query, dtype=float)
-    if query.ndim != 2 or query.shape[1] != train.n_features:
-        raise DataFormatError(
-            f"query items must be (n, {train.n_features}), got {query.shape}"
-        )
-    if query.shape[0] < 2:
-        raise DataFormatError("a query needs at least two items")
+    query = _check_query(query, train.n_features, "query")
     if not np.isfinite(query).all():
         raise DataFormatError("query features must be finite")
     if scope is None:

@@ -74,12 +74,12 @@ class SvmModel:
     kkt_violation: float = 0.0
 
 
-def _check_cap(max_iter) -> None:
-    """Raise ValueError unless the iteration cap ``max_iter`` is an integer >= 1."""
-    if not isinstance(max_iter, numbers.Integral):
-        raise ValueError(f"max_iter must be an integer, not {max_iter!r}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+def _check_cap(value, name: str) -> None:
+    """Raise ValueError unless the count ``value``, the argument ``name``, is an integer >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 def smo_train(kernel, labels, C: float, tol: float = 1e-3,
@@ -120,7 +120,7 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         raise ValueError("tol must be a non-negative number")
     if max_iter is None:
         max_iter = max(10_000, 100 * n)
-    _check_cap(max_iter)
+    _check_cap(max_iter, "max_iter")
     K = np.asarray(kernel, dtype=float)
     if K.shape != (n, n):
         raise ValueError(f"kernel matrix shape {K.shape} does not match {n} labels")

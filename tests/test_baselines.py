@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,19 +274,16 @@ def test_able2rank_is_deterministic():
     assert np.array_equal(a.ranking, b.ranking)
 
 
-@pytest.mark.parametrize("k", [1, 7, 29, 30, 100])
-@pytest.mark.parametrize("n_items", [2, 7])
-def test_able2rank_equals_one_kernel_call_on_both_orientations_bit_for_bit(n_items, k):
-    # The evidence against the forward and the negated query pairs as one
-    # kernel block, as the halves of one concatenated second argument.
-    train = make_linear_dataset(2, 6, 3, seed=17)  # 30 training preferences
-    train_n = train.with_items(_minmax(train.all_items()))
-    query = np.random.default_rng(18).random((n_items, 3))
-    query[-1, 0] = query[0, 0]  # a zero difference
+def _one_block_preference(train_n, query, k):
+    """able2rank's preference matrix from one kernel block of all query pairs.
+
+    The evidence against the forward and the negated query pairs is one
+    kernel block, as the halves of one concatenated second argument.
+    """
     pairs = build_pair_instances(train_n)
     n_prefs = len(pairs)
     pref_diffs = train_n.all_items()[pairs[:, 0]] - train_n.all_items()[pairs[:, 1]]
-    rows, cols = np.triu_indices(n_items, k=1)
+    rows, cols = np.triu_indices(len(query), k=1)
     forward = query[rows] - query[cols]
     evidence = kernel_matrix(pref_diffs, np.concatenate([forward, -forward]))
     if k < n_prefs:
@@ -293,8 +291,45 @@ def test_able2rank_equals_one_kernel_call_on_both_orientations_bit_for_bit(n_ite
     sum_fwd, sum_bwd = (half.sum(axis=0) for half in np.split(evidence, 2, axis=1))
     total = sum_fwd + sum_bwd
     upper = np.where(total > 0.0, sum_fwd / np.where(total > 0.0, total, 1.0), 0.5)
-    expected = reciprocal_preferences(upper, n_items)
+    return reciprocal_preferences(upper, len(query))
+
+
+@pytest.mark.parametrize("k", [1, 7, 29, 30, 100])
+@pytest.mark.parametrize("n_items", [2, 7])
+def test_able2rank_equals_one_kernel_call_on_both_orientations_bit_for_bit(n_items, k):
+    train = make_linear_dataset(2, 6, 3, seed=17)  # 30 training preferences
+    train_n = train.with_items(_minmax(train.all_items()))
+    query = np.random.default_rng(18).random((n_items, 3))
+    query[-1, 0] = query[0, 0]  # a zero difference
+    expected = _one_block_preference(train_n, query, k)
     assert able2rank_lite(train_n, query, k=k).preference.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("k", [3, 10, 20])
+@pytest.mark.parametrize("n_items", [23, 24, 511])
+def test_able2rank_scores_its_query_pairs_in_chunks_with_the_one_block_bytes(n_items, k):
+    # 23 items give 253 pairs, one chunk of 256 or fewer; 24 items give 276,
+    # a last chunk of 20; 511 items give 130 305, a last chunk of one pair,
+    # whose top k numpy would sum in another order were it scored alone.
+    train = make_linear_dataset(1, 6, 2, seed=2)  # 15 training preferences
+    train_n = train.with_items(_minmax(train.all_items()))
+    query = np.random.default_rng(n_items).random((n_items, 2))
+    expected = _one_block_preference(train_n, query, k)
+    assert able2rank_lite(train_n, query, k=k).preference.tobytes() == expected.tobytes()
+
+
+def test_able2rank_traced_peak_stays_below_one_query_evidence_block():
+    train = make_linear_dataset(10, 20, 10, seed=43)  # 1 900 training preferences
+    query = np.random.default_rng(44).random((100, 10))
+    n_pairs = 100 * 99 // 2
+    tracemalloc.start()
+    try:
+        prediction = able2rank_lite(train, query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(prediction.ordering.tolist()) == list(range(100))
+    assert peak < n_pairs * 1900 * 8
 
 
 def test_able2rank_rejects_bad_k():

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -150,7 +152,7 @@ def test_rank_one_item_query_exits_2(csv_files, tmp_path, capsys):
     code = main(["rank", "--train", str(csv_files["train"]), "--query", str(bad), "--C", "1.0"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "at least two items" in captured.err and "internal error" not in captured.err
+    assert "query has fewer than two items" in captured.err and "internal error" not in captured.err
     assert captured.out == ""
 
 
@@ -524,3 +526,15 @@ def test_rank_runs_without_scipy(csv_files):
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert sorted(json.loads(result.stdout)["ordering"]) == list(range(6))
+
+
+def test_benchmark_runs_without_scipy(csv_files):
+    # The whole protocol, every built-in method included, on numpy alone.
+    argv = ["benchmark", "--train", str(csv_files["train"]), "--test", str(csv_files["test"]),
+            "--methods", "anker,err,ranksvm,able2rank", "--repeats", "1", "--C", "1"]
+    script = f"import sys\nsys.modules['scipy'] = None\nfrom ankerrank import cli\nraise SystemExit(cli.main({argv!r}))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(ankerrank.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    rows = list(csv.reader(io.StringIO(result.stdout)))
+    assert [len(row) for row in rows] == [5] * 5, rows

@@ -235,6 +235,24 @@ def test_run_experiment_normalizes_once_per_problem(small_problem, monkeypatch, 
     assert calls == expected
 
 
+@pytest.mark.parametrize("scope", [None, NormalizationScope.TEST_ONLY, NormalizationScope.TRAIN_PLUS_TEST],
+                         ids=["gate", "test-only", "train+test"])
+def test_run_experiment_refuses_a_test_set_of_another_width_before_any_method_runs(
+        small_problem, monkeypatch, scope):
+    train, _ = small_problem
+    test = make_linear_dataset(2, 6, train.n_features + 1, seed=15)
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("ran before the test queries were checked")
+
+    for name, (mode, _) in evaluate._RUNNERS.items():
+        monkeypatch.setitem(evaluate._RUNNERS, name, (mode, not_reached))
+    monkeypatch.setattr(evaluate, "choose_normalization_scope", not_reached)
+    monkeypatch.setattr(evaluate, "normalize_train_test", not_reached)
+    with pytest.raises(DataFormatError, match=f"test query 'q0' has items of {train.n_features + 1} features"):
+        run_experiment(train, test, METHOD_NAMES, repeats=1, seed=0, config=MethodConfig(C=1.0, scope=scope))
+
+
 def test_results_csv_format(small_problem):
     train, test = small_problem
     results = run_experiment(train, test, ["err"], repeats=2, seed=11)

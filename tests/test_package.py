@@ -98,6 +98,24 @@ def test_only_the_kernel_names_its_range_check():
     assert naming == {"kernel.py"}
 
 
+def test_only_one_function_states_the_query_rule():
+    # ``ranker._check_query`` owns the rule that a query to rank is a 2-D
+    # array of two or more items of the training width; every ranker calls
+    # it.  ``ranking_loss`` raises its own two-item rule, on positions.
+    phrases = ("two items", "training items have", "(items, features)")
+    stating = set()
+    for path in sorted(Path(ankerrank.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Raise) and any(
+                        isinstance(c, ast.Constant) and isinstance(c.value, str)
+                        and any(phrase in c.value for phrase in phrases) for c in ast.walk(node)):
+                    stating.add((path.name, func.name))
+    assert stating == {("ranker.py", "_check_query"), ("evaluate.py", "ranking_loss")}
+
+
 def _unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()

@@ -18,6 +18,7 @@ from ankerrank.data import (
     RankedQuery,
     normalize_train_test,
 )
+from ankerrank.evaluate import run_experiment
 from ankerrank.kernel import KernelVariant, gram_matrix, kernel_matrix
 from ankerrank.ranker import (
     AnkerModel,
@@ -190,17 +191,47 @@ def test_preference_matrix_needs_a_calibrated_model():
         preference_matrix(uncalibrated, np.random.default_rng(0).random((4, 3)))
 
 
-@pytest.mark.parametrize("query", [np.full((1, 3), 0.5), np.full(3, 0.5)], ids=["one-item", "1-D"])
-def test_anker_predict_rejects_a_query_without_two_item_rows(query):
-    with pytest.raises(DataFormatError, match="at least two items"):
+@pytest.mark.parametrize("query, message", [
+    (np.full((1, 3), 0.5), "query has fewer than two items"),
+    (np.full(3, 0.5), r"query must be a 2-D \(items, features\) array, got shape \(3,\)"),
+], ids=["one-item", "1-D"])
+def test_anker_predict_rejects_a_query_without_two_item_rows(query, message):
+    with pytest.raises(DataFormatError, match=message):
         anker_predict(_trained_toy_model(), query)
 
 
 @pytest.mark.parametrize("width", [2, 0])
 def test_anker_predict_rejects_a_query_of_another_width(width):
     query = np.full((4, width), 0.5)
-    with pytest.raises(DataFormatError, match=f"query items have {width} features, the model expects 3"):
+    with pytest.raises(DataFormatError, match=f"query has items of {width} features; training items have 3"):
         anker_predict(_trained_toy_model(), query)
+
+
+_RANKERS = {
+    "anker_rank": lambda train, model, query: anker_rank(train, query, C=1.0),
+    "anker_predict": lambda train, model, query: anker_predict(model, query),
+    "preference_matrix": lambda train, model, query: preference_matrix(model, query),
+    "able2rank_lite": lambda train, model, query: able2rank_lite(train, query),
+}
+
+
+@pytest.mark.parametrize("query, message", [
+    (np.full((1, 3), 0.5), "query has fewer than two items"),
+    (np.full(3, 0.5), r"query must be a 2-D \(items, features\) array"),
+    (np.full((4, 2), 0.5), "query has items of 2 features; training items have 3"),
+], ids=["one-item", "1-D", "another-width"])
+@pytest.mark.parametrize("ranker", _RANKERS)
+def test_every_ranker_refuses_a_query_that_breaks_the_query_rule(monkeypatch, ranker, query, message):
+    train = make_linear_dataset(2, 8, 3, seed=11)
+    model = _trained_toy_model()
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a malformed query must be refused before any fit")
+
+    monkeypatch.setattr("ankerrank.ranker.choose_normalization_scope", not_reached)
+    monkeypatch.setattr("ankerrank.ranker.anker_fit", not_reached)
+    with pytest.raises(DataFormatError, match=message):
+        _RANKERS[ranker](train, model, query)
 
 
 def test_preference_matrix_backward_block_is_the_reversed_pairs():
@@ -412,6 +443,23 @@ def test_btl_rejects_a_step_cap_that_is_not_an_integer(max_iter):
         btl_fit(pref, tol=0.0, max_iter=max_iter)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda train: anker_fit(train, C=1.0, cap=0), "cap must be at least 1"),
+    (lambda train: anker_fit(train, C=1.0, cap=-1), "cap must be at least 1"),
+    (lambda train: anker_fit(train, C=1.0, cap=1.5), "cap must be an integer, not 1.5"),
+    (lambda train: anker_fit(train, C=1.0, cap=2.0), "cap must be an integer, not 2.0"),
+    (lambda train: anker_fit(train, C=1.0, cap=True), "cap must be an integer, not True"),
+    (lambda train: able2rank_lite(train, np.full((3, 3), 0.5), k=-1), "k must be at least 1"),
+    (lambda train: able2rank_lite(train, np.full((3, 3), 0.5), k=1.5), "k must be an integer, not 1.5"),
+    (lambda train: able2rank_lite(train, np.full((3, 3), 0.5), k=20.0), "k must be an integer, not 20.0"),
+    (lambda train: run_experiment(train, train, ["err"], repeats=1.5), "repeats must be an integer, not 1.5"),
+], ids=["cap-zero", "cap-negative", "cap-fraction", "cap-float", "cap-bool", "k-negative", "k-fraction",
+        "k-float", "repeats-fraction"])
+def test_count_arguments_are_checked_like_the_step_caps(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(make_linear_dataset(2, 6, 3, seed=3))
+
+
 def test_btl_accepts_a_numpy_integer_cap():
     pref = _random_reciprocal(np.random.default_rng(3), 3)
     assert btl_fit(pref, tol=0.0, max_iter=np.int64(2)).iterations <= 2
@@ -601,7 +649,7 @@ def test_anker_rank_scope_override_and_validation():
     query = np.random.default_rng(28).random((4, 3))
     prediction = anker_rank(train, query, C=1.0, seed=29, scope=NormalizationScope.TEST_ONLY)
     assert sorted(prediction.ranking.tolist()) == [0, 1, 2, 3]
-    with pytest.raises(DataFormatError, match="query items"):
+    with pytest.raises(DataFormatError, match="query has items of 2 features; training items have 3"):
         anker_rank(train, np.zeros((4, 2)), C=1.0)
 
 
@@ -623,5 +671,5 @@ def test_anker_rank_rejects_a_one_item_query_before_fitting(monkeypatch):
 
     monkeypatch.setattr("ankerrank.ranker.anker_fit", no_fit)
     train = make_linear_dataset(2, 6, 3, seed=37)
-    with pytest.raises(DataFormatError, match="at least two items"):
+    with pytest.raises(DataFormatError, match="query has fewer than two items"):
         anker_rank(train, np.full((1, 3), 0.5), C=1.0)
