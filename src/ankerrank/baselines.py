@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import DataFormatError, RankedDataset
 from .kernel import KernelVariant, kernel_matrix, pair_differences
-from .ranker import _QUERY_CHUNK, RankPrediction, _check_query, btl_fit, build_pair_instances, reciprocal_preferences
+from .ranker import RankPrediction, _pair_preferences, btl_fit, build_pair_instances
 from .svm import DEFAULT_C_GRID, _check_cap, _choose_cost, _newton_minimize
 # Not called here; perfbench's tracer wraps these names at this module.
 from .svm import select_c, smo_train  # noqa: F401
@@ -147,29 +147,22 @@ def able2rank_lite(train: RankedDataset, query: np.ndarray, k: int = 20) -> Rank
     are summed and converted into a preference p_ij = S_ij / (S_ij + S_ji)
     (0.5 when there is no evidence at all), then aggregated like the main
     pipeline.  Expects data normalized to [0, 1] and an integer ``k`` >= 1.
-    The evidence is scored ``ranker._QUERY_CHUNK`` query pairs at a time,
-    which bounds its block to 2 x n_prefs x 256 floats.
+    Query pairs are the rows of the evidence, a chunk at a time from
+    ``ranker._pair_preferences``, so each pair's top k lies in one row.
     """
     _check_cap(k, "k")
-    query = _check_query(query, train.n_features, "query")
-    n = len(query)
-    pairs = build_pair_instances(train)
-    n_prefs = len(pairs)
+    pref_diffs = pair_differences(train.all_items(), *build_pair_instances(train).T, "training items")
+    n_prefs = len(pref_diffs)
     if n_prefs == 0:
         raise DataFormatError("no training preferences: every training query has a single item")
-    pref_diffs = pair_differences(train.all_items(), *pairs.T, "training items")
-    forward = pair_differences(query, *np.triu_indices(n, k=1), "query items")
-    upper = np.empty(len(forward))
-    # numpy sums the top k of a lone column in another order than those of a
-    # wider block, so a last chunk of one pair joins the chunk before it.
-    start = 0
-    for stop in [*range(_QUERY_CHUNK, len(forward) - 1, _QUERY_CHUNK), len(forward)]:
-        evidence = kernel_matrix(pref_diffs, forward[start:stop], KernelVariant.MEAN, opposed=True)
+
+    def score(forward: np.ndarray) -> np.ndarray:
+        evidence = kernel_matrix(forward, pref_diffs, KernelVariant.MEAN, opposed=True)
         if k < n_prefs:
-            evidence = np.partition(evidence, n_prefs - k, axis=1)[:, n_prefs - k:]
-        sum_fwd, sum_bwd = (half.sum(axis=0) for half in evidence)
+            evidence = np.partition(evidence, n_prefs - k, axis=2)[:, :, n_prefs - k:]
+        sum_fwd, sum_bwd = evidence.sum(axis=2)
         total = sum_fwd + sum_bwd
-        upper[start:stop] = np.where(total > 0.0, sum_fwd / np.where(total > 0.0, total, 1.0), 0.5)
-        start = stop
-    pref = reciprocal_preferences(upper, n)
+        return np.where(total > 0.0, sum_fwd / np.where(total > 0.0, total, 1.0), 0.5)
+
+    pref = _pair_preferences(query, train.n_features, score)
     return RankPrediction(btl_fit(pref).theta, pref)

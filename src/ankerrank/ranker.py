@@ -9,9 +9,9 @@ on log-utilities, stopped on the gradient norm; its result says whether it
 converged, and a fit that did not converge logs a warning.
 
 ``build_pair_instances`` is the one enumerator of training preferences and
-``reciprocal_preferences`` the one builder of a preference matrix (the
-baselines use both); a ``RankPrediction`` holds BTL utilities and their
-preference matrix and derives its positions through ``ranking_from_scores``.
+``_pair_preferences`` the one path from a query to its reciprocal preference
+matrix (able2rank uses both); a ``RankPrediction`` holds BTL utilities and
+their preference matrix and derives its positions through ``ranking_from_scores``.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ logger = logging.getLogger(__name__)
 
 PREFERENCE_CLIP = 1e-6
 
-# Query pairs per kernel call in preference_matrix and able2rank_lite: bounds
-# the kernel block to 2 x 256 x |S| floats whatever the query size.
+# Query pairs per score call in _pair_preferences: bounds the kernel block
+# to 2 x 256 x |S| floats whatever the query size.
 _QUERY_CHUNK = 256
 
 
@@ -105,7 +105,7 @@ class AnkerModel:
 def _check_query(items, n_features: int, what: str) -> np.ndarray:
     """``items`` as a float array; ``DataFormatError``, naming ``what``, unless they form a query.
 
-    A query to rank is a 2-D array of two or more items of ``n_features`` features.
+    A query to rank is a 2-D array of two or more items of ``n_features`` finite features.
     """
     items = np.asarray(items, dtype=float)
     if items.ndim != 2:
@@ -114,6 +114,8 @@ def _check_query(items, n_features: int, what: str) -> np.ndarray:
         raise DataFormatError(f"{what} has fewer than two items")
     if items.shape[1] != n_features:
         raise DataFormatError(f"{what} has items of {items.shape[1]} features; training items have {n_features}")
+    if not np.isfinite(items).all():
+        raise DataFormatError(f"{what} has non-finite feature values")
     return items
 
 
@@ -151,6 +153,16 @@ def reciprocal_preferences(upper: np.ndarray, n_items: int) -> np.ndarray:
     return pref
 
 
+def _pair_preferences(query, n_features: int, score) -> np.ndarray:
+    """A query's reciprocal preference matrix; ``score`` maps rows x_i - x_j of pairs i < j to p_ij."""
+    query = _check_query(query, n_features, "query")
+    forward = pair_differences(query, *np.triu_indices(len(query), k=1), "query items")
+    upper = np.empty(len(forward))
+    for start in range(0, len(forward), _QUERY_CHUNK):
+        upper[start:start + _QUERY_CHUNK] = score(forward[start:start + _QUERY_CHUNK])
+    return reciprocal_preferences(upper, len(query))
+
+
 def preference_matrix(model: AnkerModel, query: np.ndarray) -> np.ndarray:
     """Reciprocal pairwise preference estimates for a query item set in [0, 1].
 
@@ -162,19 +174,16 @@ def preference_matrix(model: AnkerModel, query: np.ndarray) -> np.ndarray:
     the kernel rows of both orientations: one magnitude ||u| - |v|| per
     feature serves both (see ``kernel``), with the bytes of two calls.
     """
-    svm = model.svm
-    if svm.platt is None:
+    if model.svm.platt is None:
         raise ValueError("model must carry calibration parameters")
-    query = _check_query(query, model.support_diffs.shape[1], "query")
-    forward = pair_differences(query, *np.triu_indices(len(query), k=1), "query items")
-    upper = np.empty(len(forward))
-    for start in range(0, len(forward), _QUERY_CHUNK):
-        chunk = forward[start:start + _QUERY_CHUNK]
-        kernels = kernel_matrix(chunk, model.support_diffs, model.variant, opposed=True)
-        fwd, bwd = (platt_prob(svm.platt, decision_values(svm, half)) for half in kernels)
+
+    def score(forward: np.ndarray) -> np.ndarray:
+        kernels = kernel_matrix(forward, model.support_diffs, model.variant, opposed=True)
+        fwd, bwd = (platt_prob(model.svm.platt, decision_values(model.svm, half)) for half in kernels)
         # Grouping the difference first makes equal support yield exactly 0.5.
-        upper[start:start + len(chunk)] = (1.0 + (fwd - bwd)) / 2.0
-    return reciprocal_preferences(upper, len(query))
+        return (1.0 + (fwd - bwd)) / 2.0
+
+    return _pair_preferences(query, model.support_diffs.shape[1], score)
 
 
 def btl_log_likelihood(pref: np.ndarray, theta: np.ndarray) -> float:
@@ -338,8 +347,6 @@ def anker_rank(train: RankedDataset, query: np.ndarray, *,
     query is rescaled on its own.
     """
     query = _check_query(query, train.n_features, "query")
-    if not np.isfinite(query).all():
-        raise DataFormatError("query features must be finite")
     if scope is None:
         scope = choose_normalization_scope(train.all_items(), query)
     train_norm, query_norm = normalize_train_test(

@@ -277,18 +277,18 @@ def test_able2rank_is_deterministic():
 def _one_block_preference(train_n, query, k):
     """able2rank's preference matrix from one kernel block of all query pairs.
 
-    The evidence against the forward and the negated query pairs is one
-    kernel block, as the halves of one concatenated second argument.
+    The forward and the negated query pairs are the rows of one kernel block
+    against the training preferences; each row's top k is summed.
     """
     pairs = build_pair_instances(train_n)
     n_prefs = len(pairs)
     pref_diffs = train_n.all_items()[pairs[:, 0]] - train_n.all_items()[pairs[:, 1]]
     rows, cols = np.triu_indices(len(query), k=1)
     forward = query[rows] - query[cols]
-    evidence = kernel_matrix(pref_diffs, np.concatenate([forward, -forward]))
+    evidence = kernel_matrix(np.concatenate([forward, -forward]), pref_diffs)
     if k < n_prefs:
-        evidence = np.partition(evidence, n_prefs - k, axis=0)[n_prefs - k:]
-    sum_fwd, sum_bwd = (half.sum(axis=0) for half in np.split(evidence, 2, axis=1))
+        evidence = np.partition(evidence, n_prefs - k, axis=1)[:, n_prefs - k:]
+    sum_fwd, sum_bwd = np.split(evidence.sum(axis=1), 2)
     total = sum_fwd + sum_bwd
     upper = np.where(total > 0.0, sum_fwd / np.where(total > 0.0, total, 1.0), 0.5)
     return reciprocal_preferences(upper, len(query))
@@ -310,12 +310,35 @@ def test_able2rank_equals_one_kernel_call_on_both_orientations_bit_for_bit(n_ite
 def test_able2rank_scores_its_query_pairs_in_chunks_with_the_one_block_bytes(n_items, k):
     # 23 items give 253 pairs, one chunk of 256 or fewer; 24 items give 276,
     # a last chunk of 20; 511 items give 130 305, a last chunk of one pair,
-    # whose top k numpy would sum in another order were it scored alone.
+    # scored alone as one row like every other pair.
     train = make_linear_dataset(1, 6, 2, seed=2)  # 15 training preferences
     train_n = train.with_items(_minmax(train.all_items()))
     query = np.random.default_rng(n_items).random((n_items, 2))
     expected = _one_block_preference(train_n, query, k)
     assert able2rank_lite(train_n, query, k=k).preference.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n_items", [23, 24, 46])
+def test_able2rank_preferences_do_not_depend_on_the_chunk_width(monkeypatch, n_items):
+    # Each query pair's top k is one row of its chunk's evidence, so neither
+    # a chunk of one pair nor the seams between chunks change its sum.
+    train = make_linear_dataset(2, 6, 3, seed=19)  # 30 training preferences
+    train_n = train.with_items(_minmax(train.all_items()))
+    query = np.random.default_rng(n_items).random((n_items, 3))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return kernel_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "kernel_matrix", counted)
+    results = []
+    for width in (1, 7, 256):
+        monkeypatch.setattr("ankerrank.ranker._QUERY_CHUNK", width)
+        calls.clear()
+        results.append(able2rank_lite(train_n, query, k=20).preference.tobytes())
+        assert max(calls) == min(width, n_items * (n_items - 1) // 2)
+    assert results[0] == results[1] == results[2]
 
 
 def test_able2rank_traced_peak_stays_below_one_query_evidence_block():
