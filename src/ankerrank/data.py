@@ -48,7 +48,7 @@ class FeatureSchema:
     ``levels[k]`` is None for numeric features, the two raw values mapped to
     0 and 1 for binary features, and the full ordered level list for ordinal
     features (encoded as index / (len(levels) - 1)).  Names must be unique
-    and non-empty; a level may be empty.
+    and non-empty, and there is at least one; a level may be empty.
     """
 
     names: tuple[str, ...]
@@ -58,6 +58,8 @@ class FeatureSchema:
     def __post_init__(self) -> None:
         if not (len(self.names) == len(self.kinds) == len(self.levels)):
             raise DataFormatError("schema names, kinds, and levels must have equal length")
+        if not self.names:
+            raise DataFormatError("a schema needs at least one feature")
         for k, (name, kind, lev) in enumerate(zip(self.names, self.kinds, self.levels)):
             if not name:
                 raise DataFormatError("a feature has an empty name")
@@ -465,6 +467,8 @@ def choose_normalization_scope(train: np.ndarray, test: np.ndarray) -> Normaliza
             f"schema mismatch: train has {train.shape[1:]} features, test has {test.shape[1:]}"
         )
     d = train.shape[1]
+    if d == 0:
+        raise DataFormatError("items have no features to test")
     per_feature_alpha = SCOPE_ALPHA / d
     for k in range(d):
         if ks_two_sample(train[:, k], test[:, k], per_feature_alpha).rejected:

@@ -110,8 +110,8 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN,
         diffs_a: First collection, an (m, d) array of the pairs' differences
             x - x' of items in [0, 1], so with values in [-1, 1].
         diffs_b: Second collection, same conventions.
-        variant: MEAN averages per-dimension proportion degrees; POLY2
-            squares the average.
+        variant: A ``KernelVariant``: MEAN averages per-dimension
+            proportion degrees; POLY2 squares the average.
         opposed: Also score ``diffs_a`` against the reversed pairs
             ``-diffs_b``.
 
@@ -122,6 +122,8 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN,
         When ``diffs_a is diffs_b`` only the upper triangle is computed and
         mirrored, which gives the same bytes.
     """
+    if not isinstance(variant, KernelVariant):
+        raise ValueError(f"variant must be a KernelVariant, not {variant!r}")
     symmetric = diffs_a is diffs_b
     diffs_a = np.asarray(diffs_a, dtype=float)
     diffs_b = diffs_a if symmetric else np.asarray(diffs_b, dtype=float)

@@ -46,8 +46,10 @@ logger = logging.getLogger(__name__)
 
 PREFERENCE_CLIP = 1e-6
 
-# Query pairs per score call in _pair_preferences: bounds the kernel block
-# to 2 x 256 x |S| floats whatever the query size.
+# Query pairs per score call in _pair_preferences.  It only bounds the
+# kernel block to 2 x 256 x |S| floats whatever the query size: each rule
+# scores a pair from its own kernel row, so the width does not change the
+# preferences.
 _QUERY_CHUNK = 256
 
 

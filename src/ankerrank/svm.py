@@ -226,12 +226,20 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
 
 
 def decision_values(model: SvmModel, kernel_rows) -> np.ndarray:
-    """Vectorized decision values; ``kernel_rows`` is (m, n_support)."""
+    """Decision values of kernel rows, an (m, n_support) array, one per row.
+
+    Each row is summed on its own, not by a BLAS mat-vec, whose rounding of a
+    row depends on where it sits in the block and on the thread count.  So a
+    row's value does not depend on the other rows: scoring rows in chunks
+    gives the bytes of scoring them in one block, at any thread count.  This
+    holds up to 8 192 support vectors, numpy's iterator buffer; a longer row
+    is summed in buffer-sized pieces whose seams move with the block height.
+    """
     rows = np.asarray(kernel_rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != model.support.size:
         raise ValueError(f"kernel rows have shape {rows.shape}, expected (m, {model.support.size})")
     coeffs = model.alpha[model.support] * model.labels[model.support]
-    return rows @ coeffs + model.bias
+    return np.einsum("ij,j->i", rows, coeffs) + model.bias
 
 
 def _newton_minimize(x: np.ndarray, local, tol: float, max_steps: int, what: str):
@@ -298,6 +306,8 @@ def platt_fit(decisions, labels) -> PlattParams:
     y = np.asarray(labels, dtype=float)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("decisions and labels must be 1-D and equally long")
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValueError("labels must be -1 or +1")
     if not np.all(np.isfinite(s)):
         raise ValueError("decision values must be finite")
     n_pos = int(np.sum(y > 0))
@@ -377,11 +387,13 @@ def select_c(kernel: np.ndarray, labels, seed: int = 0) -> float:
     cost, that model also solves each larger cost of the split, so those
     costs make no further SMO call.  Errors are compared exactly, so ties
     go to the smallest cost; a reused model errs exactly as the smaller
-    cost's model does.  Labels of one class raise ``smo_train``'s
-    "single class" ``ValueError``.
+    cost's model does.  Labels of one class, and a kernel that is not
+    (m, m) for m labels, raise ``ValueError`` with ``smo_train``'s message.
     """
     y = np.asarray(labels, dtype=float)
     K = np.asarray(kernel, dtype=float)
+    if K.shape != (y.size, y.size):
+        raise ValueError(f"kernel matrix shape {K.shape} does not match {y.size} labels")
 
     def split_mistakes(fit, val):
         # Gathered here, so one split's sub-kernel is freed before the next is.

@@ -316,6 +316,11 @@ def test_schema_needs_a_kind_and_a_level_entry_per_name():
         FeatureSchema(("a", "b"), (FeatureKind.NUMERIC,), (None, None))
 
 
+def test_schema_needs_a_feature():
+    with pytest.raises(DataFormatError, match="at least one feature"):
+        FeatureSchema((), (), ())
+
+
 @pytest.mark.parametrize("items, message", [
     (np.zeros(2), "2-D"),
     (np.zeros((0, 2)), "at least one item"),
@@ -583,6 +588,11 @@ def test_scope_single_feature_reduces_to_plain_alpha():
 def test_scope_schema_mismatch():
     with pytest.raises(DataFormatError, match="mismatch"):
         choose_normalization_scope(np.zeros((5, 2)), np.zeros((5, 3)))
+
+
+def test_scope_needs_a_feature():
+    with pytest.raises(DataFormatError, match="no features"):
+        choose_normalization_scope(np.zeros((5, 0)), np.zeros((3, 0)))
 
 
 # Expected outputs of train [[0], [4]] and tests [[8]] / [[8], [10]] per mode.

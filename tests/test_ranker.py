@@ -1,14 +1,9 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import ankerrank
 from ankerrank.baselines import able2rank_lite
 from ankerrank.data import (
     DataFormatError,
@@ -94,6 +89,16 @@ def test_anker_fit_pairs_match_the_coin_loop_oracle(cap):
     # alpha depends on every pair's orientation through the Gram matrix
     reference = smo_train(gram_matrix(first - second, KernelVariant.POLY2), labels, 1.0)
     assert np.array_equal(model.svm.alpha, reference.alpha)
+
+
+@pytest.mark.parametrize("variant", ["poly2", "mean"])
+def test_a_variant_that_is_not_a_kernel_variant_is_refused(variant):
+    diffs = np.array([[0.25, -0.5], [0.0, 1.0]])
+    message = f"variant must be a KernelVariant, not '{variant}'"
+    with pytest.raises(ValueError, match=message):
+        kernel_matrix(diffs, diffs[::-1], variant)
+    with pytest.raises(ValueError, match=message):
+        anker_fit(make_linear_dataset(2, 5, 2, seed=4), variant=variant, C=1.0)
 
 
 def test_pair_extraction_is_deterministic():
@@ -295,11 +300,12 @@ def _random_query(n_items, n_features, seed):
     return query
 
 
-def check_preference_matrix_is_the_two_call_formula():
+def test_preference_matrix_is_the_two_call_formula_bit_for_bit(monkeypatch):
     """preference_matrix, byte for byte, from one whole kernel block per orientation.
 
     The query sizes give 1, 45, 253, 276, 1035 and 4950 pairs, on both sides
-    of multiples of the 256 pairs that preference_matrix scores per kernel call.
+    of multiples of the chunk widths, so neither the seams between chunks
+    nor a chunk of one pair may change a row's decision value.
     """
     model = _random_model(700, 5, seed=40)
     svm = model.svm
@@ -309,22 +315,10 @@ def check_preference_matrix_is_the_two_call_formula():
         forward = query[rows] - query[cols]
         kernels = (kernel_matrix(diffs, model.support_diffs, model.variant) for diffs in (forward, -forward))
         fwd, bwd = (platt_prob(svm.platt, decision_values(svm, kernel)) for kernel in kernels)
-        expected = reciprocal_preferences((1.0 + (fwd - bwd)) / 2.0, n_items)
-        assert preference_matrix(model, query).tobytes() == expected.tobytes(), n_items
-
-
-def test_preference_matrix_is_the_two_call_formula_bit_for_bit():
-    # In a fresh interpreter with one BLAS thread.  A mat-vec split across
-    # threads rounds a few rows differently depending on where the split
-    # falls, which moves with the block height, and preference_matrix takes
-    # its decision values a chunk of pairs at a time.
-    tests_dir = Path(__file__).resolve().parent
-    src_dir = Path(ankerrank.__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
-    script = "import test_ranker; test_ranker.check_preference_matrix_is_the_two_call_formula()"
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert run.returncode == 0, run.stderr
+        expected = reciprocal_preferences((1.0 + (fwd - bwd)) / 2.0, n_items).tobytes()
+        for width in (1, 7, 256):
+            monkeypatch.setattr("ankerrank.ranker._QUERY_CHUNK", width)
+            assert preference_matrix(model, query).tobytes() == expected, (n_items, width)
 
 
 def test_anker_predict_traced_peak_stays_below_one_query_kernel_block():

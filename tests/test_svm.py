@@ -323,7 +323,8 @@ def test_decision_values_need_one_kernel_column_per_support_vector():
     ([[0.5, -0.5]], [[1.0, -1.0]], "1-D and equally long"),
     ([0.5, np.nan], [1.0, -1.0], "decision values must be finite"),
     ([np.inf, -0.5], [1.0, -1.0], "decision values must be finite"),
-], ids=["unequal-lengths", "two-dimensional", "nan", "inf"])
+    ([1.0, 2.0, 3.0], [1.0, 0.0, -1.0], r"labels must be -1 or \+1"),
+], ids=["unequal-lengths", "two-dimensional", "nan", "inf", "label-zero"])
 def test_platt_rejects_malformed_decisions(decisions, labels, message):
     with pytest.raises(ValueError, match=message):
         platt_fit(np.array(decisions), np.array(labels))
@@ -588,6 +589,13 @@ def test_select_c_rejects_a_single_class():
     gram, _ = separable_instance(np.random.default_rng(8))
     with pytest.raises(ValueError, match="single class"):
         select_c(gram, -np.ones(len(gram)), seed=0)
+
+
+@pytest.mark.parametrize("kernel", [np.vstack([np.eye(4), np.ones((1, 4))]), np.ones((4, 5))],
+                         ids=["extra-row", "extra-column"])
+def test_select_c_rejects_a_kernel_that_is_not_one_row_and_column_per_label(kernel):
+    with pytest.raises(ValueError, match=r"kernel matrix shape \(\d, \d\) does not match 4 labels"):
+        select_c(kernel, [1.0, -1.0, 1.0, -1.0])
 
 
 def test_choose_cost_compares_error_sums_exactly():
