@@ -21,12 +21,11 @@ intersection kernel), so the sum of the two minima is PSD.  By the Schur
 product theorem the elementwise product is PSD too, and so are its average
 over features (MEAN) and that average squared (POLY2).
 
-The same identity scores a pair against a reversed pair for free: -v lies
-in the sign class opposite to v's, and for u and v of opposite nonzero
-signs |u - (-v)| = |u + v| = ||u| - |v|| too.  So one pass per feature
-computes t = 1 - ||u| - |v||, exactly the term either orientation needs,
-and ``kernel_matrix(..., opposed=True)`` gates it by sign class into K(a, b)
-and K(a, -b), the bytes of two separate calls.
+The same identity scores a pair against a reversed pair: -v lies in the
+sign class opposite to v's, so K(a, b) and K(a, -b) both sum 1 - ||u| - |v||
+over the features where the classes match, u's against v's or against the
+opposite one.  ``kernel_matrix(..., opposed=True)`` computes both from one
+matrix product per block of rows, with the bytes of two separate calls.
 """
 
 from __future__ import annotations
@@ -49,9 +48,12 @@ _BOOLEAN_TABLE = frozenset(
     }
 )
 
-# Rows of kernel_matrix's output filled per block: with a few hundred to a
-# few thousand columns the block's slab stays in cache across the features.
+# kernel_matrix builds u's operand for _BLOCK_ROWS rows of its output at a
+# time and runs one product per _PRODUCT_ROWS rows, whose terms (a row per
+# feature, orientation and output row) stay in cache until summed.
 _BLOCK_ROWS = 32
+_PRODUCT_ROWS = 4
+_CLASSES = np.arange(3)
 
 
 class KernelVariant(Enum):
@@ -102,25 +104,37 @@ def pair_differences(items, first, second, what: str) -> np.ndarray:
     return items[first] - items[second]
 
 
+def _left_operand(diffs: np.ndarray, halves: int) -> np.ndarray:
+    """u's rows of the product: row (i, h) holds (|u_i|, 1) in u_i's class, the opposite one for h = 1."""
+    u = np.ascontiguousarray(diffs.T)
+    left = np.empty((len(u), len(diffs), halves, 3, 2))
+    np.equal(np.sign(u)[:, :, None] + 1.0, _CLASSES, out=left[:, :, 0, :, 1])
+    left[:, :, 1:, :, 1] = left[:, :, :1, ::-1, 1]
+    np.multiply(left[..., 1], np.abs(u)[:, :, None, None], out=left[..., 0])
+    return left.reshape(len(u), -1, 6)
+
+
 def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN, *,
                   opposed: bool = False) -> np.ndarray:
     """Kernel values between two collections of ordered item pairs.
 
-    Args:
-        diffs_a: First collection, an (m, d) array of the pairs' differences
-            x - x' of items in [0, 1], so with values in [-1, 1].
-        diffs_b: Second collection, same conventions.
-        variant: A ``KernelVariant``: MEAN averages per-dimension
-            proportion degrees; POLY2 squares the average.
-        opposed: Also score ``diffs_a`` against the reversed pairs
-            ``-diffs_b``.
+    ``diffs_a`` and ``diffs_b`` are (m, d) arrays of the pairs' differences
+    x - x' of items in [0, 1], so with values in [-1, 1].  Returns a
+    (len(diffs_a), len(diffs_b)) array with values in [0, 1]: the mean of
+    the per-feature degrees (MEAN) or its square (POLY2).  With ``opposed``
+    it is a (2, len(diffs_a), len(diffs_b)) array of K(a, b) and K(a, -b),
+    the reversed pairs' values, the bytes of two separate calls.  When
+    ``diffs_a is diffs_b`` only the upper triangle is computed and mirrored,
+    which gives the same bytes.
 
-    Returns:
-        Array of shape (len(diffs_a), len(diffs_b)) with values in [0, 1];
-        with ``opposed`` an array of shape (2, len(diffs_a), len(diffs_b))
-        holding K(a, b) and K(a, -b), the same bytes as two separate calls.
-        When ``diffs_a is diffs_b`` only the upper triangle is computed and
-        mirrored, which gives the same bytes.
+    Entry (i, j) sums 1 - |x| over the features in order, where x = |u| - |v|
+    for u = diffs_a[i, k] and v = diffs_b[j, k] of one sign class (negative,
+    zero, positive), else 1.  One product per block of rows gives x: v's
+    column holds ([v in c], v in c ? -|v| : 1) for each class c, u's row
+    (|u|, 1) in its own class's places (the opposite class's for K(a, -b))
+    and zeros elsewhere.  The inputs are finite, so every product is exact
+    and every other summand an exact zero: x is fl(|u| - |v|) or exactly 1
+    at any BLAS summation order or thread count.
     """
     if not isinstance(variant, KernelVariant):
         raise ValueError(f"variant must be a KernelVariant, not {variant!r}")
@@ -138,56 +152,40 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN,
     n_dim = diffs_a.shape[1]
     if n_dim == 0:
         raise ValueError("pairs must have at least one feature")
-    # Features along rows, so each feature's magnitudes are contiguous; the
-    # sign classes are 0 (negative), 1 (zero, -0.0 included) and 2 (positive).
-    col_a = np.ascontiguousarray(diffs_a.T)
-    col_b = col_a if symmetric else np.ascontiguousarray(diffs_b.T)
-    abs_a = np.abs(col_a)
-    abs_b = abs_a if symmetric else np.abs(col_b)
-    class_a = (np.sign(col_a) + 1.0).astype(np.intp)
-    class_b = class_a if symmetric else (np.sign(col_b) + 1.0).astype(np.intp)
-    # gate[k, c, j] = [class of diffs_b[j, k] is c]; -v is in class 2 - c.
-    gate = (class_b[:, None, :] == np.arange(3)[:, None]).astype(float)
-
-    n_a, n_b = col_a.shape[1], col_b.shape[1]
-    out = np.zeros((1 + opposed, n_a, n_b))
-    # The rows are filled a block at a time, so the block and its per-feature
-    # slab stay in cache while every feature is added in.  Each entry sums
-    # the term 1 - |u - v| over the features in order where u and v share a
-    # sign class, else 0.  Within a class u - v = +-(|u| - |v|) exactly, and
-    # for opposite classes u + v is too, so one slab t = 1 - ||u| - |v||
-    # serves both K(a, b) and K(a, -b); each half takes t times a 0/1 gate
-    # row picked by u's class.  A gated-off term is +0, as t >= 0 (inputs are
-    # finite, see _check_within), and leaves the sum as it was.  The slab
-    # stays contiguous where a symmetric block is narrower.  Entry (j, i)
-    # sums the same terms as entry (i, j), so mirroring the upper triangle is
-    # bit-identical.
-    # The gate rows are gathered into one preallocated block; mode="clip"
-    # lets np.take write into it directly (the classes are 0..2 already),
-    # where the default mode="raise" gathers into a temporary first.
-    slab_buf = np.empty(_BLOCK_ROWS * n_b)
-    term_buf = np.empty(_BLOCK_ROWS * n_b)
-    for start in range(0, n_a, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n_a)
-        rows, cols = slice(start, stop), slice(start if symmetric else 0, n_b)
-        blocks = out[:, rows, cols]
-        slab = slab_buf[: blocks[0].size].reshape(blocks[0].shape)
-        term = term_buf[: blocks[0].size].reshape(blocks[0].shape)
-        for k in range(n_dim):
-            np.copyto(slab, abs_a[k, rows, None])
-            np.subtract(slab, abs_b[k, cols], out=slab)
-            np.abs(slab, out=slab)
-            np.subtract(1.0, slab, out=slab)
-            table = gate[k, :, cols]
-            for block, gates in zip(blocks, (table, table[::-1])):
-                np.take(gates, class_a[k, rows], axis=0, out=term, mode="clip")
-                np.multiply(term, slab, out=term)
-                block += term
+    n_a, n_b, halves = len(diffs_a), len(diffs_b), 1 + opposed
+    # v's columns of the product: ([v in c], v in c ? -|v| : 1) for c = 0, 1, 2.
+    right = np.empty((n_dim, 3, 2, n_b))
+    in_class, gate = right[:, :, 0], right[:, :, 1]
+    np.equal(np.sign(diffs_b.T)[:, None] + 1.0, _CLASSES[:, None], out=in_class)
+    np.subtract(1.0, in_class, out=gate)
+    gate -= in_class * np.abs(diffs_b.T)[:, None]
+    right = right.reshape(n_dim, 6, n_b)
+    out = np.empty((halves, n_a, n_b))
+    term_buf = np.empty(n_dim * _PRODUCT_ROWS * halves * n_b)
+    sum_buf = np.empty(_PRODUCT_ROWS * halves * n_b)
+    for start in range(0, n_a, _PRODUCT_ROWS):
+        if start % _BLOCK_ROWS == 0:
+            left = _left_operand(diffs_a[start:start + _BLOCK_ROWS], halves)
+        stop = min(start + _PRODUCT_ROWS, n_a)
+        col = start if symmetric else 0
+        rows, width = (stop - start) * halves, n_b - col
+        terms = term_buf[: n_dim * rows * width].reshape(n_dim, rows, width)
+        first = start % _BLOCK_ROWS * halves
+        np.matmul(left[:, first:first + rows], right[:, :, col:], out=terms)
+        np.abs(terms, out=terms)
+        np.subtract(1.0, terms, out=terms)
+        sums = sum_buf[: rows * width].reshape(stop - start, halves, width)
+        # The features are the reduction's outer loop, added in order.
+        if sums.size == 1:  # numpy would sum a lone entry pairwise
+            sums[...] = np.add.accumulate(terms)[-1]
+        else:
+            np.add.reduce(terms.reshape(n_dim, *sums.shape), axis=0, out=sums)
+        sums /= n_dim
+        if variant is KernelVariant.POLY2:
+            np.multiply(sums, sums, out=sums)
+        out[:, start:stop, col:] = sums.transpose(1, 0, 2)
         if symmetric:
-            out[:, stop:, rows] = out[:, rows, stop:].transpose(0, 2, 1)
-    out /= n_dim
-    if variant is KernelVariant.POLY2:
-        np.multiply(out, out, out=out)
+            out[:, stop:, start:stop] = out[:, start:stop, stop:].transpose(0, 2, 1)
     return out if opposed else out[0]
 
 

@@ -173,8 +173,8 @@ def preference_matrix(model: AnkerModel, query: np.ndarray) -> np.ndarray:
     p_ij = (1 + q_ij - q_ji) / 2, which makes the matrix reciprocal.  The
     backward differences are the forward ones negated, exactly, so one
     ``kernel_matrix(..., opposed=True)`` call per chunk of query pairs gives
-    the kernel rows of both orientations: one magnitude ||u| - |v|| per
-    feature serves both (see ``kernel``), with the bytes of two calls.
+    the kernel rows of both orientations from the same matrix products (see
+    ``kernel``), with the bytes of two calls.
     """
     if model.svm.platt is None:
         raise ValueError("model must carry calibration parameters")

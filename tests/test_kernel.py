@@ -1,8 +1,14 @@
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ankerrank
 from ankerrank.kernel import (
     _BLOCK_ROWS,
     KernelVariant,
@@ -252,12 +258,10 @@ def _edge_value_pairs(rng, n, d):
     return first, second
 
 
-@pytest.mark.parametrize("n_cols", [1, 7])
-@pytest.mark.parametrize("n_rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
-def test_kernel_matrix_equals_the_full_slab_oracle_bit_for_bit(n_rows, n_cols):
-    rng = np.random.default_rng(1000 * n_rows + n_cols)
-    a = _edge_value_pairs(rng, n_rows, 5)
-    b = _edge_value_pairs(rng, n_cols, 5)
+def _check_against_the_full_slab_oracle(n_rows, n_cols, n_dim, seed):
+    rng = np.random.default_rng(seed)
+    a = _edge_value_pairs(rng, n_rows, n_dim)
+    b = _edge_value_pairs(rng, n_cols, n_dim)
     diffs_a, diffs_b = a[0] - a[1], b[0] - b[1]
     for variant in KernelVariant:
         expected = full_slab_kernel_matrix(a, b, poly2=variant is KernelVariant.POLY2)
@@ -269,6 +273,81 @@ def test_kernel_matrix_equals_the_full_slab_oracle_bit_for_bit(n_rows, n_cols):
         assert both.tobytes() == np.stack([expected, reversed_b]).tobytes()
         assert both.tobytes() == np.stack([kernel_matrix(diffs_a, diffs_b, variant),
                                            kernel_matrix(diffs_a, -diffs_b, variant)]).tobytes()
+
+
+# 257 and 1 000 columns are split into tiles by BLAS; a one-row block may go
+# through a matrix-vector product.
+@pytest.mark.parametrize("n_cols", [1, 7, 257, 1000])
+@pytest.mark.parametrize("n_rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
+def test_kernel_matrix_equals_the_full_slab_oracle_bit_for_bit(n_rows, n_cols):
+    _check_against_the_full_slab_oracle(n_rows, n_cols, 5, 1000 * n_rows + n_cols)
+
+
+# One feature and ten; a lone entry with ten features is the one case in
+# which numpy would not add the features in order by itself.
+@pytest.mark.parametrize("n_rows, n_cols, n_dim", [
+    (1, 1, 1), (1, 1000, 1), (_BLOCK_ROWS + 1, 257, 1), (2 * _BLOCK_ROWS + 3, 1000, 1),
+    (1, 1, 10), (3, 1, 10), (1, 1000, 10), (2 * _BLOCK_ROWS + 3, 257, 10),
+])
+def test_kernel_matrix_equals_the_full_slab_oracle_in_other_shapes(n_rows, n_cols, n_dim):
+    _check_against_the_full_slab_oracle(n_rows, n_cols, n_dim, 7 * n_rows + 11 * n_cols + n_dim)
+
+
+def test_a_lone_entry_adds_its_features_in_order():
+    # One row against one column: the sum over twelve features is the whole
+    # reduction, which numpy would otherwise split into partial sums.
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a, b = (rng.random((2, 1, 12)) for _ in range(2))
+        expected = full_slab_kernel_matrix(a, b)
+        assert kernel_matrix(a[0] - a[1], b[0] - b[1]).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("opposed", [False, True])
+def test_kernel_matrix_of_an_empty_collection_is_empty(opposed):
+    diffs = _edge_value_pairs(np.random.default_rng(3), 4, 3)
+    diffs = diffs[0] - diffs[1]
+    empty = np.zeros((0, 3))
+    halves = (2,) if opposed else ()
+    for a, b, shape in ((empty, diffs, (0, 4)), (diffs, empty, (4, 0)), (empty, empty, (0, 0))):
+        for variant in KernelVariant:
+            out = kernel_matrix(a, b, variant, opposed=opposed)
+            assert out.shape == halves + shape
+            assert out.dtype == np.float64
+
+
+_HASH_KERNELS = """
+import hashlib, sys
+import numpy as np
+from ankerrank.kernel import KernelVariant, gram_matrix, kernel_matrix
+for path in sys.argv[1:]:
+    pairs = np.load(path)
+    a, b = pairs["a"], pairs["b"]
+    for out in (kernel_matrix(a, b, KernelVariant.POLY2, opposed=True), gram_matrix(b[:2000], KernelVariant.MEAN)):
+        print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_kernel_bytes_do_not_depend_on_the_thread_count(tmp_path):
+    # Every entry of the block products is exact, so the bytes cannot depend
+    # on whether or how BLAS splits a product across threads.
+    rng = np.random.default_rng(77)
+    paths, expected = [], []
+    for n_dim, n_cols in ((10, 2000), (1, 6000)):
+        a, b = _edge_value_pairs(rng, 300, n_dim), _edge_value_pairs(rng, n_cols, n_dim)
+        diffs_a, diffs_b = a[0] - a[1], b[0] - b[1]
+        paths.append(tmp_path / f"diffs-{n_dim}.npz")
+        np.savez(paths[-1], a=diffs_a, b=diffs_b)
+        expected += [kernel_matrix(diffs_a, diffs_b, KernelVariant.POLY2, opposed=True),
+                     gram_matrix(diffs_b[:2000], KernelVariant.MEAN)]
+    expected = [hashlib.sha256(out.tobytes()).hexdigest() for out in expected]
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(ankerrank.__file__).resolve().parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _HASH_KERNELS, *map(str, paths)],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == expected
 
 
 @pytest.mark.parametrize("m", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
