@@ -159,7 +159,8 @@ def able2rank_lite(train: RankedDataset, query: np.ndarray, k: int = 20) -> Rank
     def score(forward: np.ndarray) -> np.ndarray:
         evidence = kernel_matrix(forward, pref_diffs, KernelVariant.MEAN, opposed=True)
         if k < n_prefs:
-            evidence = np.partition(evidence, n_prefs - k, axis=2)[:, :, n_prefs - k:]
+            evidence.partition(n_prefs - k, axis=2)
+            evidence = evidence[:, :, n_prefs - k:]
         sum_fwd, sum_bwd = evidence.sum(axis=2)
         total = sum_fwd + sum_bwd
         return np.where(total > 0.0, sum_fwd / np.where(total > 0.0, total, 1.0), 0.5)

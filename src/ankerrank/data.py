@@ -258,7 +258,8 @@ def load_dataset(path: str | Path, schema: FeatureSchema | None = None) -> Ranke
     """Load a ranked dataset from CSV.
 
     Args:
-        path: CSV file following the dataset contract, in UTF-8.
+        path: CSV file following the dataset contract, in UTF-8 with or
+            without a byte-order mark.
         schema: Optional schema from a previously loaded file; header names
             and kinds must match, so must any level list the header declares,
             and binary/ordinal encodings are taken from it so that separately
@@ -273,7 +274,7 @@ def load_dataset(path: str | Path, schema: FeatureSchema | None = None) -> Ranke
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
             rows = [row for row in csv.reader(handle) if row]  # tolerate blank lines
         return _parse_rows(rows, schema)
     except (DataFormatError, OSError, UnicodeDecodeError, csv.Error) as exc:

@@ -36,22 +36,9 @@ import numpy as np
 
 from .data import DataFormatError
 
-# The six Boolean quadruples that are in exact analogical proportion.
-_BOOLEAN_TABLE = frozenset(
-    {
-        (0, 0, 0, 0),
-        (0, 0, 1, 1),
-        (0, 1, 0, 1),
-        (1, 0, 1, 0),
-        (1, 1, 0, 0),
-        (1, 1, 1, 1),
-    }
-)
-
-# kernel_matrix builds u's operand for _BLOCK_ROWS rows of its output at a
-# time and runs one product per _PRODUCT_ROWS rows, whose terms (a row per
-# feature, orientation and output row) stay in cache until summed.
-_BLOCK_ROWS = 32
+# kernel_matrix runs one product per _PRODUCT_ROWS rows of its output, whose
+# terms (a row per feature, orientation and output row) stay in cache until
+# summed.
 _PRODUCT_ROWS = 4
 _CLASSES = np.arange(3)
 
@@ -64,11 +51,11 @@ class KernelVariant(Enum):
 
 
 def boolean_proportion(a: int, b: int, c: int, d: int) -> int:
-    """Exact analogical proportion on bits: 1 for the six valid quadruples, else 0."""
+    """Exact analogical proportion on bits: 1 when a - b = c - d, else 0."""
     quad = (a, b, c, d)
     if any(x not in (0, 1) for x in quad):
         raise ValueError(f"boolean_proportion expects bits in {{0, 1}}, got {quad}")
-    return int(quad in _BOOLEAN_TABLE)
+    return int(a - b == c - d)
 
 
 def proportion_degree(a: float, b: float, c: float, d: float) -> float:
@@ -160,18 +147,16 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN,
     np.subtract(1.0, in_class, out=gate)
     gate -= in_class * np.abs(diffs_b.T)[:, None]
     right = right.reshape(n_dim, 6, n_b)
+    left = _left_operand(diffs_a, halves)
     out = np.empty((halves, n_a, n_b))
     term_buf = np.empty(n_dim * _PRODUCT_ROWS * halves * n_b)
     sum_buf = np.empty(_PRODUCT_ROWS * halves * n_b)
     for start in range(0, n_a, _PRODUCT_ROWS):
-        if start % _BLOCK_ROWS == 0:
-            left = _left_operand(diffs_a[start:start + _BLOCK_ROWS], halves)
         stop = min(start + _PRODUCT_ROWS, n_a)
         col = start if symmetric else 0
         rows, width = (stop - start) * halves, n_b - col
         terms = term_buf[: n_dim * rows * width].reshape(n_dim, rows, width)
-        first = start % _BLOCK_ROWS * halves
-        np.matmul(left[:, first:first + rows], right[:, :, col:], out=terms)
+        np.matmul(left[:, start * halves:stop * halves], right[:, :, col:], out=terms)
         np.abs(terms, out=terms)
         np.subtract(1.0, terms, out=terms)
         sums = sum_buf[: rows * width].reshape(stop - start, halves, width)

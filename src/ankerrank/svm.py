@@ -32,6 +32,9 @@ _PLATT_MAX_STEPS, _PLATT_TOL = 100, 1e-10  # Platt's Newton step cap and gradien
 # The Newton line search: Armijo constant and smallest step fraction.
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-10
+# np.einsum sums a row of up to 8 192 entries (its iterator buffer) in one
+# pass whose rounding does not depend on the other rows of the block.
+_ROW_PIECE = 8192
 
 
 @dataclass(frozen=True)
@@ -231,15 +234,18 @@ def decision_values(model: SvmModel, kernel_rows) -> np.ndarray:
     Each row is summed on its own, not by a BLAS mat-vec, whose rounding of a
     row depends on where it sits in the block and on the thread count.  So a
     row's value does not depend on the other rows: scoring rows in chunks
-    gives the bytes of scoring them in one block, at any thread count.  This
-    holds up to 8 192 support vectors, numpy's iterator buffer; a longer row
-    is summed in buffer-sized pieces whose seams move with the block height.
+    gives the bytes of scoring them in one block, at any thread count.  A row
+    longer than 8 192 entries is summed in pieces of that length, added in
+    order.
     """
     rows = np.asarray(kernel_rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != model.support.size:
         raise ValueError(f"kernel rows have shape {rows.shape}, expected (m, {model.support.size})")
     coeffs = model.alpha[model.support] * model.labels[model.support]
-    return np.einsum("ij,j->i", rows, coeffs) + model.bias
+    sums = np.einsum("ij,j->i", rows[:, :_ROW_PIECE], coeffs[:_ROW_PIECE])
+    for start in range(_ROW_PIECE, coeffs.size, _ROW_PIECE):
+        sums += np.einsum("ij,j->i", rows[:, start:start + _ROW_PIECE], coeffs[start:start + _ROW_PIECE])
+    return sums + model.bias
 
 
 def _newton_minimize(x: np.ndarray, local, tol: float, max_steps: int, what: str):

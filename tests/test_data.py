@@ -44,6 +44,16 @@ def test_load_single_query(tmp_path):
     assert np.array_equal(query.items, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
 
+def test_load_a_file_that_starts_with_a_byte_order_mark(tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start the file with U+FEFF.
+    text = "query_id,rank,a,b\nq1,1,1.0,2.0\nq1,2,3.0,4.0\n"
+    marked = load_dataset(write_csv(tmp_path, "\ufeff" + text, name="marked.csv"))
+    plain = load_dataset(write_csv(tmp_path, text))
+    assert marked.schema == plain.schema
+    assert [q.query_id for q in marked.queries] == ["q1"]
+    assert np.array_equal(marked.queries[0].items, plain.queries[0].items)
+
+
 def test_load_duplicate_rank_is_an_error(tmp_path):
     path = write_csv(tmp_path, "query_id,rank,a\nq1,1,1\nq1,1,2\nq1,2,3\n")
     with pytest.raises(DataFormatError, match="duplicate rank"):

@@ -10,7 +10,7 @@ import pytest
 
 import ankerrank
 from ankerrank.kernel import (
-    _BLOCK_ROWS,
+    _PRODUCT_ROWS,
     KernelVariant,
     boolean_proportion,
     gram_matrix,
@@ -278,7 +278,7 @@ def _check_against_the_full_slab_oracle(n_rows, n_cols, n_dim, seed):
 # 257 and 1 000 columns are split into tiles by BLAS; a one-row block may go
 # through a matrix-vector product.
 @pytest.mark.parametrize("n_cols", [1, 7, 257, 1000])
-@pytest.mark.parametrize("n_rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
+@pytest.mark.parametrize("n_rows", [1, _PRODUCT_ROWS - 1, _PRODUCT_ROWS, _PRODUCT_ROWS + 1, 31, 32, 33, 67])
 def test_kernel_matrix_equals_the_full_slab_oracle_bit_for_bit(n_rows, n_cols):
     _check_against_the_full_slab_oracle(n_rows, n_cols, 5, 1000 * n_rows + n_cols)
 
@@ -286,8 +286,8 @@ def test_kernel_matrix_equals_the_full_slab_oracle_bit_for_bit(n_rows, n_cols):
 # One feature and ten; a lone entry with ten features is the one case in
 # which numpy would not add the features in order by itself.
 @pytest.mark.parametrize("n_rows, n_cols, n_dim", [
-    (1, 1, 1), (1, 1000, 1), (_BLOCK_ROWS + 1, 257, 1), (2 * _BLOCK_ROWS + 3, 1000, 1),
-    (1, 1, 10), (3, 1, 10), (1, 1000, 10), (2 * _BLOCK_ROWS + 3, 257, 10),
+    (1, 1, 1), (1, 1000, 1), (33, 257, 1), (67, 1000, 1),
+    (1, 1, 10), (3, 1, 10), (1, 1000, 10), (67, 257, 10),
 ])
 def test_kernel_matrix_equals_the_full_slab_oracle_in_other_shapes(n_rows, n_cols, n_dim):
     _check_against_the_full_slab_oracle(n_rows, n_cols, n_dim, 7 * n_rows + 11 * n_cols + n_dim)
@@ -350,7 +350,7 @@ def test_kernel_bytes_do_not_depend_on_the_thread_count(tmp_path):
         assert run.stdout.split() == expected
 
 
-@pytest.mark.parametrize("m", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
+@pytest.mark.parametrize("m", [1, _PRODUCT_ROWS - 1, _PRODUCT_ROWS, _PRODUCT_ROWS + 1, 31, 32, 33, 67])
 def test_gram_matrix_equals_kernel_matrix_bit_for_bit(m):
     # gram_matrix computes the upper triangle and mirrors it; kernel_matrix
     # fills both triangles when its arguments are distinct objects
