@@ -156,12 +156,12 @@ def able2rank_lite(train: RankedDataset, query: np.ndarray, k: int = 20) -> Rank
     if n_prefs == 0:
         raise DataFormatError("no training preferences: every training query has a single item")
 
-    def score(forward: np.ndarray) -> np.ndarray:
-        evidence = kernel_matrix(forward, pref_diffs, KernelVariant.MEAN, opposed=True)
+    def score(pairs: np.ndarray) -> np.ndarray:
+        evidence = kernel_matrix(pairs, pref_diffs, KernelVariant.MEAN)
         if k < n_prefs:
-            evidence.partition(n_prefs - k, axis=2)
-            evidence = evidence[:, :, n_prefs - k:]
-        sum_fwd, sum_bwd = evidence.sum(axis=2)
+            evidence.partition(n_prefs - k, axis=1)
+            evidence = evidence[:, n_prefs - k:]
+        sum_fwd, sum_bwd = evidence.sum(axis=1).reshape(2, -1)
         total = sum_fwd + sum_bwd
         return np.where(total > 0.0, sum_fwd / np.where(total > 0.0, total, 1.0), 0.5)
 

@@ -434,12 +434,15 @@ def ks_two_sample(a, b, alpha: float = 0.05) -> KsDecision:
 
     The statistic is the supremum gap between the two empirical CDFs; the
     p-value uses the asymptotic Kolmogorov distribution with effective sample
-    size n*m/(n+m).
+    size n*m/(n+m).  Empty samples and NaN or infinite values raise
+    ``ValueError``.
     """
     a = np.sort(np.asarray(a, dtype=float).ravel())
     b = np.sort(np.asarray(b, dtype=float).ravel())
     if a.size == 0 or b.size == 0:
         raise ValueError("ks_two_sample requires non-empty samples")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("ks_two_sample requires finite samples")
     pooled = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, pooled, side="right") / a.size
     cdf_b = np.searchsorted(b, pooled, side="right") / b.size

@@ -21,11 +21,9 @@ intersection kernel), so the sum of the two minima is PSD.  By the Schur
 product theorem the elementwise product is PSD too, and so are its average
 over features (MEAN) and that average squared (POLY2).
 
-The same identity scores a pair against a reversed pair: -v lies in the
-sign class opposite to v's, so K(a, b) and K(a, -b) both sum 1 - ||u| - |v||
-over the features where the classes match, u's against v's or against the
-opposite one.  ``kernel_matrix(..., opposed=True)`` computes both from one
-matrix product per block of rows, with the bytes of two separate calls.
+Reversing a pair negates its difference, which moves every feature to the
+opposite sign class and keeps |u|, so K(a, -b) and K(-a, b) are the same
+bytes: a caller scores reversed pairs as negated rows of the same call.
 """
 
 from __future__ import annotations
@@ -37,9 +35,8 @@ import numpy as np
 from .data import DataFormatError
 
 # kernel_matrix runs one product per _PRODUCT_ROWS rows of its output, whose
-# terms (a row per feature, orientation and output row) stay in cache until
-# summed.
-_PRODUCT_ROWS = 4
+# terms (a row per feature and output row) stay in cache until summed.
+_PRODUCT_ROWS = 8
 _CLASSES = np.arange(3)
 
 
@@ -91,26 +88,22 @@ def pair_differences(items, first, second, what: str) -> np.ndarray:
     return items[first] - items[second]
 
 
-def _left_operand(diffs: np.ndarray, halves: int) -> np.ndarray:
-    """u's rows of the product: row (i, h) holds (|u_i|, 1) in u_i's class, the opposite one for h = 1."""
+def _left_operand(diffs: np.ndarray) -> np.ndarray:
+    """u's rows of the product: row i holds (|u_i|, 1) in u_i's sign class and zeros elsewhere."""
     u = np.ascontiguousarray(diffs.T)
-    left = np.empty((len(u), len(diffs), halves, 3, 2))
-    np.equal(np.sign(u)[:, :, None] + 1.0, _CLASSES, out=left[:, :, 0, :, 1])
-    left[:, :, 1:, :, 1] = left[:, :, :1, ::-1, 1]
-    np.multiply(left[..., 1], np.abs(u)[:, :, None, None], out=left[..., 0])
+    left = np.empty((len(u), len(diffs), 3, 2))
+    np.equal(np.sign(u)[:, :, None] + 1.0, _CLASSES, out=left[..., 1])
+    np.multiply(left[..., 1], np.abs(u)[:, :, None], out=left[..., 0])
     return left.reshape(len(u), -1, 6)
 
 
-def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN, *,
-                  opposed: bool = False) -> np.ndarray:
+def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN) -> np.ndarray:
     """Kernel values between two collections of ordered item pairs.
 
     ``diffs_a`` and ``diffs_b`` are (m, d) arrays of the pairs' differences
     x - x' of items in [0, 1], so with values in [-1, 1].  Returns a
     (len(diffs_a), len(diffs_b)) array with values in [0, 1]: the mean of
-    the per-feature degrees (MEAN) or its square (POLY2).  With ``opposed``
-    it is a (2, len(diffs_a), len(diffs_b)) array of K(a, b) and K(a, -b),
-    the reversed pairs' values, the bytes of two separate calls.  When
+    the per-feature degrees (MEAN) or its square (POLY2).  When
     ``diffs_a is diffs_b`` only the upper triangle is computed and mirrored,
     which gives the same bytes.
 
@@ -118,10 +111,10 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN,
     for u = diffs_a[i, k] and v = diffs_b[j, k] of one sign class (negative,
     zero, positive), else 1.  One product per block of rows gives x: v's
     column holds ([v in c], v in c ? -|v| : 1) for each class c, u's row
-    (|u|, 1) in its own class's places (the opposite class's for K(a, -b))
-    and zeros elsewhere.  The inputs are finite, so every product is exact
-    and every other summand an exact zero: x is fl(|u| - |v|) or exactly 1
-    at any BLAS summation order or thread count.
+    (|u|, 1) in its own class's places and zeros elsewhere.  The inputs are
+    finite, so every product is exact and every other summand an exact zero:
+    x is fl(|u| - |v|) or exactly 1 at any BLAS summation order or thread
+    count.
     """
     if not isinstance(variant, KernelVariant):
         raise ValueError(f"variant must be a KernelVariant, not {variant!r}")
@@ -139,7 +132,7 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN,
     n_dim = diffs_a.shape[1]
     if n_dim == 0:
         raise ValueError("pairs must have at least one feature")
-    n_a, n_b, halves = len(diffs_a), len(diffs_b), 1 + opposed
+    n_a, n_b = len(diffs_a), len(diffs_b)
     # v's columns of the product: ([v in c], v in c ? -|v| : 1) for c = 0, 1, 2.
     right = np.empty((n_dim, 3, 2, n_b))
     in_class, gate = right[:, :, 0], right[:, :, 1]
@@ -147,31 +140,31 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN,
     np.subtract(1.0, in_class, out=gate)
     gate -= in_class * np.abs(diffs_b.T)[:, None]
     right = right.reshape(n_dim, 6, n_b)
-    left = _left_operand(diffs_a, halves)
-    out = np.empty((halves, n_a, n_b))
-    term_buf = np.empty(n_dim * _PRODUCT_ROWS * halves * n_b)
-    sum_buf = np.empty(_PRODUCT_ROWS * halves * n_b)
+    left = _left_operand(diffs_a)
+    out = np.empty((n_a, n_b))
+    term_buf = np.empty(n_dim * _PRODUCT_ROWS * n_b)
+    sum_buf = np.empty(_PRODUCT_ROWS * n_b)
     for start in range(0, n_a, _PRODUCT_ROWS):
         stop = min(start + _PRODUCT_ROWS, n_a)
         col = start if symmetric else 0
-        rows, width = (stop - start) * halves, n_b - col
+        rows, width = stop - start, n_b - col
         terms = term_buf[: n_dim * rows * width].reshape(n_dim, rows, width)
-        np.matmul(left[:, start * halves:stop * halves], right[:, :, col:], out=terms)
+        np.matmul(left[:, start:stop], right[:, :, col:], out=terms)
         np.abs(terms, out=terms)
         np.subtract(1.0, terms, out=terms)
-        sums = sum_buf[: rows * width].reshape(stop - start, halves, width)
+        sums = sum_buf[: rows * width].reshape(rows, width)
         # The features are the reduction's outer loop, added in order.
         if sums.size == 1:  # numpy would sum a lone entry pairwise
             sums[...] = np.add.accumulate(terms)[-1]
         else:
-            np.add.reduce(terms.reshape(n_dim, *sums.shape), axis=0, out=sums)
+            np.add.reduce(terms, axis=0, out=sums)
         sums /= n_dim
         if variant is KernelVariant.POLY2:
             np.multiply(sums, sums, out=sums)
-        out[:, start:stop, col:] = sums.transpose(1, 0, 2)
+        out[start:stop, col:] = sums
         if symmetric:
-            out[:, stop:, start:stop] = out[:, start:stop, stop:].transpose(0, 2, 1)
-    return out if opposed else out[0]
+            out[stop:, start:stop] = out[start:stop, stop:].T
+    return out
 
 
 def gram_matrix(diffs, variant: KernelVariant = KernelVariant.MEAN) -> np.ndarray:

@@ -46,10 +46,10 @@ logger = logging.getLogger(__name__)
 
 PREFERENCE_CLIP = 1e-6
 
-# Query pairs per score call in _pair_preferences.  It only bounds the
-# kernel block to 2 x 256 x |S| floats whatever the query size: each rule
-# scores a pair from its own kernel row, so the width does not change the
-# preferences.
+# Query pairs per score call in _pair_preferences, 512 kernel rows with their
+# negations.  It only bounds the kernel block to 512 x |S| floats whatever the
+# query size: each rule scores a pair from its own kernel rows, so the width
+# does not change the preferences.
 _QUERY_CHUNK = 256
 
 
@@ -156,12 +156,17 @@ def reciprocal_preferences(upper: np.ndarray, n_items: int) -> np.ndarray:
 
 
 def _pair_preferences(query, n_features: int, score) -> np.ndarray:
-    """A query's reciprocal preference matrix; ``score`` maps rows x_i - x_j of pairs i < j to p_ij."""
+    """A query's reciprocal preference matrix.
+
+    ``score`` maps a chunk's rows x_i - x_j of pairs i < j, followed by their
+    negations x_j - x_i, to p_ij.
+    """
     query = _check_query(query, n_features, "query")
     forward = pair_differences(query, *np.triu_indices(len(query), k=1), "query items")
     upper = np.empty(len(forward))
     for start in range(0, len(forward), _QUERY_CHUNK):
-        upper[start:start + _QUERY_CHUNK] = score(forward[start:start + _QUERY_CHUNK])
+        chunk = forward[start:start + _QUERY_CHUNK]
+        upper[start:start + _QUERY_CHUNK] = score(np.concatenate([chunk, -chunk]))
     return reciprocal_preferences(upper, len(query))
 
 
@@ -171,17 +176,16 @@ def preference_matrix(model: AnkerModel, query: np.ndarray) -> np.ndarray:
     For each ordered query pair the calibrated model output is a degree of
     support; opposite orientations are combined via
     p_ij = (1 + q_ij - q_ji) / 2, which makes the matrix reciprocal.  The
-    backward differences are the forward ones negated, exactly, so one
-    ``kernel_matrix(..., opposed=True)`` call per chunk of query pairs gives
-    the kernel rows of both orientations from the same matrix products (see
-    ``kernel``), with the bytes of two calls.
+    backward differences are the forward ones negated, exactly, so each
+    chunk of query pairs scores both orientations as the rows of one
+    ``kernel_matrix`` call, with the bytes of two calls.
     """
     if model.svm.platt is None:
         raise ValueError("model must carry calibration parameters")
 
-    def score(forward: np.ndarray) -> np.ndarray:
-        kernels = kernel_matrix(forward, model.support_diffs, model.variant, opposed=True)
-        fwd, bwd = (platt_prob(model.svm.platt, decision_values(model.svm, half)) for half in kernels)
+    def score(pairs: np.ndarray) -> np.ndarray:
+        kernels = kernel_matrix(pairs, model.support_diffs, model.variant)
+        fwd, bwd = platt_prob(model.svm.platt, decision_values(model.svm, kernels)).reshape(2, -1)
         # Grouping the difference first makes equal support yield exactly 0.5.
         return (1.0 + (fwd - bwd)) / 2.0
 

@@ -337,7 +337,7 @@ def test_able2rank_preferences_do_not_depend_on_the_chunk_width(monkeypatch, n_i
         monkeypatch.setattr("ankerrank.ranker._QUERY_CHUNK", width)
         calls.clear()
         results.append(able2rank_lite(train_n, query, k=20).preference.tobytes())
-        assert max(calls) == min(width, n_items * (n_items - 1) // 2)
+        assert max(calls) == 2 * min(width, n_items * (n_items - 1) // 2)
     assert results[0] == results[1] == results[2]
 
 

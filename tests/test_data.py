@@ -551,6 +551,21 @@ def test_ks_empty_sample_rejected():
         ks_two_sample([], [1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ks_non_finite_sample_rejected(bad):
+    for a, b in (([bad, 1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, bad, 2.0])):
+        with pytest.raises(ValueError, match="finite"):
+            ks_two_sample(a, b)
+
+
+def test_scope_of_a_non_finite_query_fails_loudly():
+    train = np.random.default_rng(8).random((20, 2))
+    test = train[:5].copy()
+    test[0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        choose_normalization_scope(train, test)
+
+
 @pytest.mark.parametrize("sizes", [(10, 10), (37, 53), (100, 25)])
 def test_ks_matches_scipy_statistic_and_asymptotic_formula(sizes):
     rng = np.random.default_rng(sum(sizes))

@@ -266,19 +266,16 @@ def _check_against_the_full_slab_oracle(n_rows, n_cols, n_dim, seed):
     for variant in KernelVariant:
         expected = full_slab_kernel_matrix(a, b, poly2=variant is KernelVariant.POLY2)
         assert np.array_equal(kernel_matrix(diffs_a, diffs_b, variant), expected)
-        # The opposed half scores the reversed pairs (x', x), whose differences are -(x - x').
+        # Negating either side scores the reversed pairs (x', x), whose differences are -(x - x').
         reversed_b = full_slab_kernel_matrix(a, b[::-1], poly2=variant is KernelVariant.POLY2)
-        both = kernel_matrix(diffs_a, diffs_b, variant, opposed=True)
-        assert both.shape == (2, n_rows, n_cols)
-        assert both.tobytes() == np.stack([expected, reversed_b]).tobytes()
-        assert both.tobytes() == np.stack([kernel_matrix(diffs_a, diffs_b, variant),
-                                           kernel_matrix(diffs_a, -diffs_b, variant)]).tobytes()
+        assert kernel_matrix(-diffs_a, diffs_b, variant).tobytes() == reversed_b.tobytes()
+        assert kernel_matrix(diffs_a, -diffs_b, variant).tobytes() == reversed_b.tobytes()
 
 
 # 257 and 1 000 columns are split into tiles by BLAS; a one-row block may go
 # through a matrix-vector product.
 @pytest.mark.parametrize("n_cols", [1, 7, 257, 1000])
-@pytest.mark.parametrize("n_rows", [1, _PRODUCT_ROWS - 1, _PRODUCT_ROWS, _PRODUCT_ROWS + 1, 31, 32, 33, 67])
+@pytest.mark.parametrize("n_rows", [1, 3, 4, 5, _PRODUCT_ROWS - 1, _PRODUCT_ROWS, _PRODUCT_ROWS + 1, 31, 32, 33, 67])
 def test_kernel_matrix_equals_the_full_slab_oracle_bit_for_bit(n_rows, n_cols):
     _check_against_the_full_slab_oracle(n_rows, n_cols, 5, 1000 * n_rows + n_cols)
 
@@ -303,16 +300,14 @@ def test_a_lone_entry_adds_its_features_in_order():
         assert kernel_matrix(a[0] - a[1], b[0] - b[1]).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("opposed", [False, True])
-def test_kernel_matrix_of_an_empty_collection_is_empty(opposed):
+def test_kernel_matrix_of_an_empty_collection_is_empty():
     diffs = _edge_value_pairs(np.random.default_rng(3), 4, 3)
     diffs = diffs[0] - diffs[1]
     empty = np.zeros((0, 3))
-    halves = (2,) if opposed else ()
     for a, b, shape in ((empty, diffs, (0, 4)), (diffs, empty, (4, 0)), (empty, empty, (0, 0))):
         for variant in KernelVariant:
-            out = kernel_matrix(a, b, variant, opposed=opposed)
-            assert out.shape == halves + shape
+            out = kernel_matrix(a, b, variant)
+            assert out.shape == shape
             assert out.dtype == np.float64
 
 
@@ -323,7 +318,7 @@ from ankerrank.kernel import KernelVariant, gram_matrix, kernel_matrix
 for path in sys.argv[1:]:
     pairs = np.load(path)
     a, b = pairs["a"], pairs["b"]
-    for out in (kernel_matrix(a, b, KernelVariant.POLY2, opposed=True), gram_matrix(b[:2000], KernelVariant.MEAN)):
+    for out in (kernel_matrix(np.concatenate([a, -a]), b, KernelVariant.POLY2), gram_matrix(b[:2000], KernelVariant.MEAN)):
         print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 
@@ -338,7 +333,7 @@ def test_kernel_bytes_do_not_depend_on_the_thread_count(tmp_path):
         diffs_a, diffs_b = a[0] - a[1], b[0] - b[1]
         paths.append(tmp_path / f"diffs-{n_dim}.npz")
         np.savez(paths[-1], a=diffs_a, b=diffs_b)
-        expected += [kernel_matrix(diffs_a, diffs_b, KernelVariant.POLY2, opposed=True),
+        expected += [kernel_matrix(np.concatenate([diffs_a, -diffs_a]), diffs_b, KernelVariant.POLY2),
                      gram_matrix(diffs_b[:2000], KernelVariant.MEAN)]
     expected = [hashlib.sha256(out.tobytes()).hexdigest() for out in expected]
     for threads in ("1", "2"):
@@ -350,7 +345,7 @@ def test_kernel_bytes_do_not_depend_on_the_thread_count(tmp_path):
         assert run.stdout.split() == expected
 
 
-@pytest.mark.parametrize("m", [1, _PRODUCT_ROWS - 1, _PRODUCT_ROWS, _PRODUCT_ROWS + 1, 31, 32, 33, 67])
+@pytest.mark.parametrize("m", [1, 3, 4, 5, _PRODUCT_ROWS - 1, _PRODUCT_ROWS, _PRODUCT_ROWS + 1, 31, 32, 33, 67])
 def test_gram_matrix_equals_kernel_matrix_bit_for_bit(m):
     # gram_matrix computes the upper triangle and mirrors it; kernel_matrix
     # fills both triangles when its arguments are distinct objects
@@ -361,8 +356,9 @@ def test_gram_matrix_equals_kernel_matrix_bit_for_bit(m):
         assert np.array_equal(gram, kernel_matrix(diffs, diffs.copy(), variant))
         assert np.array_equal(gram, kernel_matrix(diffs, diffs, variant))
         assert np.array_equal(gram, full_slab_kernel_matrix(pairs, pairs, variant is KernelVariant.POLY2))
-        both = kernel_matrix(diffs, diffs, variant, opposed=True)
-        assert both.tobytes() == np.stack([gram, kernel_matrix(diffs, -diffs, variant)]).tobytes()
+        reversed_pairs = full_slab_kernel_matrix(pairs, pairs[::-1], variant is KernelVariant.POLY2)
+        assert kernel_matrix(-diffs, diffs, variant).tobytes() == reversed_pairs.tobytes()
+        assert kernel_matrix(diffs, -diffs, variant).tobytes() == reversed_pairs.tobytes()
 
 
 def test_gram_matrix_traced_peak_stays_near_the_output_size():
@@ -392,14 +388,14 @@ def test_kernel_matrix_traced_peak_stays_near_the_output_size():
     rng = np.random.default_rng(31)
     a = rng.random((2000, 10)) - rng.random((2000, 10))
     b = rng.random((500, 10)) - rng.random((500, 10))
-    for opposed, shape in ((False, (2000, 500)), (True, (2, 2000, 500))):
+    for rows in (a, np.concatenate([a, -a])):
         tracemalloc.start()
         try:
-            out = kernel_matrix(a, b, KernelVariant.POLY2, opposed=opposed)
+            out = kernel_matrix(rows, b, KernelVariant.POLY2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.shape == shape
+        assert out.shape == (len(rows), 500)
         assert peak <= 1.25 * out.nbytes
 
 
