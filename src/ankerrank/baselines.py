@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataFormatError, RankedDataset
-from .kernel import KernelVariant, kernel_matrix, pair_differences
+from .kernel import KernelVariant, _prepare_side, kernel_matrix, pair_differences
 from .ranker import RankPrediction, _pair_preferences, btl_fit, build_pair_instances
 from .svm import DEFAULT_C_GRID, _check_cap, _choose_cost, _newton_minimize
 # Not called here; perfbench's tracer wraps these names at this module.
@@ -156,8 +156,10 @@ def able2rank_lite(train: RankedDataset, query: np.ndarray, k: int = 20) -> Rank
     if n_prefs == 0:
         raise DataFormatError("no training preferences: every training query has a single item")
 
+    pref_side = _prepare_side(pref_diffs)
+
     def score(pairs: np.ndarray) -> np.ndarray:
-        evidence = kernel_matrix(pairs, pref_diffs, KernelVariant.MEAN)
+        evidence = kernel_matrix(pairs, pref_side, KernelVariant.MEAN)
         if k < n_prefs:
             evidence.partition(n_prefs - k, axis=1)
             evidence = evidence[:, n_prefs - k:]

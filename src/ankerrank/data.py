@@ -462,7 +462,9 @@ def choose_normalization_scope(train: np.ndarray, test: np.ndarray) -> Normaliza
     per-feature two-sample KS test at the Bonferroni-corrected level
     ``SCOPE_ALPHA``/d = 0.05/d; any rejection means the distributions
     differ, so normalization statistics for the test side come from the
-    test data alone.  Otherwise the training data is pooled in.
+    test data alone.  Otherwise the training data is pooled in.  A NaN or
+    infinite value in either matrix raises ``DataFormatError``, whichever
+    feature holds it.
     """
     train = np.asarray(train, dtype=float)
     test = np.asarray(test, dtype=float)
@@ -473,6 +475,10 @@ def choose_normalization_scope(train: np.ndarray, test: np.ndarray) -> Normaliza
     d = train.shape[1]
     if d == 0:
         raise DataFormatError("items have no features to test")
+    # Checked before the loop, which stops at the first feature that differs.
+    for matrix, what in ((train, "train"), (test, "test")):
+        if not np.isfinite(matrix).all():
+            raise DataFormatError(f"{what} items have non-finite feature values")
     per_feature_alpha = SCOPE_ALPHA / d
     for k in range(d):
         if ks_two_sample(train[:, k], test[:, k], per_feature_alpha).rejected:

@@ -24,10 +24,16 @@ over features (MEAN) and that average squared (POLY2).
 Reversing a pair negates its difference, which moves every feature to the
 opposite sign class and keeps |u|, so K(a, -b) and K(-a, b) are the same
 bytes: a caller scores reversed pairs as negated rows of the same call.
+
+A collection scored again and again, such as a model's support pairs, is
+checked and turned into the product's right operand once by
+``_prepare_side``; ``kernel_matrix`` accepts the result in place of
+``diffs_b`` and gives the same bytes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -97,6 +103,41 @@ def _left_operand(diffs: np.ndarray) -> np.ndarray:
     return left.reshape(len(u), -1, 6)
 
 
+@dataclass(frozen=True)
+class _PreparedSide:
+    """Checked (n, d) differences and their read-only (d, 6, n) right operand."""
+
+    diffs: np.ndarray
+    right: np.ndarray
+
+
+def _checked_diffs(diffs, what: str) -> np.ndarray:
+    diffs = np.asarray(diffs, dtype=float)
+    if diffs.ndim != 2:
+        raise ValueError(f"{what} must be a 2-D array of difference vectors")
+    _check_within(diffs, -1.0, 1.0, what)
+    return diffs
+
+
+def _prepare_side(diffs, what: str = "diffs_b") -> _PreparedSide:
+    """``diffs`` checked as ``kernel_matrix`` checks ``diffs_b``, with v's columns of the product.
+
+    Column j holds ([v in c], v in c ? -|v| : 1) for c = 0, 1, 2 and each
+    feature's v = diffs[j, k]; the operand takes 48 d n bytes.  Passing the
+    result as ``diffs_b`` skips the checks and this build, O(d n) work per
+    call.  The side keeps ``diffs`` as given: a caller that writes to them
+    afterwards must prepare them again.
+    """
+    diffs = _checked_diffs(diffs, what)
+    right = np.empty((diffs.shape[1], 3, 2, len(diffs)))
+    in_class, gate = right[:, :, 0], right[:, :, 1]
+    np.equal(np.sign(diffs.T)[:, None] + 1.0, _CLASSES[:, None], out=in_class)
+    np.subtract(1.0, in_class, out=gate)
+    gate -= in_class * np.abs(diffs.T)[:, None]
+    right.flags.writeable = False
+    return _PreparedSide(diffs, right.reshape(diffs.shape[1], 6, len(diffs)))
+
+
 def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN) -> np.ndarray:
     """Kernel values between two collections of ordered item pairs.
 
@@ -105,7 +146,8 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN)
     (len(diffs_a), len(diffs_b)) array with values in [0, 1]: the mean of
     the per-feature degrees (MEAN) or its square (POLY2).  When
     ``diffs_a is diffs_b`` only the upper triangle is computed and mirrored,
-    which gives the same bytes.
+    which gives the same bytes.  ``diffs_b`` may also be a side built once
+    by ``_prepare_side``, which was checked when it was built.
 
     Entry (i, j) sums 1 - |x| over the features in order, where x = |u| - |v|
     for u = diffs_a[i, k] and v = diffs_b[j, k] of one sign class (negative,
@@ -119,27 +161,13 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN)
     if not isinstance(variant, KernelVariant):
         raise ValueError(f"variant must be a KernelVariant, not {variant!r}")
     symmetric = diffs_a is diffs_b
-    diffs_a = np.asarray(diffs_a, dtype=float)
-    diffs_b = diffs_a if symmetric else np.asarray(diffs_b, dtype=float)
-    for arr, what in ((diffs_a, "diffs_a"), (diffs_b, "diffs_b")):
-        if arr.ndim != 2:
-            raise ValueError(f"{what} must be a 2-D array of difference vectors")
-        _check_within(arr, -1.0, 1.0, what)
-    if diffs_a.shape[1] != diffs_b.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: diffs_a has {diffs_a.shape[1]} features, diffs_b has {diffs_b.shape[1]}"
-        )
-    n_dim = diffs_a.shape[1]
+    diffs_a = _checked_diffs(diffs_a, "diffs_a")
+    side = diffs_b if isinstance(diffs_b, _PreparedSide) else _prepare_side(diffs_a if symmetric else diffs_b)
+    (n_a, n_dim), (n_b, b_dim) = diffs_a.shape, side.diffs.shape
+    if n_dim != b_dim:
+        raise ValueError(f"dimension mismatch: diffs_a has {n_dim} features, diffs_b has {b_dim}")
     if n_dim == 0:
         raise ValueError("pairs must have at least one feature")
-    n_a, n_b = len(diffs_a), len(diffs_b)
-    # v's columns of the product: ([v in c], v in c ? -|v| : 1) for c = 0, 1, 2.
-    right = np.empty((n_dim, 3, 2, n_b))
-    in_class, gate = right[:, :, 0], right[:, :, 1]
-    np.equal(np.sign(diffs_b.T)[:, None] + 1.0, _CLASSES[:, None], out=in_class)
-    np.subtract(1.0, in_class, out=gate)
-    gate -= in_class * np.abs(diffs_b.T)[:, None]
-    right = right.reshape(n_dim, 6, n_b)
     left = _left_operand(diffs_a)
     out = np.empty((n_a, n_b))
     term_buf = np.empty(n_dim * _PRODUCT_ROWS * n_b)
@@ -149,7 +177,7 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN)
         col = start if symmetric else 0
         rows, width = stop - start, n_b - col
         terms = term_buf[: n_dim * rows * width].reshape(n_dim, rows, width)
-        np.matmul(left[:, start:stop], right[:, :, col:], out=terms)
+        np.matmul(left[:, start:stop], side.right[:, :, col:], out=terms)
         np.abs(terms, out=terms)
         np.subtract(1.0, terms, out=terms)
         sums = sum_buf[: rows * width].reshape(rows, width)

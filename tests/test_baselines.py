@@ -17,7 +17,7 @@ from ankerrank.baselines import (
 from ankerrank.data import RankedDataset, RankedQuery, normalize_train_test
 from ankerrank.data import NormalizationMode, NormalizationScope
 from ankerrank.evaluate import ranking_loss
-from ankerrank.kernel import kernel_matrix
+from ankerrank.kernel import _prepare_side, kernel_matrix
 from ankerrank.ranker import build_pair_instances, ranking_from_scores, reciprocal_preferences
 from ankerrank.svm import DEFAULT_C_GRID
 from oracles import squared_hinge_lbfgs, squared_hinge_objective
@@ -339,6 +339,20 @@ def test_able2rank_preferences_do_not_depend_on_the_chunk_width(monkeypatch, n_i
         results.append(able2rank_lite(train_n, query, k=20).preference.tobytes())
         assert max(calls) == 2 * min(width, n_items * (n_items - 1) // 2)
     assert results[0] == results[1] == results[2]
+
+
+def test_able2rank_prepares_its_training_preferences_once_per_call(monkeypatch):
+    train = make_linear_dataset(2, 6, 3, seed=19)
+    prepared = []
+
+    def counted(diffs):
+        prepared.append(len(diffs))
+        return _prepare_side(diffs)
+
+    monkeypatch.setattr("ankerrank.ranker._QUERY_CHUNK", 7)
+    monkeypatch.setattr(baselines, "_prepare_side", counted)
+    able2rank_lite(train, np.random.default_rng(20).random((9, 3)))  # 36 query pairs, 6 chunks
+    assert prepared == [30]
 
 
 def test_able2rank_traced_peak_stays_below_one_query_evidence_block():

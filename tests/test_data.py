@@ -566,6 +566,19 @@ def test_scope_of_a_non_finite_query_fails_loudly():
         choose_normalization_scope(train, test)
 
 
+@pytest.mark.parametrize("shift", [0.0, 5.0])
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_scope_refuses_a_non_finite_value_behind_a_rejecting_feature(shift, side):
+    # Feature 0 shifted by 5 makes its KS test reject; the NaN in feature 1
+    # must be refused all the same, whichever feature the loop stops at.
+    rng = np.random.default_rng(9)
+    matrices = {"train": rng.random((50, 2)), "test": rng.random((50, 2))}
+    matrices["test"][:, 0] += shift
+    matrices[side][3, 1] = np.nan
+    with pytest.raises(DataFormatError, match=f"{side} items have non-finite feature values"):
+        choose_normalization_scope(matrices["train"], matrices["test"])
+
+
 @pytest.mark.parametrize("sizes", [(10, 10), (37, 53), (100, 25)])
 def test_ks_matches_scipy_statistic_and_asymptotic_formula(sizes):
     rng = np.random.default_rng(sum(sizes))

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import ankerrank
+from ankerrank.data import DataFormatError
 from ankerrank.kernel import (
     _PRODUCT_ROWS,
     KernelVariant,
+    _prepare_side,
     boolean_proportion,
     gram_matrix,
     kernel_matrix,
@@ -311,14 +313,54 @@ def test_kernel_matrix_of_an_empty_collection_is_empty():
             assert out.dtype == np.float64
 
 
+# A side prepared once gives the bytes of the plain array, whatever the
+# shape: one row, one feature or ten, no columns, edge values (negated,
+# an exact zero difference is -0.0).
+@pytest.mark.parametrize("n_rows, n_cols, n_dim", [
+    (1, 1, 1), (1, 257, 10), (_PRODUCT_ROWS + 1, 1, 10), (67, 1000, 1), (67, 257, 10), (5, 0, 1), (5, 0, 10),
+])
+def test_a_prepared_side_gives_the_bytes_of_its_array(n_rows, n_cols, n_dim):
+    rng = np.random.default_rng(100 * n_rows + 10 * n_cols + n_dim)
+    a, b = (_edge_value_pairs(rng, n, n_dim) for n in (n_rows, n_cols))
+    diffs_a, diffs_b = a[0] - a[1], b[0] - b[1]
+    for cols in (diffs_b, -diffs_b):
+        side = _prepare_side(cols)
+        for variant in KernelVariant:
+            for rows in (diffs_a, np.concatenate([diffs_a, -diffs_a])):
+                expected = kernel_matrix(rows, cols, variant)
+                assert expected.shape == (len(rows), n_cols)
+                assert kernel_matrix(rows, side, variant).tobytes() == expected.tobytes()
+
+
+def test_a_prepared_side_is_checked_once_when_built():
+    good = np.array([[0.5, -1.0], [1.0, 0.0]])
+    for bad in (np.nan, 1.5):
+        wrong = good.copy()
+        wrong[1, 0] = bad
+        with pytest.raises(DataFormatError, match=r"^support has values outside \[-1, 1\] or not finite"):
+            _prepare_side(wrong, "support")
+    with pytest.raises(ValueError, match="diffs_b must be a 2-D array"):
+        _prepare_side(np.array([0.1, -0.2]))
+    side = _prepare_side(good)
+    assert not side.right.flags.writeable
+    with pytest.raises(ValueError, match="diffs_a has 3 features, diffs_b has 2"):
+        kernel_matrix(np.zeros((1, 3)), side)
+    with pytest.raises(ValueError, match="diffs_a has values outside"):
+        kernel_matrix(np.full((1, 2), 2.0), side)
+    with pytest.raises(ValueError, match="at least one feature"):
+        kernel_matrix(np.zeros((2, 0)), _prepare_side(np.zeros((3, 0))))
+
+
 _HASH_KERNELS = """
 import hashlib, sys
 import numpy as np
-from ankerrank.kernel import KernelVariant, gram_matrix, kernel_matrix
+from ankerrank.kernel import KernelVariant, _prepare_side, gram_matrix, kernel_matrix
 for path in sys.argv[1:]:
     pairs = np.load(path)
     a, b = pairs["a"], pairs["b"]
-    for out in (kernel_matrix(np.concatenate([a, -a]), b, KernelVariant.POLY2), gram_matrix(b[:2000], KernelVariant.MEAN)):
+    rows = np.concatenate([a, -a])
+    for out in (kernel_matrix(rows, b, KernelVariant.POLY2), kernel_matrix(rows, _prepare_side(b), KernelVariant.POLY2),
+                gram_matrix(b[:2000], KernelVariant.MEAN)):
         print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 
@@ -333,8 +375,8 @@ def test_kernel_bytes_do_not_depend_on_the_thread_count(tmp_path):
         diffs_a, diffs_b = a[0] - a[1], b[0] - b[1]
         paths.append(tmp_path / f"diffs-{n_dim}.npz")
         np.savez(paths[-1], a=diffs_a, b=diffs_b)
-        expected += [kernel_matrix(np.concatenate([diffs_a, -diffs_a]), diffs_b, KernelVariant.POLY2),
-                     gram_matrix(diffs_b[:2000], KernelVariant.MEAN)]
+        rows = kernel_matrix(np.concatenate([diffs_a, -diffs_a]), diffs_b, KernelVariant.POLY2)
+        expected += [rows, rows, gram_matrix(diffs_b[:2000], KernelVariant.MEAN)]
     expected = [hashlib.sha256(out.tobytes()).hexdigest() for out in expected]
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(Path(ankerrank.__file__).resolve().parents[1]),

@@ -14,7 +14,7 @@ from ankerrank.data import (
     normalize_train_test,
 )
 from ankerrank.evaluate import run_experiment
-from ankerrank.kernel import KernelVariant, gram_matrix, kernel_matrix
+from ankerrank.kernel import KernelVariant, _prepare_side, gram_matrix, kernel_matrix
 from ankerrank.ranker import (
     AnkerModel,
     BtlParams,
@@ -323,6 +323,44 @@ def test_preference_matrix_is_the_two_call_formula_bit_for_bit(monkeypatch):
                 monkeypatch.setattr("ankerrank.ranker._QUERY_CHUNK", width)
                 assert preference_matrix(model, query).tobytes() == expected, (svm.support.size, n_items, width)
 
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.5, -1.0 - 1e-15])
+def test_preference_matrix_refuses_supports_outside_the_kernel_range(bad):
+    model = _random_model(20, 3, seed=50)
+    diffs = np.array(model.support_diffs)
+    diffs[4, 1] = bad
+    broken = AnkerModel(svm=model.svm, variant=model.variant, support_diffs=diffs)
+    query = _random_query(5, 3, seed=51)
+    for _ in range(2):  # a side that failed its checks is not kept
+        with pytest.raises(DataFormatError, match=r"^support_diffs has values outside \[-1, 1\] or not finite"):
+            preference_matrix(broken, query)
+
+
+def test_a_model_keeps_a_read_only_copy_of_its_supports():
+    diffs = _random_model(20, 3, seed=52).support_diffs.copy()
+    model = replace(_random_model(20, 3, seed=52), support_diffs=diffs)
+    query = _random_query(6, 3, seed=53)
+    before = preference_matrix(model, query)
+    with pytest.raises(ValueError, match="read-only"):
+        model.support_diffs[0, 0] = 0.5
+    diffs[:] = 0.0  # the caller's array, not the model's
+    assert preference_matrix(model, query).tobytes() == before.tobytes()
+
+
+def test_the_support_side_is_built_once_per_model_and_not_by_the_fit(monkeypatch):
+    built = []
+
+    def counted(diffs, what):
+        built.append(diffs)
+        return _prepare_side(diffs, what)
+
+    monkeypatch.setattr("ankerrank.ranker._prepare_side", counted)
+    model = anker_fit(make_linear_dataset(2, 6, 3, seed=54), C=1.0, seed=55)
+    assert built == []
+    for seed in (56, 57):  # 30 items, so two chunks of query pairs per call
+        preference_matrix(model, np.random.default_rng(seed).random((30, 3)))
+    assert len(built) == 1 and built[0] is model.support_diffs
 
 def test_anker_predict_traced_peak_stays_below_one_query_kernel_block():
     model = _random_model(700, 10, seed=41)
