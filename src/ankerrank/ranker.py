@@ -96,7 +96,8 @@ class AnkerModel:
     """A trained preference SVM, its kernel variant and its support pairs.
 
     ``support_diffs`` holds the support pairs' differences, in ``svm.support``
-    order, as a read-only copy of the array the model was built with.  The
+    order, as a read-only copy of the array the model was built with; one
+    that is not 2-D with one row per support raises ``DataFormatError``.  The
     first prediction checks them and builds their side of the kernel's
     product once; it stays with the model, read-only, and takes 48 d |S|
     bytes for |S| supports of d features (346 KiB at 738 supports and
@@ -111,6 +112,9 @@ class AnkerModel:
     def __post_init__(self) -> None:
         # A read-only copy, so the side built from it cannot go stale.
         diffs = np.array(self.support_diffs, dtype=float)
+        if diffs.ndim != 2 or len(diffs) != self.svm.support.size:
+            raise DataFormatError(f"support_diffs must be a 2-D array of one row per support "
+                                  f"({self.svm.support.size}), got shape {diffs.shape}")
         diffs.flags.writeable = False
         object.__setattr__(self, "support_diffs", diffs)
 

@@ -28,6 +28,9 @@ DEFAULT_C_GRID: tuple[float, ...] = tuple(2.0**k for k in range(-6, 7, 2))
 
 _ALPHA_SNAP = 1e-12
 _CV_REPEATS, _CV_FOLDS = 3, 2  # cost selection: 3 repeats of stratified 2-fold CV
+# KKT tolerance of the cost search's solves, which only rank the grid by
+# validation mistakes; the model that is kept is solved to smo_train's 1e-3.
+_CV_TOL = 1e-2
 _PLATT_MAX_STEPS, _PLATT_TOL = 100, 1e-10  # Platt's Newton step cap and gradient tolerance
 # The Newton line search: Armijo constant and smallest step fraction.
 _ARMIJO = 1e-4
@@ -386,10 +389,12 @@ def select_c(kernel: np.ndarray, labels, seed: int = 0) -> float:
 
     Runs 3 rounds of stratified 2-fold cross-validation (``_choose_cost``,
     which ``ranksvm_fit`` shares) on the precomputed kernel, solving by SMO
-    at its default tolerance.  A split solves its costs in grid order, puts
-    each model's alpha * y in one column of an (m, 7) coefficient array and
-    scores every cost on its validation side with one product against the
-    kernel.  Once a split's solve is converged with every alpha below its
+    to the KKT tolerance ``_CV_TOL`` = 1e-2, since these solves only rank
+    the grid; ``anker_fit`` solves its final model at the chosen cost to
+    ``smo_train``'s default 1e-3.  A split solves its costs in grid order,
+    puts each model's alpha * y in one column of an (m, 7) coefficient
+    array and scores every cost on its validation side with one product
+    against the kernel.  Once a split's solve is converged with every alpha below its
     cost, that model also solves each larger cost of the split, so those
     costs make no further SMO call.  Errors are compared exactly, so ties
     go to the smallest cost; a reused model errs exactly as the smaller
@@ -417,7 +422,7 @@ def select_c(kernel: np.ndarray, labels, seed: int = 0) -> float:
             # it may not where its path touched C_k or where the zero snap,
             # which grows with C, differs.
             if model is None or not (model.converged and model.alpha.max() < model.C):
-                model = smo_train(sub_kernel, y[fit], cost)
+                model = smo_train(sub_kernel, y[fit], cost, tol=_CV_TOL)
             coeffs[fit[model.support], k] = model.alpha[model.support] * model.labels[model.support]
             biases[k] = model.bias
         decisions = (K @ coeffs)[val] + biases

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import optimize
 
 from ankerrank.ranker import PREFERENCE_CLIP, BtlParams, btl_log_likelihood
-from ankerrank.svm import DEFAULT_C_GRID, _choose_cost, _newton_minimize, _sigmoid, decision_values, smo_train
+from ankerrank.svm import _CV_TOL, DEFAULT_C_GRID, _choose_cost, _newton_minimize, _sigmoid, decision_values, smo_train
 
 
 def project_box_hyperplane(v: np.ndarray, y: np.ndarray, box: float) -> np.ndarray:
@@ -149,9 +149,10 @@ def reference_smo(kernel, labels, C: float, tol: float = 1e-3, max_iter: int | N
 def select_c_reference(kernel, labels, seed: int = 0) -> float:
     """``select_c`` without its shortcuts: one SMO solve per split and cost.
 
-    The folds and the exact tie rule are ``_choose_cost``'s; each model is
-    scored on its own ``K[np.ix_(val, fit[support])]`` block through
-    ``decision_values``, and no solve is reused for a larger cost.
+    The folds, the exact tie rule and the solves' KKT tolerance
+    ``_CV_TOL`` are ``select_c``'s; each model is scored on its own
+    ``K[np.ix_(val, fit[support])]`` block through ``decision_values``, and
+    no solve is reused for a larger cost.
     """
     K = np.asarray(kernel, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -159,7 +160,7 @@ def select_c_reference(kernel, labels, seed: int = 0) -> float:
     def split_mistakes(fit, val):
         sub_kernel, mistakes = K[np.ix_(fit, fit)], []
         for cost in DEFAULT_C_GRID:
-            model = smo_train(sub_kernel, y[fit], cost)
+            model = smo_train(sub_kernel, y[fit], cost, tol=_CV_TOL)
             decisions = decision_values(model, K[np.ix_(val, fit[model.support])])
             mistakes.append(int(np.count_nonzero((decisions > 0) != (y[val] > 0))))
         return mistakes

@@ -31,11 +31,15 @@ COLUMNS = ("anker POLY2", "anker MEAN", "err", "ranksvm", "able2rank")
 SEEDS = (100, 101, 102)
 
 
+def rule_problem(rule, seed: int) -> tuple[RankedDataset, RankedDataset]:
+    """One seeded rule problem: 8 training and 8 test queries of 12 items in [0, 1]^3."""
+    data = make_rule_dataset(16, 12, 3, seed, rule)
+    return RankedDataset(data.schema, data.queries[:8]), RankedDataset(data.schema, data.queries[8:])
+
+
 def rule_losses(rule, seed: int) -> dict[str, float]:
     """Mean test loss of each column's method on one seeded rule problem."""
-    data = make_rule_dataset(16, 12, 3, seed, rule)
-    train = RankedDataset(data.schema, data.queries[:8])
-    test = RankedDataset(data.schema, data.queries[8:])
+    train, test = rule_problem(rule, seed)
     config = MethodConfig(scope=NormalizationScope.TRAIN_PLUS_TEST)
     losses = {r.method: r.mean_loss for r in run_experiment(train, test, METHOD_NAMES, repeats=1, config=config)}
     losses["anker POLY2"] = losses.pop("anker")

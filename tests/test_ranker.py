@@ -91,6 +91,18 @@ def test_anker_fit_pairs_match_the_coin_loop_oracle(cap):
     assert np.array_equal(model.svm.alpha, reference.alpha)
 
 
+def test_the_model_kept_after_the_cost_search_is_solved_to_the_default_tolerance():
+    # The cost search solves at svm._CV_TOL; the final fit at the chosen C
+    # is smo_train at its default 1e-3.
+    data = make_linear_dataset(3, 7, 3, seed=39)
+    first, second, labels = coin_flip_pairs(data, seed=40, cap=None)
+    model = anker_fit(data, C=None, seed=40)
+    assert model.svm.converged and model.svm.kkt_violation <= 1e-3
+    reference = smo_train(gram_matrix(first - second, KernelVariant.POLY2), labels, model.svm.C)
+    assert model.svm.alpha.tobytes() == reference.alpha.tobytes()
+    assert model.svm.kkt_violation == reference.kkt_violation
+
+
 @pytest.mark.parametrize("variant", ["poly2", "mean"])
 def test_a_variant_that_is_not_a_kernel_variant_is_refused(variant):
     diffs = np.array([[0.25, -0.5], [0.0, 1.0]])
@@ -335,6 +347,14 @@ def test_preference_matrix_refuses_supports_outside_the_kernel_range(bad):
     for _ in range(2):  # a side that failed its checks is not kept
         with pytest.raises(DataFormatError, match=r"^support_diffs has values outside \[-1, 1\] or not finite"):
             preference_matrix(broken, query)
+
+
+@pytest.mark.parametrize("diffs", [np.zeros(3), np.zeros((3, 2))], ids=["1-d", "a-row-per-pair"])
+def test_a_model_refuses_supports_that_are_not_a_row_per_support(diffs):
+    svm = SvmModel(alpha=np.array([0.5, 0.5, 0.0]), labels=np.array([1.0, -1.0, 1.0]),
+                   support=np.array([0, 1]), bias=0.0, C=1.0, platt=PlattParams(-1.0, 0.0))
+    with pytest.raises(DataFormatError, match=r"^support_diffs must be a 2-D array of one row per support \(2\)"):
+        AnkerModel(svm=svm, variant=KernelVariant.MEAN, support_diffs=diffs)
 
 
 def test_a_model_keeps_a_read_only_copy_of_its_supports():

@@ -1,3 +1,4 @@
+import inspect
 import logging
 
 import numpy as np
@@ -570,6 +571,29 @@ def test_select_c_solves_every_cost_where_the_box_binds(variant, monkeypatch):
     select_c(gram, labels, seed=0)
     assert [m.alpha.max() for m in solves] == [m.C for m in solves]
     assert len(solves) == SOLVES_PER_SEARCH
+
+
+def record_tolerances(monkeypatch):
+    """Record the ``tol`` of every ``smo_train`` call, given or defaulted."""
+    tols, signature = [], inspect.signature(smo_train)
+
+    def recording_smo_train(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        tols.append(call.arguments["tol"])
+        return smo_train(*args, **kwargs)
+
+    monkeypatch.setattr(svm, "smo_train", recording_smo_train)
+    return tols
+
+
+@pytest.mark.parametrize("instance", [SEPARABLE, NOISY], ids=["separable", "noisy"])
+def test_every_solve_of_the_cost_search_stops_at_the_cv_tolerance(instance, monkeypatch):
+    gram, labels = pair_gram(KernelVariant.POLY2, **instance)
+    tols = record_tolerances(monkeypatch)
+    select_c(gram, labels, seed=0)
+    assert tols and set(tols) == {svm._CV_TOL}
+    assert svm._CV_TOL == 1e-2
 
 
 @pytest.mark.parametrize("variant", list(KernelVariant))
