@@ -136,8 +136,9 @@ class RankedQuery:
             raise DataFormatError("a query needs at least one item")
         if not np.isfinite(items).all():
             raise DataFormatError(f"query {self.query_id!r} has non-finite feature values")
-        # Compared before the integer cast, so 1.5 is not read as 1.
-        if ranking.shape != (n,) or sorted(ranking.tolist()) != list(range(n)):
+        # Compared before the integer cast, so 1.5 is not read as 1; booleans
+        # are refused, not read as 0 and 1.
+        if ranking.dtype == bool or ranking.shape != (n,) or sorted(ranking.tolist()) != list(range(n)):
             raise DataFormatError(f"ranking of query {self.query_id!r} is not a permutation of 0..{n - 1}")
         object.__setattr__(self, "ranking", ranking.astype(int, copy=False))
 
@@ -434,9 +435,11 @@ def ks_two_sample(a, b, alpha: float = 0.05) -> KsDecision:
 
     The statistic is the supremum gap between the two empirical CDFs; the
     p-value uses the asymptotic Kolmogorov distribution with effective sample
-    size n*m/(n+m).  Empty samples and NaN or infinite values raise
-    ``ValueError``.
+    size n*m/(n+m).  Empty samples, NaN or infinite values and an ``alpha``
+    outside (0, 1), NaN included, raise ``ValueError``.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, not {alpha!r}")
     a = np.sort(np.asarray(a, dtype=float).ravel())
     b = np.sort(np.asarray(b, dtype=float).ravel())
     if a.size == 0 or b.size == 0:

@@ -39,7 +39,7 @@ def ranking_loss(pi: np.ndarray, pi_star: np.ndarray) -> float:
     n(n-1)/2.  ``pi`` may tie items: a pair tied in ``pi`` counts as half
     discordant (Kendall's distance with penalty 1/2 of Fagin et al., 2004),
     which is the expected loss when the tie is broken at random.
-    ``pi_star`` must be a permutation of 0..n-1.
+    ``pi_star`` must be a permutation of 0..n-1, and not of booleans.
     """
     pi = np.asarray(pi, dtype=float)
     pi_star = np.asarray(pi_star)
@@ -50,7 +50,7 @@ def ranking_loss(pi: np.ndarray, pi_star: np.ndarray) -> float:
     n = pi.size
     if n < 2:
         raise ValueError("ranking loss needs at least two items")
-    if sorted(pi_star.tolist()) != list(range(n)):
+    if pi_star.dtype == bool or sorted(pi_star.tolist()) != list(range(n)):
         raise ValueError(f"the true ranking is not a permutation of 0..{n - 1}")
     before = pi[:, None] < pi[None, :]
     before_star = pi_star[:, None] < pi_star[None, :]
@@ -123,6 +123,8 @@ _RUNNERS = {
     "able2rank": (NormalizationMode.MINMAX, _run_able2rank),
 }
 METHOD_NAMES = tuple(_RUNNERS)
+# Methods whose runner ignores its seed: one run gives every repeat's loss.
+_SEED_FREE = frozenset({"err", "able2rank"})
 
 
 def check_methods(methods, externals) -> None:
@@ -189,6 +191,8 @@ def run_experiment(train: RankedDataset, test: RankedDataset, methods,
     The master seed spawns one stream per method and one per run, so methods
     see uncorrelated randomness while the whole experiment is reproducible.
     Per-run loss is the unweighted mean ranking loss over the test queries.
+    A method that ignores its seed (``err``, ``able2rank``) runs once, and
+    its loss stands for every repeat.
 
     ``externals`` maps extra method names to pre-computed per-query orderings
     (best-to-worst item indices); those enter the comparison with a constant
@@ -223,12 +227,16 @@ def run_experiment(train: RankedDataset, test: RankedDataset, methods,
         if name in _RUNNERS:
             mode, runner = _RUNNERS[name]
             train_view, test_view = views[mode]
-            losses = np.empty(repeats)
-            for r, run_stream in enumerate(stream.spawn(repeats)):
-                run_seed = int(run_stream.generate_state(1)[0])
+
+            def run_loss(run_seed):
                 predicted = runner(train_view, test_view, run_seed, config)
-                losses[r] = float(np.mean([ranking_loss(p, q.ranking)
-                                           for p, q in zip(predicted, test.queries)]))
+                return float(np.mean([ranking_loss(p, q.ranking) for p, q in zip(predicted, test.queries)]))
+
+            if name in _SEED_FREE:
+                losses = np.full(repeats, run_loss(None))
+            else:
+                losses = np.array([run_loss(int(run_stream.generate_state(1)[0]))
+                                   for run_stream in stream.spawn(repeats)])
         else:
             losses = np.full(repeats, external_losses[name])
         mean = float(losses.mean())

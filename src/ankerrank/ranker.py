@@ -32,6 +32,8 @@ from .data import (
 )
 from .kernel import KernelVariant, _prepare_side, _PreparedSide, gram_matrix, kernel_matrix, pair_differences
 from .svm import (
+    _NEWTON_MAX_STEPS,
+    _NEWTON_TOL,
     SvmModel,
     _check_cap,
     _newton_minimize,
@@ -220,7 +222,7 @@ def btl_log_likelihood(pref: np.ndarray, theta: np.ndarray) -> float:
     return float(np.sum(pref[off] * pairwise[off]))
 
 
-def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlParams:
+def btl_fit(pref: np.ndarray, tol: float = _NEWTON_TOL, max_iter: int = _NEWTON_MAX_STEPS) -> BtlParams:
     """Maximum-likelihood Bradley-Terry-Luce utilities by Newton's method on log-utilities.
 
     Off-diagonal entries must be finite with p_ij + p_ji = 1 (within 1e-9),
@@ -244,8 +246,8 @@ def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlPa
     ``tol`` >= 0 bounds the max-norm of the gradient with respect to beta:
     ``converged`` is True when that bound is met.  The fit stops unconverged,
     with a warning, after ``max_iter`` Newton steps (an integer >= 1) or when
-    no step along the Newton direction raises the likelihood.  Returns
-    theta = softmax(beta).
+    no step raises the likelihood.  Both default to the shared Newton rule,
+    ``svm._NEWTON_TOL`` and ``_NEWTON_MAX_STEPS``.  Returns softmax(beta).
     """
     pref = np.asarray(pref, dtype=float)
     if pref.ndim != 2 or pref.shape[0] != pref.shape[1]:
@@ -295,8 +297,7 @@ def btl_fit(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlPa
             spread = step[:, None] - step[None, :]
 
             def change(t: float) -> float:  # of the negative log-likelihood
-                with np.errstate(over="ignore", invalid="ignore"):
-                    return float(np.sum(wins_matrix * np.log1p(sigma.T * np.expm1(-(t * spread)))))
+                return float(np.sum(wins_matrix * np.log1p(sigma.T * np.expm1(-(t * spread)))))
 
             return step, change
 

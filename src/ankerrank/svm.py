@@ -9,7 +9,7 @@ the linear RankSVM baseline shares.
 ``_newton_minimize`` is the one damped Newton loop of the package: the
 Platt fit here, the Bradley-Terry-Luce fit in ``ranker`` and the RankSVM
 fit in ``baselines`` only define their gradient, Newton direction and
-objective change, and share its line search, stopping test and warning.
+objective change, and share its line search, warning and stopping rule.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ _CV_REPEATS, _CV_FOLDS = 3, 2  # cost selection: 3 repeats of stratified 2-fold 
 # KKT tolerance of the cost search's solves, which only rank the grid by
 # validation mistakes; the model that is kept is solved to smo_train's 1e-3.
 _CV_TOL = 1e-2
-_PLATT_MAX_STEPS, _PLATT_TOL = 100, 1e-10  # Platt's Newton step cap and gradient tolerance
+# Every Newton fit's stopping rule: converged gradient max-norm, step cap.
+_NEWTON_TOL, _NEWTON_MAX_STEPS = 1e-10, 100
 # The Newton line search: Armijo constant and smallest step fraction.
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-10
@@ -260,9 +261,11 @@ def _newton_minimize(x: np.ndarray, local, tol: float, max_steps: int, what: str
     tiny steps near the minimizer are judged exactly.  ``newton`` is called
     only after the stopping tests, so a point where the loop stops converged
     or at the step cap solves no Newton system.  The step fraction t starts
-    at 1 and is halved until change(t) <= _ARMIJO t (g . s).  The loop stops converged when
-    max |g| <= ``tol``, and unconverged, with one warning naming ``what``,
-    after ``max_steps`` steps or when no t >= _MIN_STEP passes.
+    at 1 and is halved until change(t) <= _ARMIJO t (g . s); a change that
+    overflows to inf or NaN fails that test quietly (``local`` and ``newton``
+    still warn).  The loop stops converged when max |g| <= ``tol``, and
+    unconverged, with one warning naming ``what``, after ``max_steps`` steps
+    or when no t >= _MIN_STEP passes.
 
     Returns x, the number of steps taken, ``converged`` and the list of
     accepted objective changes.
@@ -278,13 +281,14 @@ def _newton_minimize(x: np.ndarray, local, tol: float, max_steps: int, what: str
         direction, change = newton()
         slope = float(grad @ direction)
         t = 1.0
-        while t >= _MIN_STEP:
-            delta = change(t)
-            if delta <= _ARMIJO * t * slope:
+        with np.errstate(over="ignore", invalid="ignore"):
+            while t >= _MIN_STEP:
+                delta = change(t)
+                if delta <= _ARMIJO * t * slope:
+                    break
+                t /= 2.0
+            else:
                 break
-            t /= 2.0
-        else:
-            break
         x = x + t * direction
         changes.append(delta)
     logger.warning("%s stopped unconverged after %d Newton steps "
@@ -307,8 +311,8 @@ def platt_fit(decisions, labels) -> PlattParams:
     separable data.  A step changes term i by
     l_i(z + d) - l_i(z) = t_i d + log1p(p expm1(-d)) with p = 1 / (1 + exp(z)),
     so the line search stays exact near the optimum.  Stops when both
-    gradient components are at most ``_PLATT_TOL``; a fit that stops after
-    ``_PLATT_MAX_STEPS`` steps, or when no step lowers the objective, logs a
+    gradient components are at most ``_NEWTON_TOL``; a fit that stops after
+    ``_NEWTON_MAX_STEPS`` steps, or when no step lowers the objective, logs a
     warning and returns ``converged=False``.
     """
     s = np.asarray(decisions, dtype=float)
@@ -341,15 +345,14 @@ def platt_fit(decisions, labels) -> PlattParams:
 
             def change(t: float) -> float:
                 d = t * along
-                with np.errstate(over="ignore", invalid="ignore"):
-                    return float(np.sum(target * d + np.log1p(p * np.expm1(-d))))
+                return float(np.sum(target * d + np.log1p(p * np.expm1(-d))))
 
             return direction, change
 
         return grad, newton
 
     start = np.array([0.0, np.log((n_neg + 1.0) / (n_pos + 1.0))])
-    (a, b), steps, converged, _ = _newton_minimize(start, local, _PLATT_TOL, _PLATT_MAX_STEPS, "Platt fit")
+    (a, b), steps, converged, _ = _newton_minimize(start, local, _NEWTON_TOL, _NEWTON_MAX_STEPS, "Platt fit")
     return PlattParams(a=float(a), b=float(b), steps=steps, converged=converged)
 
 

@@ -43,7 +43,7 @@ from ankerrank import ranker, svm
 from ankerrank.data import NormalizationScope
 from ankerrank.evaluate import MethodConfig, run_experiment
 from ankerrank.kernel import KernelVariant
-from rule_table import rule_problem
+from rule_table import mean_se, rule_problem
 from synthetic import first_threshold_rule, linear_rule, majority_rule, make_linear_dataset, threshold_rule
 
 
@@ -113,11 +113,6 @@ def paired_rows(family: str, variant: KernelVariant, seeds, tols) -> list[dict]:
     return rows
 
 
-def _mean_se(values: np.ndarray) -> str:
-    se = values.std(ddof=1) / np.sqrt(values.size) if values.size > 1 else float("nan")
-    return f"{values.mean():.4f} ± {se:.4f}"
-
-
 def summary_line(rows: list[dict]) -> str:
     """The markdown row of one family's paired figures."""
     a = np.array([r["loss_a"] for r in rows])
@@ -125,7 +120,7 @@ def summary_line(rows: list[dict]) -> str:
     lower, higher = int(np.sum(b < a)), int(np.sum(b > a))
     changed = sum(r["C_a"] != r["C_b"] for r in rows)
     p = sign_test_p(lower, higher)
-    cells = (rows[0]["family"], rows[0]["variant"], len(rows), changed, _mean_se(a), _mean_se(b),
+    cells = (rows[0]["family"], rows[0]["variant"], len(rows), changed, mean_se(a, 4), mean_se(b, 4),
              f"{np.mean(b - a):+.4f}", f"{lower} / {higher} / {len(rows) - lower - higher}", f"{float(p):.3f}")
     return "| " + " | ".join(str(c) for c in cells) + " |"
 

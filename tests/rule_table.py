@@ -4,8 +4,9 @@ Each problem has items uniform in [0, 1]^3, 12 per query, and queries in
 the Copeland order of a rule h(x_i - x_j) (``synthetic.make_rule_dataset``);
 8 queries train and 8 test.  ``run_experiment`` runs every method once with
 C chosen by cross-validation and the normalization scope fixed to
-train+test.  The table holds the mean loss over seeds 100-102.  pytest does
-not collect this file; run it from the repository root with
+train+test.  Each cell is the mean loss over seeds 100-129 +- its standard
+error.  pytest does not collect this file; run it from the repository root
+with
 
     PYTHONPATH=src:tests python tests/rule_table.py
 """
@@ -28,7 +29,7 @@ RULES = {
     "sign of Σ sign uₖ (majority of features; intransitive)": majority_rule,
 }
 COLUMNS = ("anker POLY2", "anker MEAN", "err", "ranksvm", "able2rank")
-SEEDS = (100, 101, 102)
+SEEDS = tuple(range(100, 130))
 
 
 def rule_problem(rule, seed: int) -> tuple[RankedDataset, RankedDataset]:
@@ -48,13 +49,20 @@ def rule_losses(rule, seed: int) -> dict[str, float]:
     return losses
 
 
+def mean_se(values, digits: int = 3) -> str:
+    """``values``' mean +- its standard error (NaN for a single value), to ``digits`` decimals."""
+    values = np.asarray(values, dtype=float)
+    se = values.std(ddof=1) / np.sqrt(values.size) if values.size > 1 else float("nan")
+    return f"{values.mean():.{digits}f} ± {se:.{digits}f}"
+
+
 def table(rules=RULES, seeds=SEEDS) -> str:
-    """The markdown table of mean losses, one row per rule."""
+    """The markdown table of mean losses +- standard errors, one row per rule."""
     lines = ["| rule h(u) | " + " | ".join(COLUMNS) + " |", "|---" * (len(COLUMNS) + 1) + "|"]
     for label, rule in rules.items():
         per_seed = [rule_losses(rule, seed) for seed in seeds]
-        means = [np.mean([losses[c] for losses in per_seed]) for c in COLUMNS]
-        lines.append(f"| {label} | " + " | ".join(f"{m:.3f}" for m in means) + " |")
+        cells = [mean_se([losses[c] for losses in per_seed]) for c in COLUMNS]
+        lines.append(f"| {label} | " + " | ".join(cells) + " |")
     return "\n".join(lines)
 
 

@@ -362,6 +362,12 @@ def test_query_rejects_a_non_integral_ranking(ranking):
         RankedQuery("q", np.zeros((2, 1)), np.array(ranking))
 
 
+@pytest.mark.parametrize("ranking", [[True, False], [False, True]])
+def test_query_refuses_a_boolean_ranking(ranking):
+    with pytest.raises(DataFormatError, match="not a permutation"):
+        RankedQuery("q", np.zeros((2, 1)), np.array(ranking))
+
+
 def test_query_stores_an_integral_float_ranking_as_integers():
     query = RankedQuery("q", np.zeros((2, 1)), np.array([1.0, 0.0]))
     assert query.ranking.dtype.kind == "i" and query.ranking.tolist() == [1, 0]
@@ -556,6 +562,12 @@ def test_ks_non_finite_sample_rejected(bad):
     for a, b in (([bad, 1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, bad, 2.0])):
         with pytest.raises(ValueError, match="finite"):
             ks_two_sample(a, b)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, -0.05, np.nan])
+def test_ks_refuses_a_level_outside_the_unit_interval(alpha):
+    with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+        ks_two_sample([0.1, 0.2], [0.3, 0.4], alpha=alpha)
 
 
 def test_scope_of_a_non_finite_query_fails_loudly():

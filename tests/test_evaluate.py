@@ -114,11 +114,10 @@ def test_loss_with_ties_is_the_mean_over_tie_breakings():
 
 
 
-@pytest.mark.parametrize("pi_star", [[0.2, 0.9], [0, 0], [1, 2], [0.0, 1.5]])
+@pytest.mark.parametrize("pi_star", [[0.2, 0.9], [0, 0], [1, 2], [0.0, 1.5], [True, False], [False, True]])
 def test_loss_needs_a_permutation_as_the_true_ranking(pi_star):
     with pytest.raises(ValueError, match="not a permutation of 0..1"):
         ranking_loss([0, 1], pi_star)
-
 # ---------------------------------------------------------------------------
 # Rank bookkeeping
 
@@ -152,6 +151,27 @@ def test_run_experiment_stores_one_loss_per_repeat(small_problem):
         assert result.losses.shape == (20,)
         assert result.mean_loss == pytest.approx(float(result.losses.mean()))
         assert result.std_loss == pytest.approx(float(result.losses.std(ddof=1)))
+
+
+def test_run_experiment_runs_a_method_that_ignores_its_seed_once(small_problem, monkeypatch):
+    train, test = small_problem
+    calls = {"able2rank_lite": 0, "err_fit": 0, "ranksvm_fit": 0}
+
+    def counted(name):
+        original = getattr(evaluate.bl, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(evaluate.bl, name, counted(name))
+    results = run_experiment(train, test, ["able2rank", "err", "ranksvm"], repeats=3, seed=7,
+                             config=MethodConfig(C=1.0))
+    assert calls == {"able2rank_lite": len(test.queries), "err_fit": 1, "ranksvm_fit": 3}
+    assert all(r.losses.shape == (3,) for r in results)
+    assert all(np.all(r.losses == r.losses[0]) and r.std_loss == 0.0 for r in results[:2])
 
 
 def test_run_experiment_assigns_competition_ranks(small_problem):

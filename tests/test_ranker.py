@@ -476,6 +476,14 @@ def test_btl_converges_on_random_reciprocal_matrices(n):
     assert params.log_likelihood_path[-1] == pytest.approx(btl_log_likelihood(p, theta))
 
 
+def test_btl_default_fit_converges_well_inside_its_step_cap_on_all_extreme_preferences():
+    # p_ij = 1 for every i < j: each entry sits at the clip.
+    pref = np.triu(np.ones((100, 100)), k=1)
+    params = btl_fit(pref)
+    assert params.converged and params.iterations <= 20
+    assert np.array_equal(ranking_from_scores(params.theta), np.arange(100))
+
+
 def test_btl_warns_when_it_stops_unconverged(caplog):
     pref = _random_reciprocal(np.random.default_rng(41), 10)
     with caplog.at_level("WARNING", logger="ankerrank.svm"):

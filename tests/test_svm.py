@@ -1,5 +1,6 @@
 import inspect
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy import optimize as sp_optimize
 
 from ankerrank import svm
 from ankerrank.kernel import KernelVariant, gram_matrix, pair_differences
-from ankerrank.ranker import build_pair_instances
+from ankerrank.ranker import btl_fit, build_pair_instances
 from ankerrank.svm import (
     DEFAULT_C_GRID,
     PlattParams,
@@ -400,7 +401,7 @@ def test_platt_fit_records_its_steps_and_convergence():
 
 
 def test_platt_fit_at_its_step_cap_is_unconverged_and_warns(monkeypatch, caplog):
-    monkeypatch.setattr(svm, "_PLATT_MAX_STEPS", 1)
+    monkeypatch.setattr(svm, "_NEWTON_MAX_STEPS", 1)
     decisions = np.array([-2.0, -1.0, 0.5, 1.0, 2.0])
     labels = np.array([-1.0, 1.0, -1.0, 1.0, 1.0])
     with caplog.at_level(logging.WARNING, logger="ankerrank.svm"):
@@ -487,6 +488,47 @@ def test_newton_driver_warns_when_no_step_lowers_the_objective(caplog):
     assert len(caplog.records) == 1
     assert "quadratic stopped unconverged after 0 Newton steps" in caplog.text
     assert "gradient max-norm 2.000e+00" in caplog.text
+
+
+def _overflowing_at_full_step(local):
+    """``local`` whose change(t) overflows to NaN at t = 1 and is exact at t <= 1/2."""
+    def wrapped(x):
+        grad, newton = local(x)
+
+        def wrapped_newton():
+            step, change = newton()
+            return step, lambda t: change(t) + (np.exp(1e3 * t) - np.exp(1e3 * t))
+
+        return grad, wrapped_newton
+    return wrapped
+
+
+def test_newton_driver_halves_a_step_whose_change_overflows_without_a_warning():
+    start = np.array([1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, steps, converged, changes = _newton_minimize(
+            start, _overflowing_at_full_step(_quadratic(np.eye(2), np.zeros(2))), 1e-12, 1, "quadratic")
+    # The full step's NaN change fails the Armijo test, so the half step is taken.
+    assert (steps, converged) == (1, False)
+    assert np.array_equal(x, start / 2.0)
+    assert changes == [pytest.approx(-1.875)]
+
+
+def test_newton_driver_still_warns_on_an_overflow_in_the_gradient():
+    def local(x):
+        return np.exp(1e3 * x), None
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            _newton_minimize(np.ones(1), local, 1e-12, 1, "overflow")
+
+
+def test_every_newton_fit_stops_by_one_rule():
+    assert (svm._NEWTON_TOL, svm._NEWTON_MAX_STEPS) == (1e-10, 100)
+    parameters = inspect.signature(btl_fit).parameters
+    assert (parameters["tol"].default, parameters["max_iter"].default) == (svm._NEWTON_TOL, svm._NEWTON_MAX_STEPS)
 
 
 # ---------------------------------------------------------------------------
