@@ -113,6 +113,21 @@ class FeatureSchema:
         return nearest
 
 
+def _as_permutation(values, n: int, what: str) -> np.ndarray:
+    """``values`` as an int array if it is a permutation of 0..n-1, else ``DataFormatError``.
+
+    ``values`` is a list, tuple or 1-D array, and each entry is checked before any
+    cast: 1.0 counts, and 1.5 (it would truncate), a boolean, a string or a list does not.
+    """
+    entries = values.tolist() if isinstance(values, np.ndarray) and values.ndim == 1 else values
+    if not (isinstance(entries, (list, tuple))
+            and all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+                    for v in entries)
+            and sorted(entries) == list(range(n))):
+        raise DataFormatError(f"{what} is not a permutation of 0..{n - 1}")
+    return np.asarray(values, dtype=int)
+
+
 @dataclass(frozen=True)
 class RankedQuery:
     """A query set of items with its ranking.
@@ -127,7 +142,6 @@ class RankedQuery:
 
     def __post_init__(self) -> None:
         items = np.asarray(self.items, dtype=float)
-        ranking = np.asarray(self.ranking)
         object.__setattr__(self, "items", items)
         if items.ndim != 2:
             raise DataFormatError("query items must form a 2-D (n, d) array")
@@ -136,11 +150,8 @@ class RankedQuery:
             raise DataFormatError("a query needs at least one item")
         if not np.isfinite(items).all():
             raise DataFormatError(f"query {self.query_id!r} has non-finite feature values")
-        # Compared before the integer cast, so 1.5 is not read as 1; booleans
-        # are refused, not read as 0 and 1.
-        if ranking.dtype == bool or ranking.shape != (n,) or sorted(ranking.tolist()) != list(range(n)):
-            raise DataFormatError(f"ranking of query {self.query_id!r} is not a permutation of 0..{n - 1}")
-        object.__setattr__(self, "ranking", ranking.astype(int, copy=False))
+        ranking = _as_permutation(self.ranking, n, f"ranking of query {self.query_id!r}")
+        object.__setattr__(self, "ranking", ranking)
 
     @property
     def n_items(self) -> int:

@@ -23,6 +23,7 @@ from .data import (
     NormalizationMode,
     NormalizationScope,
     RankedDataset,
+    _as_permutation,
     choose_normalization_scope,
     normalize_train_test,
 )
@@ -39,10 +40,10 @@ def ranking_loss(pi: np.ndarray, pi_star: np.ndarray) -> float:
     n(n-1)/2.  ``pi`` may tie items: a pair tied in ``pi`` counts as half
     discordant (Kendall's distance with penalty 1/2 of Fagin et al., 2004),
     which is the expected loss when the tie is broken at random.
-    ``pi_star`` must be a permutation of 0..n-1, and not of booleans.
+    ``pi_star`` must be a permutation of 0..n-1 by the rule a query's ranking follows.
     """
     pi = np.asarray(pi, dtype=float)
-    pi_star = np.asarray(pi_star)
+    pi_star = np.asarray(pi_star, dtype=object)  # no entry is cast before its check
     if pi.shape != pi_star.shape or pi.ndim != 1:
         raise ValueError("rankings must be 1-D and equally long")
     if not np.isfinite(pi).all():
@@ -50,13 +51,17 @@ def ranking_loss(pi: np.ndarray, pi_star: np.ndarray) -> float:
     n = pi.size
     if n < 2:
         raise ValueError("ranking loss needs at least two items")
-    if pi_star.dtype == bool or sorted(pi_star.tolist()) != list(range(n)):
-        raise ValueError(f"the true ranking is not a permutation of 0..{n - 1}")
+    pi_star = _as_permutation(pi_star, n, "the true ranking")
     before = pi[:, None] < pi[None, :]
     before_star = pi_star[:, None] < pi_star[None, :]
     tied = pi[:, None] == pi[None, :]
     discordant = int(np.sum(before & ~before_star)) + 0.5 * int(np.sum(tied & before_star))
     return discordant / (n * (n - 1) / 2)
+
+
+def _mean_loss(positions, queries) -> float:
+    """The protocol's per-run loss: the unweighted mean ranking loss over the test queries."""
+    return float(np.mean([ranking_loss(p, q.ranking) for p, q in zip(positions, queries)]))
 
 
 @dataclass(frozen=True)
@@ -159,21 +164,10 @@ def score_external_orderings(test: RankedDataset, orderings) -> float:
     """
     orderings = list(orderings)
     if len(orderings) != len(test.queries):
-        raise DataFormatError(
-            f"got {len(orderings)} external orderings for {len(test.queries)} test queries"
-        )
-    losses = []
-    for query, ordering in zip(test.queries, orderings):
-        # Integers only: floats would truncate, booleans read as 0 and 1.
-        if not (isinstance(ordering, (list, tuple, np.ndarray))
-                and all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in ordering)
-                and sorted(ordering) == list(range(query.n_items))):
-            raise DataFormatError(
-                f"external ordering for query {query.query_id!r} is not a permutation "
-                f"of 0..{query.n_items - 1}"
-            )
-        losses.append(ranking_loss(np.argsort(ordering), query.ranking))
-    return float(np.mean(losses))
+        raise DataFormatError(f"got {len(orderings)} external orderings for {len(test.queries)} test queries")
+    positions = [np.argsort(_as_permutation(o, q.n_items, f"external ordering for query {q.query_id!r}"))
+                 for q, o in zip(test.queries, orderings)]
+    return _mean_loss(positions, test.queries)
 
 
 def competition_ranks(means) -> np.ndarray:
@@ -227,16 +221,10 @@ def run_experiment(train: RankedDataset, test: RankedDataset, methods,
         if name in _RUNNERS:
             mode, runner = _RUNNERS[name]
             train_view, test_view = views[mode]
-
-            def run_loss(run_seed):
-                predicted = runner(train_view, test_view, run_seed, config)
-                return float(np.mean([ranking_loss(p, q.ranking) for p, q in zip(predicted, test.queries)]))
-
-            if name in _SEED_FREE:
-                losses = np.full(repeats, run_loss(None))
-            else:
-                losses = np.array([run_loss(int(run_stream.generate_state(1)[0]))
-                                   for run_stream in stream.spawn(repeats)])
+            seeds = [None] if name in _SEED_FREE else [int(s.generate_state(1)[0]) for s in stream.spawn(repeats)]
+            # A seed-free method runs once, and np.full repeats its loss for every run.
+            losses = np.full(repeats, [_mean_loss(runner(train_view, test_view, s, config), test.queries)
+                                       for s in seeds])
         else:
             losses = np.full(repeats, external_losses[name])
         mean = float(losses.mean())

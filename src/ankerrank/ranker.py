@@ -164,12 +164,15 @@ def reciprocal_preferences(upper: np.ndarray, n_items: int) -> np.ndarray:
     """The reciprocal preference matrix with a given upper triangle.
 
     ``upper[m]`` is the preference of item i over item j for the m-th pair
-    (i, j) with i < j in row-major order; the opposite entry is its exact
-    complement and the diagonal is 0.5.
+    (i, j) with i < j in row-major order, a number in [0, 1]; the opposite
+    entry is its exact complement and the diagonal is 0.5.
     """
+    upper = np.asarray(upper, dtype=float)
     rows, cols = np.triu_indices(n_items, k=1)
     if upper.shape != rows.shape:
         raise ValueError("preferences do not match the number of item pairs")
+    if not np.all((upper >= 0) & (upper <= 1)):
+        raise ValueError("preferences must lie in [0, 1]")
     pref = np.full((n_items, n_items), 0.5)
     pref[rows, cols] = upper
     pref[cols, rows] = 1.0 - upper
@@ -214,9 +217,11 @@ def preference_matrix(model: AnkerModel, query: np.ndarray) -> np.ndarray:
 
 
 def btl_log_likelihood(pref: np.ndarray, theta: np.ndarray) -> float:
-    """Log-likelihood of utilities under the pairwise preference weights."""
-    theta = np.asarray(theta, dtype=float)
+    """Log-likelihood of n utilities under an (n, n) matrix of pairwise preference weights."""
+    pref, theta = np.asarray(pref, dtype=float), np.asarray(theta, dtype=float)
     n = theta.size
+    if theta.ndim != 1 or pref.shape != (n, n):
+        raise ValueError("preferences must form an (n, n) matrix for n utilities")
     off = ~np.eye(n, dtype=bool)
     pairwise = np.log(theta[:, None]) - np.log(theta[:, None] + theta[None, :])
     return float(np.sum(pref[off] * pairwise[off]))

@@ -14,9 +14,12 @@ not collect this file; run it from the repository root with
 
     PYTHONPATH=src python tests/output_digests.py --seeds 1 2 3
 
-``--smoke`` runs the workloads' tiny inputs.  The BLAS thread count is left
-as the environment sets it, so running the script under two counts shows
-whether the outputs depend on it.
+Compare two trees at one BLAS thread count, for example with
+``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1``: at full size, rank-large's
+BTL solve rounds by the thread count, so its digest differs between counts
+while every other workload's does not.  The count is left as the
+environment sets it.  ``--smoke`` runs the workloads' tiny inputs, where no
+query is large enough to reach that solve.
 """
 
 from __future__ import annotations

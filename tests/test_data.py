@@ -356,16 +356,20 @@ def test_query_requires_permutation():
         RankedQuery("q", np.zeros((2, 1)), np.array([0, 0]))
 
 
-@pytest.mark.parametrize("ranking", [[1.5, 0.2], [0.5, 1.0], [np.nan, 0.0]])
+@pytest.mark.parametrize("ranking", [np.array([1.5, 0.2]), np.array([0.5, 1.0]), np.array([np.nan, 0.0]),
+                                     np.array(["0", 1], dtype=object), [0, [1]], ["1", "0"]])
 def test_query_rejects_a_non_integral_ranking(ranking):
     with pytest.raises(DataFormatError, match="not a permutation"):
-        RankedQuery("q", np.zeros((2, 1)), np.array(ranking))
+        RankedQuery("q", np.zeros((2, 1)), ranking)
 
 
-@pytest.mark.parametrize("ranking", [[True, False], [False, True]])
+# Each entry is checked before any cast: a list mixing booleans and integers
+# would cast to the integers [1, 0].
+@pytest.mark.parametrize("ranking", [np.array([True, False]), np.array([False, True]), [True, 0], [0, np.True_],
+                                     np.array([True, 0], dtype=object)])
 def test_query_refuses_a_boolean_ranking(ranking):
     with pytest.raises(DataFormatError, match="not a permutation"):
-        RankedQuery("q", np.zeros((2, 1)), np.array(ranking))
+        RankedQuery("q", np.zeros((2, 1)), ranking)
 
 
 def test_query_stores_an_integral_float_ranking_as_integers():

@@ -114,10 +114,17 @@ def test_loss_with_ties_is_the_mean_over_tie_breakings():
 
 
 
-@pytest.mark.parametrize("pi_star", [[0.2, 0.9], [0, 0], [1, 2], [0.0, 1.5], [True, False], [False, True]])
+@pytest.mark.parametrize("pi_star", [[0.2, 0.9], [0, 0], [1, 2], [0.0, 1.5], [True, False], [False, True],
+                                     [True, 0], [0, np.True_], np.array(["0", 1], dtype=object), [0, [1]]])
 def test_loss_needs_a_permutation_as_the_true_ranking(pi_star):
-    with pytest.raises(ValueError, match="not a permutation of 0..1"):
+    with pytest.raises(DataFormatError, match="not a permutation of 0..1"):
         ranking_loss([0, 1], pi_star)
+
+
+def test_loss_reads_an_integral_float_true_ranking_as_integers():
+    assert ranking_loss([0, 1], [1.0, 0.0]) == ranking_loss([0, 1], [1, 0]) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Rank bookkeeping
 
@@ -324,6 +331,28 @@ def test_score_external_orderings_validation(small_problem):
     bad[0][0] = bad[0][1]
     with pytest.raises(ValueError, match="not a permutation"):
         score_external_orderings(test, bad)
+
+
+@pytest.fixture(scope="module")
+def two_item_query():
+    return make_linear_dataset(1, 2, 3, seed=9)
+
+
+@pytest.mark.parametrize("make", [list, lambda o: [float(k) for k in o], tuple, np.array],
+                         ids=["list", "integral-floats", "tuple", "int-array"])
+def test_score_external_orderings_take_integral_numbers(two_item_query, make):
+    truth = two_item_query.queries[0].ordering.tolist()
+    assert score_external_orderings(two_item_query, [make(truth)]) == 0.0
+    assert score_external_orderings(two_item_query, [make(truth[::-1])]) == 1.0
+
+
+@pytest.mark.parametrize("ordering", ["01", 0, [np.True_, 0], [True, 0], [1.5, 0.0], [0, [1]],
+                                      np.array(["0", 1], dtype=object), np.array([[0], [1]])],
+                         ids=["string", "scalar", "numpy-boolean", "boolean", "fraction", "nested",
+                              "object-array", "2-d-array"])
+def test_score_external_orderings_refuse_anything_else(two_item_query, ordering):
+    with pytest.raises(DataFormatError, match="external ordering for query .* is not a permutation of 0..1"):
+        score_external_orderings(two_item_query, [ordering])
 
 
 def test_external_method_joins_the_ranking(small_problem):

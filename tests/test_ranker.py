@@ -174,6 +174,17 @@ def test_reciprocal_preferences_need_one_value_per_item_pair():
         reciprocal_preferences(np.full(2, 0.5), 3)
 
 
+def test_reciprocal_preferences_take_a_list():
+    assert np.array_equal(reciprocal_preferences([0.7, 0.0, 1.0], 3),
+                          reciprocal_preferences(np.array([0.7, 0.0, 1.0]), 3))
+
+
+@pytest.mark.parametrize("upper", [1.5, -0.5, np.nan, np.inf])
+def test_reciprocal_preferences_must_lie_in_the_unit_interval(upper):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        reciprocal_preferences(np.array([0.5, upper, 0.5]), 3)
+
+
 def _trained_toy_model(seed=11):
     data = make_linear_dataset(2, 8, 3, seed=seed)
     items = data.all_items()
@@ -444,6 +455,19 @@ def test_btl_likelihood_is_monotone():
     assert np.all(np.diff(params.log_likelihood_path) >= -1e-9)
     # the recorded path ends at the likelihood of the returned utilities
     assert params.log_likelihood_path[-1] == pytest.approx(btl_log_likelihood(pref, params.theta))
+
+
+def test_btl_log_likelihood_takes_lists():
+    # sum over i != j of p_ij log(theta_i / (theta_i + theta_j)), with theta summing to 1
+    assert btl_log_likelihood([[0.5, 0.8], [0.2, 0.5]], [0.6, 0.4]) == pytest.approx(
+        0.8 * np.log(0.6) + 0.2 * np.log(0.4))
+
+
+@pytest.mark.parametrize("pref_shape,theta_shape", [((3, 3), (2,)), ((2, 3), (2,)), ((2,), (2,)), ((2, 2), (2, 1))],
+                         ids=["3x3-for-2", "2x3", "1-d", "2-d-theta"])
+def test_btl_log_likelihood_needs_an_n_by_n_matrix_for_n_utilities(pref_shape, theta_shape):
+    with pytest.raises(ValueError, match=r"\(n, n\) matrix"):
+        btl_log_likelihood(np.full(pref_shape, 0.5), np.full(theta_shape, 0.5))
 
 
 def _random_reciprocal(rng, n):
