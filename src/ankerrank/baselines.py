@@ -143,7 +143,10 @@ def able2rank_lite(train: RankedDataset, query: np.ndarray, k: int = 20) -> Rank
     (0.5 when there is no evidence at all), then aggregated like the main
     pipeline.  Expects data normalized to [0, 1] and an integer ``k`` >= 1.
     Query pairs are the rows of the evidence, a chunk at a time from
-    ``ranker._pair_preferences``, so each pair's top k lies in one row.
+    ``ranker._pair_preferences``, so each pair's top k lies in one row.  The
+    evidence is a float32 block against the training preferences, prepared
+    once per call, within ``kernel_matrix``'s float32 bound of the float64
+    degrees; each top k is summed in float64.
     """
     _check_cap(k, "k")
     pref_diffs = pair_differences(train.all_items(), *build_pair_instances(train).T, "training items")
@@ -158,7 +161,7 @@ def able2rank_lite(train: RankedDataset, query: np.ndarray, k: int = 20) -> Rank
         if k < n_prefs:
             evidence.partition(n_prefs - k, axis=1)
             evidence = evidence[:, n_prefs - k:]
-        sum_fwd, sum_bwd = evidence.sum(axis=1).reshape(2, -1)
+        sum_fwd, sum_bwd = evidence.astype(float).sum(axis=1).reshape(2, -1)
         total = sum_fwd + sum_bwd
         return np.where(total > 0.0, sum_fwd / np.where(total > 0.0, total, 1.0), 0.5)
 

@@ -28,7 +28,9 @@ bytes: a caller scores reversed pairs as negated rows of the same call.
 A collection scored again and again, such as a model's support pairs, is
 checked and turned into the product's right operand once by
 ``_prepare_side``; ``kernel_matrix`` accepts the result in place of
-``diffs_b`` and gives the same bytes.
+``diffs_b``.  Such a side is float32 and its blocks are float32 within the
+bound derived in ``kernel_matrix``; a float64 side gives the bytes of its
+array.
 """
 
 from __future__ import annotations
@@ -94,10 +96,13 @@ def pair_differences(items, first, second, what: str) -> np.ndarray:
     return items[first] - items[second]
 
 
-def _left_operand(diffs: np.ndarray) -> np.ndarray:
-    """u's rows of the product: row i holds (|u_i|, 1) in u_i's sign class and zeros elsewhere."""
+def _left_operand(diffs: np.ndarray, dtype) -> np.ndarray:
+    """u's rows of the product: row i holds (|u_i|, 1) in u_i's sign class and zeros elsewhere.
+
+    The class comes from the float64 u; only |u| is rounded to ``dtype``.
+    """
     u = np.ascontiguousarray(diffs.T)
-    left = np.empty((len(u), len(diffs), 3, 2))
+    left = np.empty((len(u), len(diffs), 3, 2), dtype)
     np.equal(np.sign(u)[:, :, None] + 1.0, _CLASSES, out=left[..., 1])
     np.multiply(left[..., 1], np.abs(u)[:, :, None], out=left[..., 0])
     return left.reshape(len(u), -1, 6)
@@ -105,7 +110,7 @@ def _left_operand(diffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _PreparedSide:
-    """Checked (n, d) differences and their read-only (d, 6, n) right operand."""
+    """Checked (n, d) float64 differences and their read-only (d, 6, n) right operand."""
 
     diffs: np.ndarray
     right: np.ndarray
@@ -119,17 +124,20 @@ def _checked_diffs(diffs, what: str) -> np.ndarray:
     return diffs
 
 
-def _prepare_side(diffs, what: str = "diffs_b") -> _PreparedSide:
+def _prepare_side(diffs, what: str = "diffs_b", dtype=np.float32) -> _PreparedSide:
     """``diffs`` checked as ``kernel_matrix`` checks ``diffs_b``, with v's columns of the product.
 
     Column j holds ([v in c], v in c ? -|v| : 1) for c = 0, 1, 2 and each
-    feature's v = diffs[j, k]; the operand takes 48 d n bytes.  Passing the
-    result as ``diffs_b`` skips the checks and this build, O(d n) work per
-    call.  The side keeps ``diffs`` as given: a caller that writes to them
-    afterwards must prepare them again.
+    feature's v = diffs[j, k], in ``dtype``; the class comes from the float64
+    v and only |v| is rounded.  The float32 operand, which the prediction
+    side uses, takes 24 d n bytes; ``kernel_matrix`` builds a float64 one
+    (48 d n bytes) for a plain ``diffs_b``.  Passing the result as
+    ``diffs_b`` skips the checks and this build, O(d n) work per call.  The
+    side keeps ``diffs`` as given: a caller that writes to them afterwards
+    must prepare them again.
     """
     diffs = _checked_diffs(diffs, what)
-    right = np.empty((diffs.shape[1], 3, 2, len(diffs)))
+    right = np.empty((diffs.shape[1], 3, 2, len(diffs)), dtype)
     in_class, gate = right[:, :, 0], right[:, :, 1]
     np.equal(np.sign(diffs.T)[:, None] + 1.0, _CLASSES[:, None], out=in_class)
     np.subtract(1.0, in_class, out=gate)
@@ -157,21 +165,47 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN)
     finite, so every product is exact and every other summand an exact zero:
     x is fl(|u| - |v|) or exactly 1 at any BLAS summation order or thread
     count.
+
+    Precision.  Two plain arrays, and so ``gram_matrix``, give float64.  A
+    side prepared in float32 gives a float32 block: u's operand, the terms,
+    the sums and the output are float32 as well.  Each operand takes its
+    sign classes from the float64 inputs and rounds only the magnitudes, so
+    the classes are those of the float64 kernel (1e-300 stays positive,
+    although its magnitude rounds to 0).  The exactness argument above holds
+    in float32 unchanged, so a float32 block, too, is the same bytes at any
+    chunk width, BLAS order or thread count.
+
+    The float32 bound.  Let e = 2**-24 and a = |u|, b = |v| <= 1 for one
+    feature of one class.  Rounding to float32 moves a and b by at most e/2
+    each (half an ulp below 1, and 1 is exact); fl(a - b) adds at most e/2,
+    as |a - b| <= 1; fl(1 - |x|) adds at most e/2, being exact (Sterbenz)
+    when |x| >= 1/2 and else a result in [1/2, 1].  So each term is within
+    2e of the exact 1 - |a - b|, and a term of unequal classes is exactly 0
+    on both paths.  The j-th in-order addition gives a result in [0, j] and
+    errs by at most j e, and dividing by d errs by at most e/2, so the MEAN
+    entry is within (d/2 + 3 - 1/d) e of the exact mean.  The float64 kernel
+    errs by less than the same expression in 2**-53, which fits in the 1/d
+    for d <= 30 000, so |K32 - K64| <= (d/2 + 3) e for MEAN.  POLY2 squares
+    means in [0, 1]: |s32^2 - s64^2| <= 2 |s32 - s64|, plus e/2 for the
+    square's rounding, so |K32 - K64| <= (d + 6.5) e.  At d = 10 these are
+    4.8e-7 and 1.0e-6.
     """
     if not isinstance(variant, KernelVariant):
         raise ValueError(f"variant must be a KernelVariant, not {variant!r}")
     symmetric = diffs_a is diffs_b
     diffs_a = _checked_diffs(diffs_a, "diffs_a")
-    side = diffs_b if isinstance(diffs_b, _PreparedSide) else _prepare_side(diffs_a if symmetric else diffs_b)
+    side = diffs_b if isinstance(diffs_b, _PreparedSide) else _prepare_side(
+        diffs_a if symmetric else diffs_b, dtype=np.float64)
     (n_a, n_dim), (n_b, b_dim) = diffs_a.shape, side.diffs.shape
     if n_dim != b_dim:
         raise ValueError(f"dimension mismatch: diffs_a has {n_dim} features, diffs_b has {b_dim}")
     if n_dim == 0:
         raise ValueError("pairs must have at least one feature")
-    left = _left_operand(diffs_a)
-    out = np.empty((n_a, n_b))
-    term_buf = np.empty(n_dim * _PRODUCT_ROWS * n_b)
-    sum_buf = np.empty(_PRODUCT_ROWS * n_b)
+    dtype = side.right.dtype
+    left = _left_operand(diffs_a, dtype)
+    out = np.empty((n_a, n_b), dtype)
+    term_buf = np.empty(n_dim * _PRODUCT_ROWS * n_b, dtype)
+    sum_buf = np.empty(_PRODUCT_ROWS * n_b, dtype)
     for start in range(0, n_a, _PRODUCT_ROWS):
         stop = min(start + _PRODUCT_ROWS, n_a)
         col = start if symmetric else 0

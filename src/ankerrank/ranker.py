@@ -100,11 +100,11 @@ class AnkerModel:
     ``support_diffs`` holds the support pairs' differences, in ``svm.support``
     order, as a read-only copy of the array the model was built with; one
     that is not 2-D with one row per support raises ``DataFormatError``.  The
-    first prediction checks them and builds their side of the kernel's
-    product once; it stays with the model, read-only, and takes 48 d |S|
-    bytes for |S| supports of d features (346 KiB at 738 supports and
-    d = 10).  Queries passed to ``anker_predict`` must be normalized like the
-    training items; ``anker_rank`` does both in one call.
+    first prediction checks them and builds their float32 side of the
+    kernel's product once; it stays with the model, read-only, and takes
+    24 d |S| bytes for |S| supports of d features (173 KiB at 738 supports
+    and d = 10).  Queries passed to ``anker_predict`` must be normalized
+    like the training items; ``anker_rank`` does both in one call.
     """
 
     svm: SvmModel
@@ -160,6 +160,12 @@ def build_pair_instances(data: RankedDataset) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _check_preferences(values: np.ndarray) -> None:
+    # Written so that NaN fails the test: every comparison with NaN is False.
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ValueError("preferences must lie in [0, 1]")
+
+
 def reciprocal_preferences(upper: np.ndarray, n_items: int) -> np.ndarray:
     """The reciprocal preference matrix with a given upper triangle.
 
@@ -171,8 +177,7 @@ def reciprocal_preferences(upper: np.ndarray, n_items: int) -> np.ndarray:
     rows, cols = np.triu_indices(n_items, k=1)
     if upper.shape != rows.shape:
         raise ValueError("preferences do not match the number of item pairs")
-    if not np.all((upper >= 0) & (upper <= 1)):
-        raise ValueError("preferences must lie in [0, 1]")
+    _check_preferences(upper)
     pref = np.full((n_items, n_items), 0.5)
     pref[rows, cols] = upper
     pref[cols, rows] = 1.0 - upper
@@ -203,6 +208,16 @@ def preference_matrix(model: AnkerModel, query: np.ndarray) -> np.ndarray:
     backward differences are the forward ones negated, exactly, so each
     chunk of query pairs scores both orientations as the rows of one
     ``kernel_matrix`` call, with the bytes of two calls.
+
+    The kernel rows are float32, against the model's float32 support side;
+    decision values, Platt and the reciprocal matrix are float64.  Each row is within
+    c(d) 2**-24 of the float64 kernel (``kernel_matrix`` derives c(d): d/2 + 3
+    for MEAN, d + 6.5 for POLY2), so a decision value moves by at most
+    sum_s |alpha_s y_s| c(d) 2**-24, plus the float64 rounding of the two
+    sums, at most |S| 2**-52 sum_s |alpha_s y_s|.  Platt's sigmoid has slope
+    at most |a|/4 and the clip is 1-Lipschitz, so p_ij moves by at most |a|/4
+    times the larger decision change of its two orientations, plus a few
+    units of 2**-53 from the float64 steps.
     """
     if model.svm.platt is None:
         raise ValueError("model must carry calibration parameters")
@@ -230,11 +245,11 @@ def btl_log_likelihood(pref: np.ndarray, theta: np.ndarray) -> float:
 def btl_fit(pref: np.ndarray, tol: float = _NEWTON_TOL, max_iter: int = _NEWTON_MAX_STEPS) -> BtlParams:
     """Maximum-likelihood Bradley-Terry-Luce utilities by Newton's method on log-utilities.
 
-    Off-diagonal entries must be finite with p_ij + p_ji = 1 (within 1e-9),
-    and are clipped away from {0, 1} so the maximizer stays finite.  The
-    log-likelihood sum_ij p_ij log sigma(beta_i - beta_j) is concave in
-    beta = log theta; its negative is minimized by ``svm._newton_minimize``.
-    Each step solves (L + 11'/n) delta = g, where g is the gradient of the
+    Off-diagonal entries must lie in [0, 1] with p_ij + p_ji = 1 (within
+    1e-9), as ``reciprocal_preferences`` builds them, and are clipped away
+    from {0, 1} so the maximizer stays finite.  The log-likelihood
+    sum_ij p_ij log sigma(beta_i - beta_j) is concave in beta = log theta;
+    its negative is minimized by ``svm._newton_minimize``.  Each step solves (L + 11'/n) delta = g, where g is the gradient of the
     log-likelihood and L, the negative Hessian, is the Laplacian of the
     weights (p_ij + p_ji) sigma_ij sigma_ji; the 11'/n term removes the shift
     null space, and because g sums to 0, delta does too.  A step changes
@@ -269,6 +284,7 @@ def btl_fit(pref: np.ndarray, tol: float = _NEWTON_TOL, max_iter: int = _NEWTON_
     # NaN fails this test, and a NaN or infinite entry makes the gap NaN or inf.
     if not recip_gap <= 1e-9:
         raise ValueError(f"preference matrix is not reciprocal and finite (max gap {recip_gap:.3e})")
+    _check_preferences(pref[off])
     wins_matrix = np.where(off, np.clip(pref, PREFERENCE_CLIP, 1.0 - PREFERENCE_CLIP), 0.0)
     wins = wins_matrix.sum(axis=1)
     pair_weight = wins_matrix + wins_matrix.T

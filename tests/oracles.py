@@ -312,23 +312,24 @@ def coin_flip_pairs(data, seed: int, cap: int | None = None):
     return first, second, label
 
 
-def full_slab_kernel_matrix(pairs_a, pairs_b, poly2: bool = False) -> np.ndarray:
+def full_slab_kernel_matrix(pairs_a, pairs_b, poly2: bool = False, dtype=np.float64) -> np.ndarray:
     """Analogy kernel between two (firsts, seconds) pair collections.
 
     Makes one pass over the whole (na, nb) matrix per feature: the sign-gated
     term np.where(sign(u) == sign(v), 1 - |u - v|, 0) is added to the
     accumulator in feature order, then the sum is divided by the number of
-    features and squared for the degree-2 variant.
+    features and squared for the degree-2 variant.  The signs come from the
+    float64 differences; u, v and all arithmetic after them are in ``dtype``.
     """
     diffs_a = np.asarray(pairs_a[0], dtype=float) - np.asarray(pairs_a[1], dtype=float)
     diffs_b = np.asarray(pairs_b[0], dtype=float) - np.asarray(pairs_b[1], dtype=float)
     n_dim = diffs_a.shape[1]
-    acc = np.zeros((diffs_a.shape[0], diffs_b.shape[0]))
+    acc = np.zeros((diffs_a.shape[0], diffs_b.shape[0]), dtype)
     for k in range(n_dim):
         u = diffs_a[:, k][:, None]
         v = diffs_b[:, k][None, :]
         agree = np.sign(u) == np.sign(v)
-        acc += np.where(agree, 1.0 - np.abs(u - v), 0.0)
+        acc += np.where(agree, 1.0 - np.abs(u.astype(dtype) - v.astype(dtype)), 0.0)
     out = acc / n_dim
     if poly2:
         out = out * out

@@ -240,15 +240,16 @@ def test_able2rank_matches_exhaustive_hand_aggregation():
     query = rng.random((2, 2))
     prediction = able2rank_lite(train_n, query, k=3)
 
-    # brute force: walk every training preference and accumulate both sides
+    # brute force: walk every training preference and accumulate both sides,
+    # each degree scored like able2rank's evidence, against a float32 side
     fwd, bwd = [], []
     q = train_n.queries[0]
     ordering = q.ordering
     for a in range(2):
         for b in range(a + 1, 3):
-            pref_diff = q.items[ordering[a:a + 1]] - q.items[ordering[b:b + 1]]
-            fwd.append(kernel_matrix(pref_diff, query[0:1] - query[1:2])[0, 0])
-            bwd.append(kernel_matrix(pref_diff, query[1:2] - query[0:1])[0, 0])
+            pref_side = _prepare_side(q.items[ordering[a:a + 1]] - q.items[ordering[b:b + 1]])
+            fwd.append(float(kernel_matrix(query[0:1] - query[1:2], pref_side)[0, 0]))
+            bwd.append(float(kernel_matrix(query[1:2] - query[0:1], pref_side)[0, 0]))
     s_fwd, s_bwd = sum(sorted(fwd)[-3:]), sum(sorted(bwd)[-3:])
     expected = s_fwd / (s_fwd + s_bwd) if s_fwd + s_bwd > 0 else 0.5
     assert prediction.preference[0, 1] == pytest.approx(expected, abs=1e-12)
@@ -277,15 +278,16 @@ def test_able2rank_is_deterministic():
 def _one_block_preference(train_n, query, k):
     """able2rank's preference matrix from one kernel block of all query pairs.
 
-    The forward and the negated query pairs are the rows of one kernel block
-    against the training preferences; each row's top k is summed.
+    The forward and the negated query pairs are the rows of one float32
+    kernel block against the training preferences; each row's top k is
+    summed in float64.
     """
     pairs = build_pair_instances(train_n)
     n_prefs = len(pairs)
     pref_diffs = train_n.all_items()[pairs[:, 0]] - train_n.all_items()[pairs[:, 1]]
     rows, cols = np.triu_indices(len(query), k=1)
     forward = query[rows] - query[cols]
-    evidence = kernel_matrix(np.concatenate([forward, -forward]), pref_diffs)
+    evidence = kernel_matrix(np.concatenate([forward, -forward]), _prepare_side(pref_diffs)).astype(float)
     if k < n_prefs:
         evidence = np.partition(evidence, n_prefs - k, axis=1)[:, n_prefs - k:]
     sum_fwd, sum_bwd = np.split(evidence.sum(axis=1), 2)

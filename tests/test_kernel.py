@@ -20,7 +20,10 @@ from ankerrank.kernel import (
     pair_differences,
     proportion_degree,
 )
+from ankerrank.ranker import anker_fit, preference_matrix, reciprocal_preferences
+from ankerrank.svm import decision_values, platt_prob
 from oracles import full_slab_kernel_matrix
+from synthetic import make_linear_dataset
 
 ALL_QUADRUPLES = [tuple((code >> s) & 1 for s in (3, 2, 1, 0)) for code in range(16)]
 VALID_QUADRUPLES = {
@@ -265,13 +268,21 @@ def _check_against_the_full_slab_oracle(n_rows, n_cols, n_dim, seed):
     a = _edge_value_pairs(rng, n_rows, n_dim)
     b = _edge_value_pairs(rng, n_cols, n_dim)
     diffs_a, diffs_b = a[0] - a[1], b[0] - b[1]
+    side, reversed_side = _prepare_side(diffs_b), _prepare_side(-diffs_b)
     for variant in KernelVariant:
-        expected = full_slab_kernel_matrix(a, b, poly2=variant is KernelVariant.POLY2)
+        poly2 = variant is KernelVariant.POLY2
+        expected = full_slab_kernel_matrix(a, b, poly2=poly2)
         assert np.array_equal(kernel_matrix(diffs_a, diffs_b, variant), expected)
         # Negating either side scores the reversed pairs (x', x), whose differences are -(x - x').
-        reversed_b = full_slab_kernel_matrix(a, b[::-1], poly2=variant is KernelVariant.POLY2)
+        reversed_b = full_slab_kernel_matrix(a, b[::-1], poly2=poly2)
         assert kernel_matrix(-diffs_a, diffs_b, variant).tobytes() == reversed_b.tobytes()
         assert kernel_matrix(diffs_a, -diffs_b, variant).tobytes() == reversed_b.tobytes()
+        # A float32 side gives the float32 oracle's bytes, and so do its reversed pairs.
+        expected = full_slab_kernel_matrix(a, b, poly2, np.float32)
+        assert kernel_matrix(diffs_a, side, variant).tobytes() == expected.tobytes()
+        reversed_b = full_slab_kernel_matrix(a, b[::-1], poly2, np.float32)
+        assert kernel_matrix(-diffs_a, side, variant).tobytes() == reversed_b.tobytes()
+        assert kernel_matrix(diffs_a, reversed_side, variant).tobytes() == reversed_b.tobytes()
 
 
 # 257 and 1 000 columns are split into tiles by BLAS; a one-row block may go
@@ -300,6 +311,8 @@ def test_a_lone_entry_adds_its_features_in_order():
         a, b = (rng.random((2, 1, 12)) for _ in range(2))
         expected = full_slab_kernel_matrix(a, b)
         assert kernel_matrix(a[0] - a[1], b[0] - b[1]).tobytes() == expected.tobytes()
+        expected = full_slab_kernel_matrix(a, b, dtype=np.float32)
+        assert kernel_matrix(a[0] - a[1], _prepare_side(b[0] - b[1])).tobytes() == expected.tobytes()
 
 
 def test_kernel_matrix_of_an_empty_collection_is_empty():
@@ -313,9 +326,10 @@ def test_kernel_matrix_of_an_empty_collection_is_empty():
             assert out.dtype == np.float64
 
 
-# A side prepared once gives the bytes of the plain array, whatever the
-# shape: one row, one feature or ten, no columns, edge values (negated,
-# an exact zero difference is -0.0).
+# A side prepared once in float64 gives the bytes of the plain array, and
+# one prepared in float32, the default, the bytes of the float32 oracle,
+# whatever the shape: one row, one feature or ten, no columns, edge values
+# (negated, an exact zero difference is -0.0).
 @pytest.mark.parametrize("n_rows, n_cols, n_dim", [
     (1, 1, 1), (1, 257, 10), (_PRODUCT_ROWS + 1, 1, 10), (67, 1000, 1), (67, 257, 10), (5, 0, 1), (5, 0, 10),
 ])
@@ -323,13 +337,16 @@ def test_a_prepared_side_gives_the_bytes_of_its_array(n_rows, n_cols, n_dim):
     rng = np.random.default_rng(100 * n_rows + 10 * n_cols + n_dim)
     a, b = (_edge_value_pairs(rng, n, n_dim) for n in (n_rows, n_cols))
     diffs_a, diffs_b = a[0] - a[1], b[0] - b[1]
-    for cols in (diffs_b, -diffs_b):
-        side = _prepare_side(cols)
+    both_a = (np.concatenate(a), np.concatenate(a[::-1]))  # the pairs, then the reversed pairs
+    for cols, pairs_b in ((diffs_b, b), (-diffs_b, b[::-1])):
+        side64, side32 = _prepare_side(cols, dtype=np.float64), _prepare_side(cols)
         for variant in KernelVariant:
-            for rows in (diffs_a, np.concatenate([diffs_a, -diffs_a])):
+            for rows, pairs_a in ((diffs_a, a), (np.concatenate([diffs_a, -diffs_a]), both_a)):
                 expected = kernel_matrix(rows, cols, variant)
                 assert expected.shape == (len(rows), n_cols)
-                assert kernel_matrix(rows, side, variant).tobytes() == expected.tobytes()
+                assert kernel_matrix(rows, side64, variant).tobytes() == expected.tobytes()
+                expected = full_slab_kernel_matrix(pairs_a, pairs_b, variant is KernelVariant.POLY2, np.float32)
+                assert kernel_matrix(rows, side32, variant).tobytes() == expected.tobytes()
 
 
 def test_a_prepared_side_is_checked_once_when_built():
@@ -366,8 +383,9 @@ for path in sys.argv[1:]:
 
 
 def test_kernel_bytes_do_not_depend_on_the_thread_count(tmp_path):
-    # Every entry of the block products is exact, so the bytes cannot depend
-    # on whether or how BLAS splits a product across threads.
+    # Every entry of the block products is exact, in float64 and in float32,
+    # so the bytes cannot depend on whether or how BLAS splits a product
+    # across threads.
     rng = np.random.default_rng(77)
     paths, expected = [], []
     for n_dim, n_cols in ((10, 2000), (1, 6000)):
@@ -375,8 +393,10 @@ def test_kernel_bytes_do_not_depend_on_the_thread_count(tmp_path):
         diffs_a, diffs_b = a[0] - a[1], b[0] - b[1]
         paths.append(tmp_path / f"diffs-{n_dim}.npz")
         np.savez(paths[-1], a=diffs_a, b=diffs_b)
-        rows = kernel_matrix(np.concatenate([diffs_a, -diffs_a]), diffs_b, KernelVariant.POLY2)
-        expected += [rows, rows, gram_matrix(diffs_b[:2000], KernelVariant.MEAN)]
+        rows = np.concatenate([diffs_a, -diffs_a])
+        expected += [kernel_matrix(rows, diffs_b, KernelVariant.POLY2),
+                     kernel_matrix(rows, _prepare_side(diffs_b), KernelVariant.POLY2),
+                     gram_matrix(diffs_b[:2000], KernelVariant.MEAN)]
     expected = [hashlib.sha256(out.tobytes()).hexdigest() for out in expected]
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(Path(ankerrank.__file__).resolve().parents[1]),
@@ -447,3 +467,68 @@ def test_kernel_matrix_rejects_nan(position):
     arrays[position][1, 2] = np.nan
     with pytest.raises(ValueError, match="not finite"):
         kernel_matrix(arrays[0] - arrays[1], arrays[2] - arrays[3])
+
+
+# ---------------------------------------------------------------------------
+# The float32 prediction block and the bound that kernel_matrix derives
+
+def _float32_bound(n_dim, variant):
+    """|K32 - K64| <= c(d) 2**-24, with c(d) = d/2 + 3 for MEAN and d + 6.5 for POLY2."""
+    return (n_dim / 2 + 3 if variant is KernelVariant.MEAN else n_dim + 6.5) * 2.0**-24
+
+
+def _float32_error(rows, cols, variant):
+    """max |K32 - K64| of a float32 block, against the float64 oracle of the same differences."""
+    block = kernel_matrix(rows, _prepare_side(cols), variant)
+    assert block.dtype == np.float32
+    exact = full_slab_kernel_matrix((rows, np.zeros_like(rows)), (cols, np.zeros_like(cols)),
+                                    variant is KernelVariant.POLY2)
+    return np.max(np.abs(block - exact), initial=0.0)
+
+
+@pytest.mark.parametrize("n_dim", [1, 3, 10])
+def test_a_float32_block_stays_within_the_derived_bound(n_dim):
+    rng = np.random.default_rng(300 + n_dim)
+    a, b = (_edge_value_pairs(rng, n, n_dim) for n in (200, 300))
+    edges_a, edges_b = a[0] - a[1], b[0] - b[1]  # exact zeros and +-1 among them
+    # Magnitudes in [1/2, 1), where rounding to float32 moves a value the most.
+    halves = rng.uniform(0.5, 1.0, (2, 300, n_dim)) * rng.choice([-1.0, 1.0], (2, 300, n_dim))
+    # Differences whose magnitudes underflow or turn subnormal in float32.
+    tiny = np.where(rng.random((2, 300, n_dim)) < 0.3,
+                    rng.choice([1e-300, -1e-300, 5e-324, 2.0**-150, -1e-45], (2, 300, n_dim)), halves)
+    for rows, cols in ((edges_a, edges_b), (halves[0], halves[1]), (edges_a, halves[1]),
+                       (tiny[0], tiny[1]), (tiny[0], edges_b), (edges_a, tiny[1])):
+        for variant in KernelVariant:
+            assert _float32_error(rows, cols, variant) <= _float32_bound(n_dim, variant)
+
+
+@pytest.mark.parametrize("tiny", [1e-300, -1e-300, 5e-324, 2.0**-150, 1e-45])
+def test_a_float32_block_takes_its_sign_classes_from_the_float64_inputs(tiny):
+    # |tiny| rounds to 0 or to a float32 subnormal, but tiny keeps its sign
+    # class: against an exact zero its term is 0, not the 1 of two zeros.
+    u, v = np.array([[tiny, 0.5]]), np.array([[0.0, 0.5]])
+    for rows, cols in ((u, v), (v, u)):
+        for variant, expected in ((KernelVariant.MEAN, 0.5), (KernelVariant.POLY2, 0.25)):
+            assert kernel_matrix(rows, cols, variant)[0, 0] == expected
+            assert kernel_matrix(rows, _prepare_side(cols), variant)[0, 0] == expected
+    # Two tiny values of one class are a term of 1 on both paths.
+    assert kernel_matrix(u, _prepare_side(u))[0, 0] == kernel_matrix(u, u)[0, 0] == 1.0
+
+
+def test_a_float32_block_moves_decisions_and_preferences_within_their_bounds():
+    model = anker_fit(make_linear_dataset(3, 8, 3, seed=60), C=1.0, seed=61)
+    svm, n_items = model.svm, 30
+    query = np.random.default_rng(62).random((n_items, 3))
+    rows, cols = np.triu_indices(n_items, k=1)
+    pairs = np.concatenate([query[rows] - query[cols], query[cols] - query[rows]])
+    d32 = decision_values(svm, kernel_matrix(pairs, model._support_side, model.variant))
+    d64 = decision_values(svm, kernel_matrix(pairs, model.support_diffs, model.variant))
+    weight = np.sum(np.abs(svm.alpha[svm.support] * svm.labels[svm.support]))
+    moved = np.max(np.abs(d32 - d64))
+    # The entry bound weighted by sum |alpha y|, plus the rounding of the two float64 sums.
+    assert 0.0 < moved <= weight * (_float32_bound(3, model.variant) + svm.support.size * 2.0**-52)
+    fwd, bwd = platt_prob(svm.platt, d64).reshape(2, -1)
+    reference = reciprocal_preferences((1.0 + (fwd - bwd)) / 2.0, n_items)
+    # Platt's slope is at most |a|/4; the float64 steps add a few units of 2**-53.
+    changed = np.max(np.abs(preference_matrix(model, query) - reference))
+    assert 0.0 < changed <= abs(svm.platt.a) / 4.0 * moved + 2.0**-50

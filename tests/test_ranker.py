@@ -264,21 +264,32 @@ def test_every_ranker_refuses_a_query_that_breaks_the_query_rule(monkeypatch, ra
 
 def test_preference_matrix_backward_block_is_the_reversed_pairs():
     # The backward block negates the forward differences; it must give the
-    # same supports as kernel rows of the pairs (x_j, x_i) built directly.
+    # same supports as kernel rows of the pairs (x_j, x_i) built directly,
+    # to the byte against the model's float32 support side.
     model = _trained_toy_model()
     query = np.random.default_rng(19).random((5, 3))
     query[3] = query[1]  # duplicate items give zero differences
     rows, cols = np.triu_indices(5, k=1)
     svm = model.svm
+    side = _prepare_side(model.support_diffs)
 
     def support(diffs):
+        return platt_prob(svm.platt, decision_values(svm, kernel_matrix(diffs, side, model.variant)))
+
+    upper = (1.0 + (support(query[rows] - query[cols]) - support(query[cols] - query[rows]))) / 2.0
+    assert preference_matrix(model, query).tobytes() == reciprocal_preferences(upper, 5).tobytes()
+
+    # The float64 Gram rows of the same pairs agree within the float32 bound
+    # that preference_matrix states, with c(d) = d/2 + 3 for MEAN at d = 3.
+    def support64(diffs):
         kernel = gram_matrix(np.vstack([diffs, model.support_diffs]), model.variant)
         coef = svm.alpha[svm.support] * svm.labels[svm.support]
         return platt_prob(svm.platt, kernel[: len(diffs), len(diffs):] @ coef + svm.bias)
 
-    upper = (1.0 + (support(query[rows] - query[cols]) - support(query[cols] - query[rows]))) / 2.0
-    expected = reciprocal_preferences(upper, 5)
-    assert np.max(np.abs(preference_matrix(model, query) - expected)) <= 1e-12
+    upper = (1.0 + (support64(query[rows] - query[cols]) - support64(query[cols] - query[rows]))) / 2.0
+    weight = np.sum(np.abs(svm.alpha[svm.support] * svm.labels[svm.support]))
+    bound = abs(svm.platt.a) / 4.0 * weight * ((3 / 2 + 3) * 2.0**-24 + svm.support.size * 2.0**-52) + 2.0**-50
+    assert np.max(np.abs(preference_matrix(model, query) - reciprocal_preferences(upper, 5))) <= bound
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.25, -1e-15, 1.0 + 1e-15])
@@ -324,7 +335,7 @@ def _random_query(n_items, n_features, seed):
 
 
 def test_preference_matrix_is_the_two_call_formula_bit_for_bit(monkeypatch):
-    """preference_matrix, byte for byte, from one whole kernel block per orientation.
+    """preference_matrix, byte for byte, from one whole float32 kernel block per orientation.
 
     The query sizes give 1, 45, 253, 276, 1035 and 4950 pairs, on both sides
     of multiples of the chunk widths, so neither the seams between chunks
@@ -334,12 +345,12 @@ def test_preference_matrix_is_the_two_call_formula_bit_for_bit(monkeypatch):
     """
     for model, sizes in ((_random_model(700, 5, seed=40), (2, 10, 23, 24, 46, 100)),
                          (_random_model(9001, 5, seed=43), (10, 23))):
-        svm = model.svm
+        svm, side = model.svm, _prepare_side(model.support_diffs)
         for n_items in sizes:
             query = _random_query(n_items, 5, seed=n_items)
             rows, cols = np.triu_indices(n_items, k=1)
             forward = query[rows] - query[cols]
-            kernels = (kernel_matrix(diffs, model.support_diffs, model.variant) for diffs in (forward, -forward))
+            kernels = (kernel_matrix(diffs, side, model.variant) for diffs in (forward, -forward))
             fwd, bwd = (platt_prob(svm.platt, decision_values(svm, kernel)) for kernel in kernels)
             expected = reciprocal_preferences((1.0 + (fwd - bwd)) / 2.0, n_items).tobytes()
             for width in (1, 7, 256):
@@ -566,6 +577,21 @@ def test_btl_rejects_an_empty_preference_matrix():
 def test_btl_rejects_non_reciprocal_input():
     with pytest.raises(ValueError, match="reciprocal"):
         btl_fit(np.array([[0.5, 0.9], [0.4, 0.5]]))
+
+
+@pytest.mark.parametrize("upper", [1.5, -0.5, 1.0 + 5e-10, -1e-300])
+def test_btl_refuses_reciprocal_entries_outside_the_unit_interval(upper):
+    # Reciprocal (within 1e-9) but not preferences, as reciprocal_preferences refuses them too.
+    pref = np.full((3, 3), 0.5)
+    pref[0, 1], pref[1, 0] = upper, 1.0 - upper
+    with pytest.raises(ValueError, match=r"preferences must lie in \[0, 1\]"):
+        btl_fit(pref)
+    with pytest.raises(ValueError, match=r"preferences must lie in \[0, 1\]"):
+        reciprocal_preferences([upper, 0.5, 0.5], 3)
+    # The entries at the ends of the interval are preferences.
+    pref[0, 1], pref[1, 0] = 1.0, 0.0
+    theta = btl_fit(pref).theta
+    assert theta[0] > theta[1]
 
 
 @pytest.mark.parametrize("upper, lower", [(np.nan, 0.5), (np.nan, np.nan), (np.inf, -np.inf)])
