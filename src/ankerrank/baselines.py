@@ -24,7 +24,7 @@ import numpy as np
 from .data import DataFormatError, RankedDataset
 from .kernel import KernelVariant, _prepare_side, kernel_matrix, pair_differences
 from .ranker import RankPrediction, _pair_preferences, btl_fit, build_pair_instances
-from .svm import DEFAULT_C_GRID, _NEWTON_MAX_STEPS, _NEWTON_TOL, _check_cap, _choose_cost, _newton_minimize
+from .svm import DEFAULT_C_GRID, _NEWTON_MAX_STEPS, _NEWTON_TOL, _check_cap, _check_cost, _choose_cost, _newton_minimize
 # Not called here; perfbench's tracer wraps these names at this module.
 from .svm import select_c, smo_train  # noqa: F401
 
@@ -123,8 +123,8 @@ def ranksvm_fit(train: RankedDataset, C: float | None = None, seed: int = 0) -> 
     errors are compared exactly, so ties go to the smallest cost.  A given
     ``C`` must be finite and positive, as ``smo_train`` requires.
     """
-    if C is not None and not 0 < C < np.inf:
-        raise ValueError("C must be a finite positive number")
+    if C is not None:
+        _check_cost(C)
     diffs = _difference_vectors(train)
     if C is None:
         C = _choose_cost(np.ones(len(diffs)), seed, lambda fit, val: [
@@ -144,9 +144,8 @@ def able2rank_lite(train: RankedDataset, query: np.ndarray, k: int = 20) -> Rank
     pipeline.  Expects data normalized to [0, 1] and an integer ``k`` >= 1.
     Query pairs are the rows of the evidence, a chunk at a time from
     ``ranker._pair_preferences``, so each pair's top k lies in one row.  The
-    evidence is a float32 block against the training preferences, prepared
-    once per call, within ``kernel_matrix``'s float32 bound of the float64
-    degrees; each top k is summed in float64.
+    evidence is scored against the training preferences' float32 side,
+    prepared once per call (see ``kernel_matrix`` for its precision).
     """
     _check_cap(k, "k")
     pref_diffs = pair_differences(train.all_items(), *build_pair_instances(train).T, "training items")
@@ -161,7 +160,7 @@ def able2rank_lite(train: RankedDataset, query: np.ndarray, k: int = 20) -> Rank
         if k < n_prefs:
             evidence.partition(n_prefs - k, axis=1)
             evidence = evidence[:, n_prefs - k:]
-        sum_fwd, sum_bwd = evidence.astype(float).sum(axis=1).reshape(2, -1)
+        sum_fwd, sum_bwd = evidence.sum(axis=1).reshape(2, -1)
         total = sum_fwd + sum_bwd
         return np.where(total > 0.0, sum_fwd / np.where(total > 0.0, total, 1.0), 0.5)
 

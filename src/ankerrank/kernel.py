@@ -28,9 +28,9 @@ bytes: a caller scores reversed pairs as negated rows of the same call.
 A collection scored again and again, such as a model's support pairs, is
 checked and turned into the product's right operand once by
 ``_prepare_side``; ``kernel_matrix`` accepts the result in place of
-``diffs_b``.  Such a side is float32 and its blocks are float32 within the
-bound derived in ``kernel_matrix``; a float64 side gives the bytes of its
-array.
+``diffs_b``.  Every block is float64.  A float32 side gives entries that are
+float32 values within the bound derived in ``kernel_matrix``; a float64 side
+gives the bytes of its array.
 """
 
 from __future__ import annotations
@@ -110,9 +110,8 @@ def _left_operand(diffs: np.ndarray, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _PreparedSide:
-    """Checked (n, d) float64 differences and their read-only (d, 6, n) right operand."""
+    """The read-only (d, 6, n) right operand of n checked differences of d features."""
 
-    diffs: np.ndarray
     right: np.ndarray
 
 
@@ -132,9 +131,7 @@ def _prepare_side(diffs, what: str = "diffs_b", dtype=np.float32) -> _PreparedSi
     v and only |v| is rounded.  The float32 operand, which the prediction
     side uses, takes 24 d n bytes; ``kernel_matrix`` builds a float64 one
     (48 d n bytes) for a plain ``diffs_b``.  Passing the result as
-    ``diffs_b`` skips the checks and this build, O(d n) work per call.  The
-    side keeps ``diffs`` as given: a caller that writes to them afterwards
-    must prepare them again.
+    ``diffs_b`` skips the checks and this build, O(d n) work per call.
     """
     diffs = _checked_diffs(diffs, what)
     right = np.empty((diffs.shape[1], 3, 2, len(diffs)), dtype)
@@ -143,7 +140,7 @@ def _prepare_side(diffs, what: str = "diffs_b", dtype=np.float32) -> _PreparedSi
     np.subtract(1.0, in_class, out=gate)
     gate -= in_class * np.abs(diffs.T)[:, None]
     right.flags.writeable = False
-    return _PreparedSide(diffs, right.reshape(diffs.shape[1], 6, len(diffs)))
+    return _PreparedSide(right.reshape(diffs.shape[1], 6, len(diffs)))
 
 
 def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN) -> np.ndarray:
@@ -166,13 +163,13 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN)
     x is fl(|u| - |v|) or exactly 1 at any BLAS summation order or thread
     count.
 
-    Precision.  Two plain arrays, and so ``gram_matrix``, give float64.  A
-    side prepared in float32 gives a float32 block: u's operand, the terms,
-    the sums and the output are float32 as well.  Each operand takes its
-    sign classes from the float64 inputs and rounds only the magnitudes, so
-    the classes are those of the float64 kernel (1e-300 stays positive,
+    Precision.  The block is float64 for every side.  Against a side
+    prepared in float32, u's operand, the terms and the sums are float32,
+    and each entry is a float32 value widened exactly.  Each operand takes
+    its sign classes from the float64 inputs and rounds only the magnitudes,
+    so the classes are those of the float64 kernel (1e-300 stays positive,
     although its magnitude rounds to 0).  The exactness argument above holds
-    in float32 unchanged, so a float32 block, too, is the same bytes at any
+    in float32 unchanged, so such a block, too, is the same bytes at any
     chunk width, BLAS order or thread count.
 
     The float32 bound.  Let e = 2**-24 and a = |u|, b = |v| <= 1 for one
@@ -196,14 +193,14 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN)
     diffs_a = _checked_diffs(diffs_a, "diffs_a")
     side = diffs_b if isinstance(diffs_b, _PreparedSide) else _prepare_side(
         diffs_a if symmetric else diffs_b, dtype=np.float64)
-    (n_a, n_dim), (n_b, b_dim) = diffs_a.shape, side.diffs.shape
+    (n_a, n_dim), (b_dim, _, n_b) = diffs_a.shape, side.right.shape
     if n_dim != b_dim:
         raise ValueError(f"dimension mismatch: diffs_a has {n_dim} features, diffs_b has {b_dim}")
     if n_dim == 0:
         raise ValueError("pairs must have at least one feature")
     dtype = side.right.dtype
     left = _left_operand(diffs_a, dtype)
-    out = np.empty((n_a, n_b), dtype)
+    out = np.empty((n_a, n_b))
     term_buf = np.empty(n_dim * _PRODUCT_ROWS * n_b, dtype)
     sum_buf = np.empty(_PRODUCT_ROWS * n_b, dtype)
     for start in range(0, n_a, _PRODUCT_ROWS):

@@ -36,6 +36,7 @@ from .svm import (
     _NEWTON_TOL,
     SvmModel,
     _check_cap,
+    _check_cost,
     _newton_minimize,
     _sigmoid,
     decision_values,
@@ -101,10 +102,11 @@ class AnkerModel:
     order, as a read-only copy of the array the model was built with; one
     that is not 2-D with one row per support raises ``DataFormatError``.  The
     first prediction checks them and builds their float32 side of the
-    kernel's product once; it stays with the model, read-only, and takes
-    24 d |S| bytes for |S| supports of d features (173 KiB at 738 supports
-    and d = 10).  Queries passed to ``anker_predict`` must be normalized
-    like the training items; ``anker_rank`` does both in one call.
+    kernel's product once (see ``kernel_matrix`` for its precision); it
+    stays with the model, read-only, and takes 24 d |S| bytes for |S|
+    supports of d features (173 KiB at 738 supports and d = 10).  Queries
+    passed to ``anker_predict`` must be normalized like the training items;
+    ``anker_rank`` does both in one call.
     """
 
     svm: SvmModel
@@ -209,10 +211,9 @@ def preference_matrix(model: AnkerModel, query: np.ndarray) -> np.ndarray:
     chunk of query pairs scores both orientations as the rows of one
     ``kernel_matrix`` call, with the bytes of two calls.
 
-    The kernel rows are float32, against the model's float32 support side;
-    decision values, Platt and the reciprocal matrix are float64.  Each row is within
-    c(d) 2**-24 of the float64 kernel (``kernel_matrix`` derives c(d): d/2 + 3
-    for MEAN, d + 6.5 for POLY2), so a decision value moves by at most
+    The kernel rows are scored against the model's float32 support side, so
+    each entry is within ``kernel_matrix``'s bound c(d) 2**-24 of the
+    float64 kernel, and a decision value moves by at most
     sum_s |alpha_s y_s| c(d) 2**-24, plus the float64 rounding of the two
     sums, at most |S| 2**-52 sum_s |alpha_s y_s|.  Platt's sigmoid has slope
     at most |a|/4 and the clip is 1-Lipschitz, so p_ij moves by at most |a|/4
@@ -249,10 +250,11 @@ def btl_fit(pref: np.ndarray, tol: float = _NEWTON_TOL, max_iter: int = _NEWTON_
     1e-9), as ``reciprocal_preferences`` builds them, and are clipped away
     from {0, 1} so the maximizer stays finite.  The log-likelihood
     sum_ij p_ij log sigma(beta_i - beta_j) is concave in beta = log theta;
-    its negative is minimized by ``svm._newton_minimize``.  Each step solves (L + 11'/n) delta = g, where g is the gradient of the
-    log-likelihood and L, the negative Hessian, is the Laplacian of the
-    weights (p_ij + p_ji) sigma_ij sigma_ji; the 11'/n term removes the shift
-    null space, and because g sums to 0, delta does too.  A step changes
+    its negative is minimized by ``svm._newton_minimize``.  Each step solves
+    (L + 11'/n) delta = g, where g is the gradient of the log-likelihood and
+    L, the negative Hessian, is the Laplacian of the weights
+    (p_ij + p_ji) sigma_ij sigma_ji; the 11'/n term removes the shift null
+    space, and because g sums to 0, delta does too.  A step changes
     log sigma_ij by -log1p(sigma_ji expm1(-d_ij)), exact to rounding even
     when the step is tiny, so the recorded likelihood path never decreases.
 
@@ -349,11 +351,14 @@ def anker_fit(train: RankedDataset, *, variant: KernelVariant = KernelVariant.PO
     balanced.  An optional integer ``cap`` >= 1 then subsamples the pairs
     uniformly; pairs that do not hold both labels raise ``DataFormatError``.
     The cost is picked from ``DEFAULT_C_GRID`` by repeated internal
-    cross-validation when ``C`` is None; the SVM is trained by SMO and its
+    cross-validation when ``C`` is None, and a given ``C`` is checked
+    before any kernel is built; the SVM is trained by SMO and its
     decision values are calibrated on the training pairs.
     """
     if cap is not None:
         _check_cap(cap, "cap")
+    if C is not None:
+        _check_cost(C)
     for query in train.queries:
         _check_query(query.items, train.n_features, f"training query {query.query_id!r}")
     rng = np.random.default_rng(seed)

@@ -89,6 +89,12 @@ def _check_cap(value, name: str) -> None:
         raise ValueError(f"{name} must be at least 1")
 
 
+def _check_cost(C) -> None:
+    """Raise ValueError unless the cost ``C`` is a finite positive number."""
+    if not 0 < C < np.inf:
+        raise ValueError("C must be a finite positive number")
+
+
 def smo_train(kernel, labels, C: float, tol: float = 1e-3,
               max_iter: int | None = None) -> SvmModel:
     """Solve the soft-margin SVM dual by SMO with maximal-violating-pair selection.
@@ -121,8 +127,7 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         raise ValueError("labels must be -1 or +1")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("training set contains a single class")
-    if not 0 < C < np.inf:
-        raise ValueError("C must be a finite positive number")
+    _check_cost(C)
     if not tol >= 0.0:
         raise ValueError("tol must be a non-negative number")
     if max_iter is None:
@@ -217,8 +222,9 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         up[j] = v_j if (alpha_j < C if positive_j else alpha_j > 0.0) else neg_inf
         low[j] = v_j if (alpha_j > 0.0 if positive_j else alpha_j < C) else inf
     if not converged:
-        logger.warning("SMO stopped unconverged after %d updates, iteration cap (%d) "
-                       "(KKT violation %.3e, tolerance %.1e)", iterations, max_iter, m_bound - big_m_bound, tol)
+        reason = f"iteration cap ({max_iter})" if iterations == max_iter else "a step that could not move"
+        logger.warning("SMO stopped unconverged after %d updates, %s (KKT violation %.3e, tolerance %.1e)",
+                       iterations, reason, m_bound - big_m_bound, tol)
 
     alpha = np.array(alpha)
     free = (alpha > 0.0) & (alpha < C)

@@ -18,8 +18,8 @@ not collect this file; run it from the repository root with
 op's ``ordering`` (int64) and each protocol op's per-method mean losses, as
 ``<method> <loss>`` lines; fit-cv, which ranks nothing, is left out.  Equal
 lines then show that two trees give the same orders although their
-preference bytes differ, as a float32 kernel block against a float64 one
-does.
+preference bytes differ, as a float32 side of the kernel against a
+float64 one does.
 
 Compare two trees at one BLAS thread count, for example with
 ``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1``: at full size, rank-large's

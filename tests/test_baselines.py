@@ -278,16 +278,16 @@ def test_able2rank_is_deterministic():
 def _one_block_preference(train_n, query, k):
     """able2rank's preference matrix from one kernel block of all query pairs.
 
-    The forward and the negated query pairs are the rows of one float32
-    kernel block against the training preferences; each row's top k is
-    summed in float64.
+    The forward and the negated query pairs are the rows of one kernel
+    block against the training preferences' float32 side; each row's top k
+    is summed in float64.
     """
     pairs = build_pair_instances(train_n)
     n_prefs = len(pairs)
     pref_diffs = train_n.all_items()[pairs[:, 0]] - train_n.all_items()[pairs[:, 1]]
     rows, cols = np.triu_indices(len(query), k=1)
     forward = query[rows] - query[cols]
-    evidence = kernel_matrix(np.concatenate([forward, -forward]), _prepare_side(pref_diffs)).astype(float)
+    evidence = kernel_matrix(np.concatenate([forward, -forward]), _prepare_side(pref_diffs))
     if k < n_prefs:
         evidence = np.partition(evidence, n_prefs - k, axis=1)[:, n_prefs - k:]
     sum_fwd, sum_bwd = np.split(evidence.sum(axis=1), 2)

@@ -263,6 +263,14 @@ def _edge_value_pairs(rng, n, d):
     return first, second
 
 
+def _float32_oracle(pairs_a, pairs_b, poly2=False):
+    """The float32 oracle's values in float64, the dtype of every kernel block.
+
+    Widening float32 to float64 is exact, so equal bytes here are equal float32 values.
+    """
+    return full_slab_kernel_matrix(pairs_a, pairs_b, poly2, np.float32).astype(np.float64)
+
+
 def _check_against_the_full_slab_oracle(n_rows, n_cols, n_dim, seed):
     rng = np.random.default_rng(seed)
     a = _edge_value_pairs(rng, n_rows, n_dim)
@@ -277,10 +285,10 @@ def _check_against_the_full_slab_oracle(n_rows, n_cols, n_dim, seed):
         reversed_b = full_slab_kernel_matrix(a, b[::-1], poly2=poly2)
         assert kernel_matrix(-diffs_a, diffs_b, variant).tobytes() == reversed_b.tobytes()
         assert kernel_matrix(diffs_a, -diffs_b, variant).tobytes() == reversed_b.tobytes()
-        # A float32 side gives the float32 oracle's bytes, and so do its reversed pairs.
-        expected = full_slab_kernel_matrix(a, b, poly2, np.float32)
+        # A float32 side gives the float32 oracle's values, and so do its reversed pairs.
+        expected = _float32_oracle(a, b, poly2)
         assert kernel_matrix(diffs_a, side, variant).tobytes() == expected.tobytes()
-        reversed_b = full_slab_kernel_matrix(a, b[::-1], poly2, np.float32)
+        reversed_b = _float32_oracle(a, b[::-1], poly2)
         assert kernel_matrix(-diffs_a, side, variant).tobytes() == reversed_b.tobytes()
         assert kernel_matrix(diffs_a, reversed_side, variant).tobytes() == reversed_b.tobytes()
 
@@ -311,7 +319,7 @@ def test_a_lone_entry_adds_its_features_in_order():
         a, b = (rng.random((2, 1, 12)) for _ in range(2))
         expected = full_slab_kernel_matrix(a, b)
         assert kernel_matrix(a[0] - a[1], b[0] - b[1]).tobytes() == expected.tobytes()
-        expected = full_slab_kernel_matrix(a, b, dtype=np.float32)
+        expected = _float32_oracle(a, b)
         assert kernel_matrix(a[0] - a[1], _prepare_side(b[0] - b[1])).tobytes() == expected.tobytes()
 
 
@@ -327,9 +335,9 @@ def test_kernel_matrix_of_an_empty_collection_is_empty():
 
 
 # A side prepared once in float64 gives the bytes of the plain array, and
-# one prepared in float32, the default, the bytes of the float32 oracle,
-# whatever the shape: one row, one feature or ten, no columns, edge values
-# (negated, an exact zero difference is -0.0).
+# one prepared in float32, the default, the float32 oracle's values, both in
+# a float64 block, whatever the shape: one row, one feature or ten, no
+# columns, edge values (negated, an exact zero difference is -0.0).
 @pytest.mark.parametrize("n_rows, n_cols, n_dim", [
     (1, 1, 1), (1, 257, 10), (_PRODUCT_ROWS + 1, 1, 10), (67, 1000, 1), (67, 257, 10), (5, 0, 1), (5, 0, 10),
 ])
@@ -344,9 +352,12 @@ def test_a_prepared_side_gives_the_bytes_of_its_array(n_rows, n_cols, n_dim):
             for rows, pairs_a in ((diffs_a, a), (np.concatenate([diffs_a, -diffs_a]), both_a)):
                 expected = kernel_matrix(rows, cols, variant)
                 assert expected.shape == (len(rows), n_cols)
-                assert kernel_matrix(rows, side64, variant).tobytes() == expected.tobytes()
-                expected = full_slab_kernel_matrix(pairs_a, pairs_b, variant is KernelVariant.POLY2, np.float32)
-                assert kernel_matrix(rows, side32, variant).tobytes() == expected.tobytes()
+                assert expected.dtype == np.float64
+                block = kernel_matrix(rows, side64, variant)
+                assert block.dtype == np.float64 and block.tobytes() == expected.tobytes()
+                expected = _float32_oracle(pairs_a, pairs_b, variant is KernelVariant.POLY2)
+                block = kernel_matrix(rows, side32, variant)
+                assert block.dtype == np.float64 and block.tobytes() == expected.tobytes()
 
 
 def test_a_prepared_side_is_checked_once_when_built():
@@ -366,6 +377,18 @@ def test_a_prepared_side_is_checked_once_when_built():
         kernel_matrix(np.full((1, 2), 2.0), side)
     with pytest.raises(ValueError, match="at least one feature"):
         kernel_matrix(np.zeros((2, 0)), _prepare_side(np.zeros((3, 0))))
+
+
+def test_a_prepared_side_does_not_follow_later_writes_to_its_array():
+    rng = np.random.default_rng(6)
+    rows, cols = (rng.random((n, 4)) - rng.random((n, 4)) for n in (9, 11))
+    for dtype in (np.float32, np.float64):
+        diffs = cols.copy()
+        side = _prepare_side(diffs, dtype=dtype)
+        before = kernel_matrix(rows, side)
+        diffs[:] = -cols[::-1]
+        assert kernel_matrix(rows, side).tobytes() == before.tobytes()
+        assert kernel_matrix(rows, diffs).tobytes() != before.tobytes()
 
 
 _HASH_KERNELS = """
@@ -478,9 +501,11 @@ def _float32_bound(n_dim, variant):
 
 
 def _float32_error(rows, cols, variant):
-    """max |K32 - K64| of a float32 block, against the float64 oracle of the same differences."""
+    """max |K32 - K64| of the block against a float32 side of ``cols``, from the float64 oracle."""
     block = kernel_matrix(rows, _prepare_side(cols), variant)
-    assert block.dtype == np.float32
+    # A float64 block whose every entry is a float32 value.
+    assert block.dtype == np.float64
+    assert np.array_equal(block.astype(np.float32).astype(np.float64), block)
     exact = full_slab_kernel_matrix((rows, np.zeros_like(rows)), (cols, np.zeros_like(cols)),
                                     variant is KernelVariant.POLY2)
     return np.max(np.abs(block - exact), initial=0.0)

@@ -141,6 +141,16 @@ def test_a_3800_pair_fit_converges_under_the_default_cap(caplog):
     assert not caplog.records
 
 
+@pytest.mark.parametrize("C", [0.0, -1.0, np.nan, np.inf])
+def test_a_bad_cost_is_refused_before_the_gram_is_built(C, monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the Gram was built for a cost that smo_train refuses")
+
+    monkeypatch.setattr("ankerrank.ranker.gram_matrix", not_reached)
+    with pytest.raises(ValueError, match="C must be a finite positive number"):
+        anker_fit(make_linear_dataset(2, 6, 3, seed=3), C=C)
+
+
 def test_pair_extraction_rejects_singleton_queries():
     ds = RankedDataset(numeric_schema(2), (RankedQuery("q", np.zeros((1, 2)), np.array([0])),))
     assert build_pair_instances(ds).shape == (0, 2)
@@ -335,7 +345,7 @@ def _random_query(n_items, n_features, seed):
 
 
 def test_preference_matrix_is_the_two_call_formula_bit_for_bit(monkeypatch):
-    """preference_matrix, byte for byte, from one whole float32 kernel block per orientation.
+    """preference_matrix, byte for byte, from one whole kernel block per orientation.
 
     The query sizes give 1, 45, 253, 276, 1035 and 4950 pairs, on both sides
     of multiples of the chunk widths, so neither the seams between chunks

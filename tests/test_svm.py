@@ -215,6 +215,16 @@ def test_smo_warns_when_it_stops_unconverged(caplog):
     assert "iteration cap (1)" in caplog.text and "KKT violation" in caplog.text
 
 
+def test_smo_warns_of_a_stalled_step_without_naming_the_cap(caplog):
+    # eta overflows to inf, so the first step is 0 and the solve stops there.
+    with caplog.at_level("WARNING", logger="ankerrank.svm"):
+        model = smo_train(np.array([[1e308, 0.0], [0.0, 1e308]]), [1, -1], C=1.0, tol=0.0)
+    assert not model.converged and model.iterations == 0
+    assert len(caplog.records) == 1
+    assert "after 0 updates, a step that could not move" in caplog.text
+    assert "iteration cap" not in caplog.text
+
+
 def test_smo_counts_the_update_it_takes_before_the_cap():
     rng = np.random.default_rng(6)
     gram = gram_matrix(rng.random((12, 3)) - rng.random((12, 3)), KernelVariant.MEAN)
