@@ -232,18 +232,27 @@ def preference_matrix(model: AnkerModel, query: np.ndarray) -> np.ndarray:
     return _pair_preferences(query, model.support_diffs.shape[1], score)
 
 
+def _log_likelihood(weights: np.ndarray, beta: np.ndarray) -> float:
+    """sum_ij w_ij log sigma(beta_i - beta_j), with log sigma(x) = -logaddexp(0, -x)."""
+    return -float(np.sum(weights * np.logaddexp(0.0, beta[None, :] - beta[:, None])))
+
+
 def btl_log_likelihood(pref: np.ndarray, theta: np.ndarray) -> float:
-    """Log-likelihood of n utilities under an (n, n) matrix of pairwise preference weights."""
+    """Log-likelihood of n utilities under an (n, n) matrix of pairwise preference weights.
+
+    Sums p_ij log(theta_i / (theta_i + theta_j)) over i != j; every utility
+    must be positive and finite.
+    """
     pref, theta = np.asarray(pref, dtype=float), np.asarray(theta, dtype=float)
     n = theta.size
     if theta.ndim != 1 or pref.shape != (n, n):
         raise ValueError("preferences must form an (n, n) matrix for n utilities")
-    off = ~np.eye(n, dtype=bool)
-    pairwise = np.log(theta[:, None]) - np.log(theta[:, None] + theta[None, :])
-    return float(np.sum(pref[off] * pairwise[off]))
+    if not np.all((theta > 0.0) & (theta < np.inf)):
+        raise ValueError("utilities must be positive and finite")
+    return _log_likelihood(np.where(np.eye(n, dtype=bool), 0.0, pref), np.log(theta))
 
 
-def btl_fit(pref: np.ndarray, tol: float = _NEWTON_TOL, max_iter: int = _NEWTON_MAX_STEPS) -> BtlParams:
+def btl_fit(pref: np.ndarray) -> BtlParams:
     """Maximum-likelihood Bradley-Terry-Luce utilities by Newton's method on log-utilities.
 
     Off-diagonal entries must lie in [0, 1] with p_ij + p_ji = 1 (within
@@ -265,11 +274,10 @@ def btl_fit(pref: np.ndarray, tol: float = _NEWTON_TOL, max_iter: int = _NEWTON_
     BTL-consistent.  A fit that starts at 0 is the plain zero-start fit, to
     the byte.  ``log_likelihood_path`` starts at the chosen point.
 
-    ``tol`` >= 0 bounds the max-norm of the gradient with respect to beta:
-    ``converged`` is True when that bound is met.  The fit stops unconverged,
-    with a warning, after ``max_iter`` Newton steps (an integer >= 1) or when
-    no step raises the likelihood.  Both default to the shared Newton rule,
-    ``svm._NEWTON_TOL`` and ``_NEWTON_MAX_STEPS``.  Returns softmax(beta).
+    The fit stops by the shared Newton rule of ``svm``: ``converged`` when
+    the gradient's max-norm in beta is at most ``_NEWTON_TOL``, and
+    unconverged, with a warning, after ``_NEWTON_MAX_STEPS`` steps or when
+    no step raises the likelihood.  Returns softmax(beta).
     """
     pref = np.asarray(pref, dtype=float)
     if pref.ndim != 2 or pref.shape[0] != pref.shape[1]:
@@ -277,9 +285,6 @@ def btl_fit(pref: np.ndarray, tol: float = _NEWTON_TOL, max_iter: int = _NEWTON_
     n = pref.shape[0]
     if n == 0:
         raise ValueError("preference matrix must have at least one item")
-    if not tol >= 0.0:
-        raise ValueError("tol must be a non-negative number")
-    _check_cap(max_iter, "max_iter")
     off = ~np.eye(n, dtype=bool)
     with np.errstate(invalid="ignore"):  # inf + -inf
         recip_gap = np.max(np.abs(pref[off] + pref.T[off] - 1.0), initial=0.0)
@@ -291,18 +296,15 @@ def btl_fit(pref: np.ndarray, tol: float = _NEWTON_TOL, max_iter: int = _NEWTON_
     wins = wins_matrix.sum(axis=1)
     pair_weight = wins_matrix + wins_matrix.T
 
-    def log_likelihood(beta: np.ndarray) -> float:  # log sigma(x) = -logaddexp(0, -x)
-        return -float(np.sum(wins_matrix * np.logaddexp(0.0, beta[None, :] - beta[:, None])))
-
     # The HodgeRank point: the least-squares fit of beta_i - beta_j to the
-    # log-odds, on a complete graph the row means of log(w_ij / w_ji).  Both
-    # candidates are scored by one expression, so a HodgeRank point equal to
-    # 0 ties; the zero start records btl_log_likelihood at uniform theta.
+    # log-odds, on a complete graph the row means of log(w_ij / w_ji).  One
+    # expression scores both candidates, so a HodgeRank point equal to 0 ties.
     log_odds = np.log(np.divide(wins_matrix, wins_matrix.T, out=np.ones((n, n)), where=off))
     start = log_odds.sum(axis=1) / n
-    start_likelihood = log_likelihood(start)
-    if not start_likelihood > log_likelihood(np.zeros(n)):
-        start, start_likelihood = np.zeros(n), btl_log_likelihood(wins_matrix, np.full(n, 1.0 / n))
+    start_likelihood = _log_likelihood(wins_matrix, start)
+    zero_likelihood = _log_likelihood(wins_matrix, np.zeros(n))
+    if not start_likelihood > zero_likelihood:
+        start, start_likelihood = np.zeros(n), zero_likelihood
 
     def local(beta: np.ndarray):
         sigma = _sigmoid(beta[:, None] - beta[None, :])
@@ -326,7 +328,7 @@ def btl_fit(pref: np.ndarray, tol: float = _NEWTON_TOL, max_iter: int = _NEWTON_
 
         return -grad, newton
 
-    beta, iterations, converged, changes = _newton_minimize(start, local, tol, max_iter, "BTL fit")
+    beta, iterations, converged, changes = _newton_minimize(start, local, _NEWTON_TOL, _NEWTON_MAX_STEPS, "BTL fit")
     path = np.cumsum([start_likelihood, *(-c for c in changes)])
     theta = np.exp(beta - beta.max())
     return BtlParams(theta / theta.sum(), iterations, converged, path)

@@ -90,8 +90,8 @@ def _check_cap(value, name: str) -> None:
 
 
 def _check_cost(C) -> None:
-    """Raise ValueError unless the cost ``C`` is a finite positive number."""
-    if not 0 < C < np.inf:
+    """Raise ValueError unless the cost ``C`` is a finite positive real number, not a bool."""
+    if isinstance(C, bool) or not isinstance(C, numbers.Real) or not 0 < C < np.inf:
         raise ValueError("C must be a finite positive number")
 
 
@@ -184,7 +184,7 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         alpha_i, alpha_j = alpha[i], alpha[j]
         positive_i, positive_j = positive[i], positive[j]
         eta = diag[i] + diag[j] - 2.0 * k_item(i, j)
-        if eta < 1e-12:
+        if not eta >= 1e-12:  # also a NaN eta, inf - inf from finite entries near the float maximum
             eta = 1e-12
         step = (m_bound - big_m_bound) / eta
         limit = (C - alpha_i) if positive_i else alpha_i

@@ -108,7 +108,7 @@ def test_criterion_5_btl_correctness():
     with criterion(5, "BTL closed form, grid oracle, monotone likelihood"):
         for p in (0.55, 0.75, 0.9):
             pref = np.array([[0.5, p], [1.0 - p, 0.5]])
-            params = btl_fit(pref, tol=1e-14, max_iter=10_000)
+            params = btl_fit(pref)
             assert abs(params.theta[0] / params.theta[1] - p / (1.0 - p)) <= 1e-6
             assert np.all(np.diff(params.log_likelihood_path) >= -1e-9)
 
@@ -117,7 +117,7 @@ def test_criterion_5_btl_correctness():
             [0.36, 0.5, 0.58],
             [0.27, 0.42, 0.5],
         ])
-        params = btl_fit(pref3, tol=1e-12, max_iter=10_000)
+        params = btl_fit(pref3)
         oracle = btl_grid_argmax(pref3, resolution=1e-3)
         assert np.max(np.abs(params.theta - oracle)) <= 1e-2
         assert np.all(np.diff(params.log_likelihood_path) >= -1e-9)

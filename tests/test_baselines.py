@@ -142,7 +142,7 @@ def test_ranksvm_breaks_an_exact_cost_tie_toward_the_smallest():
     assert not np.array_equal(chosen.weights, ranksvm_fit(data, C=64.0).weights)
 
 
-@pytest.mark.parametrize("C", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("C", [0.0, -1.0, np.inf, np.nan, "1", [1], 1 + 0j, True])  # None asks for the cost search
 def test_ranksvm_refuses_the_costs_smo_refuses(C, caplog):
     data = make_linear_dataset(2, 4, 2, seed=1)
     with caplog.at_level(logging.WARNING), pytest.raises(ValueError, match="C must be a finite positive number"):

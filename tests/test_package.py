@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import ankerrank
@@ -83,6 +84,20 @@ def test_only_the_newton_driver_names_the_line_search_constants():
             if {"_ARMIJO", "_MIN_STEP"} & set(names):
                 naming.add(path.name)
     assert naming == {"svm.py"}
+
+
+def test_every_newton_fit_takes_the_shared_stopping_rule_and_btl_states_one_likelihood():
+    # No fit has a tolerance or step cap of its own: each passes
+    # svm._NEWTON_TOL and _NEWTON_MAX_STEPS to the driver.
+    for fit in (svm.platt_fit, ranker.btl_fit, baselines.ranksvm_fit, baselines._squared_hinge_newton):
+        knobs = [name for name in inspect.signature(fit).parameters if any(k in name for k in ("tol", "iter", "step"))]
+        assert knobs == [], fit.__name__
+    # One expression scores a BTL log-likelihood: the start candidates, the
+    # path's first point and btl_log_likelihood all call it.
+    holding = {func.name for func in ast.walk(ast.parse(Path(ranker.__file__).read_text(encoding="utf-8")))
+               if isinstance(func, ast.FunctionDef)
+               and any(isinstance(node, ast.Attribute) and node.attr == "logaddexp" for node in ast.walk(func))}
+    assert holding == {"_log_likelihood"}
 
 
 def test_only_the_kernel_names_its_range_check():

@@ -141,7 +141,7 @@ def test_a_3800_pair_fit_converges_under_the_default_cap(caplog):
     assert not caplog.records
 
 
-@pytest.mark.parametrize("C", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("C", [0.0, -1.0, np.nan, np.inf, "1", [1], 1 + 0j, True])  # None asks for the cost search
 def test_a_bad_cost_is_refused_before_the_gram_is_built(C, monkeypatch):
     def not_reached(*args, **kwargs):
         raise AssertionError("the Gram was built for a cost that smo_train refuses")
@@ -439,7 +439,7 @@ def test_btl_two_items_even_split():
 @pytest.mark.parametrize("p", [0.55, 0.75, 0.9])
 def test_btl_two_items_closed_form(p):
     pref = np.array([[0.5, p], [1.0 - p, 0.5]])
-    params = btl_fit(pref, tol=1e-14, max_iter=10_000)
+    params = btl_fit(pref)
     assert params.theta[0] / params.theta[1] == pytest.approx(p / (1.0 - p), abs=1e-6)
 
 
@@ -459,7 +459,7 @@ def test_btl_matches_grid_search_oracle():
         [0.38, 0.5, 0.55],
         [0.29, 0.45, 0.5],
     ])
-    params = btl_fit(pref, tol=1e-12, max_iter=10_000)
+    params = btl_fit(pref)
     oracle = btl_grid_argmax(pref, resolution=1e-3)
     assert np.max(np.abs(params.theta - oracle)) < 1e-2
 
@@ -482,6 +482,13 @@ def test_btl_log_likelihood_takes_lists():
     # sum over i != j of p_ij log(theta_i / (theta_i + theta_j)), with theta summing to 1
     assert btl_log_likelihood([[0.5, 0.8], [0.2, 0.5]], [0.6, 0.4]) == pytest.approx(
         0.8 * np.log(0.6) + 0.2 * np.log(0.4))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.25, np.nan, np.inf])
+def test_btl_log_likelihood_needs_positive_finite_utilities(bad):
+    # log 0 or log inf would leave -inf - (-inf) or inf - inf on the diagonal.
+    with pytest.raises(ValueError, match="utilities must be positive and finite"):
+        btl_log_likelihood(np.full((3, 3), 0.5), np.array([0.5, bad, 0.5]))
 
 
 @pytest.mark.parametrize("pref_shape,theta_shape", [((3, 3), (2,)), ((2, 3), (2,)), ((2,), (2,)), ((2, 2), (2, 1))],
@@ -529,26 +536,13 @@ def test_btl_default_fit_converges_well_inside_its_step_cap_on_all_extreme_prefe
     assert np.array_equal(ranking_from_scores(params.theta), np.arange(100))
 
 
-def test_btl_warns_when_it_stops_unconverged(caplog):
+def test_btl_warns_when_it_stops_unconverged(caplog, monkeypatch):
     pref = _random_reciprocal(np.random.default_rng(41), 10)
+    monkeypatch.setattr("ankerrank.ranker._NEWTON_MAX_STEPS", 1)
     with caplog.at_level("WARNING", logger="ankerrank.svm"):
-        params = btl_fit(pref, max_iter=1)
+        params = btl_fit(pref)
     assert not params.converged and params.iterations == 1
     assert "after 1 Newton steps" in caplog.text and "gradient max-norm" in caplog.text
-
-
-@pytest.mark.parametrize("max_iter", [0, -1])
-def test_btl_rejects_a_step_cap_below_one(max_iter):
-    pref = _random_reciprocal(np.random.default_rng(3), 3)
-    with pytest.raises(ValueError, match="max_iter must be at least 1"):
-        btl_fit(pref, tol=0.0, max_iter=max_iter)
-
-
-@pytest.mark.parametrize("max_iter", [1.5, 2.0])
-def test_btl_rejects_a_step_cap_that_is_not_an_integer(max_iter):
-    pref = _random_reciprocal(np.random.default_rng(3), 3)
-    with pytest.raises(ValueError, match=f"max_iter must be an integer, not {max_iter}"):
-        btl_fit(pref, tol=0.0, max_iter=max_iter)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -566,11 +560,6 @@ def test_btl_rejects_a_step_cap_that_is_not_an_integer(max_iter):
 def test_count_arguments_are_checked_like_the_step_caps(call, message):
     with pytest.raises(ValueError, match=message):
         call(make_linear_dataset(2, 6, 3, seed=3))
-
-
-def test_btl_accepts_a_numpy_integer_cap():
-    pref = _random_reciprocal(np.random.default_rng(3), 3)
-    assert btl_fit(pref, tol=0.0, max_iter=np.int64(2)).iterations <= 2
 
 
 @pytest.mark.parametrize("pref", [np.float64(0.5), np.full(3, 0.5), np.full((2, 3), 0.5)])
@@ -610,12 +599,6 @@ def test_btl_rejects_non_finite_preferences(upper, lower):
     pref[0, 1], pref[1, 0] = upper, lower
     with pytest.raises(ValueError, match="reciprocal and finite"):
         btl_fit(pref)
-
-
-@pytest.mark.parametrize("tol", [np.nan, -1.0])
-def test_btl_rejects_a_nan_or_negative_tolerance(tol):
-    with pytest.raises(ValueError, match="tol"):
-        btl_fit(np.array([[0.5, 0.7], [0.3, 0.5]]), tol=tol)
 
 
 def test_btl_params_reject_nan_theta():
