@@ -24,7 +24,7 @@ import numpy as np
 from .data import DataFormatError, RankedDataset
 from .kernel import KernelVariant, _prepare_side, kernel_matrix, pair_differences
 from .ranker import RankPrediction, _pair_preferences, btl_fit, build_pair_instances
-from .svm import DEFAULT_C_GRID, _NEWTON_MAX_STEPS, _NEWTON_TOL, _check_cap, _check_cost, _choose_cost, _newton_minimize
+from .svm import DEFAULT_C_GRID, _check_cap, _check_cost, _choose_cost, _newton_minimize
 # Not called here; perfbench's tracer wraps these names at this module.
 from .svm import select_c, smo_train  # noqa: F401
 
@@ -83,9 +83,9 @@ def _squared_hinge_newton(diffs: np.ndarray, C: float) -> np.ndarray:
     Each step of ``svm._newton_minimize`` solves (I + 2C X_A' X_A) s = -g,
     where X_A holds the rows with slack 1 - w . d > 0 and g is the gradient.
     The objective is piecewise quadratic, so a full step lands on the
-    minimizer once the active rows settle.  It stops by ``svm``'s shared
-    rule (``_NEWTON_TOL``, ``_NEWTON_MAX_STEPS``), with a warning when it
-    stops at the cap or on a step that cannot lower the objective.
+    minimizer once the active rows settle.  It stops by the driver's rule,
+    with a warning when it stops at the cap or on a step that cannot lower
+    the objective.
     """
     def local(w: np.ndarray):
         slack = 1.0 - diffs @ w
@@ -106,7 +106,7 @@ def _squared_hinge_newton(diffs: np.ndarray, C: float) -> np.ndarray:
 
         return grad, newton
 
-    w, *_ = _newton_minimize(np.zeros(diffs.shape[1]), local, _NEWTON_TOL, _NEWTON_MAX_STEPS, "RankSVM fit")
+    w, *_ = _newton_minimize(np.zeros(diffs.shape[1]), local, "RankSVM fit")
     return w
 
 

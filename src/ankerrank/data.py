@@ -531,15 +531,22 @@ def normalize_train_test(train: np.ndarray, test: np.ndarray, mode: Normalizatio
     (x - mean) / std with the sample standard deviation (ddof=1).  A feature
     that is constant on the fitted rows maps to 0.  Under TRAIN_PLUS_TEST
     both sides use statistics fitted on the pooled rows; under TEST_ONLY each
-    side is normalized with its own.  Both matrices need at least one row,
-    and a ZSCORE fit needs at least two.  A feature whose fitted span
-    overflows raises ``DataFormatError``.  Returns the normalized train and
-    test matrices.
+    side is normalized with its own.  Both matrices need at least one row
+    and the same number of features, and a ZSCORE fit needs at least two
+    rows.  ``mode`` and ``scope`` must be members of their enums, not their
+    string values.  A feature whose fitted span overflows raises
+    ``DataFormatError``.  Returns the normalized train and test matrices.
     """
+    if not isinstance(mode, NormalizationMode):
+        raise ValueError(f"mode must be a NormalizationMode, not {mode!r}")
+    if not isinstance(scope, NormalizationScope):
+        raise ValueError(f"scope must be a NormalizationScope, not {scope!r}")
     train = np.asarray(train, dtype=float)
     test = np.asarray(test, dtype=float)
     if train.ndim != 2 or test.ndim != 2 or min(train.shape[0], test.shape[0]) < 1:
         raise ValueError("normalize_train_test expects two non-empty (n, d) matrices")
+    if train.shape[1] != test.shape[1]:
+        raise ValueError(f"train has {train.shape[1]} features and test has {test.shape[1]}")
     if scope is NormalizationScope.TRAIN_PLUS_TEST:
         pooled = np.vstack([train, test])
         return _rescale(train, pooled, mode), _rescale(test, pooled, mode)

@@ -29,7 +29,7 @@ from .data import (
 )
 from .kernel import KernelVariant
 from .ranker import _check_query, anker_fit, anker_predict
-from .svm import _check_cap
+from .svm import _check_cap, _check_cost
 
 
 def ranking_loss(pi: np.ndarray, pi_star: np.ndarray) -> float:
@@ -74,6 +74,9 @@ class MethodConfig:
     cross-validated cost search that ``select_c`` and ``ranksvm_fit``
     share, with ties going to the smallest cost.  ``scope`` fixes the
     normalization scope; None lets the KS gate (level 0.05) choose it.
+    ``C``, ``able2rank_k`` and ``pair_cap`` are checked when the config is
+    built, by the rules of the fits they reach, so a bad one fails before
+    any method runs.
     """
 
     variant: KernelVariant = KernelVariant.POLY2
@@ -81,6 +84,13 @@ class MethodConfig:
     able2rank_k: int = 20
     pair_cap: int | None = None
     scope: NormalizationScope | None = None
+
+    def __post_init__(self) -> None:
+        if self.C is not None:
+            _check_cost(self.C)
+        _check_cap(self.able2rank_k, "able2rank_k")
+        if self.pair_cap is not None:
+            _check_cap(self.pair_cap, "pair_cap")
 
 
 @dataclass(frozen=True)

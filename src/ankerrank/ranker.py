@@ -32,8 +32,6 @@ from .data import (
 )
 from .kernel import KernelVariant, _prepare_side, _PreparedSide, gram_matrix, kernel_matrix, pair_differences
 from .svm import (
-    _NEWTON_MAX_STEPS,
-    _NEWTON_TOL,
     SvmModel,
     _check_cap,
     _check_cost,
@@ -274,10 +272,9 @@ def btl_fit(pref: np.ndarray) -> BtlParams:
     BTL-consistent.  A fit that starts at 0 is the plain zero-start fit, to
     the byte.  ``log_likelihood_path`` starts at the chosen point.
 
-    The fit stops by the shared Newton rule of ``svm``: ``converged`` when
-    the gradient's max-norm in beta is at most ``_NEWTON_TOL``, and
-    unconverged, with a warning, after ``_NEWTON_MAX_STEPS`` steps or when
-    no step raises the likelihood.  Returns softmax(beta).
+    The fit stops by the driver's rule (``svm._newton_minimize``), on the
+    gradient in beta; one that stops unconverged, at the step cap or when no
+    step raises the likelihood, logs a warning.  Returns softmax(beta).
     """
     pref = np.asarray(pref, dtype=float)
     if pref.ndim != 2 or pref.shape[0] != pref.shape[1]:
@@ -328,7 +325,7 @@ def btl_fit(pref: np.ndarray) -> BtlParams:
 
         return -grad, newton
 
-    beta, iterations, converged, changes = _newton_minimize(start, local, _NEWTON_TOL, _NEWTON_MAX_STEPS, "BTL fit")
+    beta, iterations, converged, changes = _newton_minimize(start, local, "BTL fit")
     path = np.cumsum([start_likelihood, *(-c for c in changes)])
     theta = np.exp(beta - beta.max())
     return BtlParams(theta / theta.sum(), iterations, converged, path)

@@ -31,7 +31,8 @@ _CV_REPEATS, _CV_FOLDS = 3, 2  # cost selection: 3 repeats of stratified 2-fold 
 # KKT tolerance of the cost search's solves, which only rank the grid by
 # validation mistakes; the model that is kept is solved to smo_train's 1e-3.
 _CV_TOL = 1e-2
-# Every Newton fit's stopping rule: converged gradient max-norm, step cap.
+# Every Newton fit's stopping rule, read by _newton_minimize alone: converged
+# gradient max-norm, step cap.
 _NEWTON_TOL, _NEWTON_MAX_STEPS = 1e-10, 100
 # The Newton line search: Armijo constant and smallest step fraction.
 _ARMIJO = 1e-4
@@ -258,7 +259,7 @@ def decision_values(model: SvmModel, kernel_rows) -> np.ndarray:
     return sums + model.bias
 
 
-def _newton_minimize(x: np.ndarray, local, tol: float, max_steps: int, what: str):
+def _newton_minimize(x: np.ndarray, local, what: str):
     """Minimize a smooth convex function by Newton steps with Armijo backtracking.
 
     ``local(x)`` returns the gradient g and a function ``newton()``, which
@@ -269,9 +270,10 @@ def _newton_minimize(x: np.ndarray, local, tol: float, max_steps: int, what: str
     or at the step cap solves no Newton system.  The step fraction t starts
     at 1 and is halved until change(t) <= _ARMIJO t (g . s); a change that
     overflows to inf or NaN fails that test quietly (``local`` and ``newton``
-    still warn).  The loop stops converged when max |g| <= ``tol``, and
-    unconverged, with one warning naming ``what``, after ``max_steps`` steps
-    or when no t >= _MIN_STEP passes.
+    still warn).  This is every Newton fit's stopping rule: the loop stops
+    converged when max |g| <= _NEWTON_TOL, and unconverged, with one warning
+    naming ``what``, after _NEWTON_MAX_STEPS steps or when no t >= _MIN_STEP
+    passes.  No caller sets a tolerance or a step cap of its own.
 
     Returns x, the number of steps taken, ``converged`` and the list of
     accepted objective changes.
@@ -280,9 +282,9 @@ def _newton_minimize(x: np.ndarray, local, tol: float, max_steps: int, what: str
     while True:
         grad, newton = local(x)
         grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm <= tol:
+        if grad_norm <= _NEWTON_TOL:
             return x, len(changes), True, changes
-        if len(changes) == max_steps:
+        if len(changes) == _NEWTON_MAX_STEPS:
             break
         direction, change = newton()
         slope = float(grad @ direction)
@@ -298,7 +300,7 @@ def _newton_minimize(x: np.ndarray, local, tol: float, max_steps: int, what: str
         x = x + t * direction
         changes.append(delta)
     logger.warning("%s stopped unconverged after %d Newton steps "
-                   "(gradient max-norm %.3e, tolerance %.1e)", what, len(changes), grad_norm, tol)
+                   "(gradient max-norm %.3e, tolerance %.1e)", what, len(changes), grad_norm, _NEWTON_TOL)
     return x, len(changes), False, changes
 
 
@@ -316,9 +318,8 @@ def platt_fit(decisions, labels) -> PlattParams:
     t_i = (N+ + 1) / (N+ + 2) and 1 / (N- + 2), which regularizes the fit on
     separable data.  A step changes term i by
     l_i(z + d) - l_i(z) = t_i d + log1p(p expm1(-d)) with p = 1 / (1 + exp(z)),
-    so the line search stays exact near the optimum.  Stops when both
-    gradient components are at most ``_NEWTON_TOL``; a fit that stops after
-    ``_NEWTON_MAX_STEPS`` steps, or when no step lowers the objective, logs a
+    so the line search stays exact near the optimum.  The fit stops by the
+    driver's rule (``_newton_minimize``); one that stops unconverged logs a
     warning and returns ``converged=False``.
     """
     s = np.asarray(decisions, dtype=float)
@@ -358,7 +359,7 @@ def platt_fit(decisions, labels) -> PlattParams:
         return grad, newton
 
     start = np.array([0.0, np.log((n_neg + 1.0) / (n_pos + 1.0))])
-    (a, b), steps, converged, _ = _newton_minimize(start, local, _NEWTON_TOL, _NEWTON_MAX_STEPS, "Platt fit")
+    (a, b), steps, converged, _ = _newton_minimize(start, local, "Platt fit")
     return PlattParams(a=float(a), b=float(b), steps=steps, converged=converged)
 
 

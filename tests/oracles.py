@@ -233,18 +233,17 @@ def btl_grid_argmax(pref: np.ndarray, resolution: float = 1e-3) -> np.ndarray:
     return theta[int(np.argmax(loglik))]
 
 
-def btl_fit_cold(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> BtlParams:
-    """``ranker.btl_fit`` as it was before the start rule: every fit starts at beta = 0."""
+def btl_fit_cold(pref: np.ndarray) -> BtlParams:
+    """``ranker.btl_fit`` as it was before the start rule: every fit starts at beta = 0.
+
+    It stops by the Newton driver's rule, as ``btl_fit`` does.
+    """
     pref = np.asarray(pref, dtype=float)
     if pref.ndim != 2 or pref.shape[0] != pref.shape[1]:
         raise ValueError("preference matrix must be square")
     n = pref.shape[0]
     if n == 0:
         raise ValueError("preference matrix must have at least one item")
-    if not tol >= 0.0:
-        raise ValueError("tol must be a non-negative number")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     off = ~np.eye(n, dtype=bool)
     with np.errstate(invalid="ignore"):  # inf + -inf
         recip_gap = np.max(np.abs(pref[off] + pref.T[off] - 1.0), initial=0.0)
@@ -274,7 +273,7 @@ def btl_fit_cold(pref: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> 
 
         return -grad, newton
 
-    beta, iterations, converged, changes = _newton_minimize(np.zeros(n), local, tol, max_iter, "BTL fit")
+    beta, iterations, converged, changes = _newton_minimize(np.zeros(n), local, "BTL fit")
     path = np.cumsum([btl_log_likelihood(wins_matrix, np.full(n, 1.0 / n)), *(-c for c in changes)])
     theta = np.exp(beta - beta.max())
     return BtlParams(theta / theta.sum(), iterations, converged, path)

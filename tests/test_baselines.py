@@ -152,7 +152,7 @@ def test_ranksvm_refuses_the_costs_smo_refuses(C, caplog):
 
 def test_ranksvm_newton_warns_when_it_stops_unconverged(caplog, monkeypatch):
     diffs = _difference_vectors(conflicting_dataset())
-    monkeypatch.setattr(baselines, "_NEWTON_MAX_STEPS", 1)
+    monkeypatch.setattr("ankerrank.svm._NEWTON_MAX_STEPS", 1)
     with caplog.at_level(logging.WARNING, logger="ankerrank.svm"):
         _squared_hinge_newton(diffs, 1.0)
     assert "RankSVM fit stopped unconverged after 1 Newton steps" in caplog.text

@@ -673,3 +673,16 @@ def test_normalize_train_test_separate_scope(mode):
     train_n, test_n = normalize_train_test(train, test, mode, NormalizationScope.TEST_ONLY)
     assert np.allclose(train_n.ravel(), _SEPARATE[mode][0])
     assert np.allclose(test_n.ravel(), _SEPARATE[mode][1])
+
+
+# Each of these was normalized silently, by the wrong rule, or failed inside numpy.
+@pytest.mark.parametrize("test, mode, scope, message", [
+    ([[4.0], [6.0]], MINMAX, "train+test", "scope must be a NormalizationScope, not 'train\\+test'"),
+    ([[4.0], [6.0]], MINMAX, None, "scope must be a NormalizationScope, not None"),
+    ([[4.0], [6.0]], "minmax", NormalizationScope.TRAIN_PLUS_TEST, "mode must be a NormalizationMode, not 'minmax'"),
+    ([[4.0, 0.0], [6.0, 1.0]], MINMAX, NormalizationScope.TEST_ONLY, "train has 1 features and test has 2"),
+    ([[4.0, 0.0], [6.0, 1.0]], MINMAX, NormalizationScope.TRAIN_PLUS_TEST, "train has 1 features and test has 2"),
+], ids=["scope-string", "scope-none", "mode-string", "widths-test-only", "widths-pooled"])
+def test_normalize_train_test_refuses_a_mode_or_scope_outside_its_enum_and_unequal_widths(test, mode, scope, message):
+    with pytest.raises(ValueError, match=message):
+        normalize_train_test(np.array([[0.0], [10.0]]), np.array(test), mode, scope)

@@ -215,6 +215,20 @@ def test_run_experiment_refuses_a_cost_outside_the_positive_reals_for_both_svms(
         run_experiment(train, test, [method], repeats=1, seed=0, config=MethodConfig(C=0.0))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("C", 0.0, "C must be a finite positive number"),
+    ("C", np.nan, "C must be a finite positive number"),
+    ("able2rank_k", 0, "able2rank_k must be at least 1"),
+    ("able2rank_k", 1.5, "able2rank_k must be an integer, not 1.5"),
+    ("pair_cap", 0, "pair_cap must be at least 1"),
+    ("pair_cap", True, "pair_cap must be an integer, not True"),
+], ids=["C-zero", "C-nan", "k-zero", "k-fraction", "cap-zero", "cap-bool"])
+def test_method_config_refuses_a_bad_field_when_it_is_built(field, value, message):
+    # Not after the methods before the one that reads the field have run.
+    with pytest.raises(ValueError, match=message):
+        MethodConfig(**{field: value})
+
+
 def test_run_experiment_rejects_unknown_method(small_problem):
     train, test = small_problem
     with pytest.raises(ValueError, match="unsupported method"):

@@ -1,9 +1,11 @@
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import ankerrank
 from ankerrank import baselines, cli, data, evaluate, kernel, ranker, svm
+from synthetic import make_linear_dataset
 
 # Public names removed together with the code they named: the second
 # implementations of preference pairs and score-to-ranking steps, model
@@ -34,6 +36,21 @@ UNUSED_IMPORTS_ALLOWED = {
     ("baselines", "select_c"): "perfbench's tracer wraps this name at this module",
     ("baselines", "smo_train"): "perfbench's tracer wraps this name at this module",
 }
+
+
+def test_readme_python_blocks_run_in_order(tmp_path, monkeypatch):
+    # README's snippets run as a reader would run them: one after another,
+    # in one session, next to a train.csv and a query.csv.
+    ankerrank.save_dataset(make_linear_dataset(3, 6, 2, seed=1), tmp_path / "train.csv")
+    ankerrank.save_dataset(make_linear_dataset(1, 5, 2, seed=2), tmp_path / "query.csv")
+    monkeypatch.chdir(tmp_path)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["prediction"].ordering.size == 5
 
 
 def test_every_exported_name_resolves():
@@ -75,20 +92,23 @@ def test_svm_does_not_depend_on_the_kernel():
 
 
 def test_only_the_newton_driver_names_the_line_search_constants():
-    # One damped Newton loop serves Platt, BTL and RankSVM.
+    # One damped Newton loop serves Platt, BTL and RankSVM, and it alone
+    # knows the line search and the stopping rule; no fit hands it either.
     naming = set()
     for path in sorted(Path(ankerrank.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = [node.id] if isinstance(node, ast.Name) else \
+                [node.attr] if isinstance(node, ast.Attribute) else \
                 [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
-            if {"_ARMIJO", "_MIN_STEP"} & set(names):
+            if {"_ARMIJO", "_MIN_STEP", "_NEWTON_TOL", "_NEWTON_MAX_STEPS"} & set(names):
                 naming.add(path.name)
     assert naming == {"svm.py"}
+    assert list(inspect.signature(svm._newton_minimize).parameters) == ["x", "local", "what"]
 
 
 def test_every_newton_fit_takes_the_shared_stopping_rule_and_btl_states_one_likelihood():
-    # No fit has a tolerance or step cap of its own: each passes
-    # svm._NEWTON_TOL and _NEWTON_MAX_STEPS to the driver.
+    # No fit has a tolerance or step cap of its own: each stops by the
+    # Newton driver's rule.
     for fit in (svm.platt_fit, ranker.btl_fit, baselines.ranksvm_fit, baselines._squared_hinge_newton):
         knobs = [name for name in inspect.signature(fit).parameters if any(k in name for k in ("tol", "iter", "step"))]
         assert knobs == [], fit.__name__

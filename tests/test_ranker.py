@@ -538,7 +538,7 @@ def test_btl_default_fit_converges_well_inside_its_step_cap_on_all_extreme_prefe
 
 def test_btl_warns_when_it_stops_unconverged(caplog, monkeypatch):
     pref = _random_reciprocal(np.random.default_rng(41), 10)
-    monkeypatch.setattr("ankerrank.ranker._NEWTON_MAX_STEPS", 1)
+    monkeypatch.setattr("ankerrank.svm._NEWTON_MAX_STEPS", 1)
     with caplog.at_level("WARNING", logger="ankerrank.svm"):
         params = btl_fit(pref)
     assert not params.converged and params.iterations == 1
@@ -729,6 +729,14 @@ def test_anker_rank_self_consistency_on_training_items():
     query = train.queries[0].items
     prediction = anker_rank(train, query, C=4.0, seed=20)
     assert np.array_equal(prediction.ranking, train.queries[0].ranking)
+
+
+def test_anker_rank_refuses_a_scope_given_as_its_string_value():
+    # "train+test" used to rescale the query on its own rows.
+    train = make_linear_dataset(2, 6, 3, seed=21)
+    query = np.random.default_rng(22).random((5, 3))
+    with pytest.raises(ValueError, match="scope must be a NormalizationScope, not 'train\\+test'"):
+        anker_rank(train, query, C=1.0, seed=23, scope="train+test")
 
 
 def test_anker_rank_is_deterministic():

@@ -484,7 +484,7 @@ def test_newton_driver_takes_one_full_step_on_a_quadratic(caplog):
     requests = []
     with caplog.at_level("WARNING", logger="ankerrank.svm"):
         x, steps, converged, changes = _newton_minimize(
-            np.zeros(2), _quadratic(hessian, minimizer, requests=requests), 1e-12, 10, "quadratic")
+            np.zeros(2), _quadratic(hessian, minimizer, requests=requests), "quadratic")
     assert converged and steps == 1 and len(changes) == 1
     # The direction is solved for at the start only, not at the minimizer.
     assert len(requests) == 1 and np.array_equal(requests[0], np.zeros(2))
@@ -496,8 +496,7 @@ def test_newton_driver_takes_one_full_step_on_a_quadratic(caplog):
 def test_newton_driver_halves_a_step_that_lowers_the_objective_too_little():
     # A step of 1.99995 Newton steps lowers 1/2 |x|^2 by less than the Armijo
     # bound; its half lowers it by 1/2 |x|^2 (5 at x = (1, 2)) exactly.
-    *_, changes = _newton_minimize(np.array([1.0, 2.0]), _quadratic(np.eye(2), np.zeros(2), 1.99995),
-                                   1e-12, 10, "quadratic")
+    *_, changes = _newton_minimize(np.array([1.0, 2.0]), _quadratic(np.eye(2), np.zeros(2), 1.99995), "quadratic")
     assert changes[0] == pytest.approx(-2.5)
 
 
@@ -505,7 +504,7 @@ def test_newton_driver_warns_when_no_step_lowers_the_objective(caplog):
     start = np.array([1.0, 2.0])
     with caplog.at_level("WARNING", logger="ankerrank.svm"):
         x, steps, converged, changes = _newton_minimize(
-            start, _quadratic(np.eye(2), np.zeros(2), -1.0), 1e-12, 10, "quadratic")
+            start, _quadratic(np.eye(2), np.zeros(2), -1.0), "quadratic")
     assert not converged and steps == 0 and changes == []
     assert np.array_equal(x, start)
     assert len(caplog.records) == 1
@@ -526,12 +525,13 @@ def _overflowing_at_full_step(local):
     return wrapped
 
 
-def test_newton_driver_halves_a_step_whose_change_overflows_without_a_warning():
+def test_newton_driver_halves_a_step_whose_change_overflows_without_a_warning(monkeypatch):
+    monkeypatch.setattr(svm, "_NEWTON_MAX_STEPS", 1)
     start = np.array([1.0, 2.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x, steps, converged, changes = _newton_minimize(
-            start, _overflowing_at_full_step(_quadratic(np.eye(2), np.zeros(2))), 1e-12, 1, "quadratic")
+            start, _overflowing_at_full_step(_quadratic(np.eye(2), np.zeros(2))), "quadratic")
     # The full step's NaN change fails the Armijo test, so the half step is taken.
     assert (steps, converged) == (1, False)
     assert np.array_equal(x, start / 2.0)
@@ -545,7 +545,7 @@ def test_newton_driver_still_warns_on_an_overflow_in_the_gradient():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeWarning, match="overflow"):
-            _newton_minimize(np.ones(1), local, 1e-12, 1, "overflow")
+            _newton_minimize(np.ones(1), local, "overflow")
 
 
 def test_every_newton_fit_stops_by_one_rule():
