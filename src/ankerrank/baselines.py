@@ -24,7 +24,7 @@ import numpy as np
 from .data import DataFormatError, RankedDataset
 from .kernel import KernelVariant, _prepare_side, kernel_matrix, pair_differences
 from .ranker import RankPrediction, _pair_preferences, btl_fit, build_pair_instances
-from .svm import DEFAULT_C_GRID, _check_cap, _check_cost, _choose_cost, _newton_minimize
+from .svm import _check_cap, _check_cost, _choose_cost, _newton_minimize
 # Not called here; perfbench's tracer wraps these names at this module.
 from .svm import select_c, smo_train  # noqa: F401
 
@@ -118,18 +118,20 @@ def ranksvm_fit(train: RankedDataset, C: float | None = None, seed: int = 0) -> 
     Newton's method in the primal (Chapelle & Keerthi, Inf. Retr. 2010).
     The weight vector scores items directly.  With ``C=None`` the cost is
     chosen from ``DEFAULT_C_GRID`` by the cost search that ``select_c`` runs
-    (``svm._choose_cost``: 2-fold x 3, shuffled by ``seed``).  The
-    validation error is the share of held-out differences with w . d <= 0;
-    errors are compared exactly, so ties go to the smallest cost.  A given
-    ``C`` must be finite and positive, as ``smo_train`` requires.
+    (``svm._choose_cost``: 2-fold x 3, shuffled by ``seed``), which fits
+    every cost on the first repeat's splits and, on the later ones, only
+    the costs that fewer than three others beat.  The validation error is
+    the share of held-out differences with w . d <= 0; errors are compared
+    exactly, so ties go to the smallest cost.  A given ``C`` must be finite
+    and positive, as ``smo_train`` requires.
     """
     if C is not None:
         _check_cost(C)
     diffs = _difference_vectors(train)
     if C is None:
-        C = _choose_cost(np.ones(len(diffs)), seed, lambda fit, val: [
+        C = _choose_cost(np.ones(len(diffs)), seed, lambda fit, val, costs: [
             np.count_nonzero(diffs[val] @ _squared_hinge_newton(diffs[fit], cost) <= 0.0)
-            for cost in DEFAULT_C_GRID])
+            for cost in costs])
     return LinearModel(weights=_squared_hinge_newton(diffs, C), intercept=0.0)
 
 

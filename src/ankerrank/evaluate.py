@@ -72,11 +72,12 @@ class MethodConfig:
     ``able2rank``.  ``C`` is the cost of both SVMs (anker and RankSVM);
     None lets each pick its own from ``DEFAULT_C_GRID`` by the one
     cross-validated cost search that ``select_c`` and ``ranksvm_fit``
-    share, with ties going to the smallest cost.  ``scope`` fixes the
-    normalization scope; None lets the KS gate (level 0.05) choose it.
-    ``C``, ``able2rank_k`` and ``pair_cap`` are checked when the config is
-    built, by the rules of the fits they reach, so a bad one fails before
-    any method runs.
+    share, which races the grid after its first repeat and gives ties to
+    the smallest cost.  ``scope`` fixes the normalization scope; None lets
+    the KS gate (level 0.05) choose it.  ``variant``, ``C``,
+    ``able2rank_k`` and ``pair_cap`` are checked when the config is built,
+    by the rules of the fits they reach, so a bad one fails before any
+    method runs.
     """
 
     variant: KernelVariant = KernelVariant.POLY2
@@ -86,6 +87,8 @@ class MethodConfig:
     scope: NormalizationScope | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.variant, KernelVariant):  # kernel_matrix's rule
+            raise ValueError(f"variant must be a KernelVariant, not {self.variant!r}")
         if self.C is not None:
             _check_cost(self.C)
         _check_cap(self.able2rank_k, "able2rank_k")

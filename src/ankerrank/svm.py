@@ -28,6 +28,9 @@ DEFAULT_C_GRID: tuple[float, ...] = tuple(2.0**k for k in range(-6, 7, 2))
 
 _ALPHA_SNAP = 1e-12
 _CV_REPEATS, _CV_FOLDS = 3, 2  # cost selection: 3 repeats of stratified 2-fold CV
+# After the first repeat the search keeps a cost only if fewer than this many
+# costs have a lower error sum; len(DEFAULT_C_GRID) keeps every cost.
+_CV_KEEP = 3
 # KKT tolerance of the cost search's solves, which only rank the grid by
 # validation mistakes; the model that is kept is solved to smo_train's 1e-3.
 _CV_TOL = 1e-2
@@ -370,19 +373,27 @@ def platt_prob(params: PlattParams, decision):
 
 
 def _choose_cost(labels, seed: int, split_mistakes) -> float:
-    """The cost of ``DEFAULT_C_GRID`` with the lowest mean validation error.
+    """The cost of ``DEFAULT_C_GRID`` with the lowest validation error, raced over the repeats.
 
     In each of 3 repeats every class is shuffled and dealt round-robin to 2
     folds.  A split counts when its validation side is non-empty and its fit
-    side holds every class of ``labels``; ``split_mistakes(fit, val)`` returns
-    its integer mistake count on ``val`` per grid cost.  Error rates add up
-    as exact fractions, so a tie, or a problem without a usable split, goes
-    to the smallest cost.
+    side holds every class of ``labels``; ``split_mistakes(fit, val, costs)``
+    returns its integer mistake count on ``val`` for each cost of ``costs``,
+    a tuple in grid order.  Error rates add up as exact fractions.  The first
+    repeat asks for every cost; the later ones ask only for the costs whose
+    sum after it is at most the ``_CV_KEEP``-th lowest (the third), so a tie
+    at the cut keeps every tied cost, and a first repeat without a usable
+    split, where every sum is 0, cuts nothing.  The choice is the kept cost
+    with the lowest total; a tie, or a problem without a usable split, goes
+    to the smallest cost.  A dropped cost is never chosen.
     """
     y = np.asarray(labels, dtype=float)
     rng = np.random.default_rng(seed)
-    errors = [Fraction(0)] * len(DEFAULT_C_GRID)
-    for _ in range(_CV_REPEATS):
+    errors = dict.fromkeys(DEFAULT_C_GRID, Fraction(0))
+    for repeat in range(_CV_REPEATS):
+        if repeat == 1:
+            cut = sorted(errors.values())[_CV_KEEP - 1]
+            errors = {cost: e for cost, e in errors.items() if e <= cut}
         assignment = np.empty(y.size, dtype=int)
         for cls in (-1.0, 1.0):
             members = rng.permutation(np.flatnonzero(y == cls))
@@ -390,42 +401,47 @@ def _choose_cost(labels, seed: int, split_mistakes) -> float:
         for fold in range(_CV_FOLDS):
             val, fit = np.flatnonzero(assignment == fold), np.flatnonzero(assignment != fold)
             if val.size and np.array_equal(np.unique(y[fit]), np.unique(y)):
-                errors = [e + Fraction(n, val.size) for e, n in zip(errors, split_mistakes(fit, val))]
-    return DEFAULT_C_GRID[errors.index(min(errors))]
+                mistakes = split_mistakes(fit, val, tuple(errors))
+                errors = {cost: e + Fraction(n, val.size) for (cost, e), n in zip(errors.items(), mistakes)}
+    return min(errors, key=errors.get)
 
 
 def select_c(kernel: np.ndarray, labels, seed: int = 0) -> float:
-    """Pick the cost from ``DEFAULT_C_GRID`` with the lowest mean 0/1 validation error.
+    """Pick the cost from ``DEFAULT_C_GRID`` with the lowest 0/1 validation error.
 
-    Runs 3 rounds of stratified 2-fold cross-validation (``_choose_cost``,
-    which ``ranksvm_fit`` shares) on the precomputed kernel, solving by SMO
-    to the KKT tolerance ``_CV_TOL`` = 1e-2, since these solves only rank
-    the grid; ``anker_fit`` solves its final model at the chosen cost to
-    ``smo_train``'s default 1e-3.  A split solves its costs in grid order,
-    puts each model's alpha * y in one column of an (m, 7) coefficient
-    array and scores every cost on its validation side with one product
-    against the kernel.  Once a split's solve is converged with every alpha below its
-    cost, that model also solves each larger cost of the split, so those
-    costs make no further SMO call.  Errors are compared exactly, so ties
-    go to the smallest cost; a reused model errs exactly as the smaller
-    cost's model does.  Labels of one class, and a kernel that is not
-    (m, m) for m labels, raise ``ValueError`` with ``smo_train``'s message.
+    Runs 3 rounds of stratified 2-fold cross-validation on the precomputed
+    kernel through ``_choose_cost``, which ``ranksvm_fit`` shares and which
+    races the grid: after the first round only the costs that fewer than
+    three others beat are solved again.  The solves stop at the KKT
+    tolerance ``_CV_TOL`` = 1e-2, since they only rank the grid;
+    ``anker_fit`` solves its final model at the chosen cost to
+    ``smo_train``'s default 1e-3.  A split solves the costs it is asked for
+    in grid order, puts each model's alpha * y in one column of an
+    (m, number of costs) coefficient array and scores every cost on its
+    validation side with one product against the kernel.  Once a split's
+    solve is converged with every alpha below its cost, that model also
+    solves each larger cost of the split, so those costs make no further
+    SMO call.  Errors are compared exactly, so ties go to the smallest
+    cost; a reused model errs exactly as the smaller cost's model does.
+    Labels of one class, and a kernel that is not (m, m) for m labels,
+    raise ``ValueError`` with ``smo_train``'s message.
     """
     y = np.asarray(labels, dtype=float)
     K = np.asarray(kernel, dtype=float)
     if K.shape != (y.size, y.size):
         raise ValueError(f"kernel matrix shape {K.shape} does not match {y.size} labels")
 
-    def split_mistakes(fit, val):
+    def split_mistakes(fit, val, costs):
         # Gathered here, so one split's sub-kernel is freed before the next is.
         sub_kernel = K[np.ix_(fit, fit)]
-        coeffs = np.zeros((y.size, len(DEFAULT_C_GRID)))
-        biases = np.empty(len(DEFAULT_C_GRID))
+        coeffs = np.zeros((y.size, len(costs)))
+        biases = np.empty(len(costs))
         model = None
-        for k, cost in enumerate(DEFAULT_C_GRID):
+        for k, cost in enumerate(costs):
             # A converged model with every alpha below its cost C_k also solves
-            # any C' > C_k: alpha < C_k < C', so the entries that can move up
-            # and down are the same at C', and v depends on alpha alone.
+            # any larger cost C', asked for or not: alpha < C_k < C', so the
+            # entries that can move up and down are the same at C', and v
+            # depends on alpha alone.
             # m - M is therefore unchanged and still meets the tolerance, and
             # the bias is the same mean over the same free set (or the same
             # midpoint).  SMO from zero at C' usually returns this alpha too;

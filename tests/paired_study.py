@@ -1,11 +1,18 @@
-"""Paired study: anker's test loss under two KKT tolerances of the cost search.
+"""Paired study: a method's test loss under two values of one cost-search constant.
 
-For each seed of a range, one problem of a family is ranked twice by anker
-with C chosen by cross-validation (``select_c``): once with the cost
-search's SMO tolerance ``svm._CV_TOL`` set to the first value and once to
-the second.  The value is set in process for the study only; the library has
-no option for it.  Both fits see the same data and the same seeds, so the
-losses pair up by seed.
+For each seed of a range, one problem of a family is ranked twice by one
+method with C chosen by cross-validation (``svm._choose_cost``, which
+anker's ``select_c`` and ``ranksvm_fit`` share): once with a constant of the
+cost search set to the first value and once to the second.  The constants:
+
+- ``_CV_TOL``, the KKT tolerance of the cost search's SMO solves (anker);
+- ``_CV_KEEP``, the number of costs below which a cost must rank after the
+  first repeat to be solved again (both SVMs; the grid's length, 7, keeps
+  every cost).
+
+The value is set in process for the study only; the library has no option
+for it.  Both fits see the same data and the same seeds, so the losses pair
+up by seed.
 
 The families:
 
@@ -16,17 +23,19 @@ The families:
   items and 10 held-out queries of 10 items in [0, 1]^10 ranked by a linear
   utility (``make_linear_dataset``; the held-out set uses seed + 1 000 000).
 
-Each run is ``run_experiment`` on ``anker`` alone with one repeat and the
-normalization scope fixed to train+test, so a rule problem's POLY2 loss is
-the rule table's anker POLY2 cell.  One row per family gives how many
-chosen costs changed, each side's mean loss +- standard error, the mean
-paired change (second minus first), the seeds where the second side's loss
-is lower / higher / equal, and the exact two-sided sign-test p-value over
-the seeds that are not ties.  pytest does not collect this file; run it from
-the repository root, for example
+Each run is ``run_experiment`` on the one method (``anker`` with a kernel
+variant, or ``ranksvm``) with one repeat and the normalization scope fixed
+to train+test, so a rule problem's anker POLY2 loss is the rule table's
+anker POLY2 cell.  One row per family gives how many chosen costs changed,
+each side's mean loss +- standard error, the mean paired change (second
+minus first), the seeds where the second side's loss is lower / higher /
+equal, and the exact two-sided sign-test p-value over the seeds that are
+not ties.  pytest does not collect this file; run it from the repository
+root, for example
 
     PYTHONPATH=src:tests python tests/paired_study.py --seeds 100-129 --variant poly2
     PYTHONPATH=src:tests python tests/paired_study.py --family linear-10d --seeds 400-429 --csv losses.csv
+    PYTHONPATH=src:tests python tests/paired_study.py --constant _CV_KEEP --values 7 3 --method ranksvm
 """
 
 from __future__ import annotations
@@ -39,10 +48,11 @@ from math import comb
 
 import numpy as np
 
-from ankerrank import ranker, svm
+from ankerrank import baselines, svm
 from ankerrank.data import NormalizationScope
 from ankerrank.evaluate import MethodConfig, run_experiment
 from ankerrank.kernel import KernelVariant
+from ankerrank.svm import DEFAULT_C_GRID
 from rule_table import mean_se, rule_problem
 from synthetic import first_threshold_rule, linear_rule, majority_rule, make_linear_dataset, threshold_rule
 
@@ -75,40 +85,51 @@ def sign_test_p(wins: int, losses: int) -> Fraction:
     return min(Fraction(1), Fraction(2 * sum(comb(n, i) for i in range(k + 1)), 2**n))
 
 
-@contextmanager
-def cv_tolerance(tol: float):
-    """Set ``svm._CV_TOL`` to ``tol`` and yield the list of costs ``select_c`` picks meanwhile."""
-    chosen, saved = [], svm._CV_TOL
+# The cost-search constants a study may set, and the values it compares by default.
+CONSTANTS = {"_CV_TOL": (1e-3, 1e-2), "_CV_KEEP": (len(DEFAULT_C_GRID), 3)}
 
-    def recording_select_c(*args, **kwargs):
-        chosen.append(svm.select_c(*args, **kwargs))
+
+@contextmanager
+def cost_search_constant(name: str, value):
+    """Set ``svm``'s constant ``name`` to ``value`` and yield the list of costs the cost search chooses meanwhile.
+
+    The recorder wraps ``_choose_cost`` where ``select_c`` looks it up
+    (``svm``) and where ``ranksvm_fit`` looks it up (``baselines``).
+    """
+    chosen, saved, choose_cost = [], getattr(svm, name), svm._choose_cost
+
+    def recording_choose_cost(*args):
+        chosen.append(choose_cost(*args))
         return chosen[-1]
 
-    svm._CV_TOL, ranker.select_c = tol, recording_select_c
+    setattr(svm, name, value)
+    svm._choose_cost = baselines._choose_cost = recording_choose_cost
     try:
         yield chosen
     finally:
-        svm._CV_TOL, ranker.select_c = saved, svm.select_c
+        setattr(svm, name, saved)
+        svm._choose_cost = baselines._choose_cost = choose_cost
 
 
-def anker_loss(family: str, variant: KernelVariant, seed: int, tol: float) -> tuple[float, float]:
-    """The chosen cost and the mean test loss of anker on one problem, searching at ``tol``."""
+def method_loss(method: str, family: str, variant: KernelVariant, seed: int, constant: str, value):
+    """The chosen cost and the mean test loss of ``method`` on one problem, with ``constant`` at ``value``."""
     train, test = FAMILIES[family](seed)
     config = MethodConfig(variant=variant, scope=NormalizationScope.TRAIN_PLUS_TEST)
-    with cv_tolerance(tol) as chosen:
-        (result,) = run_experiment(train, test, ["anker"], repeats=1, config=config)
+    with cost_search_constant(constant, value) as chosen:
+        (result,) = run_experiment(train, test, [method], repeats=1, config=config)
     (cost,) = chosen
     return cost, result.mean_loss
 
 
-def paired_rows(family: str, variant: KernelVariant, seeds, tols) -> list[dict]:
-    """One dict per seed: each side's tolerance, chosen cost and loss."""
+def paired_rows(method: str, family: str, variant: KernelVariant, seeds, constant: str, values) -> list[dict]:
+    """One dict per seed: each side's value, chosen cost and loss."""
     rows = []
     for seed in seeds:
-        row = {"family": family, "variant": variant.value, "seed": seed}
-        for side, tol in zip("ab", tols):
-            row[f"tol_{side}"] = tol
-            row[f"C_{side}"], row[f"loss_{side}"] = anker_loss(family, variant, seed, tol)
+        row = {"family": family, "method": method if method != "anker" else f"anker {variant.value}",
+               "seed": seed, "constant": constant}
+        for side, value in zip("ab", values):
+            row[f"value_{side}"] = value
+            row[f"C_{side}"], row[f"loss_{side}"] = method_loss(method, family, variant, seed, constant, value)
         rows.append(row)
     return rows
 
@@ -120,13 +141,13 @@ def summary_line(rows: list[dict]) -> str:
     lower, higher = int(np.sum(b < a)), int(np.sum(b > a))
     changed = sum(r["C_a"] != r["C_b"] for r in rows)
     p = sign_test_p(lower, higher)
-    cells = (rows[0]["family"], rows[0]["variant"], len(rows), changed, mean_se(a, 4), mean_se(b, 4),
+    cells = (rows[0]["family"], rows[0]["method"], len(rows), changed, mean_se(a, 4), mean_se(b, 4),
              f"{np.mean(b - a):+.4f}", f"{lower} / {higher} / {len(rows) - lower - higher}", f"{float(p):.3f}")
     return "| " + " | ".join(str(c) for c in cells) + " |"
 
 
-def header(tols) -> str:
-    columns = ("family", "variant", "seeds", "C changed", f"loss at {tols[0]:g}", f"loss at {tols[1]:g}",
+def header(constant: str, values) -> str:
+    columns = ("family", "method", "seeds", "C changed", *(f"loss at {constant} = {v:g}" for v in values),
                "mean change", "lower / higher / tied", "sign-test p")
     return "| " + " | ".join(columns) + " |\n" + "|---" * len(columns) + "|"
 
@@ -140,19 +161,30 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--family", nargs="+", choices=[*FAMILIES, "rules"], default=["rules"],
                         help="families to study; 'rules' stands for the four rule-table rules")
-    parser.add_argument("--variant", choices=[v.value for v in KernelVariant], default="poly2")
+    parser.add_argument("--method", choices=["anker", "ranksvm"], default="anker")
+    parser.add_argument("--variant", choices=[v.value for v in KernelVariant], default="poly2",
+                        help="anker's kernel variant")
     parser.add_argument("--seeds", type=_seed_range, default=_seed_range("100-129"),
                         help="inclusive seed range such as 100-129, or one seed")
-    parser.add_argument("--tols", type=float, nargs=2, default=(1e-3, 1e-2),
-                        help="the two cost-search tolerances to compare")
+    parser.add_argument("--constant", choices=list(CONSTANTS), default="_CV_TOL",
+                        help="the cost-search constant whose two values are compared")
+    parser.add_argument("--values", nargs=2,
+                        help="its two values; the defaults are 1e-3 1e-2 for _CV_TOL and 7 3 for _CV_KEEP")
     parser.add_argument("--csv", help="write the per-seed costs and losses to this file")
     args = parser.parse_args(argv)
+    kind = type(CONSTANTS[args.constant][0])
+    try:
+        values = CONSTANTS[args.constant] if args.values is None else tuple(kind(v) for v in args.values)
+    except ValueError:
+        parser.error(f"{args.constant} takes {kind.__name__} values, not {args.values}")
+    if args.constant == "_CV_KEEP" and not all(1 <= v <= len(DEFAULT_C_GRID) for v in values):
+        parser.error(f"_CV_KEEP must lie in 1..{len(DEFAULT_C_GRID)}")
     families = [f for name in args.family for f in (RULES if name == "rules" else (name,))]
     variant = KernelVariant(args.variant)
-    print(header(args.tols))
+    print(header(args.constant, values))
     all_rows = []
     for family in families:
-        rows = paired_rows(family, variant, args.seeds, args.tols)
+        rows = paired_rows(args.method, family, variant, args.seeds, args.constant, values)
         print(summary_line(rows), flush=True)
         all_rows += rows
     if args.csv:

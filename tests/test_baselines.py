@@ -142,6 +142,32 @@ def test_ranksvm_breaks_an_exact_cost_tie_toward_the_smallest():
     assert not np.array_equal(chosen.weights, ranksvm_fit(data, C=64.0).weights)
 
 
+def test_ranksvm_fits_only_the_costs_still_in_the_race(monkeypatch):
+    # 14 fits on the first repeat's two splits, 4 per kept cost on the four
+    # splits after them, and the final fit at the chosen cost.
+    fits, asked, choose_cost = [], [], baselines._choose_cost
+
+    def counting_fit(diffs, C):
+        fits.append(C)
+        return _squared_hinge_newton(diffs, C)
+
+    def recording_choose_cost(labels, seed, split_mistakes):
+        def recorded(fit, val, costs):
+            asked.append(costs)
+            return split_mistakes(fit, val, costs)
+
+        return choose_cost(labels, seed, recorded)
+
+    monkeypatch.setattr(baselines, "_squared_hinge_newton", counting_fit)
+    monkeypatch.setattr(baselines, "_choose_cost", recording_choose_cost)
+    model = ranksvm_fit(conflicting_dataset(), seed=0)
+    kept = asked[2]
+    assert asked == [DEFAULT_C_GRID] * 2 + [kept] * 4 and len(kept) < len(DEFAULT_C_GRID)
+    assert len(fits) == 14 + 4 * len(kept) + 1
+    assert fits[:-1] == [cost for costs in asked for cost in costs] and fits[-1] in kept
+    assert np.array_equal(model.weights, _squared_hinge_newton(_difference_vectors(conflicting_dataset()), fits[-1]))
+
+
 @pytest.mark.parametrize("C", [0.0, -1.0, np.inf, np.nan, "1", [1], 1 + 0j, True])  # None asks for the cost search
 def test_ranksvm_refuses_the_costs_smo_refuses(C, caplog):
     data = make_linear_dataset(2, 4, 2, seed=1)

@@ -222,7 +222,8 @@ def test_run_experiment_refuses_a_cost_outside_the_positive_reals_for_both_svms(
     ("able2rank_k", 1.5, "able2rank_k must be an integer, not 1.5"),
     ("pair_cap", 0, "pair_cap must be at least 1"),
     ("pair_cap", True, "pair_cap must be an integer, not True"),
-], ids=["C-zero", "C-nan", "k-zero", "k-fraction", "cap-zero", "cap-bool"])
+    ("variant", "poly2", "variant must be a KernelVariant, not 'poly2'"),
+], ids=["C-zero", "C-nan", "k-zero", "k-fraction", "cap-zero", "cap-bool", "variant-name"])
 def test_method_config_refuses_a_bad_field_when_it_is_built(field, value, message):
     # Not after the methods before the one that reads the field have run.
     with pytest.raises(ValueError, match=message):

@@ -628,13 +628,46 @@ def test_select_c_skips_the_costs_above_a_solve_whose_box_never_binds(variant, m
     assert len(solves) < SOLVES_PER_SEARCH
 
 
+def record_asked_costs(monkeypatch):
+    """Record the costs that ``_choose_cost`` asks each split of ``select_c`` for."""
+    asked, choose_cost = [], svm._choose_cost
+
+    def recording_choose_cost(labels, seed, split_mistakes):
+        def recorded(fit, val, costs):
+            asked.append(costs)
+            return split_mistakes(fit, val, costs)
+
+        return choose_cost(labels, seed, recorded)
+
+    monkeypatch.setattr(svm, "_choose_cost", recording_choose_cost)
+    return asked
+
+
 @pytest.mark.parametrize("variant", list(KernelVariant))
 def test_select_c_solves_every_cost_where_the_box_binds(variant, monkeypatch):
     gram, labels = pair_gram(variant, **NOISY)
-    solves = record_solves(monkeypatch)
+    solves, asked = record_solves(monkeypatch), record_asked_costs(monkeypatch)
     select_c(gram, labels, seed=0)
     assert [m.alpha.max() for m in solves] == [m.C for m in solves]
-    assert len(solves) == SOLVES_PER_SEARCH
+    # one solve per split and asked cost, in the order asked
+    assert [m.C for m in solves] == [cost for costs in asked for cost in costs]
+    assert asked[:svm._CV_FOLDS] == [DEFAULT_C_GRID] * svm._CV_FOLDS
+
+
+# ``unraced`` is what select_c chose on seeds 0, 1 and 2 before the race, when
+# every split solved every cost.
+@pytest.mark.parametrize("variant, instance, unraced", [
+    (KernelVariant.MEAN, SEPARABLE, [64.0, 4.0, 16.0]),
+    (KernelVariant.POLY2, SEPARABLE, [4.0, 4.0, 4.0]),
+    (KernelVariant.MEAN, NOISY, [0.0625] * 3),
+    (KernelVariant.POLY2, NOISY, [0.0625] * 3),
+], ids=["mean-separable", "poly2-separable", "mean-noisy", "poly2-noisy"])
+def test_keeping_the_whole_grid_is_the_search_without_a_race(variant, instance, unraced, monkeypatch):
+    monkeypatch.setattr(svm, "_CV_KEEP", len(DEFAULT_C_GRID))
+    asked = record_asked_costs(monkeypatch)
+    gram, labels = pair_gram(variant, **instance)
+    assert [select_c(gram, labels, seed=seed) for seed in (0, 1, 2)] == unraced
+    assert asked == [DEFAULT_C_GRID] * (3 * svm._CV_REPEATS * svm._CV_FOLDS)
 
 
 def record_tolerances(monkeypatch):
@@ -692,16 +725,43 @@ def test_choose_cost_compares_error_sums_exactly():
     per_cost = {0: [0, 0, 0, 1, 2, 3], 3: [0, 0, 0, 2, 3, 1]}
     splits = []
 
-    def split_mistakes(fit, val):
+    def split_mistakes(fit, val, costs):
         splits.append((fit.size, val.size))
-        return [per_cost.get(g, [5] * 6)[len(splits) - 1] for g in range(len(DEFAULT_C_GRID))]
+        return [per_cost.get(DEFAULT_C_GRID.index(c), [5] * 6)[len(splits) - 1] for c in costs]
 
     assert _choose_cost(np.ones(10), 0, split_mistakes) == DEFAULT_C_GRID[0]
     assert splits == [(5, 5)] * 6
 
 
+# np.ones(10) gives six splits with 5 validation items each.
+@pytest.mark.parametrize("keep, first, later, kept, chosen", [
+    # After repeat 1 the sums are 4, 0, 2, 2, 2, 6, 8 fifths: the third lowest,
+    # 2, is tied by three costs, and all three stay in.
+    (3, [2, 0, 1, 1, 1, 3, 4], [5, 5, 5, 5, 0, 5, 5], [1, 2, 3, 4], 4),
+    # Every sum is 0, as when repeat 1 has no usable split: nothing is cut.
+    (3, [0] * 7, [1, 1, 1, 1, 1, 1, 0], range(7), 6),
+    # Costs 3-6 are dropped and cost 2 wins with 12/5 ...
+    (3, [0, 0, 0, 1, 1, 1, 1], [5, 4, 3, 0, 0, 0, 0], [0, 1, 2], 2),
+    # ... where, with every cost kept, cost 3's 2/5 would have won.
+    (7, [0, 0, 0, 1, 1, 1, 1], [5, 4, 3, 0, 0, 0, 0], range(7), 3),
+], ids=["tie-at-the-cut", "all-tied", "dropped", "dropped-kept"])
+def test_choose_cost_races_the_grid_after_its_first_repeat(keep, first, later, kept, chosen, monkeypatch):
+    monkeypatch.setattr(svm, "_CV_KEEP", keep)
+    asked = []
+
+    def split_mistakes(fit, val, costs):
+        asked.append(costs)
+        mistakes = first if len(asked) <= 2 else later
+        return [mistakes[DEFAULT_C_GRID.index(c)] for c in costs]
+
+    assert _choose_cost(np.ones(10), 0, split_mistakes) == DEFAULT_C_GRID[chosen]
+    assert asked == [DEFAULT_C_GRID] * 2 + [tuple(DEFAULT_C_GRID[g] for g in kept)] * 4
+
+
 def test_choose_cost_without_a_usable_split_takes_the_smallest_cost():
-    def split_mistakes(fit, val):
+    # A class's fold sizes do not depend on the shuffle, so a repeat has a
+    # usable split exactly when every repeat has one.
+    def split_mistakes(fit, val, costs):
         raise AssertionError("no split holds both classes on its fit side")
 
     assert _choose_cost(np.array([1.0, -1.0]), 0, split_mistakes) == DEFAULT_C_GRID[0]
