@@ -27,7 +27,7 @@ from .data import (
     choose_normalization_scope,
     normalize_train_test,
 )
-from .kernel import KernelVariant
+from .kernel import KernelVariant, _check_variant
 from .ranker import _check_query, anker_fit, anker_predict
 from .svm import _check_cap, _check_cost
 
@@ -87,8 +87,7 @@ class MethodConfig:
     scope: NormalizationScope | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.variant, KernelVariant):  # kernel_matrix's rule
-            raise ValueError(f"variant must be a KernelVariant, not {self.variant!r}")
+        _check_variant(self.variant)
         if self.C is not None:
             _check_cost(self.C)
         _check_cap(self.able2rank_k, "able2rank_k")
@@ -205,6 +204,7 @@ def run_experiment(train: RankedDataset, test: RankedDataset, methods,
     (best-to-worst item indices); those enter the comparison with a constant
     loss across repeats, and are scored before any method runs, so a
     malformed ordering fails fast.  Method names must pass ``check_methods``.
+    Test queries, and training queries when ``anker`` runs, are checked before any method runs.
     """
     if config is None:
         config = MethodConfig()
@@ -212,8 +212,9 @@ def run_experiment(train: RankedDataset, test: RankedDataset, methods,
     methods = list(methods)
     check_methods(methods, externals)
     _check_cap(repeats, "repeats")
-    for query in test.queries:
-        _check_query(query.items, train.n_features, f"test query {query.query_id!r}")
+    queries = [("test", q) for q in test.queries] + [("training", q) for q in train.queries if "anker" in methods]
+    for kind, query in queries:
+        _check_query(query.items, train.n_features, f"{kind} query {query.query_id!r}")
     external_losses = {name: score_external_orderings(test, orderings)
                        for name, orderings in externals.items()}
 

@@ -55,6 +55,11 @@ class KernelVariant(Enum):
     POLY2 = "poly2"
 
 
+def _check_variant(variant) -> None:
+    if not isinstance(variant, KernelVariant):
+        raise ValueError(f"variant must be a KernelVariant, not {variant!r}")
+
+
 def boolean_proportion(a: int, b: int, c: int, d: int) -> int:
     """Exact analogical proportion on bits: 1 when a - b = c - d, else 0."""
     quad = (a, b, c, d)
@@ -187,8 +192,7 @@ def kernel_matrix(diffs_a, diffs_b, variant: KernelVariant = KernelVariant.MEAN)
     square's rounding, so |K32 - K64| <= (d + 6.5) e.  At d = 10 these are
     4.8e-7 and 1.0e-6.
     """
-    if not isinstance(variant, KernelVariant):
-        raise ValueError(f"variant must be a KernelVariant, not {variant!r}")
+    _check_variant(variant)
     symmetric = diffs_a is diffs_b
     diffs_a = _checked_diffs(diffs_a, "diffs_a")
     side = diffs_b if isinstance(diffs_b, _PreparedSide) else _prepare_side(

@@ -30,7 +30,8 @@ from .data import (
     choose_normalization_scope,
     normalize_train_test,
 )
-from .kernel import KernelVariant, _prepare_side, _PreparedSide, gram_matrix, kernel_matrix, pair_differences
+from .kernel import (KernelVariant, _check_variant, _prepare_side, _PreparedSide, gram_matrix, kernel_matrix,
+                     pair_differences)
 from .svm import (
     SvmModel,
     _check_cap,
@@ -112,6 +113,7 @@ class AnkerModel:
     support_diffs: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_variant(self.variant)
         # A read-only copy, so the side built from it cannot go stale.
         diffs = np.array(self.support_diffs, dtype=float)
         if diffs.ndim != 2 or len(diffs) != self.svm.support.size:
@@ -265,12 +267,10 @@ def btl_fit(pref: np.ndarray) -> BtlParams:
     log sigma_ij by -log1p(sigma_ji expm1(-d_ij)), exact to rounding even
     when the step is tiny, so the recorded likelihood path never decreases.
 
-    The fit starts at whichever of beta = 0 and the HodgeRank point
-    beta_i = (1/n) sum_j log(w_ij / w_ji) over the clipped weights (Jiang,
-    Lim, Yao & Ye, Math. Program. 2011) has the higher likelihood; a tie
-    keeps 0.  The HodgeRank point is the maximizer when the matrix is
-    BTL-consistent.  A fit that starts at 0 is the plain zero-start fit, to
-    the byte.  ``log_likelihood_path`` starts at the chosen point.
+    The fit starts at the HodgeRank point beta_i = (1/n) sum_j log(w_ij / w_ji)
+    over the clipped weights (Jiang, Lim, Yao & Ye, Math. Program. 2011),
+    the maximizer when the matrix is BTL-consistent, and
+    ``log_likelihood_path`` starts at its likelihood.
 
     The fit stops by the driver's rule (``svm._newton_minimize``), on the
     gradient in beta; one that stops unconverged, at the step cap or when no
@@ -294,14 +294,9 @@ def btl_fit(pref: np.ndarray) -> BtlParams:
     pair_weight = wins_matrix + wins_matrix.T
 
     # The HodgeRank point: the least-squares fit of beta_i - beta_j to the
-    # log-odds, on a complete graph the row means of log(w_ij / w_ji).  One
-    # expression scores both candidates, so a HodgeRank point equal to 0 ties.
+    # log-odds, on a complete graph the row means of log(w_ij / w_ji).
     log_odds = np.log(np.divide(wins_matrix, wins_matrix.T, out=np.ones((n, n)), where=off))
     start = log_odds.sum(axis=1) / n
-    start_likelihood = _log_likelihood(wins_matrix, start)
-    zero_likelihood = _log_likelihood(wins_matrix, np.zeros(n))
-    if not start_likelihood > zero_likelihood:
-        start, start_likelihood = np.zeros(n), zero_likelihood
 
     def local(beta: np.ndarray):
         sigma = _sigmoid(beta[:, None] - beta[None, :])
@@ -326,7 +321,7 @@ def btl_fit(pref: np.ndarray) -> BtlParams:
         return -grad, newton
 
     beta, iterations, converged, changes = _newton_minimize(start, local, "BTL fit")
-    path = np.cumsum([start_likelihood, *(-c for c in changes)])
+    path = np.cumsum([_log_likelihood(wins_matrix, start), *(-c for c in changes)])
     theta = np.exp(beta - beta.max())
     return BtlParams(theta / theta.sum(), iterations, converged, path)
 

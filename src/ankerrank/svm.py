@@ -99,8 +99,12 @@ def _check_cost(C) -> None:
         raise ValueError("C must be a finite positive number")
 
 
-def smo_train(kernel, labels, C: float, tol: float = 1e-3,
-              max_iter: int | None = None) -> SvmModel:
+def _smo_cap(n: int) -> int:
+    """SMO's cap on working-pair updates for n examples; it grows with n as LIBSVM's max(10^7, 100 n) does."""
+    return max(10_000, 100 * n)
+
+
+def smo_train(kernel, labels, C: float, tol: float = 1e-3) -> SvmModel:
     """Solve the soft-margin SVM dual by SMO with maximal-violating-pair selection.
 
     Args:
@@ -112,16 +116,13 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         labels: Sequence of n labels in {-1, +1}; both classes required.
         C: Box constraint on the dual variables, finite and > 0.
         tol: KKT violation tolerance used as the stopping criterion, >= 0.
-        max_iter: Integer cap on working-pair updates, >= 1; None means
-            max(10 000, 100 n), a cap that grows with the problem as LIBSVM's
-            max(10^7, 100 n) does.
 
     Returns:
         SvmModel with 0 <= alpha <= C, sum(alpha * labels) = 0, and the bias
         averaged over unbounded support vectors (midpoint of the feasible
         interval when there are none).  ``kkt_violation``, ``converged`` and
-        that midpoint describe the returned alpha; a solve that stops at the
-        cap or on a stalled step without meeting ``tol`` logs one warning.
+        that midpoint describe the returned alpha; a solve that stops at its cap
+        of max(10 000, 100 n) updates or on a stalled step without meeting ``tol`` logs one warning.
     """
     y = np.asarray(labels, dtype=float)
     n = y.size
@@ -134,9 +135,7 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
     _check_cost(C)
     if not tol >= 0.0:
         raise ValueError("tol must be a non-negative number")
-    if max_iter is None:
-        max_iter = max(10_000, 100 * n)
-    _check_cap(max_iter, "max_iter")
+    cap = _smo_cap(n)
     K = np.asarray(kernel, dtype=float)
     if K.shape != (n, n):
         raise ValueError(f"kernel matrix shape {K.shape} does not match {n} labels")
@@ -173,13 +172,13 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
     up_argmax, low_argmin, up_item, low_item, k_item = up.argmax, low.argmin, up.item, low.item, K.item
     subtract, multiply = np.subtract, np.multiply
 
-    for iterations in range(max_iter + 1):
+    for iterations in range(cap + 1):
         i = int(up_argmax())
         j = int(low_argmin())
         m_bound = up_item(i)
         big_m_bound = low_item(j)
         converged = m_bound - big_m_bound <= tol
-        if converged or iterations == max_iter:
+        if converged or iterations == cap:
             break
 
         # Move along alpha_i += y_i t, alpha_j -= y_j t, which preserves
@@ -226,7 +225,7 @@ def smo_train(kernel, labels, C: float, tol: float = 1e-3,
         up[j] = v_j if (alpha_j < C if positive_j else alpha_j > 0.0) else neg_inf
         low[j] = v_j if (alpha_j > 0.0 if positive_j else alpha_j < C) else inf
     if not converged:
-        reason = f"iteration cap ({max_iter})" if iterations == max_iter else "a step that could not move"
+        reason = f"iteration cap ({cap})" if iterations == cap else "a step that could not move"
         logger.warning("SMO stopped unconverged after %d updates, %s (KKT violation %.3e, tolerance %.1e)",
                        iterations, reason, m_bound - big_m_bound, tol)
 

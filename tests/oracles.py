@@ -14,9 +14,12 @@ preference in a nested loop, the analogy-kernel oracle fills the whole
 matrix one feature at a time, the squared-hinge RankSVM oracle is
 scipy's L-BFGS-B, and the cost-search oracle solves every split and cost by
 ``smo_train`` and scores each model on its own gathered kernel block.
-One oracle shares the code under test on purpose: the cold-start BTL fit is
-``btl_fit`` as it was before its start rule, on the same Newton loop, kept
-so that a test can hold a fit that starts at 0 to identical bytes.
+Two oracles share rules of the code under test on purpose: the reference
+SMO reads ``smo_train``'s update cap at call time, so one patch of
+``svm._smo_cap`` reaches both, and the cold-start BTL fit is ``btl_fit``
+started at 0 instead of the HodgeRank point, on the same Newton loop, kept
+as the zero-start reference that tests compare the fitted utilities and
+step counts with.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from itertools import combinations
 import numpy as np
 from scipy import optimize
 
+from ankerrank import svm
 from ankerrank.ranker import PREFERENCE_CLIP, BtlParams, btl_log_likelihood
 from ankerrank.svm import _CV_TOL, _choose_cost, _newton_minimize, _sigmoid, decision_values, smo_train
 
@@ -88,11 +92,12 @@ def dual_objective(kernel: np.ndarray, labels, alpha) -> float:
     return float(a.sum() - 0.5 * a @ Q @ a)
 
 
-def reference_smo(kernel, labels, C: float, tol: float = 1e-3, max_iter: int | None = None):
+def reference_smo(kernel, labels, C: float, tol: float = 1e-3):
     """SMO with maximal-violating-pair selection, written plainly.
 
-    The same algorithm, step, snap, order of accumulation and default cap
-    as ``smo_train``, without its input checks or warnings.  It keeps v
+    The same algorithm, step, snap and order of accumulation as
+    ``smo_train``, without its input checks or warnings, stopped at the
+    update cap ``svm._smo_cap(n)`` as read when it is called.  It keeps v
     whole, where ``smo_train`` keeps it as two copies masked by +-inf, and
     moves it by the same one row difference per update: y_i alpha_i rises
     by ``step`` and y_j alpha_j falls by it, so v -= step * (K[i] - K[j]).
@@ -102,21 +107,20 @@ def reference_smo(kernel, labels, C: float, tol: float = 1e-3, max_iter: int | N
     K = np.asarray(kernel, dtype=float)
     y = np.asarray(labels, dtype=float)
     n = y.size
-    if max_iter is None:
-        max_iter = max(10_000, 100 * n)
+    cap = svm._smo_cap(n)
     alpha = np.zeros(n)
     v = y.copy()
     snap = 1e-12 * max(1.0, C)
     up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
     low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
 
-    for taken in range(max_iter + 1):
+    for taken in range(cap + 1):
         i = int(np.argmax(np.where(up, v, -np.inf)))
         j = int(np.argmin(np.where(low, v, np.inf)))
         m_bound = v[i]
         big_m_bound = v[j]
         converged = m_bound - big_m_bound <= tol
-        if converged or taken == max_iter:
+        if converged or taken == cap:
             break
         eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
         step = (m_bound - big_m_bound) / max(eta, 1e-12)
@@ -234,9 +238,11 @@ def btl_grid_argmax(pref: np.ndarray, resolution: float = 1e-3) -> np.ndarray:
 
 
 def btl_fit_cold(pref: np.ndarray) -> BtlParams:
-    """``ranker.btl_fit`` as it was before the start rule: every fit starts at beta = 0.
+    """``ranker.btl_fit`` started at beta = 0 instead of the HodgeRank point.
 
-    It stops by the Newton driver's rule, as ``btl_fit`` does.
+    The zero-start reference for step counts and fitted utilities.  It
+    stops by the Newton driver's rule, as ``btl_fit`` does, and its
+    ``log_likelihood_path`` starts at the likelihood of beta = 0.
     """
     pref = np.asarray(pref, dtype=float)
     if pref.ndim != 2 or pref.shape[0] != pref.shape[1]:

@@ -88,7 +88,7 @@ def test_criterion_4_smo_against_projected_gradient_oracle():
             labels[0], labels[1] = 1.0, -1.0
             cost = float(rng.choice([0.1, 1.0, 10.0]))
 
-            model = smo_train(gram, labels, cost, tol=tol, max_iter=200_000)
+            model = smo_train(gram, labels, cost, tol=tol)
             oracle = projected_gradient_qp(gram, labels, cost)
             ours = dual_objective(gram, labels, model.alpha)
             reference = dual_objective(gram, labels, oracle)

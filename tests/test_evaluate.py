@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ankerrank import evaluate
-from ankerrank.data import DataFormatError, NormalizationScope
+from ankerrank.data import DataFormatError, NormalizationScope, RankedDataset, RankedQuery
 from ankerrank.evaluate import (
     METHOD_NAMES,
     ExperimentResult,
@@ -293,6 +293,23 @@ def test_run_experiment_refuses_a_test_set_of_another_width_before_any_method_ru
     monkeypatch.setattr(evaluate, "normalize_train_test", not_reached)
     with pytest.raises(DataFormatError, match=f"test query 'q0' has items of {train.n_features + 1} features"):
         run_experiment(train, test, METHOD_NAMES, repeats=1, seed=0, config=MethodConfig(C=1.0, scope=scope))
+
+
+def test_run_experiment_refuses_a_one_item_training_query_before_any_method_runs_when_anker_does(
+        small_problem, monkeypatch):
+    train, test = small_problem
+    lone = RankedQuery("lone", train.queries[0].items[:1], np.array([0]))
+    train = RankedDataset(train.schema, train.queries + (lone,))
+    # The baselines train on such a query; only anker refuses it.
+    assert len(run_experiment(train, test, ["err", "ranksvm", "able2rank"], repeats=1, seed=0)) == 3
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("ran before the training queries were checked")
+
+    for name, (mode, _) in evaluate._RUNNERS.items():
+        monkeypatch.setitem(evaluate._RUNNERS, name, (mode, not_reached))
+    with pytest.raises(DataFormatError, match="training query 'lone' has fewer than two items"):
+        run_experiment(train, test, ["err", "ranksvm", "able2rank", "anker"], repeats=3, seed=0)
 
 
 def test_results_csv_format(small_problem):

@@ -107,17 +107,25 @@ def test_only_the_newton_driver_names_the_line_search_constants():
 
 
 def test_every_newton_fit_takes_the_shared_stopping_rule_and_btl_states_one_likelihood():
-    # No fit has a tolerance or step cap of its own: each stops by the
-    # Newton driver's rule.
-    for fit in (svm.platt_fit, ranker.btl_fit, baselines.ranksvm_fit, baselines._squared_hinge_newton):
+    # No fit has a tolerance or step cap of its own: each Newton fit stops
+    # by the Newton driver's rule, and SMO by its own update cap.  SMO keeps
+    # ``tol``, which production sets to two values: 1e-3 for the final fit
+    # and ``svm._CV_TOL`` for the cost search's solves.
+    for fit, allowed in ((svm.platt_fit, []), (ranker.btl_fit, []), (baselines.ranksvm_fit, []),
+                         (baselines._squared_hinge_newton, []), (svm.smo_train, ["tol"])):
         knobs = [name for name in inspect.signature(fit).parameters if any(k in name for k in ("tol", "iter", "step"))]
-        assert knobs == [], fit.__name__
-    # One expression scores a BTL log-likelihood: the start candidates, the
-    # path's first point and btl_log_likelihood all call it.
-    holding = {func.name for func in ast.walk(ast.parse(Path(ranker.__file__).read_text(encoding="utf-8")))
-               if isinstance(func, ast.FunctionDef)
+        assert knobs == allowed, fit.__name__
+    assert list(inspect.signature(svm.smo_train).parameters) == ["kernel", "labels", "C", "tol"]
+    # One expression scores a BTL log-likelihood: the path's first point and
+    # btl_log_likelihood call it, and a fit calls it once, at its one start.
+    tree = ast.parse(Path(ranker.__file__).read_text(encoding="utf-8"))
+    holding = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
                and any(isinstance(node, ast.Attribute) and node.attr == "logaddexp" for node in ast.walk(func))}
     assert holding == {"_log_likelihood"}
+    btl_fit = next(func for func in ast.walk(tree) if isinstance(func, ast.FunctionDef) and func.name == "btl_fit")
+    calls = [node for node in ast.walk(btl_fit) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_log_likelihood"]
+    assert len(calls) == 1
 
 
 def test_only_the_kernel_names_its_range_check():
@@ -133,11 +141,8 @@ def test_only_the_kernel_names_its_range_check():
     assert naming == {"kernel.py"}
 
 
-def test_only_one_function_states_the_query_rule():
-    # ``ranker._check_query`` owns the rule that a query to rank is a 2-D
-    # array of two or more items of the training width; every ranker calls
-    # it.  ``ranking_loss`` raises its own two-item rule, on positions.
-    phrases = ("two items", "training items have", "(items, features)")
+def _functions_raising(*phrases) -> set[tuple[str, str]]:
+    """(file, function) of every package function with a raise whose string holds one of ``phrases``."""
     stating = set()
     for path in sorted(Path(ankerrank.__file__).parent.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -148,7 +153,21 @@ def test_only_one_function_states_the_query_rule():
                         isinstance(c, ast.Constant) and isinstance(c.value, str)
                         and any(phrase in c.value for phrase in phrases) for c in ast.walk(node)):
                     stating.add((path.name, func.name))
-    assert stating == {("ranker.py", "_check_query"), ("evaluate.py", "ranking_loss")}
+    return stating
+
+
+def test_only_one_function_states_the_query_rule():
+    # ``ranker._check_query`` owns the rule that a query to rank is a 2-D
+    # array of two or more items of the training width; every ranker calls
+    # it.  ``ranking_loss`` raises its own two-item rule, on positions.
+    assert _functions_raising("two items", "training items have", "(items, features)") == {
+        ("ranker.py", "_check_query"), ("evaluate.py", "ranking_loss")}
+
+
+def test_only_one_function_states_the_variant_rule():
+    # ``kernel._check_variant`` owns the rule that a variant is a
+    # ``KernelVariant``; kernel_matrix, AnkerModel and MethodConfig call it.
+    assert _functions_raising("must be a KernelVariant") == {("kernel.py", "_check_variant")}
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -109,8 +109,13 @@ def test_a_variant_that_is_not_a_kernel_variant_is_refused(variant):
     message = f"variant must be a KernelVariant, not '{variant}'"
     with pytest.raises(ValueError, match=message):
         kernel_matrix(diffs, diffs[::-1], variant)
+    data = make_linear_dataset(2, 5, 2, seed=4)
     with pytest.raises(ValueError, match=message):
-        anker_fit(make_linear_dataset(2, 5, 2, seed=4), variant=variant, C=1.0)
+        anker_fit(data, variant=variant, C=1.0)
+    # A model is refused when it is built, not at its first prediction.
+    model = anker_fit(data, C=1.0)
+    with pytest.raises(ValueError, match=message):
+        AnkerModel(model.svm, variant, model.support_diffs)
 
 
 def test_pair_extraction_is_deterministic():
@@ -624,15 +629,18 @@ def test_btl_starts_at_the_exact_fit_of_a_consistent_matrix(n):
     assert btl_fit_cold(pref).iterations > 0
 
 
-def test_btl_zero_start_is_the_cold_fit_byte_for_byte():
+def test_btl_starts_at_the_hodgerank_point_even_where_zero_has_the_higher_likelihood():
     pref = _random_reciprocal(np.random.default_rng(41), 10)
     clipped = np.where(~np.eye(10, dtype=bool), np.clip(pref, PREFERENCE_CLIP, 1.0 - PREFERENCE_CLIP), 0.0)
+    hodgerank = np.array([sum(np.log(clipped[i, j] / clipped[j, i]) for j in range(10) if j != i) / 10
+                          for i in range(10)])
+    start_likelihood = btl_log_likelihood(clipped, np.exp(hodgerank))
+    assert start_likelihood < btl_log_likelihood(clipped, np.full(10, 0.1))
     params, cold = btl_fit(pref), btl_fit_cold(pref)
-    # Zero has the higher likelihood here, so the fit starts there.
-    assert params.log_likelihood_path[0] == btl_log_likelihood(clipped, np.full(10, 0.1))
-    assert params.theta.tobytes() == cold.theta.tobytes()
-    assert params.iterations == cold.iterations
-    assert params.log_likelihood_path.tobytes() == cold.log_likelihood_path.tobytes()
+    assert params.log_likelihood_path[0] == pytest.approx(start_likelihood, rel=1e-12)
+    assert params.converged
+    assert np.max(np.abs(params.theta - cold.theta) / cold.theta) <= 1e-12
+    assert np.array_equal(ranking_from_scores(params.theta), ranking_from_scores(cold.theta))
 
 
 def test_btl_start_rule_keeps_model_orderings_and_saves_steps():

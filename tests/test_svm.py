@@ -93,13 +93,16 @@ def test_smo_is_bit_identical_to_the_reference_loop_at_cross_validation_size():
     assert labels.size == 950 and model.iterations > 2_500 and model.converged
 
 
-def test_smo_is_bit_identical_to_the_reference_loop_at_the_cap_and_the_box():
+def test_smo_is_bit_identical_to_the_reference_loop_at_the_cap_and_the_box(monkeypatch):
     rng = np.random.default_rng(7)
     gram = gram_matrix(rng.random((12, 3)) - rng.random((12, 3)), KernelVariant.MEAN)
     labels = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
-    assert_matches_reference(gram, labels, 1.0, tol=1e-8, max_iter=1)
     # Zero curvature: the step is clipped at the box.
     assert_matches_reference(np.ones((2, 2)), np.array([1.0, -1.0]), 3.0, tol=1e-8)
+    # One patch of the cap reaches smo_train and the reference alike.
+    monkeypatch.setattr(svm, "_smo_cap", lambda n: 1)
+    model = assert_matches_reference(gram, labels, 1.0, tol=1e-8)
+    assert model.iterations == 1 and not model.converged
 
 
 def test_equality_constraint_holds():
@@ -139,7 +142,7 @@ def test_dual_objective_matches_projected_gradient_oracle():
     rng = np.random.default_rng(2)
     for _ in range(10):
         gram, labels, cost = random_instance(rng)
-        model = smo_train(gram, labels, cost, tol=1e-9, max_iter=100_000)
+        model = smo_train(gram, labels, cost, tol=1e-9)
         oracle_alpha = projected_gradient_qp(gram, labels, cost)
         ours = dual_objective(gram, labels, model.alpha)
         reference = dual_objective(gram, labels, oracle_alpha)
@@ -206,12 +209,13 @@ def test_empty_support_returns_bias():
     assert decision_values(model, np.zeros((1, 0)))[0] == pytest.approx(0.3)
 
 
-def test_smo_warns_when_it_stops_unconverged(caplog):
+def test_smo_warns_when_it_stops_unconverged(caplog, monkeypatch):
     rng = np.random.default_rng(6)
     gram = gram_matrix(rng.random((12, 3)) - rng.random((12, 3)), KernelVariant.MEAN)
     labels = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+    monkeypatch.setattr(svm, "_smo_cap", lambda n: 1)
     with caplog.at_level("WARNING", logger="ankerrank.svm"):
-        model = smo_train(gram, labels, C=1.0, tol=1e-8, max_iter=1)
+        model = smo_train(gram, labels, C=1.0, tol=1e-8)
     assert not model.converged
     assert "iteration cap (1)" in caplog.text and "KKT violation" in caplog.text
 
@@ -226,50 +230,54 @@ def test_smo_warns_of_a_stalled_step_without_naming_the_cap(caplog):
     assert "iteration cap" not in caplog.text
 
 
-def test_smo_counts_the_update_it_takes_before_the_cap():
+def test_smo_counts_the_update_it_takes_before_the_cap(monkeypatch):
     rng = np.random.default_rng(6)
     gram = gram_matrix(rng.random((12, 3)) - rng.random((12, 3)), KernelVariant.MEAN)
     labels = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
-    model = smo_train(gram, labels, C=1.0, tol=1e-8, max_iter=1)
+    monkeypatch.setattr(svm, "_smo_cap", lambda n: 1)
+    model = smo_train(gram, labels, C=1.0, tol=1e-8)
     assert model.iterations == 1 and not model.converged
 
 
-def test_converged_exactly_when_the_kkt_violation_meets_the_tolerance():
+def test_converged_exactly_when_the_kkt_violation_meets_the_tolerance(monkeypatch):
     rng = np.random.default_rng(8)
     outcomes = set()
-    for max_iter in (1, 3, 10, 10_000):
+    for cap in (1, 3, 10, 10_000):
+        monkeypatch.setattr(svm, "_smo_cap", lambda n, cap=cap: cap)
         for _ in range(10):
             gram, labels, cost = random_instance(rng, n_max=12)
-            model = smo_train(gram, labels, cost, tol=1e-6, max_iter=max_iter)
+            model = smo_train(gram, labels, cost, tol=1e-6)
             assert model.converged == (model.kkt_violation <= 1e-6)
-            assert model.iterations <= max_iter
+            assert model.iterations <= cap
             outcomes.add(model.converged)
     assert outcomes == {True, False}
 
 
-def test_smo_capped_at_the_updates_it_needs_returns_the_full_record(caplog):
+def test_smo_capped_at_the_updates_it_needs_returns_the_full_record(caplog, monkeypatch):
     rng = np.random.default_rng(0)
     gram = gram_matrix(rng.random((40, 5)) - rng.random((40, 5)), KernelVariant.MEAN)
     labels = np.where(rng.random(40) < 0.5, 1.0, -1.0)
     labels[0], labels[1] = 1.0, -1.0
     full = smo_train(gram, labels, C=1.0)
     assert full.converged and full.iterations > 1
+    monkeypatch.setattr(svm, "_smo_cap", lambda n: full.iterations)
     with caplog.at_level("WARNING", logger="ankerrank.svm"):
-        capped = smo_train(gram, labels, C=1.0, max_iter=full.iterations)
+        capped = smo_train(gram, labels, C=1.0)
     assert not caplog.records
     assert capped.alpha.tobytes() == full.alpha.tobytes()
     assert (capped.bias, capped.converged, capped.iterations, capped.kkt_violation) == (
         full.bias, True, full.iterations, full.kkt_violation)
 
 
-def test_smo_record_describes_the_returned_alpha_at_every_cap():
+def test_smo_record_describes_the_returned_alpha_at_every_cap(monkeypatch):
     rng = np.random.default_rng(7)
     gram = gram_matrix(rng.random((12, 3)) - rng.random((12, 3)), KernelVariant.MEAN)
     labels = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
     full = smo_train(gram, labels, C=1.0, tol=1e-8)
     midpoints = 0
     for cap in range(1, full.iterations + 1):
-        model = smo_train(gram, labels, C=1.0, tol=1e-8, max_iter=cap)
+        monkeypatch.setattr(svm, "_smo_cap", lambda n, cap=cap: cap)
+        model = smo_train(gram, labels, C=1.0, tol=1e-8)
         alpha, y = model.alpha, model.labels
         v = y - gram @ (alpha * y)
         up = ((y > 0) & (alpha < 1.0)) | ((y < 0) & (alpha > 0.0))
@@ -315,23 +323,14 @@ def test_smo_floors_a_nan_curvature_and_reaches_the_optimum():
     assert model.alpha.tolist() == [1.0, 1.0] and model.bias == 0.0 and model.converged
 
 
-@pytest.mark.parametrize("kernel, labels, options, message", [
-    (np.eye(1), [1], {}, "at least two examples"),
-    (np.eye(2), [1, 0], {}, r"labels must be -1 or \+1"),
-    (np.eye(2), [1, -1], {"max_iter": 0}, "max_iter must be at least 1"),
-    (np.eye(2), [1, -1], {"max_iter": 1.5}, "max_iter must be an integer, not 1.5"),
-    (np.eye(2), [1, -1], {"max_iter": 2.0}, "max_iter must be an integer, not 2.0"),
-    (np.eye(3), [1, -1], {}, r"kernel matrix shape \(3, 3\) does not match 2 labels"),
-], ids=["one-example", "label-zero", "max-iter-zero", "max-iter-fraction", "max-iter-float",
-        "kernel-too-large"])
-def test_smo_rejects_malformed_training_input(kernel, labels, options, message):
+@pytest.mark.parametrize("kernel, labels, message", [
+    (np.eye(1), [1], "at least two examples"),
+    (np.eye(2), [1, 0], r"labels must be -1 or \+1"),
+    (np.eye(3), [1, -1], r"kernel matrix shape \(3, 3\) does not match 2 labels"),
+], ids=["one-example", "label-zero", "kernel-too-large"])
+def test_smo_rejects_malformed_training_input(kernel, labels, message):
     with pytest.raises(ValueError, match=message):
-        smo_train(kernel, labels, C=1.0, **options)
-
-
-def test_smo_accepts_a_numpy_integer_cap():
-    model = smo_train(np.eye(2), [1, -1], C=10.0, tol=1e-8, max_iter=np.int64(1))
-    assert model.iterations == 1 and model.converged
+        smo_train(kernel, labels, C=1.0)
 
 
 def test_decision_values_need_one_kernel_column_per_support_vector():
@@ -551,6 +550,11 @@ def test_newton_driver_still_warns_on_an_overflow_in_the_gradient():
 def test_every_newton_fit_stops_by_one_rule():
     assert (svm._NEWTON_TOL, svm._NEWTON_MAX_STEPS) == (1e-10, 100)
     assert list(inspect.signature(btl_fit).parameters) == ["pref"]
+
+
+def test_smo_caps_its_updates_by_its_own_rule():
+    # max(10 000, 100 n), which grows with the problem as LIBSVM's cap does.
+    assert [svm._smo_cap(n) for n in (2, 100, 101, 950)] == [10_000, 10_000, 10_100, 95_000]
 
 
 # ---------------------------------------------------------------------------
